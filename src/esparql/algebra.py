@@ -29,7 +29,6 @@ from . import belief as belief_mod
 from .errors import (
     IllFormedQuery,
     NonFinitelySupported,
-    NonIriHolder,
     UniverseTooLarge,
 )
 from .four import (
@@ -49,7 +48,6 @@ from .model import (
     DEFAULT_VOCABULARY,
     FourGraph,
     Iri,
-    StarTriple,
     Term,
     TriplePattern,
     Variable,
@@ -127,9 +125,6 @@ class Mapping:
     def __repr__(self) -> str:
         inner = ", ".join(f"{v.name}={term_text(t)}" for v, t in self.bindings)
         return f"{{{inner}}}"
-
-
-EMPTY_MAPPING = Mapping(())
 
 
 def mappings_over(vars: Iterable[Variable], universe: Iterable[Term]) -> Iterator[Mapping]:
@@ -401,44 +396,58 @@ class Belief:
 Query = Pattern | Join | Union | Filter | Project | MapState | Belief
 
 
-def in_scope(q: Query) -> frozenset[Variable]:
-    """Variables a query binds.  Raises IllFormedQuery on any scoping-rule
-    violation (join/union operator family, union scope mismatch, projection
-    of an out-of-scope variable, belief variable shadowing)."""
+def _scope(q: Query, table: dict[int, frozenset[Variable]]) -> frozenset[Variable]:
+    """q's in-scope variables; each node's scope is also stored in ``table``
+    under its id.  Raises IllFormedQuery on any scoping-rule violation
+    (join/union operator family, union scope mismatch, projection of an
+    out-of-scope variable, belief variable shadowing)."""
     if isinstance(q, Pattern):
-        return pattern_variables(q.pattern)
-    if isinstance(q, Join):
+        w = pattern_variables(q.pattern)
+    elif isinstance(q, Join):
         if q.op not in MEET_OPERATORS:
             raise IllFormedQuery(f"join must use a meet operator, got {q.op.value}")
-        return in_scope(q.left) | in_scope(q.right)
-    if isinstance(q, Union):
+        w = _scope(q.left, table) | _scope(q.right, table)
+    elif isinstance(q, Union):
         if q.op not in JOIN_OPERATORS:
             raise IllFormedQuery(f"union must use a join operator, got {q.op.value}")
-        left, right = in_scope(q.left), in_scope(q.right)
-        if left != right:
-            ln = sorted(v.name for v in left)
+        w, right = _scope(q.left, table), _scope(q.right, table)
+        if w != right:
+            ln = sorted(v.name for v in w)
             rn = sorted(v.name for v in right)
             raise IllFormedQuery(f"union branches bind different variables: {ln} vs {rn}")
-        return left
-    if isinstance(q, Filter):
-        return in_scope(q.query)
-    if isinstance(q, Project):
-        inner = in_scope(q.query)
+    elif isinstance(q, (Filter, MapState)):
+        w = _scope(q.query, table)
+    elif isinstance(q, Project):
+        inner = _scope(q.query, table)
         if not q.vars <= inner:
             missing = sorted(v.name for v in q.vars - inner)
             raise IllFormedQuery(f"projection of out-of-scope variable(s): {missing}")
-        return frozenset(q.vars)
-    if isinstance(q, MapState):
-        return in_scope(q.query)
-    if isinstance(q, Belief):
-        inner = in_scope(q.query)
+        w = frozenset(q.vars)
+    elif isinstance(q, Belief):
+        inner = _scope(q.query, table)
         evars = belief_mod.belief_variables(q.expr)
         shadowed = inner & evars
         if shadowed:
             names = sorted(v.name for v in shadowed)
             raise IllFormedQuery(f"belief variable(s) shadow body scope: {names}")
-        return inner | evars
-    raise TypeError(f"not a query: {q!r}")
+        w = inner | evars
+    else:
+        raise TypeError(f"not a query: {q!r}")
+    table[id(q)] = w
+    return w
+
+
+def _scopes(q: Query) -> dict[int, frozenset[Variable]]:
+    """Every node's in-scope variables, keyed by node id, in one pass."""
+    table: dict[int, frozenset[Variable]] = {}
+    _scope(q, table)
+    return table
+
+
+def in_scope(q: Query) -> frozenset[Variable]:
+    """Variables a query binds.  Raises IllFormedQuery on any scoping-rule
+    violation anywhere in q."""
+    return _scope(q, {})
 
 
 def _pattern_constant_terms(p, acc: set[Term]) -> None:
@@ -769,45 +778,42 @@ def _eval_pattern(p: TriplePattern, g: FourGraph, universe: frozenset[Term] | No
 
 
 class _FourEngine:
-    def __init__(self, graph: FourGraph, vocab: BeliefVocabulary, mode: EvalMode,
-                 universe: frozenset[Term] | None, cap: int):
-        self.graph = graph
+    """One evaluation.  Memos are keyed on graph identity, and each memo
+    value keeps its graph alive so the id cannot be reused meanwhile."""
+
+    def __init__(self, vocab: BeliefVocabulary, mode: EvalMode,
+                 universe: frozenset[Term] | None, scopes: dict[int, frozenset[Variable]]):
         self.vocab = vocab
         self.mode = mode
         self.universe = universe
-        self.universe_list = (
-            sorted(universe, key=term_text) if universe is not None else None
-        )
-        self.cap = cap
+        self.universe_list = sorted(universe, key=term_text) if universe is not None else None
+        self.scopes = scopes
+        self._indexes: dict = {}
         self._extract_cache: dict = {}
         self._eval_cache: dict = {}
-        self._fresh_counter = 0
 
     # -- helpers -----------------------------------------------------------
 
-    def _fresh_holder(self, g: FourGraph) -> Iri:
-        taken = {t.text for t in active_domain(g) if isinstance(t, Iri)}
-        while True:
-            candidate = f"urn:esparql:fresh{self._fresh_counter}"
-            self._fresh_counter += 1
-            if candidate not in taken:
-                return Iri(candidate)
+    def _index(self, g: FourGraph) -> dict:
+        hit = self._indexes.get(id(g))
+        if hit is None:
+            hit = self._indexes[id(g)] = (g, belief_mod.holder_index(g, self.vocab))
+        return hit[1]
 
     def _extract(self, g: FourGraph, e: belief_mod.BeliefQuery) -> FourGraph:
-        key = (g.key(), e)
+        key = (id(g), e)
         hit = self._extract_cache.get(key)
         if hit is None:
-            hit = belief_mod.extract(g, e, self.vocab)
-            self._extract_cache[key] = hit
-        return hit
+            extracted = belief_mod.extract(g, e, self.vocab, self._index(g))
+            hit = self._extract_cache[key] = (g, extracted)
+        return hit[1]
 
     def eval(self, q: Query, g: FourGraph) -> Relation:
-        key = (id(q), g.key())
+        key = (id(q), id(g))
         hit = self._eval_cache.get(key)
         if hit is None:
-            hit = self._eval(q, g)
-            self._eval_cache[key] = hit
-        return hit
+            hit = self._eval_cache[key] = (g, self._eval(q, g))
+        return hit[1]
 
     # -- node cases ---------------------------------------------------------
 
@@ -851,100 +857,72 @@ class _FourEngine:
     def _eval_belief(self, q: Belief, g: FourGraph) -> Relation:
         evars = belief_mod.belief_variables(q.expr)
         if not evars:
-            inner_graph = self._extract(g, q.expr)
-            return self.eval(q.query, inner_graph)
+            return self.eval(q.query, self._extract(g, q.expr))
 
-        w1 = in_scope(q.query)
-        w = w1 | evars
         evars_sorted = sorted(evars, key=lambda v: v.name)
+        w1 = self.scopes[id(q.query)]
+        open_mode = self.mode is EvalMode.OPEN
+        taken = {h for h, _ in self._index(g)}
+        fresh = next(i for i in (Iri(f"urn:esparql:fresh{n}") for n in itertools.count())
+                     if i not in taken)
 
-        fresh = self._fresh_holder(g)
-        generic_inst = belief_mod.instantiate(q.expr, {v: fresh for v in evars})
-        r0 = self.eval(q.query, self._extract(g, generic_inst))
+        def slice_at(key: tuple[Iri, ...]) -> Relation:
+            inst = belief_mod.instantiate(q.expr, dict(zip(evars_sorted, key)))
+            return self.eval(q.query, self._extract(g, inst))
 
-        if self.mode is EvalMode.OPEN:
-            return self._eval_belief_open(q, g, r0, evars_sorted, w1, w)
-        return self._eval_belief_active(q, g, r0, evars_sorted, w1, w)
-
-    def _belief_candidate_holders(self, g: FourGraph) -> list[Iri]:
-        preds = self.vocab.predicates()
-        found = {
-            t.subject
-            for t in g.exceptions
-            if t.predicate in preds and isinstance(t.subject, Iri)
-            and isinstance(t.object, StarTriple)
-        }
-        return sorted(found, key=lambda i: i.text)
-
-    def _eval_belief_active(self, q, g, r0, evars_sorted, w1, w) -> Relation:
+        r0 = slice_at((fresh,) * len(evars))
+        # a key position is a holder; or fresh, standing for every IRI without
+        # belief statements (they all extract alike), infinitely many in open
+        # mode; or, over the active domain, None, standing for the quoted
+        # triples, whose slices are constantly unknown
+        stands_for: dict[Iri | None, list[Term]]
+        if open_mode:
+            if r0.exceptions or r0.default != UNKNOWN:
+                raise NonFinitelySupported(
+                    "belief over a quantified holder is not constantly unknown off-support"
+                )
+            stands_for = {fresh: []}
+        else:
+            stands_for = {
+                fresh: [t for t in self.universe_list if isinstance(t, Iri) and t not in taken],
+                None: [t for t in self.universe_list if not isinstance(t, Iri)],
+            }
         default = r0.default
+        unknown = Relation(w1, UNKNOWN, None, self.universe)
         exceptions: dict[Mapping, Any] = {}
-
-        def add_slice(assignment: Mapping, rel: Relation | None):
-            # rel None means the slice is constantly unknown (non-IRI holder)
-            if rel is None:
-                if UNKNOWN == default:
-                    return
-                for m1 in mappings_over(w1, self.universe_list):
-                    exceptions[assignment.merge(m1)] = UNKNOWN
-                return
-            if rel.default != default:
-                for m1 in mappings_over(w1, self.universe_list):
-                    v = rel.value_at(m1)
-                    if v != default:
-                        exceptions[assignment.merge(m1)] = v
-                return
-            for m1, v in rel.exceptions.items():
-                exceptions[assignment.merge(m1)] = v
-
-        for combo in itertools.product(self.universe_list, repeat=len(evars_sorted)):
-            binding = dict(zip(evars_sorted, combo))
-            assignment = Mapping.of(binding)
-            try:
-                inst = belief_mod.instantiate(q.expr, binding)
-            except NonIriHolder:
-                add_slice(assignment, None)
+        keys = sorted(taken, key=lambda i: i.text) + list(stands_for)
+        for key in itertools.product(keys, repeat=len(evars)):
+            rel = unknown if None in key else slice_at(key)
+            if rel.default == default and not rel.exceptions:
                 continue
-            rel = self.eval(q.query, self._extract(g, inst))
-            add_slice(assignment, rel)
-        return Relation(w, default, exceptions, self.universe)
-
-    def _eval_belief_open(self, q, g, r0, evars_sorted, w1, w) -> Relation:
-        # Fresh-IRI holders and quoted-triple holders both form infinite
-        # families of slices; a finite table exists only when those slices
-        # are constantly unknown.
-        if r0.exceptions or r0.default != UNKNOWN:
-            raise NonFinitelySupported(
-                "belief over a quantified holder is not constantly unknown off-support"
-            )
-        default = UNKNOWN
-        exceptions: dict[Mapping, Any] = {}
-        candidates = self._belief_candidate_holders(g)
-        for combo in itertools.product(candidates, repeat=len(evars_sorted)):
-            binding = dict(zip(evars_sorted, combo))
-            assignment = Mapping.of(binding)
-            inst = belief_mod.instantiate(q.expr, binding)
-            rel = self.eval(q.query, self._extract(g, inst))
-            if not w1:
-                value = rel.value_at(EMPTY_MAPPING)
-                if value != default:
-                    exceptions[assignment] = value
-                continue
-            if rel.default != default:
+            if open_mode and fresh in key:
+                raise NonFinitelySupported(
+                    "belief naming a holder and a quantified non-holder is not constantly unknown"
+                )
+            if rel.default == default:
+                rows = list(rel.exceptions.items())
+            elif open_mode and w1:
                 raise NonFinitelySupported(
                     "belief slice disagrees with the default on infinitely many mappings"
                 )
-            for m1, v in rel.exceptions.items():
-                exceptions[assignment.merge(m1)] = v
-        return Relation(w, default, exceptions, None)
+            else:
+                rows = [(m1, rel.value_at(m1))
+                        for m1 in mappings_over(w1, self.universe_list or ())]
+            for combo in itertools.product(*(stands_for.get(t, (t,)) for t in key)):
+                binding = dict(zip(evars_sorted, combo))
+                for m1, v in rows:
+                    if v != default:
+                        exceptions[m1.extend(binding)] = v
+        return Relation(w1 | evars, default, exceptions, self.universe)
 
 
-def _scope_guard(q: Query, universe: frozenset[Term], cap: int) -> None:
+def _scope_guard(q: Query, universe: frozenset[Term], cap: int,
+                 scopes: dict[int, frozenset[Variable]]) -> None:
     """Refuse up front when any sub-result could exceed the enumeration cap."""
     size = len(universe)
 
     def walk(node: Query) -> None:
-        w = len(in_scope(node))
+        w = len(scopes[id(node)])
         if size ** w > cap:
             raise UniverseTooLarge(
                 f"|universe| ** |vars| = {size}**{w} exceeds cap {cap}"
@@ -972,14 +950,13 @@ def evaluate(
     universe is fixed once from the graph and the query's constant terms;
     open mode may raise NonFinitelySupported.
     """
-    in_scope(q)
+    scopes = _scopes(q)
     if mode is EvalMode.ACTIVE_DOMAIN:
         universe = active_domain(g, query_constants(q))
-        _scope_guard(q, universe, cap)
+        _scope_guard(q, universe, cap, scopes)
     else:
         universe = None
-    engine = _FourEngine(g, vocab, mode, universe, cap)
-    return engine.eval(q, g)
+    return _FourEngine(vocab, mode, universe, scopes).eval(q, g)
 
 
 # ---------------------------------------------------------------------------
@@ -1031,10 +1008,10 @@ def evaluate_k(
     semiring's carrier.
     """
     _check_plain_fragment(q)
-    in_scope(q)
+    scopes = _scopes(q)
     if mode is EvalMode.ACTIVE_DOMAIN:
         universe = active_domain(g, query_constants(q))
-        _scope_guard(q, universe, cap)
+        _scope_guard(q, universe, cap, scopes)
         universe_list = sorted(universe, key=term_text)
     else:
         universe = None

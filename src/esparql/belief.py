@@ -82,22 +82,28 @@ def instantiate(e: BeliefQuery, binding: dict[Variable, Term]) -> BeliefQuery:
     return CompoundBelief(instantiate(e.left, binding), e.op, instantiate(e.right, binding))
 
 
-def _extract_atomic(g: FourGraph, e: AtomicBelief, vocab: BeliefVocabulary) -> FourGraph:
-    predicate = vocab.predicate_for(e.state)
-    found: dict[StarTriple, FourValue] = {}
+def holder_index(g: FourGraph,
+                 vocab: BeliefVocabulary) -> dict[tuple[Iri, Iri], list[StarTriple]]:
+    """(holder IRI, belief predicate) -> the quoted triples so believed, from
+    the belief statements valued true or conflicted: only those count for
+    extraction, so an IRI without entries extracts like any non-holder."""
+    predicates = vocab.predicates()
+    index: dict[tuple[Iri, Iri], list[StarTriple]] = {}
     for key, value in g.exceptions.items():
         if (
-            key.predicate == predicate
-            and key.subject == e.holder
+            key.predicate in predicates
+            and isinstance(key.subject, Iri)
             and isinstance(key.object, StarTriple)
             and value in (TRUE, CONFLICTED)
         ):
-            found[key.object] = e.state
-    return FourGraph(e.fallback, found)
+            index.setdefault((key.subject, key.predicate), []).append(key.object)
+    return index
 
 
-def extract(g: FourGraph, e: BeliefQuery, vocab: BeliefVocabulary) -> FourGraph:
-    """Materialize a ground belief query against g as a graph of its own.
+def extract(g: FourGraph, e: BeliefQuery, vocab: BeliefVocabulary,
+            index: dict[tuple[Iri, Iri], list[StarTriple]] | None = None) -> FourGraph:
+    """Materialize a ground belief query against g as a graph of its own,
+    looking atoms up in g's ``holder_index`` (built here when not given).
 
     Only the exception table is consulted: a belief triple sitting at the
     graph default would contribute exactly when the default is true or
@@ -109,12 +115,15 @@ def extract(g: FourGraph, e: BeliefQuery, vocab: BeliefVocabulary) -> FourGraph:
         raise NonFiniteBeliefExtraction(
             f"graph default {g.default.label} asserts belief triples everywhere"
         )
+    if isinstance(e, AtomicBelief) and isinstance(e.holder, Variable):
+        raise UnboundBeliefVariable(f"cannot extract with free holder {e.holder!r}")
+    if index is None:
+        index = holder_index(g, vocab)
     if isinstance(e, AtomicBelief):
-        if isinstance(e.holder, Variable):
-            raise UnboundBeliefVariable(f"cannot extract with free holder {e.holder!r}")
-        return _extract_atomic(g, e, vocab)
-    left = extract(g, e.left, vocab)
-    right = extract(g, e.right, vocab)
+        believed = index.get((e.holder, vocab.predicate_for(e.state)), ())
+        return FourGraph(e.fallback, dict.fromkeys(believed, e.state))
+    left = extract(g, e.left, vocab, index)
+    right = extract(g, e.right, vocab, index)
     default = apply(e.op, left.default, right.default)
     merged: dict[StarTriple, FourValue] = {}
     for t in left.exceptions.keys() | right.exceptions.keys():

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import esparql.algebra
+from esparql import belief as belief_mod
 from esparql import (
     And,
+    AtomicBelief,
     Belief,
     Bound,
     CompoundBelief,
@@ -27,6 +30,7 @@ from esparql import (
     Pattern,
     Project,
     Relation,
+    STATES,
     StateIs,
     StarTriple,
     TriplePattern,
@@ -35,9 +39,11 @@ from esparql import (
     Variable,
     active_domain,
     all_states_shorthand,
+    diff,
     evaluate,
     in_scope,
     mappings_over,
+    oracle_eval,
 )
 from esparql.algebra import ThreeValued, eval_formula
 from esparql.model import term_to_pattern
@@ -392,6 +398,49 @@ def test_nested_belief_of_belief(g1):
     r2 = evaluate(corrected, g1)
     assert r2.default == U
     assert exceptions(r2) == {Mapping.of({X: POPE}): T}
+
+
+def test_variable_holder_work_is_sparse(monkeypatch):
+    # N holders with stances and many more IRIs without any: the body runs
+    # once per holder plus once for all the rest, and no memo hashes the graph
+    n = 8
+    claims = [StarTriple(Iri(f"urn:god{i}"), A, FULL_DEITY) for i in range(4)]
+    stances = {StarTriple(Iri(f"urn:holder{i}"), VOCAB.predicate_for(STATES[i % 4]),
+                          claims[i % 4]): T for i in range(n)}
+    noise = {StarTriple(Iri(f"urn:thing{i}"), Iri("urn:p"), Iri(f"urn:other{i}")): T
+             for i in range(5 * n)}
+    g = FourGraph(U, {**stances, **noise})
+    q = Belief(all_states_shorthand(X, OPLUS), Pattern(TriplePattern(S, A, FULL_DEITY)))
+
+    atomic_calls = 0
+    real_extract = belief_mod.extract
+
+    def counting_extract(g, e, vocab, index=None):
+        nonlocal atomic_calls
+        atomic_calls += isinstance(e, AtomicBelief)
+        return real_extract(g, e, vocab, index)
+
+    def no_key(self):
+        raise AssertionError("FourGraph.key called during evaluation")
+
+    scope_passes = 0
+    real_scopes = esparql.algebra._scopes
+
+    def counting_scopes(q):
+        nonlocal scope_passes
+        scope_passes += 1
+        return real_scopes(q)
+
+    monkeypatch.setattr(belief_mod, "extract", counting_extract)
+    monkeypatch.setattr(FourGraph, "key", no_key)
+    monkeypatch.setattr(esparql.algebra, "_scopes", counting_scopes)
+    r = evaluate(q, g)
+    monkeypatch.undo()
+
+    assert len(active_domain(g)) >= 5 * n
+    assert atomic_calls <= (n + 1) * 4
+    assert scope_passes == 1
+    assert diff(r, oracle_eval(q, g)) == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
 """End-to-end checks of the command line front end via click's test runner."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from click.testing import CliRunner
 
+import esparql
 import esparql.algebra
 from esparql.cli import main
 from esparql.fixtures import fixture_path, fixture_text
@@ -129,6 +135,17 @@ def test_check_labels_inline_queries(runner):
     result = runner.invoke(main, ["check", "--eval", "SELECT ?x WHERE { ?x a ?kind }"])
     assert result.exit_code == 0
     assert result.output == "query <inline>: ok (in scope: ?x)\n"
+
+
+def test_package_runs_as_a_module():
+    src = Path(esparql.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-m", "esparql", "check", "--eval", "SELECT ?x WHERE { ?x a ?kind }"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "query <inline>: ok (in scope: ?x)\n"
 
 
 def test_check_with_no_inputs_is_a_usage_error(runner):

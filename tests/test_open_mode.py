@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +29,10 @@ from esparql import (
     Variable,
     all_states_shorthand,
     evaluate,
+    parse_and_desugar,
+    parse_graph,
 )
+from esparql.cli import main
 from esparql.model import term_to_pattern
 from esparql import randgen
 
@@ -42,6 +46,8 @@ from conftest import (
     JESUS_DEITY,
     POPE,
     VOCAB,
+    ZEUS,
+    data,
     example_graph,
 )
 
@@ -49,7 +55,7 @@ F, T, U, C = (FourValue.FALSE, FourValue.TRUE,
               FourValue.UNKNOWN, FourValue.CONFLICTED)
 AND, OR = FourOperator.TRUTH_MEET, FourOperator.TRUTH_JOIN
 OTIMES, OPLUS = FourOperator.INFO_MEET, FourOperator.INFO_JOIN
-X, Y = Variable("x"), Variable("y")
+X, Y, S, P, O = (Variable(n) for n in ("x", "y", "s", "p", "o"))
 
 IS_CHRISTIAN = Pattern(TriplePattern(X, A, CHRISTIAN))
 DENIES_JESUS = Pattern(TriplePattern(X, VOCAB.to_be_false,
@@ -206,6 +212,35 @@ def test_open_belief_raises_when_generic_slice_is_not_unknown(g1):
     with pytest.raises(NonFinitelySupported):
         open_eval(q, g1)
     assert evaluate(q, g1).vars == {X, Y}
+
+
+MIXED_HOLDERS_GRAPH = """@default unknown .
+<h1> <https://esparql.dev/vocab#believesToBeTrue> << <Zeus> <a> <FullDeity> >> .
+<h2> <https://esparql.dev/vocab#believesToBeFalse> << <Zeus> <a> <FullDeity> >> .
+<other> <p> <o> .
+"""
+MIXED_HOLDERS_QUERY = "SELECT INFO * FROM BELIEF ?x ?y WHERE { ?s ?p ?o }"
+
+
+def test_open_belief_mixing_a_holder_and_a_non_holder_raises(tmp_path):
+    # x = h1 with y bound to any IRI that holds no belief is true: an
+    # infinite family that pairs of holders alone never reveal
+    g = parse_graph(MIXED_HOLDERS_GRAPH)
+    q = parse_and_desugar(MIXED_HOLDERS_QUERY)
+    with pytest.raises(NonFinitelySupported):
+        open_eval(q, g)
+    grounded = evaluate(q, g)
+    row = {X: data("h1"), Y: data("other"), S: ZEUS, P: A, O: FULL_DEITY}
+    assert grounded.value_at(Mapping.of(row)) == T
+
+    graph = tmp_path / "mixed.f4s"
+    graph.write_text(MIXED_HOLDERS_GRAPH)
+    result = CliRunner().invoke(main, ["query", "--graph", str(graph), "--mode", "open",
+                                       "--eval", MIXED_HOLDERS_QUERY])
+    assert result.exit_code == 4
+    assert result.stderr == (
+        "error: belief naming a holder and a quantified non-holder is not constantly unknown\n"
+    )
 
 
 def test_truth_implying_extraction_default_refused(g1):

@@ -5,8 +5,11 @@ import random
 import pytest
 
 from esparql import (
+    AtomicBelief,
     Belief,
+    CompoundBelief,
     DenseRelation,
+    Eq,
     FourGraph,
     FourOperator,
     FourValue,
@@ -203,3 +206,69 @@ def test_random_cases_agree():
         except UniverseTooLarge:
             continue
         assert diff(engine, reference) == []
+
+
+# ---------------------------------------------------------------------------
+# Belief shapes the random generator never draws: two variable holders in
+# one expression, quoted-triple holders, holders whose stances are all
+# valued false or unknown, variable holders inside a belief context
+# ---------------------------------------------------------------------------
+
+SHAPE_HOLDERS = [Iri(f"urn:h{i}") for i in range(3)]
+SHAPE_CLAIMS = [StarTriple(Iri(f"urn:s{i}"), A, FULL_DEITY) for i in range(2)]
+SHAPE_PREDICATES = (VOCAB.to_be_true, VOCAB.to_be_false, VOCAB.to_be_conflicted)
+SHAPE_CAP = 3000
+
+
+def shape_graph(rng):
+    exceptions = {}
+    for h in SHAPE_HOLDERS:
+        for claim in rng.sample(SHAPE_CLAIMS, rng.randint(1, 2)):
+            # the last holder's stances never count for extraction
+            value = rng.choice((F, U)) if h == SHAPE_HOLDERS[-1] else rng.choice((T, F, U, C))
+            exceptions[StarTriple(h, rng.choice(SHAPE_PREDICATES), claim)] = value
+    # a belief about a belief, and a quoted triple in holder position
+    stance = rng.choice(sorted(exceptions, key=repr))
+    believer = rng.choice(SHAPE_HOLDERS)
+    exceptions[StarTriple(believer, VOCAB.to_be_true, stance)] = rng.choice((T, C))
+    exceptions[StarTriple(SHAPE_CLAIMS[0], VOCAB.to_be_true, SHAPE_CLAIMS[1])] = T
+    return FourGraph(rng.choice((U, F)), exceptions)
+
+
+def shape_queries(rng):
+    def atom(holder, fallbacks=(T, F, U, C)):
+        return AtomicBelief(holder, rng.choice((T, F, U, C)), rng.choice(fallbacks))
+
+    def op():
+        return rng.choice(list(FourOperator))
+
+    def shorthand(holder):
+        return all_states_shorthand(holder, rng.choice((OPLUS, FourOperator.TRUTH_JOIN)))
+
+    deity = Pattern(TriplePattern(S, A, FULL_DEITY))
+    about_deity = Pattern(TriplePattern(S, P, FULL_DEITY))
+    ground = rng.choice(SHAPE_HOLDERS)
+    return [
+        Belief(CompoundBelief(atom(X), op(), atom(Y)), deity),
+        Belief(shorthand(X), Belief(atom(Y), deity)),
+        Belief(CompoundBelief(atom(X), op(), atom(ground)), about_deity),
+        Belief(CompoundBelief(atom(X), op(), atom(X)),
+               MapState(deity, Eq(S, SHAPE_CLAIMS[0].subject), T, F)),
+        # an outer context defaulting to true or conflicted has no finite
+        # inner extraction, so its fallback is false or unknown
+        Belief(atom(ground, (F, U)), Belief(CompoundBelief(atom(ground), op(), atom(X)), deity)),
+        Project(OPLUS, frozenset({X}), Belief(CompoundBelief(atom(Y), op(), atom(X)), deity)),
+    ]
+
+
+def test_belief_shapes_agree_with_oracle():
+    checked = 0
+    for seed in range(14):
+        rng = random.Random(seed)
+        g = shape_graph(rng)
+        for q in shape_queries(rng):
+            engine = evaluate(q, g, cap=SHAPE_CAP)
+            reference = oracle_eval(q, g, cap=SHAPE_CAP)
+            assert diff(engine, reference) == [], (seed, q)
+            checked += 1
+    assert checked == 84
