@@ -153,8 +153,9 @@ class Relation:
         self.universe = universe
         exc = {}
         if exceptions:
+            order = sorted(self.vars, key=lambda v: v.name)
             for m, v in exceptions.items():
-                if m.domain != self.vars:
+                if [b[0] for b in m.bindings] != order:
                     raise ValueError(f"exception domain {set(m.domain)} != vars {set(self.vars)}")
                 if v != default:
                     exc[m] = v
@@ -207,9 +208,6 @@ class Relation:
         rows = ", ".join(f"{m!r}: {v!r}" for m, v in self.rows())
         names = " ".join(sorted(v.name for v in self.vars))
         return f"Relation([{names}] default={self.default!r} {{{rows}}})"
-
-
-FourRelation = Relation
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +283,15 @@ def formula_constants(f: FilterFormula) -> frozenset[Iri]:
     return formula_constants(f.left) | formula_constants(f.right)
 
 
-def _has_variable_eq(f: FilterFormula) -> bool:
+def _compared_variables(f: FilterFormula) -> frozenset[Variable]:
+    """Variables that an equality atom of f compares."""
     if isinstance(f, Eq):
-        return isinstance(f.left, Variable) or isinstance(f.right, Variable)
+        return formula_variables(f)
     if isinstance(f, (Bound, StateIs)):
-        return False
+        return frozenset()
     if isinstance(f, Not):
-        return _has_variable_eq(f.inner)
-    return _has_variable_eq(f.left) or _has_variable_eq(f.right)
+        return _compared_variables(f.inner)
+    return _compared_variables(f.left) | _compared_variables(f.right)
 
 
 def _formula_value(f: FilterFormula, get: Callable[[Variable], Any], state) -> ThreeValued:
@@ -521,55 +520,68 @@ def _generic_outcome(f: FilterFormula, vars: frozenset[Variable], state) -> Thre
     return _formula_value(f, rep.get, state)
 
 
-def _set_partitions(items: list) -> Iterator[list[list]]:
+def _set_partitions(items: list, max_blocks: int) -> Iterator[list[list]]:
+    """Partitions of items into at most max_blocks blocks."""
     if not items:
         yield []
         return
     first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
+    for part in _set_partitions(rest, max_blocks):
         for i in range(len(part)):
             yield part[:i] + [[first] + part[i]] + part[i + 1:]
-        yield [[first]] + part
+        if len(part) < max_blocks:
+            yield [[first]] + part
 
 
-def _default_outcome_classes(
-    f: FilterFormula, vars: frozenset[Variable], state
-) -> Iterator[tuple[Mapping | None, ThreeValued]]:
-    """Partition the (infinitely many) generic mappings by formula behaviour.
+def _equality_classes(
+    f: FilterFormula, vars: frozenset[Variable], state, max_generic: int | None
+) -> Iterator[tuple[dict[Variable, Any], ThreeValued]]:
+    """Partition the mappings over ``vars`` by formula behaviour.
 
-    Yields (mapping, outcome) for singleton classes that pin every variable
-    to a formula constant, and (None, outcome) for infinite classes.  Sound
-    because the atoms only compare variables with each other and with the
-    formula's constants, and test the (fixed, default) state.
+    Only the variables the formula compares are partitioned; each block is
+    pinned to one formula constant (injectively) or generic: a term of its
+    own, unequal to every constant.  Yields (assignment, outcome) per class,
+    the assignment binding each compared variable to its constant or to its
+    block's ``_Generic``; the other variables range freely.  Sound because
+    the atoms only compare variables with each other and with the formula's
+    constants, and test the (fixed, default) state.  ``max_generic`` is how
+    many terms generic blocks may take over the active domain; None means
+    unboundedly many (open mode), where more than 10 compared variables are
+    refused.
     """
-    vs = sorted(vars, key=lambda v: v.name)
-    if len(vs) > 10:
-        raise NonFinitelySupported(
-            f"refusing equality-type analysis over {len(vs)} variables"
-        )
+    vs = sorted(_compared_variables(f) & vars, key=lambda v: v.name)
+    if max_generic is None:
+        if len(vs) > 10:
+            raise NonFinitelySupported(
+                f"refusing equality-type analysis over {len(vs)} variables"
+            )
+        max_generic = len(vs)
     constants = sorted(formula_constants(f), key=lambda i: i.text)
-    for partition in _set_partitions(vs):
-        blocks = len(partition)
-        # each block is either pinned to one constant (injectively) or generic
-        for labels in itertools.product([None, *range(len(constants))], repeat=blocks):
-            used = [i for i in labels if i is not None]
-            if len(used) != len(set(used)):
+    uncompared = _Generic(-1)
+    for partition in _set_partitions(vs, max_generic + len(constants)):
+        for labels in itertools.product([None, *constants], repeat=len(partition)):
+            pinned = [c for c in labels if c is not None]
+            if len(set(pinned)) < len(pinned) or len(partition) - len(pinned) > max_generic:
                 continue
-            rep: dict[Variable, Any] = {}
-            finite = True
-            for bi, block in enumerate(partition):
-                if labels[bi] is None:
-                    value: Any = _Generic(bi)
-                    finite = False
-                else:
-                    value = constants[labels[bi]]
-                for v in block:
-                    rep[v] = value
-            outcome = _formula_value(f, rep.get, state)
-            if finite:
-                yield Mapping.of(rep), outcome
-            else:
-                yield None, outcome
+            rep = {v: _Generic(bi) if c is None else c
+                   for bi, (block, c) in enumerate(zip(partition, labels)) for v in block}
+            yield rep, _formula_value(
+                f, lambda v: rep.get(v, uncompared if v in vars else None), state)
+
+
+def _class_members(rep: dict[Variable, Any], vars: frozenset[Variable],
+                   pool: list[Term], universe_list: list[Term]) -> Iterator[Mapping]:
+    """Every mapping over ``vars`` in the class of ``rep``: generic blocks
+    take distinct terms of ``pool``, the other variables any universe term."""
+    names = sorted(vars, key=lambda v: v.name)
+    blocks = sorted({t for t in rep.values() if isinstance(t, _Generic)}, key=lambda g: g.index)
+    free = [v for v in names if v not in rep]
+    for picks in itertools.permutations(pool, len(blocks)):
+        term = dict(zip(blocks, picks))
+        binding = {v: term.get(t, t) for v, t in rep.items()}
+        for combo in itertools.product(universe_list, repeat=len(free)):
+            binding.update(zip(free, combo))
+            yield Mapping(tuple((v, binding[v]) for v in names))
 
 
 # ---------------------------------------------------------------------------
@@ -585,39 +597,42 @@ def _combine_join(
     universe_list: list[Term] | None,
 ) -> Relation:
     w1, w2 = r1.vars, r2.vars
-    w = w1 | w2
     d = op2(r1.default, r2.default)
-    candidates: set[Mapping] = set()
-    for m1 in r1.exceptions:
-        for m2 in r2.exceptions:
-            merged = m1.merge(m2)
-            if merged is not None:
-                candidates.add(merged)
+    exceptions: dict[Mapping, Any] = {}
+    # one side's exception against the other side's default, over every
+    # extension to the variables only the other side binds
     for left, right, extra in ((r1, r2, w2 - w1), (r2, r1, w1 - w2)):
-        if not extra:
-            candidates.update(left.exceptions.keys())
-            continue
         if left is r1:
-            hot = [m for m, v in left.exceptions.items() if op2(v, right.default) != d]
+            hot = [(m, x) for m, v in left.exceptions.items() if (x := op2(v, right.default)) != d]
         else:
-            hot = [m for m, v in left.exceptions.items() if op2(right.default, v) != d]
-        if not hot:
+            hot = [(m, x) for m, v in left.exceptions.items() if (x := op2(right.default, v)) != d]
+        if not extra:
+            exceptions.update(hot)
             continue
-        if mode is EvalMode.OPEN:
+        if hot and mode is EvalMode.OPEN:
             raise NonFinitelySupported(
                 "join of relations with disjoint variables whose defaults do not absorb"
             )
         extra_sorted = sorted(extra, key=lambda v: v.name)
-        for m in hot:
+        for m, x in hot:
             for combo in itertools.product(universe_list, repeat=len(extra_sorted)):
-                candidates.add(m.extend(dict(zip(extra_sorted, combo))))
-    exceptions: dict[Mapping, Any] = {}
-    for m in candidates:
-        v = op2(r1.value_at(m.restrict(w1)), r2.value_at(m.restrict(w2)))
-        if v != d:
-            exceptions[m] = v
+                exceptions[m.extend(dict(zip(extra_sorted, combo)))] = x
+    # pairs of exceptions that agree on the shared variables, hashed on them
+    shared = w1 & w2
+    at1 = [i for i, v in enumerate(sorted(w1, key=lambda v: v.name)) if v in shared]
+    at2 = [i for i, v in enumerate(sorted(w2, key=lambda v: v.name)) if v in shared]
+    index: dict[tuple, list] = {}
+    for m2, v2 in r2.exceptions.items():
+        index.setdefault(tuple(m2.bindings[i][1] for i in at2), []).append((m2, v2))
+    for m1, v1 in r1.exceptions.items():
+        for m2, v2 in index.get(tuple(m1.bindings[i][1] for i in at1), ()):
+            m, x = m1.merge(m2), op2(v1, v2)
+            if x != d:
+                exceptions[m] = x
+            else:
+                exceptions.pop(m, None)
     universe = frozenset(universe_list) if universe_list is not None else None
-    return Relation(w, d, exceptions, universe)
+    return Relation(w1 | w2, d, exceptions, universe)
 
 
 def _combine_union(r1: Relation, r2: Relation, op2: Callable[[Any, Any], Any]) -> Relation:
@@ -640,54 +655,35 @@ def _transform_by_formula(
     """Shared core of filtering and state-mapping.
 
     value_for(outcome, annotation) gives the transformed annotation of a
-    mapping from its formula outcome and current annotation.  Off-support
-    behaviour: without variable equalities the outcome is uniform; with
-    them, active-domain mode enumerates mappings densely while open mode
-    runs the equality-type analysis.
+    mapping from its formula outcome and current annotation.  The default
+    is the value where all compared variables are generic and distinct.
+    Off-support mappings take their equality class's value: over the active
+    domain the members of each class that differs from the default become
+    exceptions; in open mode only a class pinning every variable may
+    differ, and any infinite one that does is refused.
     """
     w = r.vars
+    default = value_for(_generic_outcome(f, w, r.default), r.default)
+    open_mode = mode is EvalMode.OPEN
+    constants = formula_constants(f)
+    pool = [] if open_mode else [t for t in universe_list if t not in constants]
     exceptions: dict[Mapping, Any] = {}
-    if not _has_variable_eq(f):
-        default = value_for(_generic_outcome(f, w, r.default), r.default)
-        for m, v in r.exceptions.items():
-            nv = value_for(_formula_value(f, m.get, v), v)
-            if nv != default:
-                exceptions[m] = nv
-        return Relation(w, default, exceptions, r.universe)
-
-    if mode is EvalMode.ACTIVE_DOMAIN:
-        default = value_for(_generic_outcome(f, w, r.default), r.default)
-        for m in mappings_over(w, universe_list):
-            v = r.value_at(m)
-            nv = value_for(_formula_value(f, m.get, v), v)
-            if nv != default:
-                exceptions[m] = nv
-        return Relation(w, default, exceptions, r.universe)
-
-    # open mode: classify default-state mappings exactly
-    default = None
-    pinned: dict[Mapping, Any] = {}
-    for rep, outcome in _default_outcome_classes(f, w, r.default):
+    for rep, outcome in _equality_classes(f, w, r.default, None if open_mode else len(pool)):
         value = value_for(outcome, r.default)
-        if rep is None:
-            if default is None:
-                default = value
-            elif default != value:
-                raise NonFinitelySupported(
-                    "formula distinguishes infinitely many off-support mappings"
-                )
-        else:
-            pinned[rep] = value
-    if default is None:
-        # no variables at all: the single empty mapping is its own class
-        default = value_for(_generic_outcome(f, w, r.default), r.default)
+        if value == default:
+            continue
+        if open_mode and (len(rep) < len(w) or any(isinstance(t, _Generic) for t in rep.values())):
+            raise NonFinitelySupported(
+                "formula distinguishes infinitely many off-support mappings"
+            )
+        for m in _class_members(rep, w, pool, universe_list or []):
+            exceptions[m] = value
     for m, v in r.exceptions.items():
         nv = value_for(_formula_value(f, m.get, v), v)
         if nv != default:
             exceptions[m] = nv
-    for m, nv in pinned.items():
-        if m not in r.exceptions and nv != default:
-            exceptions[m] = nv
+        else:
+            exceptions.pop(m, None)
     return Relation(w, default, exceptions, r.universe)
 
 
@@ -770,7 +766,11 @@ def _project_semiring(
 def _eval_pattern(p: TriplePattern, g: FourGraph, universe: frozenset[Term] | None) -> Relation:
     vars = pattern_variables(p)
     exceptions: dict[Mapping, Any] = {}
-    for t, v in g.exceptions.items():
+    triples = g.exceptions.items()
+    if isinstance(p.predicate, Iri):
+        text = p.predicate.text
+        triples = [(t, v) for t, v in triples if t.predicate.text == text]
+    for t, v in triples:
         binding = match(p, t)
         if binding is not None:
             exceptions[Mapping.of(binding)] = v

@@ -443,6 +443,103 @@ def test_variable_holder_work_is_sparse(monkeypatch):
     assert diff(r, oracle_eval(q, g)) == []
 
 
+def _counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls."""
+    calls = [0]
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _ring_graph(n, preds):
+    """n nodes; each predicate links node i to one other node, valued
+    true, false or conflicted in turn, on an unknown default."""
+    nodes = [Iri(f"urn:n{i}") for i in range(n)]
+    return FourGraph(U, {StarTriple(nodes[i], p, nodes[(i * (k + 2) + 1) % n]): (T, F, C)[i % 3]
+                         for k, p in enumerate(preds) for i in range(n)})
+
+
+def test_triangle_filter_lists_only_the_diagonal(monkeypatch):
+    p, q = Iri("urn:p"), Iri("urn:q")
+    g = _ring_graph(38, (p, q))
+    a, b, c = (Variable(n) for n in "abc")
+    tri = Join(AND, Pattern(TriplePattern(a, p, b)), Pattern(TriplePattern(b, q, c)))
+    queries = (Filter(AND, tri, Eq(a, c)), MapState(tri, Eq(a, c), T, F))
+
+    def no_dense(*args):
+        raise AssertionError("mappings_over called")
+
+    monkeypatch.setattr(esparql.algebra, "mappings_over", no_dense)
+    results = [evaluate(x, g) for x in queries]
+    monkeypatch.undo()
+
+    assert len(active_domain(g)) == 40
+    # only the a = c class differs from the default: 40 values of a times
+    # 40 of b, less the rows whose own exception agrees with the default
+    rows = results[0].exceptions
+    assert all(m.get(a) == m.get(c) for m in rows) and 1000 < len(rows) <= 40 * 40
+    assert diff(results[0], oracle_eval(queries[0], g)) == []
+    mapped = results[1]
+    assert mapped.default == F and len(mapped.exceptions) == 40 * 40
+    assert all(m.get(a) == m.get(c) and v == T for m, v in mapped.exceptions.items())
+
+
+def test_wide_filter_classifies_only_the_compared_variables(monkeypatch):
+    # twelve variables over three terms; the filter compares two of them,
+    # so it sees a handful of classes, not Bell(12) partitions or 3**12 rows
+    x, y, z = (Iri(f"urn:{n}") for n in "xyz")
+    g = FourGraph(U, {StarTriple(x, y, z): T, StarTriple(z, y, x): C})
+    vs = [Variable(f"v{i:02d}") for i in range(12)]
+    body = Pattern(TriplePattern(*vs[:3]))
+    for i in range(3, 12, 3):
+        body = Join(OTIMES, body, Pattern(TriplePattern(*vs[i:i + 3])))
+    joined = evaluate(body, g)
+    q = Filter(OTIMES, body, Eq(vs[0], vs[3]))
+
+    calls = _counting(monkeypatch, esparql.algebra, "_formula_value")
+    r = evaluate(q, g)
+    open_r = evaluate(q, g, mode=EvalMode.OPEN)
+    monkeypatch.undo()
+
+    assert calls[0] <= 200
+    assert len(active_domain(g)) == 3 and len(joined.exceptions) == 16
+    want = {m: v for m, v in joined.exceptions.items() if m.get(vs[0]) == m.get(vs[3])}
+    assert (r.default, exceptions(r)) == (U, want)
+    assert (open_r.default, exceptions(open_r)) == (U, want)
+
+
+def test_join_merges_only_matching_exception_pairs(monkeypatch):
+    p, q = Iri("urn:p"), Iri("urn:q")
+    g = _ring_graph(30, (p, q))
+    left, right = Pattern(TriplePattern(X, p, Y)), Pattern(TriplePattern(Y, q, S))
+    pairs = sum(1 for t1 in g.exceptions for t2 in g.exceptions
+                if t1.predicate == p and t2.predicate == q and t1.object == t2.subject)
+
+    merges = _counting(monkeypatch, Mapping, "merge")
+    r = evaluate(Join(OTIMES, left, right), g)
+    monkeypatch.undo()
+
+    # every node has one p-successor and one q-successor: 30 of 30 * 30 pairs
+    assert merges[0] == pairs == 30
+    assert diff(r, oracle_eval(Join(OTIMES, left, right), g)) == []
+
+
+def test_pattern_scan_matches_only_its_predicate(monkeypatch):
+    p, q = Iri("urn:p"), Iri("urn:q")
+    g = _ring_graph(20, (p, q, Iri("urn:r")))
+    calls = _counting(monkeypatch, esparql.algebra, "match")
+    r = evaluate(Pattern(TriplePattern(X, p, Y)), g)
+    assert calls[0] == 20
+    assert len(r.exceptions) == 20
+    evaluate(Pattern(TriplePattern(X, P, Y)), g)
+    assert calls[0] == 20 + 60
+
+
 # ---------------------------------------------------------------------------
 # Algebraic laws, engine-level
 # ---------------------------------------------------------------------------

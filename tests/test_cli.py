@@ -111,6 +111,15 @@ def test_non_finite_results_exit_with_4(runner):
     assert bounded.output.splitlines()[1] == "Arius | << <Jesus> <a> <FullDeity> >> | true"
 
 
+def test_open_filter_over_a_wide_join_answers(runner):
+    # twelve variables in scope, two compared: no refusal
+    query = ("SELECT INFO ?a ?b WHERE { ?a <p1> ?b . ?c <p2> ?d . ?e <p3> ?f . "
+             "?g <p4> ?h . ?i <p5> ?j . ?k <p6> ?l . FILTER (?a = ?b) }")
+    result = runner.invoke(main, ["query", "--graph", GRAPH, "--mode", "open", "--eval", query])
+    assert result.exit_code == 0, result.stderr
+    assert result.output == "a | b | state\n"
+
+
 def test_cap_overruns_exit_with_5(runner):
     result = runner.invoke(
         main, ["query", "--graph", GRAPH, "--query", _fx("u3.esq"), "--cap", "1000"]

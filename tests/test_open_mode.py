@@ -21,6 +21,7 @@ from esparql import (
     Mapping,
     NonFiniteBeliefExtraction,
     NonFinitelySupported,
+    Or,
     Pattern,
     Project,
     StateIs,
@@ -161,6 +162,16 @@ def test_open_mapstate_pinned_class(g1):
     assert r.value_at(Mapping.of({X: ARIUS})) == F
 
 
+def test_open_mapstate_pinned_class_with_a_free_variable_raises(g1):
+    # x = PopeDI pins x alone; y still ranges over infinitely many terms
+    q = MapState(Join(OTIMES, IS_CHRISTIAN, Y_DEITY), Eq(X, POPE), T, F)
+    with pytest.raises(NonFinitelySupported):
+        open_eval(q, g1)
+    grounded = evaluate(q, g1)
+    assert grounded.value_at(Mapping.of({X: POPE, Y: ARIUS})) == T
+    assert grounded.value_at(Mapping.of({X: ARIUS, Y: ARIUS})) == F
+
+
 def test_open_mapstate_diagonal_raises(g1):
     # x = y splits the plane into two infinite classes with different
     # outcomes; no default plus finite exceptions can express that
@@ -172,6 +183,43 @@ def test_open_mapstate_diagonal_raises(g1):
     grounded = evaluate(q, g1)
     assert grounded.value_at(Mapping.of({X: POPE, Y: POPE})) == T
     assert grounded.value_at(Mapping.of({X: POPE, Y: ARIUS})) == F
+
+
+# six patterns bind twelve variables, but the filter compares only two:
+# the equality-type analysis counts and partitions those two
+WIDE_GRAPH = "@default unknown .\n<x> <p1> <x> .\n" + "".join(
+    f"<x> <p{i}> <y> .\n" for i in range(1, 7))
+WIDE_QUERY = ("SELECT INFO ?a ?b WHERE { ?a <p1> ?b . ?c <p2> ?d . ?e <p3> ?f . "
+              "?g <p4> ?h . ?i <p5> ?j . ?k <p6> ?l . FILTER (?a = ?b) }")
+
+
+def test_open_filter_counts_only_the_compared_variables(tmp_path):
+    g = parse_graph(WIDE_GRAPH)
+    r = open_eval(parse_and_desugar(WIDE_QUERY), g)
+    assert r.default == U
+    assert dict(r.exceptions) == {Mapping.of({Variable("a"): data("x"),
+                                              Variable("b"): data("x")}): T}
+    grounded = evaluate(parse_and_desugar(WIDE_QUERY), g, cap=10**11)
+    assert (grounded.default, grounded.exceptions) == (r.default, r.exceptions)
+
+    graph = tmp_path / "wide.f4s"
+    graph.write_text(WIDE_GRAPH)
+    result = CliRunner().invoke(main, ["query", "--graph", str(graph), "--mode", "open",
+                                       "--eval", WIDE_QUERY])
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines() == ["a | b | state", "x | x | true"]
+
+
+def test_open_filter_refuses_more_than_ten_compared_variables(g1):
+    vs = [Variable(f"v{i:02d}") for i in range(12)]
+    body = Pattern(TriplePattern(*vs[:3]))
+    for i in range(3, 12, 3):
+        body = Join(OTIMES, body, Pattern(TriplePattern(*vs[i:i + 3])))
+    chain = Eq(vs[0], vs[1])
+    for i in range(1, 10):
+        chain = Or(chain, Eq(vs[i], vs[i + 1]))
+    with pytest.raises(NonFinitelySupported, match="over 11 variables"):
+        open_eval(Filter(OTIMES, body, chain), g1)
 
 
 def test_open_projection(g1):

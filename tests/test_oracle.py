@@ -5,11 +5,18 @@ import random
 import pytest
 
 from esparql import (
+    FOUR_INFO,
+    FOUR_TRUTH,
+    MEET_OPERATORS,
+    STATES,
+    And,
     AtomicBelief,
     Belief,
+    Bound,
     CompoundBelief,
     DenseRelation,
     Eq,
+    Filter,
     FourGraph,
     FourOperator,
     FourValue,
@@ -17,6 +24,8 @@ from esparql import (
     Join,
     MapState,
     Mapping,
+    Not,
+    Or,
     Pattern,
     Project,
     Relation,
@@ -32,6 +41,7 @@ from esparql import (
     apply,
     diff,
     evaluate,
+    evaluate_k,
     oracle_eval,
 )
 import esparql.algebra
@@ -272,3 +282,88 @@ def test_belief_shapes_agree_with_oracle():
             assert diff(engine, reference) == [], (seed, q)
             checked += 1
     assert checked == 84
+
+
+# ---------------------------------------------------------------------------
+# Filters and state maps with variable equalities: formula constants, ! and
+# ||, in-scope variables the formula leaves alone, a variable no pattern
+# binds, and universes smaller than the compared variables (so the class
+# where they are all distinct is empty), through Filter, MapState and
+# evaluate_k
+# ---------------------------------------------------------------------------
+
+EQ_VARS = [Variable(n) for n in "abcde"]
+EQ_UNBOUND = Variable("z")
+
+
+def eq_case(rng, allow_state):
+    terms = [Iri(f"urn:t{i}") for i in range(rng.randint(2, 4))]
+    exceptions = {StarTriple(*(rng.choice(terms) for _ in range(3))): rng.choice(STATES)
+                  for _ in range(rng.randint(1, 8))}
+    g = FourGraph(rng.choice(STATES), exceptions)
+    constants = terms + [Iri("urn:elsewhere")]
+
+    def slot():
+        return rng.choice(EQ_VARS) if rng.random() < 0.8 else rng.choice(terms)
+
+    patterns = [Pattern(TriplePattern(slot(), slot(), slot())) for _ in range(2)]
+    scope = sorted(in_scope_of(patterns), key=lambda v: v.name) or [EQ_UNBOUND]
+
+    def formula(depth):
+        if depth and rng.random() < 0.5:
+            kind = rng.choice(("not", "and", "or"))
+            if kind == "not":
+                return Not(formula(depth - 1))
+            return (And if kind == "and" else Or)(formula(depth - 1), formula(depth - 1))
+        kind = rng.choice(("vars", "vars", "const", "bound", "state") if allow_state
+                          else ("vars", "vars", "const", "bound"))
+        if kind == "vars":
+            return Eq(rng.choice(scope + [EQ_UNBOUND]), rng.choice(scope))
+        if kind == "const":
+            return Eq(rng.choice(scope), rng.choice(constants))
+        if kind == "bound":
+            return Bound(rng.choice(scope + [EQ_UNBOUND]))
+        return StateIs(rng.choice(STATES))
+
+    return g, patterns, formula(2)
+
+
+def in_scope_of(patterns):
+    return frozenset().union(*(esparql.algebra.in_scope(p) for p in patterns))
+
+
+def compared(f):
+    if isinstance(f, Eq):
+        return {s for s in (f.left, f.right) if isinstance(s, Variable)}
+    if isinstance(f, Not):
+        return compared(f.inner)
+    if isinstance(f, (And, Or)):
+        return compared(f.left) | compared(f.right)
+    return set()
+
+
+def test_variable_equalities_agree_with_oracle():
+    ops = list(FourOperator)
+    semirings = ((FOUR_TRUTH, FourOperator.TRUTH_MEET, FourOperator.TRUTH_JOIN),
+                 (FOUR_INFO, OTIMES, OPLUS))
+    no_distinct_class = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        g, (p1, p2), f = eq_case(rng, allow_state=True)
+        # a state map gives the left side a default of its own
+        left = MapState(p1, StateIs(rng.choice(STATES)), rng.choice(STATES), rng.choice(STATES))
+        body = Join(rng.choice(list(MEET_OPERATORS)), left if seed % 2 else p1, p2)
+        for q in (Filter(rng.choice(ops), body, f),
+                  MapState(body, f, rng.choice(STATES), rng.choice(STATES))):
+            assert diff(evaluate(q, g), oracle_eval(q, g)) == [], (seed, q)
+        universe = active_domain(g, esparql.algebra.query_constants(q))
+        no_distinct_class += len(universe) < len(compared(f) & in_scope_of([p1, p2]))
+
+        g, (p1, p2), f = eq_case(rng, allow_state=False)
+        s, meet, join = semirings[seed % 2]
+        q = Filter(meet, Join(meet, p1, p2), f)
+        bound = sorted(in_scope_of([p1, p2]), key=lambda v: v.name)
+        if bound and rng.random() < 0.5:
+            q = Project(join, frozenset(rng.sample(bound, 1)), q)
+        assert diff(evaluate_k(q, g, s), oracle_eval(q, g)) == [], (seed, q)
+    assert no_distinct_class >= 10
