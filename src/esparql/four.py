@@ -57,6 +57,10 @@ class FourValue(enum.Enum):
     def __repr__(self) -> str:  # keeps test diffs readable
         return self.value
 
+    # members are singletons compared by identity; Enum's own __hash__
+    # hashes the name in Python on every table lookup
+    __hash__ = object.__hash__
+
 
 FALSE = FourValue.FALSE
 TRUE = FourValue.TRUE
@@ -74,6 +78,8 @@ class FourOperator(enum.Enum):
 
     def __repr__(self) -> str:
         return self.value
+
+    __hash__ = object.__hash__
 
 
 TRUTH_MEET = FourOperator.TRUTH_MEET

@@ -9,6 +9,7 @@ exception table.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
@@ -16,6 +17,10 @@ from .four import FourValue, STATES
 
 DEFAULT_VOCAB_NAMESPACE = "https://esparql.dev/vocab#"
 DEFAULT_BASE_IRI = "https://esparql.dev/data#"
+
+
+# whitespace (exactly the characters str.isspace accepts) or an angle bracket
+_BAD_IRI_CHAR = re.compile(r"[\s<>]").search
 
 
 @dataclass(frozen=True)
@@ -27,7 +32,7 @@ class Iri:
     def __post_init__(self):
         if not self.text:
             raise ValueError("empty IRI")
-        if any(c.isspace() for c in self.text) or "<" in self.text or ">" in self.text:
+        if _BAD_IRI_CHAR(self.text):
             raise ValueError(f"bad IRI text: {self.text!r}")
 
     def __repr__(self) -> str:

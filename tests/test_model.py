@@ -2,6 +2,8 @@
 
 import pytest
 
+import esparql.model
+
 from esparql import (
     BeliefVocabulary,
     FourGraph,
@@ -54,6 +56,20 @@ def test_iri_validation():
         Iri("a<b>")
     assert Iri("urn:ok") == Iri("urn:ok")
     assert len({Iri("urn:ok"), Iri("urn:ok")}) == 1
+
+
+def test_iri_character_check_matches_isspace_and_brackets():
+    # the validator is one regex search; over every code point it must
+    # reject exactly what str.isspace() or an angle bracket rejects
+    bad = esparql.model._BAD_IRI_CHAR
+    rejected = [i for i in range(0x110000) if bad(chr(i))]
+    expected = [i for i in range(0x110000) if chr(i).isspace() or chr(i) in "<>"]
+    assert rejected == expected
+    with pytest.raises(ValueError):
+        Iri("urn:a\u2028b")
+    with pytest.raises(ValueError):
+        Iri("urn:a\x1cb")
+    assert Iri("urn:a\u200bb").text == "urn:a\u200bb"  # zero-width space is not whitespace
 
 
 def test_variable_validation():

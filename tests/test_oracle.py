@@ -1,5 +1,7 @@
 """The dense brute-force oracle and differential comparison against it."""
 
+import ast
+import collections
 import random
 
 import pytest
@@ -45,6 +47,7 @@ from esparql import (
     oracle_eval,
 )
 import esparql.algebra
+import esparql.oracle
 from esparql.model import term_to_pattern
 from esparql import randgen
 
@@ -52,9 +55,13 @@ from conftest import (
     A,
     ARIUS,
     CHRISTIAN,
+    CHRISTIANITY,
     FULL_DEITY,
+    JESUS,
     JESUS_DEITY,
     POPE,
+    POPE_AFFIRMS,
+    RUSSELL,
     VOCAB,
     example_graph,
 )
@@ -86,6 +93,34 @@ def test_dense_relation_must_be_complete():
     assert dense.value_at(Mapping.of({X: POPE})) == T
 
 
+def test_dense_relation_keeps_values_in_product_order():
+    uni = frozenset({POPE, ARIUS})
+    # ARIUS sorts before POPE; x is the more significant digit
+    order = [(ARIUS, ARIUS), (ARIUS, POPE), (POPE, ARIUS), (POPE, POPE)]
+    values = [F, T, U, C]
+    rows = {Mapping.of({Y: y, X: x}): v for (x, y), v in reversed(list(zip(order, values)))}
+    dense = DenseRelation(frozenset({X, Y}), uni, rows)
+    assert dense.values == values
+    assert list(dense.rows) == [Mapping.of({X: x, Y: y}) for x, y in order]
+    assert dense.value_at(Mapping.of({X: POPE, Y: ARIUS})) == U
+
+
+def test_dense_relation_rejects_keys_off_the_table():
+    uni = frozenset({POPE, ARIUS})
+    # a key over another variable
+    with pytest.raises(ValueError):
+        DenseRelation(frozenset({X}), uni, {Mapping.of({Y: POPE}): T, Mapping.of({X: ARIUS}): U})
+    # a term outside the universe
+    with pytest.raises(ValueError):
+        DenseRelation(frozenset({X}), uni, {Mapping.of({X: POPE}): T, Mapping.of({X: JESUS}): U})
+    # two keys on one row: the same assignment with its bindings out of order
+    rows = {Mapping.of({X: x, Y: y}): T for x in uni for y in uni}
+    del rows[Mapping.of({X: POPE, Y: POPE})]
+    rows[Mapping(((Y, ARIUS), (X, POPE)))] = U
+    with pytest.raises(ValueError):
+        DenseRelation(frozenset({X, Y}), uni, rows)
+
+
 def test_diff_catches_shape_mismatches():
     uni = frozenset({POPE, ARIUS})
     dense = DenseRelation(frozenset({X}), uni,
@@ -105,6 +140,20 @@ def test_diff_reports_disagreements():
     wrong = Relation(frozenset({X}), U, {Mapping.of({X: POPE}): C}, universe=uni)
     found = diff(wrong, dense)
     assert found == [(Mapping.of({X: POPE}), C, T)]
+
+
+def test_diff_reports_a_wrong_default_in_canonical_order():
+    # the engine's exceptions are right; its default is wrong on every other
+    # row, and those rows come back in table order whatever the dict order
+    uni = frozenset({POPE, ARIUS})
+    dense = DenseRelation(frozenset({X, Y}), uni, {
+        Mapping.of({X: x, Y: y}): T if x == y == POPE else U for x in uni for y in uni})
+    engine = Relation(frozenset({X, Y}), F, {
+        Mapping.of({X: POPE, Y: POPE}): T, Mapping.of({X: ARIUS, Y: POPE}): U}, universe=uni)
+    assert diff(engine, dense) == [
+        (Mapping.of({X: ARIUS, Y: ARIUS}), F, U),
+        (Mapping.of({X: POPE, Y: ARIUS}), F, U),
+    ]
 
 
 def test_oracle_cap():
@@ -161,6 +210,117 @@ def test_oracle_agrees_on_mixed_query(g1):
                                          term_to_pattern(JESUS_DEITY))),
                    IS_CHRISTIAN)))
     assert_agrees(q, g1)
+
+
+# ---------------------------------------------------------------------------
+# Hand-computed dense tables on the running example, independent of the
+# engine.  Its universe has 17 terms: 13 IRIs and 4 quoted triples.
+# ---------------------------------------------------------------------------
+
+
+def non_default_rows(dense, default):
+    assert len(dense.rows) == 17 ** len(dense.vars)
+    return {m: v for m, v in dense.rows.items() if v != default}
+
+
+def test_oracle_join_reads_each_side_by_its_own_variables(g1):
+    # ?x ?p <<Jesus a FullDeity>> meets ?x a ?y on the shared ?x
+    q = Join(FourOperator.TRUTH_MEET,
+             Pattern(TriplePattern(X, P, term_to_pattern(JESUS_DEITY))),
+             Pattern(TriplePattern(X, A, Y)))
+    assert non_default_rows(oracle_eval(q, g1), U) == {
+        Mapping.of({X: POPE, P: VOCAB.to_be_true, Y: CHRISTIAN}): T,
+        Mapping.of({X: ARIUS, P: VOCAB.to_be_false, Y: CHRISTIAN}): T,
+    }
+
+
+def test_oracle_project_under_info_join(g1):
+    # every (?p, ?o) row of a subject maps to true if stated, else false; the
+    # info join over them is conflicted for the four subjects of a stated
+    # triple and false for the other 13 terms
+    q = Project(OPLUS, frozenset({X}),
+                MapState(Pattern(TriplePattern(X, P, O)), StateIs(T), T, F))
+    dense = oracle_eval(q, g1)
+    stated = {POPE, ARIUS, CHRISTIANITY, RUSSELL}
+    assert non_default_rows(dense, F) == {Mapping.of({X: x}): C for x in stated}
+
+
+def test_oracle_variable_holder_belief(g1):
+    # the running example's full picture of ?x about ?s a FullDeity: the
+    # pope affirms, Arius denies, Christianity is conflicted, Russell's
+    # unknown stance adds nothing, and quoted-triple holders hold nothing
+    q = Belief(all_states_shorthand(X, OPLUS), Pattern(TriplePattern(S, A, FULL_DEITY)))
+    dense = oracle_eval(q, g1)
+    assert non_default_rows(dense, U) == {
+        Mapping.of({X: POPE, S: JESUS}): T,
+        Mapping.of({X: ARIUS, S: JESUS}): F,
+        Mapping.of({X: CHRISTIANITY, S: JESUS}): C,
+    }
+    # a quoted-triple holder is unknown even under an atom whose fallback is not
+    atom = Belief(AtomicBelief(X, T, F), Pattern(term_to_pattern(JESUS_DEITY)))
+    values = collections.Counter(oracle_eval(atom, g1).rows.values())
+    assert values == {T: 1, F: 12, U: 4}
+
+
+def test_oracle_quoted_triple_in_predicate_slot_takes_the_context_default(g1):
+    # inside the pope's true-beliefs context (fallback false) a row that puts
+    # a quoted triple in the predicate slot names no triple: it reads the
+    # context's default, false, not unknown
+    q = Belief(AtomicBelief(POPE, T, F), Pattern(TriplePattern(S, P, O)))
+    dense = oracle_eval(q, g1)
+    assert dense.value_at(Mapping.of({S: POPE, P: POPE_AFFIRMS, O: CHRISTIAN})) == F
+    assert non_default_rows(dense, F) == {Mapping.of({S: JESUS, P: A, O: FULL_DEITY}): T}
+    # in the base graph the same rows read the graph's default
+    assert oracle_eval(q.query, g1).value_at(
+        Mapping.of({S: POPE, P: POPE_AFFIRMS, O: CHRISTIAN})) == U
+
+
+def _nodes(q):
+    children = ((q.left, q.right) if isinstance(q, (Join, Union))
+                else () if isinstance(q, Pattern) else (q.query,))
+    return 1 + sum(_nodes(c) for c in children)
+
+
+def test_oracle_computes_each_scope_once(g1, monkeypatch):
+    christian = Pattern(TriplePattern(S, A, CHRISTIAN))
+    q = Project(OPLUS, frozenset({S}), Join(
+        OTIMES,
+        Belief(all_states_shorthand(X, OPLUS), Pattern(TriplePattern(S, A, FULL_DEITY))),
+        Union(OPLUS, Filter(OPLUS, christian, Eq(S, POPE)),
+              MapState(Pattern(TriplePattern(S, A, CHRISTIAN)), StateIs(T), F, U))))
+    calls = 0
+    real = esparql.oracle.in_scope
+
+    def counting(node):
+        nonlocal calls
+        calls += 1
+        return real(node)
+
+    monkeypatch.setattr(esparql.oracle, "in_scope", counting)
+    dense = oracle_eval(q, g1)
+    monkeypatch.undo()
+    assert calls <= _nodes(q) == 9
+    assert diff(evaluate(q, g1), dense) == []
+
+
+def test_oracle_imports_nothing_new_from_the_engine():
+    # the oracle may share the four-valued tables and the model types; from
+    # the engine it takes only the query and belief syntax it walks
+    tree = ast.parse(open(esparql.oracle.__file__, encoding="utf-8").read())
+    imported = collections.defaultdict(set)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update({alias.name: {"*"} for alias in node.names})
+        elif isinstance(node, ast.ImportFrom):
+            imported["." * node.level + (node.module or "")] |= {a.name for a in node.names}
+    assert set(imported) <= {"__future__", "functools", "itertools", "operator", "typing",
+                             ".algebra", ".belief", ".errors", ".four", ".model"}
+    assert imported[".algebra"] == {
+        "And", "Belief", "Bound", "Eq", "Filter", "Join", "MapState", "Mapping", "Not", "Or",
+        "Pattern", "Project", "Query", "Relation", "StateIs", "Union",
+        "in_scope", "query_constants"}
+    assert imported[".belief"] == {
+        "AtomicBelief", "BeliefQuery", "CompoundBelief", "belief_variables"}
 
 
 # ---------------------------------------------------------------------------
