@@ -83,13 +83,20 @@ _format_option = click.option(
     show_default=True,
     help="Result serialization.",
 )
+def _iri_prefix(ctx, param, value: str) -> str:
+    """Refuse a base or namespace that would make every IRI built on it invalid."""
+    if any(c.isspace() or c in "<>" for c in value):
+        raise click.BadParameter("must not contain whitespace, '<' or '>'")
+    return value
+
+
 _base_option = click.option(
-    "--base-iri", default=DEFAULT_BASE_IRI, show_default=True,
+    "--base-iri", default=DEFAULT_BASE_IRI, show_default=True, callback=_iri_prefix,
     help="Base for resolving bare names.",
 )
 _vocab_option = click.option(
     "--vocab-ns", envvar="ESPARQL_VOCAB_NS", default=DEFAULT_VOCAB_NAMESPACE,
-    show_default=True, help="Namespace of the belief predicates.",
+    show_default=True, callback=_iri_prefix, help="Namespace of the belief predicates.",
 )
 
 

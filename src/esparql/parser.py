@@ -13,6 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import reduce as _fold
+from operator import itemgetter
 from typing import Optional, Union as TUnion
 
 from .belief import BeliefQuery, CompoundBelief, all_states_shorthand
@@ -49,11 +50,13 @@ from .algebra import (
 
 _SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
 _STATE_WORDS = {v.label: v for v in FourValue}
 
 _STATE_KEYWORDS = {v.label.upper(): v for v in FourValue}
+
+# How deep '<<' may nest in a graph term or a query pattern.  Deeper input is
+# a ParseError at the first '<<' past the limit, not a RecursionError.
+QUOTE_DEPTH_LIMIT = 128
 
 
 def resolve_iri(text: str, base: str) -> Iri:
@@ -69,151 +72,98 @@ def shorten_iri(text: str, base: str) -> str:
     return text
 
 
+class _Iris(dict):
+    """Token spelling ('<name>') -> Iri; each spelling is resolved only once."""
+
+    def __init__(self, base: str):
+        super().__init__()
+        self.base = base
+
+    def __missing__(self, spelling: str) -> Iri:
+        iri = self[spelling] = resolve_iri(spelling[1:-1], self.base)
+        return iri
+
+
 # ---------------------------------------------------------------------------
 # Tokens
 # ---------------------------------------------------------------------------
 
+# A token is a tuple (kind, spelling, offset): the kind is the name of the
+# group that matched, the spelling keeps its sigil ('<p>', '?x', '@true'),
+# and the offset is where it starts.  Whitespace and comments are skipped in
+# front of each token.  A character no token can start with is a BAD token;
+# '\Z' ends the text with an EOF token (twice when the last match before it
+# reaches the end; readers stop at the first).  So every match succeeds, and
+# `finditer` never restarts its search inside a comment.  An IRI body holds
+# no character that `Iri` rejects (str.isspace, '<', '>').
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN = re.compile(
+    rf"""(?:[ \t\r\n]+|\#[^\n]*)*
+    (?:(?P<IRI><[^\s<>]+>)
+      |(?P<PUNCT><<|>>|&&|\|\||[.{{}}()!=*])
+      |(?P<VAR>\?{_NAME})
+      |(?P<ANNOT>@{_NAME})
+      |(?P<WORD>{_NAME})
+      |(?P<BAD>.)
+      |(?P<EOF>\Z))""",
+    re.VERBOSE | re.DOTALL,
+)
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # IRI VAR WORD ANNOT PUNCT EOF
-    text: str
-    line: int
-    column: int
 
-
-_PUNCT_SINGLE = ".{}()!=*"
-
-
-def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-
-    def err(message: str, at_line: int, at_col: int) -> ParseError:
-        return ParseError(message, at_line, at_col)
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if c == "<":
-            if i + 1 < n and text[i + 1] == "<":
-                tokens.append(Token("PUNCT", "<<", start_line, start_col))
-                i += 2
-                col += 2
-                continue
-            j = i + 1
-            while j < n and text[j] not in ">\n":
-                if text[j] in " \t<":
-                    raise err("bad character inside IRI", line, col + (j - i))
-                j += 1
-            if j >= n or text[j] != ">":
-                raise err("unterminated IRI", start_line, start_col)
-            body = text[i + 1 : j]
-            if not body:
-                raise err("empty IRI", start_line, start_col)
-            tokens.append(Token("IRI", body, start_line, start_col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if c == ">":
-            if i + 1 < n and text[i + 1] == ">":
-                tokens.append(Token("PUNCT", ">>", start_line, start_col))
-                i += 2
-                col += 2
-                continue
-            raise err("unexpected '>'", start_line, start_col)
-        if c == "?":
-            m = _NAME.match(text, i + 1)
-            if not m:
-                raise err("expected a variable name after '?'", start_line, start_col)
-            tokens.append(Token("VAR", m.group(), start_line, start_col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        if c == "@":
-            m = _NAME.match(text, i + 1)
-            if not m:
-                raise err("expected a word after '@'", start_line, start_col)
-            tokens.append(Token("ANNOT", m.group(), start_line, start_col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        if c in ("&", "|"):
-            if i + 1 < n and text[i + 1] == c:
-                tokens.append(Token("PUNCT", c + c, start_line, start_col))
-                i += 2
-                col += 2
-                continue
-            raise err(f"unexpected {c!r}", start_line, start_col)
-        if c in _PUNCT_SINGLE:
-            tokens.append(Token("PUNCT", c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        m = _NAME.match(text, i)
-        if m:
-            tokens.append(Token("WORD", m.group(), start_line, start_col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        raise err(f"unexpected character {c!r}", start_line, start_col)
-    tokens.append(Token("EOF", "", line, col))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = [(m.lastgroup, m[m.lastindex], m.start(m.lastindex))
+              for m in _TOKEN.finditer(text)]
+    if "BAD" in map(itemgetter(0), tokens):
+        raise _token_error(text, next(off for kind, _, off in tokens if kind == "BAD"))
     return tokens
 
 
-class _Stream:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of a character offset."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
 
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
+def _token_error(text: str, offset: int) -> ParseError:
+    """Why no token starts at text[offset]."""
+    c = text[offset]
+    if c == "<":
+        end = offset + 1
+        while end < len(text) and text[end] not in ">\n":
+            if text[end] == "<" or text[end].isspace():
+                return ParseError("bad character inside IRI", *_position(text, end))
+            end += 1
+        if end == len(text) or text[end] != ">":
+            return ParseError("unterminated IRI", *_position(text, offset))
+        # a body of allowed characters would have made an IRI token
+        return ParseError("empty IRI", *_position(text, offset))
+    if c == "?":
+        message = "expected a variable name after '?'"
+    elif c == "@":
+        message = "expected a word after '@'"
+    elif c in ">&|":
+        message = f"unexpected {c!r}"
+    else:
+        message = f"unexpected character {c!r}"
+    return ParseError(message, *_position(text, offset))
 
-    def error(self, message: str, tok: Optional[Token] = None) -> ParseError:
-        tok = tok or self.peek()
-        found = tok.text if tok.kind != "EOF" else "end of input"
-        return ParseError(f"{message}, found {found!r}" if found else message,
-                          tok.line, tok.column, expected=message, found=found)
 
-    def expect_punct(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "PUNCT" or tok.text != text:
-            raise self.error(f"expected {text!r}")
-        return self.next()
+def _expected(text: str, message: str, token: tuple[str, str, int]) -> ParseError:
+    kind, spelling, offset = token
+    if kind == "EOF":
+        found = "end of input"
+    elif kind == "IRI":
+        found = spelling[1:-1]
+    elif kind in ("VAR", "ANNOT"):
+        found = spelling[1:]
+    else:
+        found = spelling
+    return ParseError(f"{message}, found {found!r}", *_position(text, offset),
+                      expected=message, found=found)
 
-    def expect_word(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "WORD" or tok.text != word:
-            raise self.error(f"expected {word!r}")
-        return self.next()
 
-    def at_word(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "WORD" and tok.text == word
-
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "PUNCT" and tok.text == text
+def _too_deep(text: str, offset: int) -> ParseError:
+    return ParseError(f"quoting nested deeper than {QUOTE_DEPTH_LIMIT} levels",
+                      *_position(text, offset))
 
 
 # ---------------------------------------------------------------------------
@@ -221,64 +171,65 @@ class _Stream:
 # ---------------------------------------------------------------------------
 
 
-def _parse_ground_term(s: _Stream, base: str):
-    tok = s.peek()
-    if tok.kind == "IRI":
-        s.next()
-        return resolve_iri(tok.text, base)
-    if s.at_punct("<<"):
-        s.next()
-        subject = _parse_ground_term(s, base)
-        pred = s.peek()
-        if pred.kind != "IRI":
-            raise s.error("expected a predicate IRI")
-        s.next()
-        obj = _parse_ground_term(s, base)
-        s.expect_punct(">>")
-        return StarTriple(subject, resolve_iri(pred.text, base), obj)
-    raise s.error("expected an IRI or a quoted triple")
+def _ground_term(text: str, tokens: list, i: int, iris: _Iris, depth: int):
+    """Read the term at tokens[i]; return it and the index after it."""
+    kind, spelling, offset = tokens[i]
+    if kind == "IRI":
+        return iris[spelling], i + 1
+    if spelling != "<<":
+        raise _expected(text, "expected an IRI or a quoted triple", tokens[i])
+    if depth == QUOTE_DEPTH_LIMIT:
+        raise _too_deep(text, offset)
+    subject, i = _ground_term(text, tokens, i + 1, iris, depth + 1)
+    kind, predicate, _ = tokens[i]
+    if kind != "IRI":
+        raise _expected(text, "expected a predicate IRI", tokens[i])
+    obj, i = _ground_term(text, tokens, i + 1, iris, depth + 1)
+    if tokens[i][1] != ">>":
+        raise _expected(text, "expected '>>'", tokens[i])
+    return StarTriple(subject, iris[predicate], obj), i + 1
 
 
 def parse_graph(text: str, *, base_iri: str = DEFAULT_BASE_IRI) -> FourGraph:
     """Read a FourStar file into a graph; rejects duplicate triple keys."""
-    s = _Stream(_tokenize(text))
+    tokens = _tokenize(text)
+    iris = _Iris(base_iri)
     default = FourValue.UNKNOWN
-    first = True
+    i = 0
+    if tokens[0][1] == "@default":
+        kind, word, _ = tokens[1]
+        if kind != "WORD" or word not in _STATE_WORDS:
+            raise _expected(text, "expected a state name", tokens[1])
+        default = _STATE_WORDS[word]
+        if tokens[2][1] != ".":
+            raise _expected(text, "expected '.'", tokens[2])
+        i = 3
     entries: dict[StarTriple, FourValue] = {}
-    while not s.peek().kind == "EOF":
-        tok = s.peek()
-        if tok.kind == "ANNOT" and tok.text == "default":
-            if not first:
-                raise s.error("'@default' must be the first statement")
-            s.next()
-            word = s.peek()
-            if word.kind != "WORD" or word.text not in _STATE_WORDS:
-                raise s.error("expected a state name")
-            default = _STATE_WORDS[word.text]
-            s.next()
-            s.expect_punct(".")
-            first = False
-            continue
-        first = False
-        start = s.peek()
-        subject = _parse_ground_term(s, base_iri)
-        pred = s.peek()
-        if pred.kind != "IRI":
-            raise s.error("expected a predicate IRI")
-        s.next()
-        obj = _parse_ground_term(s, base_iri)
+    while True:
+        kind, spelling, start = tokens[i]
+        if kind == "EOF":
+            break
+        if spelling == "@default":
+            raise _expected(text, "'@default' must be the first statement", tokens[i])
+        subject, i = _ground_term(text, tokens, i, iris, 0)
+        kind, predicate, _ = tokens[i]
+        if kind != "IRI":
+            raise _expected(text, "expected a predicate IRI", tokens[i])
+        obj, i = _ground_term(text, tokens, i + 1, iris, 0)
+        kind, spelling, offset = tokens[i]
         value = FourValue.TRUE
-        if s.peek().kind == "ANNOT":
-            ann = s.next()
-            if ann.text not in _STATE_WORDS:
-                raise ParseError(f"unknown state {ann.text!r}", ann.line, ann.column)
-            value = _STATE_WORDS[ann.text]
-        s.expect_punct(".")
-        triple = StarTriple(subject, resolve_iri(pred.text, base_iri), obj)
+        if kind == "ANNOT":
+            value = _STATE_WORDS.get(spelling[1:])
+            if value is None:
+                raise ParseError(f"unknown state {spelling[1:]!r}", *_position(text, offset))
+            i += 1
+        if tokens[i][1] != ".":
+            raise _expected(text, "expected '.'", tokens[i])
+        i += 1
+        triple = StarTriple(subject, iris[predicate], obj)
         if triple in entries:
-            raise DuplicateTriple(
-                f"triple annotated twice: {term_text(triple)}", start.line, start.column
-            )
+            raise DuplicateTriple(f"triple annotated twice: {term_text(triple)}",
+                                  *_position(text, start))
         entries[triple] = value
     return FourGraph(default, entries)
 
@@ -347,221 +298,243 @@ class UserQuery:
     position: tuple[int, int] = (0, 0)
 
 
-_KEYWORDS = {
-    "SELECT", "INFO", "FROM", "BELIEF", "WHERE", "MAP", "IF", "TO", "ELSE",
-    "FILTER", "UNION", "STATE", "IS", "BOUND",
-    "TRUE", "FALSE", "UNKNOWN", "CONFLICTED", "a",
-}
+class _Stream:
+    """Cursor over a query's tokens.
+
+    Punctuation and keywords are matched by spelling alone: sigils keep
+    every other kind's spellings apart from theirs.
+    """
+
+    def __init__(self, text: str, base: str):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.iris = _Iris(base)
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
+
+    def next(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        if tok[0] != "EOF":
+            self.pos += 1
+        return tok
+
+    def at(self, spelling: str) -> bool:
+        return self.tokens[self.pos][1] == spelling
+
+    def expect(self, spelling: str) -> tuple[str, str, int]:
+        if not self.at(spelling):
+            raise self.error(f"expected {spelling!r}")
+        return self.next()
+
+    def position(self, tok: tuple[str, str, int]) -> tuple[int, int]:
+        return _position(self.text, tok[2])
+
+    def error(self, message: str) -> ParseError:
+        return _expected(self.text, message, self.peek())
 
 
 def parse_query(text: str, *, base_iri: str = DEFAULT_BASE_IRI) -> UserQuery:
-    s = _Stream(_tokenize(text))
-    q = _parse_select(s, base_iri)
-    if s.peek().kind != "EOF":
+    s = _Stream(text, base_iri)
+    q = _parse_select(s)
+    if s.peek()[0] != "EOF":
         raise s.error("expected end of input")
     return q
 
 
-def _parse_select(s: _Stream, base: str) -> UserQuery:
-    start = s.expect_word("SELECT")
+def _parse_select(s: _Stream) -> UserQuery:
+    start = s.expect("SELECT")
     info = False
-    if s.at_word("INFO"):
+    if s.at("INFO"):
         s.next()
         info = True
     projection: Optional[list[Variable]]
-    if s.at_punct("*"):
+    if s.at("*"):
         s.next()
         projection = None
     else:
         projection = []
-        while s.peek().kind == "VAR":
-            projection.append(Variable(s.next().text))
+        while s.peek()[0] == "VAR":
+            projection.append(Variable(s.next()[1][1:]))
         if not projection:
             raise s.error("expected '*' or projection variables")
     holders: list = []
-    if s.at_word("FROM"):
+    if s.at("FROM"):
         s.next()
-        s.expect_word("BELIEF")
-        while True:
-            tok = s.peek()
-            if tok.kind == "IRI":
-                s.next()
-                holders.append(resolve_iri(tok.text, base))
-            elif tok.kind == "VAR":
-                s.next()
-                holders.append(Variable(tok.text))
-            elif holders:
-                break
-            else:
-                raise s.error("expected a belief holder")
-    s.expect_word("WHERE")
-    body = _parse_group(s, base)
-    return UserQuery(info, projection, holders, body, (start.line, start.column))
+        s.expect("BELIEF")
+        while (holder := _iri_or_variable(s)) is not None:
+            holders.append(holder)
+        if not holders:
+            raise s.error("expected a belief holder")
+    s.expect("WHERE")
+    body = _parse_group(s)
+    return UserQuery(info, projection, holders, body, s.position(start))
 
 
-def _parse_group(s: _Stream, base: str) -> list:
-    s.expect_punct("{")
-    if s.at_word("SELECT"):
+def _parse_group(s: _Stream) -> list:
+    s.expect("{")
+    if s.at("SELECT"):
         # a group may hold a bare sub-query
-        sub = _parse_select(s, base)
-        s.expect_punct("}")
+        sub = _parse_select(s)
+        s.expect("}")
         return [SubSelect(sub)]
-    items = [_parse_item(s, base)]
+    items = [_parse_item(s)]
     while True:
-        if s.at_punct("."):
+        if s.at("."):
             s.next()
-            if s.at_punct("}"):
+            if s.at("}"):
                 break
-            items.append(_parse_item(s, base))
-        elif s.at_punct("}"):
+            items.append(_parse_item(s))
+        elif s.at("}"):
             break
         elif isinstance(items[-1], (SubSelect, UnionItem)):
             # separator dot is optional after a braced item
-            items.append(_parse_item(s, base))
+            items.append(_parse_item(s))
         else:
             raise s.error("expected '.' or '}'")
-    s.expect_punct("}")
+    s.expect("}")
     return items
 
 
-def _parse_item(s: _Stream, base: str):
-    if s.at_punct("{"):
-        if s.peek(1).kind == "WORD" and s.peek(1).text == "SELECT":
+def _parse_item(s: _Stream):
+    if s.at("{"):
+        if s.tokens[s.pos + 1][1] == "SELECT":
             s.next()
-            sub = _parse_select(s, base)
-            s.expect_punct("}")
+            sub = _parse_select(s)
+            s.expect("}")
             item: BodyItem = SubSelect(sub)
         else:
-            left = _parse_group(s, base)
-            union_tok = s.peek()
-            s.expect_word("UNION")
-            right = _parse_group(s, base)
-            item = UnionItem(left, right, (union_tok.line, union_tok.column))
-        while s.at_word("UNION"):
+            left = _parse_group(s)
+            union_tok = s.expect("UNION")
+            right = _parse_group(s)
+            item = UnionItem(left, right, s.position(union_tok))
+        while s.at("UNION"):
             union_tok = s.next()
-            right = _parse_group(s, base)
-            item = UnionItem([item], right, (union_tok.line, union_tok.column))
+            right = _parse_group(s)
+            item = UnionItem([item], right, s.position(union_tok))
         return item
-    if s.at_word("MAP"):
+    if s.at("MAP"):
         start = s.next()
-        s.expect_word("IF")
-        s.expect_punct("(")
-        cond = _parse_cond(s, base)
-        s.expect_punct(")")
-        s.expect_word("TO")
+        s.expect("IF")
+        s.expect("(")
+        cond = _parse_cond(s)
+        s.expect(")")
+        s.expect("TO")
         to_state = _parse_state_keyword(s)
-        s.expect_word("ELSE")
+        s.expect("ELSE")
         else_state = _parse_state_keyword(s)
-        return MapItem(cond, to_state, else_state, (start.line, start.column))
-    if s.at_word("FILTER"):
+        return MapItem(cond, to_state, else_state, s.position(start))
+    if s.at("FILTER"):
         start = s.next()
-        s.expect_punct("(")
-        cond = _parse_cond(s, base)
-        s.expect_punct(")")
-        return FilterItem(cond, (start.line, start.column))
-    return TripleItem(_parse_triple_pattern(s, base))
+        s.expect("(")
+        cond = _parse_cond(s)
+        s.expect(")")
+        return FilterItem(cond, s.position(start))
+    return TripleItem(_parse_triple_pattern(s, 0))
 
 
 def _parse_state_keyword(s: _Stream) -> FourValue:
-    tok = s.peek()
-    if tok.kind == "WORD" and tok.text in _STATE_KEYWORDS:
+    kind, word, _ = s.peek()
+    if kind == "WORD" and word in _STATE_KEYWORDS:
         s.next()
-        return _STATE_KEYWORDS[tok.text]
+        return _STATE_KEYWORDS[word]
     raise s.error("expected TRUE, FALSE, UNKNOWN or CONFLICTED")
 
 
-def _parse_term_pattern(s: _Stream, base: str):
-    tok = s.peek()
-    if tok.kind == "IRI":
+def _iri_or_variable(s: _Stream):
+    """Consume an IRI or a variable token; None (consuming nothing) otherwise."""
+    kind, spelling, _ = s.peek()
+    if kind == "IRI":
         s.next()
-        return resolve_iri(tok.text, base)
-    if tok.kind == "VAR":
+        return s.iris[spelling]
+    if kind == "VAR":
         s.next()
-        return Variable(tok.text)
-    if s.at_punct("<<"):
+        return Variable(spelling[1:])
+    return None
+
+
+def _parse_term_pattern(s: _Stream, depth: int):
+    term = _iri_or_variable(s)
+    if term is not None:
+        return term
+    if s.at("<<"):
+        if depth == QUOTE_DEPTH_LIMIT:
+            raise _too_deep(s.text, s.peek()[2])
         s.next()
-        subject = _parse_term_pattern(s, base)
-        pred = _parse_pred_pattern(s, base)
-        obj = _parse_term_pattern(s, base)
-        s.expect_punct(">>")
-        return TriplePattern(subject, pred, obj)
+        pattern = _parse_triple_pattern(s, depth + 1)
+        s.expect(">>")
+        return pattern
     raise s.error("expected an IRI, a variable or a quoted pattern")
 
 
-def _parse_pred_pattern(s: _Stream, base: str):
-    tok = s.peek()
-    if tok.kind == "IRI":
+def _parse_pred_pattern(s: _Stream):
+    term = _iri_or_variable(s)
+    if term is not None:
+        return term
+    if s.at("a"):
         s.next()
-        return resolve_iri(tok.text, base)
-    if tok.kind == "VAR":
-        s.next()
-        return Variable(tok.text)
-    if tok.kind == "WORD" and tok.text == "a":
-        s.next()
-        return resolve_iri("a", base)
+        return s.iris["<a>"]
     raise s.error("expected a predicate")
 
 
-def _parse_triple_pattern(s: _Stream, base: str) -> TriplePattern:
-    subject = _parse_term_pattern(s, base)
-    pred = _parse_pred_pattern(s, base)
-    obj = _parse_term_pattern(s, base)
+def _parse_triple_pattern(s: _Stream, depth: int) -> TriplePattern:
+    subject = _parse_term_pattern(s, depth)
+    pred = _parse_pred_pattern(s)
+    obj = _parse_term_pattern(s, depth)
     return TriplePattern(subject, pred, obj)
 
 
-def _parse_cond(s: _Stream, base: str) -> FilterFormula:
-    left = _parse_cond_and(s, base)
-    while s.at_punct("||"):
+def _parse_cond(s: _Stream) -> FilterFormula:
+    left = _parse_cond_and(s)
+    while s.at("||"):
         s.next()
-        left = Or(left, _parse_cond_and(s, base))
+        left = Or(left, _parse_cond_and(s))
     return left
 
 
-def _parse_cond_and(s: _Stream, base: str) -> FilterFormula:
-    left = _parse_cond_unary(s, base)
-    while s.at_punct("&&"):
+def _parse_cond_and(s: _Stream) -> FilterFormula:
+    left = _parse_cond_unary(s)
+    while s.at("&&"):
         s.next()
-        left = And(left, _parse_cond_unary(s, base))
+        left = And(left, _parse_cond_unary(s))
     return left
 
 
-def _parse_cond_unary(s: _Stream, base: str) -> FilterFormula:
-    if s.at_punct("!"):
+def _parse_cond_unary(s: _Stream) -> FilterFormula:
+    if s.at("!"):
         s.next()
-        return Not(_parse_cond_unary(s, base))
-    if s.at_punct("("):
+        return Not(_parse_cond_unary(s))
+    if s.at("("):
         s.next()
-        inner = _parse_cond(s, base)
-        s.expect_punct(")")
+        inner = _parse_cond(s)
+        s.expect(")")
         return inner
-    if s.at_word("STATE"):
+    if s.at("STATE"):
         s.next()
-        s.expect_word("IS")
+        s.expect("IS")
         return StateIs(_parse_state_keyword(s))
-    if s.at_word("BOUND"):
+    if s.at("BOUND"):
         s.next()
-        s.expect_punct("(")
-        tok = s.peek()
-        if tok.kind != "VAR":
+        s.expect("(")
+        kind, spelling, _ = s.peek()
+        if kind != "VAR":
             raise s.error("expected a variable")
         s.next()
-        s.expect_punct(")")
-        return Bound(Variable(tok.text))
-    left = _parse_operand(s, base)
-    s.expect_punct("=")
-    right = _parse_operand(s, base)
+        s.expect(")")
+        return Bound(Variable(spelling[1:]))
+    left = _parse_operand(s)
+    s.expect("=")
+    right = _parse_operand(s)
     return Eq(left, right)
 
 
-def _parse_operand(s: _Stream, base: str):
-    tok = s.peek()
-    if tok.kind == "VAR":
-        s.next()
-        return Variable(tok.text)
-    if tok.kind == "IRI":
-        s.next()
-        return resolve_iri(tok.text, base)
-    raise s.error("expected a variable or an IRI")
+def _parse_operand(s: _Stream):
+    term = _iri_or_variable(s)
+    if term is None:
+        raise s.error("expected a variable or an IRI")
+    return term
+
 
 
 # ---------------------------------------------------------------------------

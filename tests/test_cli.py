@@ -90,6 +90,66 @@ def test_syntax_errors_exit_with_2(runner):
     )
 
 
+def test_whitespace_inside_an_iri_exits_with_2(runner, tmp_path):
+    graph = tmp_path / "vt.f4s"
+    graph.write_text("<a\x0bb> <p> <o> .\n")
+    bad_graph = runner.invoke(
+        main, ["query", "--graph", str(graph), "--eval", "SELECT * WHERE { ?s ?p ?o }"]
+    )
+    assert bad_graph.exit_code == 2
+    assert bad_graph.stderr == "error: 1:3: bad character inside IRI\n"
+    bad_query = runner.invoke(
+        main, ["query", "--graph", GRAPH, "--eval", "SELECT * WHERE { ?s <p\x0c> ?o }"]
+    )
+    assert bad_query.exit_code == 2
+    assert bad_query.stderr == "error: 1:23: bad character inside IRI\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["query", "--graph", GRAPH, "--query", _fx("u1.esq"), "--base-iri", "http://x y/"],
+        ["query", "--graph", GRAPH, "--query", _fx("u1.esq"), "--vocab-ns", "urn:v<#"],
+        ["check", "--eval", "SELECT ?x WHERE { ?x a ?kind }", "--base-iri", "urn:\tx#"],
+        ["diff", "--cases", "1", "--vocab-ns", "urn:v>#"],
+    ],
+)
+def test_iri_prefixes_that_no_iri_can_start_with_are_usage_errors(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "must not contain whitespace, '<' or '>'" in result.stderr
+
+
+def _nested(depth: int, inner: str) -> str:
+    for _ in range(depth):
+        inner = f"<< {inner} <p> <y> >>"
+    return inner
+
+
+def test_quoting_nests_up_to_the_limit_and_no_further(runner, tmp_path):
+    from esparql.parser import QUOTE_DEPTH_LIMIT as limit
+
+    at_limit = tmp_path / "deep.f4s"
+    at_limit.write_text(f"{_nested(limit, '<x>')} <says> <z> .\n")
+    result = runner.invoke(
+        main, ["query", "--graph", str(at_limit), "--eval", "SELECT ?s WHERE { ?s <says> <z> }"]
+    )
+    assert result.exit_code == 0, result.stderr
+    assert result.output == f"s | state\n{_nested(limit, '<x>')} | true\n"
+
+    past_limit = tmp_path / "deeper.f4s"
+    past_limit.write_text(f"{_nested(limit + 1, '<x>')} <says> <z> .\n")
+    result = runner.invoke(main, ["check", "--graph", str(past_limit)])
+    assert result.exit_code == 2
+    message = f"quoting nested deeper than {limit} levels"
+    assert result.stderr == f"error: 1:{3 * limit + 1}: {message}\n"
+
+    query = "SELECT * WHERE { " + _nested(limit + 1, "?x") + " <says> ?z }"
+    result = runner.invoke(main, ["query", "--graph", str(at_limit), "--eval", query])
+    assert result.exit_code == 2
+    assert result.stderr == f"error: 1:{3 * limit + 18}: {message}\n"
+
+
 def test_scope_errors_exit_with_3(runner):
     result = runner.invoke(
         main, ["query", "--graph", GRAPH, "--query", _fx("proj_unused.esq")]

@@ -39,10 +39,10 @@ from esparql.algebra import (
     in_scope,
 )
 from esparql.belief import CompoundBelief, all_states_shorthand
-from esparql.errors import DuplicateTriple, IllFormedQuery, ParseError
+from esparql.errors import DuplicateTriple, EsparqlError, IllFormedQuery, ParseError
 from esparql.fixtures import fixture_path, fixture_text
 from esparql.model import TriplePattern
-from esparql.parser import resolve_iri, shorten_iri
+from esparql.parser import QUOTE_DEPTH_LIMIT, desugar, resolve_iri, shorten_iri
 from esparql.randgen import random_graph
 
 from conftest import (
@@ -92,12 +92,27 @@ def test_shorten_iri_strips_only_proper_prefixes():
         ("\n\n  <a> <b> $ .", "3:11: unexpected character '$'"),
         ("<a> >", "1:5: unexpected '>'"),
         ("<a> <b> @ .", "1:9: expected a word after '@'"),
+        ("<a> <b> & <c> .", "1:9: unexpected '&'"),
+        ("<a> <b\n> <c> .", "1:5: unterminated IRI"),
+        ("<a<b> <p> <o> .", "1:3: bad character inside IRI"),
+        # every str.isspace character inside '<...>' is a syntax error
+        ("<a\x0bb> <p> <o> .", "1:3: bad character inside IRI"),
+        ("<a> <p\rq> <o> .", "1:7: bad character inside IRI"),
+        ("<a> <p> <o\xa0> .", "1:11: bad character inside IRI"),
+        # a tokenizer error anywhere wins over an earlier grammar error
+        ("<a> . <b>\n$", "2:1: unexpected character '$'"),
     ],
 )
 def test_tokenizer_errors_carry_positions(text, message):
     with pytest.raises(ParseError) as err:
         parse_graph(text)
     assert str(err.value) == message
+
+
+def test_whitespace_inside_a_query_iri_is_a_syntax_error():
+    with pytest.raises(ParseError) as err:
+        parse_query("SELECT * WHERE { ?s <p\x0c> ?o }")
+    assert str(err.value) == "1:23: bad character inside IRI"
 
 
 def test_lone_question_mark_needs_a_variable_name():
@@ -188,6 +203,12 @@ def test_statements_must_end_with_a_dot():
     assert str(err.value) == "1:12: expected '.', found 'end of input'"
 
 
+def test_end_of_input_after_a_trailing_comment_is_at_the_true_end():
+    with pytest.raises(ParseError) as err:
+        parse_graph("<a> <b> <c> # x")
+    assert str(err.value) == "1:16: expected '.', found 'end of input'"
+
+
 def test_comments_and_blank_lines_are_ignored():
     g = parse_graph("# header\n\n<Arius> <a> <Christian> .  # trailing note\n")
     assert g == parse_graph("<Arius> <a> <Christian> .")
@@ -199,6 +220,62 @@ def test_quoted_terms_nest_in_subject_and_object_position():
     assert triple.subject.subject == StarTriple(data("a"), data("p"), data("b"))
     assert triple.object == StarTriple(data("d"), data("s"), data("e"))
     assert g.exceptions[triple] == C
+
+
+def test_each_iri_spelling_is_resolved_and_validated_once(monkeypatch):
+    names = ["a", "b", "c", "https://elsewhere.org/d"]
+    lines = [f"<{s}> <{p}> << <{s}> <{p}> <{o}> >> ."
+             for s in names for p in names for o in names]
+    validated = []
+    real = Iri.__post_init__
+
+    def counting(self):
+        validated.append(self.text)
+        real(self)
+
+    monkeypatch.setattr(Iri, "__post_init__", counting)
+    g = parse_graph("\n".join(lines))
+    assert len(g.exceptions) == len(names) ** 3
+    assert sorted(validated) == sorted(
+        n if ":" in n else DEFAULT_BASE_IRI + n for n in names
+    )
+
+
+def _nested_graph(depth: int) -> str:
+    term = "<x>"
+    for _ in range(depth):
+        term = f"<< {term} <p> <y> >>"
+    return f"{term} <says> <z> .\n"
+
+
+def test_quoting_may_nest_up_to_the_limit():
+    g = parse_graph(_nested_graph(QUOTE_DEPTH_LIMIT))
+    (triple,) = g.exceptions
+    depth = 0
+    term = triple.subject
+    while isinstance(term, StarTriple):
+        depth += 1
+        term = term.subject
+    assert depth == QUOTE_DEPTH_LIMIT
+    assert parse_graph(render_graph(g)) == g
+
+
+def test_quoting_past_the_limit_is_a_syntax_error():
+    limit = QUOTE_DEPTH_LIMIT
+    column = 3 * limit + 1  # the first '<<' past the limit
+    message = f"1:{column}: quoting nested deeper than {limit} levels"
+    with pytest.raises(ParseError) as err:
+        parse_graph(_nested_graph(limit + 1))
+    assert str(err.value) == message
+    pattern = "?x"
+    for _ in range(limit + 1):
+        pattern = f"<< {pattern} <p> <y> >>"
+    with pytest.raises(ParseError) as err:
+        parse_query("SELECT * WHERE { " + pattern + " <says> ?z }")
+    assert str(err.value) == f"1:{column + 17}: quoting nested deeper than {limit} levels"
+    # far past the limit it is still a ParseError, not a RecursionError
+    with pytest.raises(ParseError):
+        parse_graph(_nested_graph(600))
 
 
 # --------------------------------------------------------------- graph writer
@@ -234,6 +311,49 @@ def test_render_parse_round_trip_on_random_graphs():
         assert parse_graph(text) == g
         # the writer is a canonical form: re-rendering changes nothing
         assert render_graph(parse_graph(text)) == text
+
+
+# ------------------------------------------------------------------ fuzzing
+
+_FUZZ_PIECES = ["<<", ">>", "#", "@", "?", "\x0b", "\xa0", " ", "<", ">", ".",
+                "\n", "{", "}", "(", ")", "&", "|", "!", "=", "a", "@true", "?x"]
+_FUZZ_SOURCES = ["table1.f4s", "dup.f4s", "u1.esq", "u2.esq", "u3.esq", "u4.esq",
+                 "bad.esq", "proj_unused.esq", "meet-disjoint.esq"]
+
+
+def _mutant(rng: random.Random, text: str) -> str:
+    """Up to four seeded character insertions, deletions and swaps."""
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(text))
+        edit = rng.randrange(3)
+        if edit == 0:
+            text = text[:i] + rng.choice(_FUZZ_PIECES) + text[i:]
+        elif edit == 1:
+            text = text[:i] + text[i + rng.randint(1, 3):]
+        elif i + 1 < len(text):
+            text = text[:i] + text[i + 1] + text[i] + text[i + 2:]
+    return text
+
+
+def test_fuzzed_inputs_fail_only_with_typed_errors():
+    rng = random.Random(20240)
+    for name in _FUZZ_SOURCES:
+        source = fixture_text(name)
+        for _ in range(400):
+            text = _mutant(rng, source)
+            lines = text.count("\n") + 1
+            try:
+                g = parse_graph(text)
+            except (ParseError, DuplicateTriple) as e:
+                assert 1 <= e.line <= lines and e.column >= 1
+            else:
+                assert parse_graph(render_graph(g)) == g
+            try:
+                desugar(parse_query(text))
+            except ParseError as e:
+                assert 1 <= e.line <= lines and e.column >= 1
+            except EsparqlError:
+                pass
 
 
 # --------------------------------------------------------------- query parser
