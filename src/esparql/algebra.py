@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator
 
 from . import belief as belief_mod
@@ -48,11 +49,11 @@ from .model import (
     DEFAULT_VOCABULARY,
     FourGraph,
     Iri,
+    StarTriple,
     Term,
     TriplePattern,
     Variable,
     active_domain,
-    match,
     pattern_is_ground,
     pattern_to_term,
     pattern_variables,
@@ -763,30 +764,68 @@ def _project_semiring(
 # ---------------------------------------------------------------------------
 
 
+def _pattern_matcher(p: TriplePattern) -> Callable[[StarTriple], tuple | None]:
+    """Compile p into positional tests on a triple and extractors.
+
+    The matcher gives the name-sorted bindings of p's variables that a
+    matching triple makes (a ``Mapping``'s tuple), or None.  Tests run in
+    pre-order, so a quoted position is known to hold a triple before any
+    test looks inside it; a repeated variable must equal its first position.
+    """
+    tests: list[Callable[[StarTriple], bool]] = []
+    first: dict[Variable, Callable[[StarTriple], Term]] = {}
+
+    def walk(node: TriplePattern, path: str) -> None:
+        for part in ("subject", "predicate", "object"):
+            sub, get = getattr(node, part), attrgetter(path + part)
+            if isinstance(sub, Variable):
+                seen = first.setdefault(sub, get)
+                if seen is not get:
+                    tests.append(lambda t, a=seen, b=get: a(t) == b(t))
+            elif isinstance(sub, Iri):
+                tests.append(lambda t, get=get, c=sub: get(t) == c)
+            else:
+                tests.append(lambda t, get=get: type(get(t)) is StarTriple)
+                walk(sub, path + part + ".")
+
+    walk(p, "")
+    names = sorted(first, key=lambda v: v.name)
+    extractors = [first[v] for v in names]
+
+    def matcher(t: StarTriple) -> tuple | None:
+        for test in tests:
+            if not test(t):
+                return None
+        return tuple(zip(names, [get(t) for get in extractors]))
+
+    return matcher
+
+
 def _eval_pattern(p: TriplePattern, g: FourGraph, universe: frozenset[Term] | None) -> Relation:
-    vars = pattern_variables(p)
-    exceptions: dict[Mapping, Any] = {}
-    triples = g.exceptions.items()
+    """Scan the graph's predicate bucket when p's predicate is an IRI, its
+    subject bucket when p's subject is ground, else every exception."""
     if isinstance(p.predicate, Iri):
-        text = p.predicate.text
-        triples = [(t, v) for t, v in triples if t.predicate.text == text]
-    for t, v in triples:
-        binding = match(p, t)
-        if binding is not None:
-            exceptions[Mapping.of(binding)] = v
-    return Relation(vars, g.default, exceptions, universe)
+        candidates = g.bucket("predicate", p.predicate)
+    elif pattern_is_ground(p.subject):
+        candidates = g.bucket("subject", pattern_to_term(p.subject))
+    else:
+        candidates = g.exceptions
+    matcher = _pattern_matcher(p)
+    exceptions = {Mapping(bindings): g.exceptions[t]
+                  for t in candidates if (bindings := matcher(t)) is not None}
+    return Relation(pattern_variables(p), g.default, exceptions, universe)
 
 
 class _FourEngine:
     """One evaluation.  Memos are keyed on graph identity, and each memo
     value keeps its graph alive so the id cannot be reused meanwhile."""
 
-    def __init__(self, vocab: BeliefVocabulary, mode: EvalMode,
-                 universe: frozenset[Term] | None, scopes: dict[int, frozenset[Variable]]):
+    def __init__(self, vocab: BeliefVocabulary, mode: EvalMode, universe: frozenset[Term] | None,
+                 universe_list: list[Term] | None, scopes: dict[int, frozenset[Variable]]):
         self.vocab = vocab
         self.mode = mode
         self.universe = universe
-        self.universe_list = sorted(universe, key=term_text) if universe is not None else None
+        self.universe_list = universe_list
         self.scopes = scopes
         self._indexes: dict = {}
         self._extract_cache: dict = {}
@@ -936,6 +975,19 @@ def _scope_guard(q: Query, universe: frozenset[Term], cap: int,
     walk(q)
 
 
+def _universe(q: Query, g: FourGraph, mode: EvalMode, cap: int,
+              scopes: dict[int, frozenset[Variable]]) -> tuple:
+    """The active-domain universe of q over g and its ``term_text``-sorted
+    list (the graph's cached one when q adds no term), or (None, None) in
+    open mode."""
+    if mode is EvalMode.OPEN:
+        return None, None
+    universe = active_domain(g, query_constants(q))
+    _scope_guard(q, universe, cap, scopes)
+    domain, ordered = g.domain()
+    return universe, ordered if universe is domain else sorted(universe, key=term_text)
+
+
 def evaluate(
     q: Query,
     g: FourGraph,
@@ -951,12 +1003,7 @@ def evaluate(
     open mode may raise NonFinitelySupported.
     """
     scopes = _scopes(q)
-    if mode is EvalMode.ACTIVE_DOMAIN:
-        universe = active_domain(g, query_constants(q))
-        _scope_guard(q, universe, cap, scopes)
-    else:
-        universe = None
-    return _FourEngine(vocab, mode, universe, scopes).eval(q, g)
+    return _FourEngine(vocab, mode, *_universe(q, g, mode, cap, scopes), scopes).eval(q, g)
 
 
 # ---------------------------------------------------------------------------
@@ -1008,14 +1055,7 @@ def evaluate_k(
     semiring's carrier.
     """
     _check_plain_fragment(q)
-    scopes = _scopes(q)
-    if mode is EvalMode.ACTIVE_DOMAIN:
-        universe = active_domain(g, query_constants(q))
-        _scope_guard(q, universe, cap, scopes)
-        universe_list = sorted(universe, key=term_text)
-    else:
-        universe = None
-        universe_list = None
+    universe, universe_list = _universe(q, g, mode, cap, _scopes(q))
 
     def run(node: Query) -> Relation:
         if isinstance(node, Pattern):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .four import FourValue, STATES
 
@@ -202,9 +202,15 @@ class FourGraph:
     Canonical form: no exception carries the default value.  Values are four
     states for the epistemic engine; the same container also serves generic
     semiring-annotated graphs, whose values live in the semiring's carrier.
+
+    Invariant: ``exceptions`` is never mutated after construction (updates
+    such as ``set_value`` return a new graph).  The structures derived from
+    it, triples bucketed by subject and by predicate and the active domain
+    with its sorted list, are built on first use and then cached on that
+    invariant.
     """
 
-    __slots__ = ("default", "exceptions")
+    __slots__ = ("default", "exceptions", "_derived")
 
     def __init__(self, default, exceptions: dict[StarTriple, object] | None = None):
         self.default = default
@@ -216,6 +222,7 @@ class FourGraph:
                 if v != default:
                     exc[t] = v
         self.exceptions = exc
+        self._derived: dict = {}
 
     @classmethod
     def from_asserted(cls, triples: Iterable[StarTriple]) -> "FourGraph":
@@ -240,6 +247,29 @@ class FourGraph:
     def key(self):
         """Hashable identity, usable as a cache key."""
         return (self.default, frozenset(self.exceptions.items()))
+
+    def bucket(self, position: str, term: Term) -> Sequence[StarTriple]:
+        """Exception triples whose ``position`` ('subject' or 'predicate')
+        holds ``term``."""
+        index = self._derived.get(position)
+        if index is None:
+            index = self._derived[position] = {}
+            for t in self.exceptions:
+                index.setdefault(getattr(t, position), []).append(t)
+        return index.get(term, ())
+
+    def domain(self) -> tuple[frozenset[Term], list[Term]]:
+        """The active domain of the exceptions (see ``active_domain``) and
+        the same terms sorted by ``term_text``."""
+        hit = self._derived.get("domain")
+        if hit is None:
+            acc: set[Term] = set()
+            for t in self.exceptions:
+                _collect_term(t.subject, acc)
+                _collect_term(t.predicate, acc)
+                _collect_term(t.object, acc)
+            hit = self._derived["domain"] = (frozenset(acc), sorted(acc, key=term_text))
+        return hit
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FourGraph):
@@ -271,13 +301,15 @@ def active_domain(g: FourGraph, extra: Iterable[Term] = ()) -> frozenset[Term]:
     plus the given extra terms, closed under sub-triple extraction.
 
     The exception triples themselves enter only where they occur quoted.
+    The graph's own part is cached on the graph; when every extra term is
+    already in it, that cached set itself is returned.
     """
-    acc: set[Term] = set()
-    for t in g.exceptions:
-        _collect_term(t.subject, acc)
-        _collect_term(t.predicate, acc)
-        _collect_term(t.object, acc)
-    for t in extra:
+    base = g.domain()[0]
+    missing = [t for t in extra if t not in base]
+    if not missing:
+        return base
+    acc = set(base)
+    for t in missing:
         _collect_term(t, acc)
     return frozenset(acc)
 

@@ -58,6 +58,10 @@ _STATE_KEYWORDS = {v.label.upper(): v for v in FourValue}
 # a ParseError at the first '<<' past the limit, not a RecursionError.
 QUOTE_DEPTH_LIMIT = 128
 
+# How deep '!' and '(' may nest in a FILTER or MAP condition, counted
+# together.  Deeper input is a ParseError at the first one past the limit.
+CONDITION_DEPTH_LIMIT = 128
+
 
 def resolve_iri(text: str, base: str) -> Iri:
     """Keep absolute IRIs; resolve bare names against the base."""
@@ -235,19 +239,16 @@ def parse_graph(text: str, *, base_iri: str = DEFAULT_BASE_IRI) -> FourGraph:
 
 
 def render_graph(g: FourGraph) -> str:
-    """Canonical writer: sorted absolute statements, '@true' left implicit."""
-    lines = [f"@default {g.default.label} ."]
-    for t in sorted(g.exceptions, key=term_text):
-        v = g.exceptions[t]
-        suffix = "" if v == FourValue.TRUE else f" @{v.label}"
-        lines.append(f"{_render_term(t.subject)} <{t.predicate.text}> {_render_term(t.object)}{suffix} .")
-    return "\n".join(lines) + "\n"
-
-
-def _render_term(term) -> str:
-    if isinstance(term, Iri):
-        return f"<{term.text}>"
-    return f"<< {_render_term(term.subject)} <{term.predicate.text}> {_render_term(term.object)} >>"
+    """Canonical writer: absolute statements, '@true' left implicit, in the
+    ``term_text`` order of their triples.  A line starts with its triple's
+    text less the outer '<< ' and ' >>', and term texts are self-delimiting,
+    so no such body is a prefix of another: sorting the lines is enough."""
+    lines = sorted(
+        f"{term_text(t.subject)} <{t.predicate.text}> {term_text(t.object)}"
+        f"{'' if v == FourValue.TRUE else ' @' + v.label} ."
+        for t, v in g.exceptions.items()
+    )
+    return "\n".join([f"@default {g.default.label} .", *lines]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -485,29 +486,30 @@ def _parse_triple_pattern(s: _Stream, depth: int) -> TriplePattern:
     return TriplePattern(subject, pred, obj)
 
 
-def _parse_cond(s: _Stream) -> FilterFormula:
-    left = _parse_cond_and(s)
+def _parse_cond(s: _Stream, depth: int = 0) -> FilterFormula:
+    left = _parse_cond_and(s, depth)
     while s.at("||"):
         s.next()
-        left = Or(left, _parse_cond_and(s))
+        left = Or(left, _parse_cond_and(s, depth))
     return left
 
 
-def _parse_cond_and(s: _Stream) -> FilterFormula:
-    left = _parse_cond_unary(s)
+def _parse_cond_and(s: _Stream, depth: int) -> FilterFormula:
+    left = _parse_cond_unary(s, depth)
     while s.at("&&"):
         s.next()
-        left = And(left, _parse_cond_unary(s))
+        left = And(left, _parse_cond_unary(s, depth))
     return left
 
 
-def _parse_cond_unary(s: _Stream) -> FilterFormula:
-    if s.at("!"):
-        s.next()
-        return Not(_parse_cond_unary(s))
-    if s.at("("):
-        s.next()
-        inner = _parse_cond(s)
+def _parse_cond_unary(s: _Stream, depth: int) -> FilterFormula:
+    if s.at("!") or s.at("("):
+        if depth == CONDITION_DEPTH_LIMIT:
+            raise ParseError(f"condition nested deeper than {CONDITION_DEPTH_LIMIT} levels",
+                             *s.position(s.peek()))
+        if s.next()[1] == "!":
+            return Not(_parse_cond_unary(s, depth + 1))
+        inner = _parse_cond(s, depth + 1)
         s.expect(")")
         return inner
     if s.at("STATE"):

@@ -529,15 +529,48 @@ def test_join_merges_only_matching_exception_pairs(monkeypatch):
     assert diff(r, oracle_eval(Join(OTIMES, left, right), g)) == []
 
 
+def _counting_matcher(monkeypatch):
+    """Count the triples pattern scans examine: every call of every
+    per-triple matcher that ``_pattern_matcher`` compiles."""
+    calls = [0]
+    compile_pattern = esparql.algebra._pattern_matcher
+
+    def counted_compile(pattern):
+        matcher = compile_pattern(pattern)
+
+        def counted(t):
+            calls[0] += 1
+            return matcher(t)
+
+        return counted
+
+    monkeypatch.setattr(esparql.algebra, "_pattern_matcher", counted_compile)
+    return calls
+
+
 def test_pattern_scan_matches_only_its_predicate(monkeypatch):
     p, q = Iri("urn:p"), Iri("urn:q")
     g = _ring_graph(20, (p, q, Iri("urn:r")))
-    calls = _counting(monkeypatch, esparql.algebra, "match")
+    calls = _counting_matcher(monkeypatch)
     r = evaluate(Pattern(TriplePattern(X, p, Y)), g)
     assert calls[0] == 20
     assert len(r.exceptions) == 20
     evaluate(Pattern(TriplePattern(X, P, Y)), g)
     assert calls[0] == 20 + 60
+
+
+def test_pattern_scan_with_a_ground_subject_examines_only_its_triples(monkeypatch):
+    p, q = Iri("urn:p"), Iri("urn:q")
+    g = _ring_graph(20, (p, q, Iri("urn:r")))
+    node = Iri("urn:n7")
+    calls = _counting_matcher(monkeypatch)
+    r = evaluate(Pattern(TriplePattern(node, P, Y)), g)
+    monkeypatch.undo()
+    # the ring gives every node one triple per predicate
+    assert calls[0] == 3
+    assert exceptions(r) == {Mapping.of({P: t.predicate, Y: t.object}): v
+                             for t, v in g.exceptions.items() if t.subject == node}
+    assert diff(r, oracle_eval(Pattern(TriplePattern(node, P, Y)), g)) == []
 
 
 # ---------------------------------------------------------------------------

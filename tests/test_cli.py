@@ -105,6 +105,18 @@ def test_whitespace_inside_an_iri_exits_with_2(runner, tmp_path):
     assert bad_query.stderr == "error: 1:23: bad character inside IRI\n"
 
 
+@pytest.mark.parametrize("cond", ["!" * 1000 + "?s = ?o", "(" * 1000 + "?s = ?o" + ")" * 1000])
+def test_conditions_nested_past_the_limit_exit_with_2(runner, tmp_path, cond):
+    query = tmp_path / "deep.esq"
+    head = "SELECT * WHERE { ?s ?p ?o . FILTER ("
+    query.write_text(head + cond + ") }\n")
+    result = runner.invoke(main, ["query", "--graph", GRAPH, "--query", str(query)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    column = len(head) + 128 + 1
+    assert result.stderr == f"error: 1:{column}: condition nested deeper than 128 levels\n"
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -1,24 +1,35 @@
 """Terms, patterns, graphs and the active domain."""
 
+import random
+
 import pytest
 
 import esparql.model
 
 from esparql import (
     BeliefVocabulary,
+    EvalMode,
     FourGraph,
     FourValue,
+    FourOperator,
     Iri,
+    Join,
+    NonFinitelySupported,
+    Pattern,
     StarTriple,
     STATES,
     TriplePattern,
     Variable,
     active_domain,
+    evaluate,
     match,
+    parse_graph,
     pattern_variables,
+    render_graph,
     substitute,
     term_text,
 )
+from esparql import randgen
 from esparql.model import pattern_is_ground, pattern_to_term, term_to_pattern
 
 from conftest import (
@@ -234,6 +245,81 @@ def test_active_domain_extra_terms_are_closed():
     dom = active_domain(g, [POPE_AFFIRMS])
     assert dom == frozenset({POPE_AFFIRMS, POPE, VOCAB.to_be_true,
                              JESUS_DEITY, JESUS, A, FULL_DEITY})
+
+
+def test_active_domain_reuses_the_graph_cache_when_extra_terms_add_nothing(g1):
+    dom = active_domain(g1)
+    assert active_domain(g1, [JESUS, POPE_AFFIRMS]) is dom
+    assert active_domain(g1, [Iri("urn:new")]) == dom | {Iri("urn:new")}
+    assert active_domain(g1) is dom
+
+
+def _closure_from_scratch(g, extra):
+    acc = set()
+
+    def add(t):
+        acc.add(t)
+        if isinstance(t, StarTriple):
+            add(t.subject)
+            add(t.predicate)
+            add(t.object)
+
+    for t in g.exceptions:
+        add(t.subject)
+        add(t.predicate)
+        add(t.object)
+    for t in extra:
+        add(t)
+    return frozenset(acc)
+
+
+def _answers(queries, g):
+    """Every query's relation in both modes, or the refusal's type."""
+    out = []
+    for q in queries:
+        for mode in EvalMode:
+            try:
+                out.append(evaluate(q, g, mode=mode))
+            except NonFinitelySupported as e:
+                out.append(type(e))
+    return out
+
+
+def test_graph_caches_stay_coherent_under_set_value():
+    rng = random.Random(60606)
+    pool = randgen.iri_pool()
+    predicates = pool + sorted(VOCAB.predicates(), key=term_text)
+    x, y, z, p = (Variable(n) for n in "xyzp")
+    for _ in range(12):
+        g = randgen.random_graph(rng, pool, max_exceptions=20)
+        for _ in range(6):
+            triples = sorted(g.exceptions, key=term_text)
+            subject = rng.choice([t.subject for t in triples] or pool)
+            pred = rng.choice(predicates)
+            by_predicate = Pattern(TriplePattern(x, pred, y))
+            by_subject = Pattern(TriplePattern(term_to_pattern(subject), p, z))
+            queries = [
+                by_predicate,
+                by_subject,
+                Pattern(TriplePattern(x, p, y)),
+                Pattern(TriplePattern(TriplePattern(x, pred, y), p, z)),
+                Join(FourOperator.INFO_MEET, by_predicate, by_subject),
+            ]
+            answers = _answers(queries, g)
+            assert answers == _answers(queries, parse_graph(render_graph(g)))
+            extra = [rng.choice(pool), Iri("urn:elsewhere"), *rng.sample(triples, min(2, len(triples)))]
+            assert active_domain(g, extra) == _closure_from_scratch(g, extra)
+            assert active_domain(g) == _closure_from_scratch(g, ())
+            # change or add a triple, or reset one to the default
+            if triples and rng.random() < 0.6:
+                t = rng.choice(triples)
+            else:
+                t = StarTriple(rng.choice(pool), pred, rng.choice(pool))
+            state = g.default if rng.random() < 0.4 else rng.choice(STATES)
+            updated = g.set_value(t, state)
+            # the update leaves the graph it came from as it was
+            assert _answers(queries, g) == answers
+            g = updated
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,14 @@ from esparql.belief import CompoundBelief, all_states_shorthand
 from esparql.errors import DuplicateTriple, EsparqlError, IllFormedQuery, ParseError
 from esparql.fixtures import fixture_path, fixture_text
 from esparql.model import TriplePattern
-from esparql.parser import QUOTE_DEPTH_LIMIT, desugar, resolve_iri, shorten_iri
+from esparql.model import term_text
+from esparql.parser import (
+    CONDITION_DEPTH_LIMIT,
+    QUOTE_DEPTH_LIMIT,
+    desugar,
+    resolve_iri,
+    shorten_iri,
+)
 from esparql.randgen import random_graph
 
 from conftest import (
@@ -278,6 +285,36 @@ def test_quoting_past_the_limit_is_a_syntax_error():
         parse_graph(_nested_graph(600))
 
 
+_FILTER_HEAD = "SELECT * WHERE { ?s <p> ?o . FILTER ("
+
+
+def _filter_query(cond: str) -> str:
+    return _FILTER_HEAD + cond + ") }"
+
+
+def test_conditions_may_nest_up_to_the_limit():
+    g = parse_graph("<a> <p> <b> .\n<b> <p> <b> @false .\n<c> <p> <c> @conflicted .\n")
+    plain = evaluate(parse_and_desugar(_filter_query("?s = ?o")), g)
+    limit = CONDITION_DEPTH_LIMIT
+    for cond in ("!" * limit + "?s = ?o",
+                 "(" * limit + "?s = ?o" + ")" * limit,
+                 "!(" * (limit // 2) + "?s = ?o" + ")" * (limit // 2)):
+        # an even number of negations: the condition means ?s = ?o
+        assert evaluate(parse_and_desugar(_filter_query(cond)), g) == plain
+
+
+def test_conditions_past_the_limit_are_a_syntax_error():
+    limit = CONDITION_DEPTH_LIMIT
+    column = len(_FILTER_HEAD) + limit + 1  # the first '!' or '(' past the limit
+    message = f"1:{column}: condition nested deeper than {limit} levels"
+    # far past the limit it is still a ParseError, not a RecursionError
+    for depth in (limit + 1, 1000):
+        for cond in ("!" * depth + "?s = ?o", "(" * depth + "?s = ?o" + ")" * depth):
+            with pytest.raises(ParseError) as err:
+                parse_query(_filter_query(cond))
+            assert str(err.value) == message
+
+
 # --------------------------------------------------------------- graph writer
 
 
@@ -311,6 +348,34 @@ def test_render_parse_round_trip_on_random_graphs():
         assert parse_graph(text) == g
         # the writer is a canonical form: re-rendering changes nothing
         assert render_graph(parse_graph(text)) == text
+
+
+def _quote_depth(term) -> int:
+    if isinstance(term, Iri):
+        return 0
+    return 1 + max(_quote_depth(term.subject), _quote_depth(term.object))
+
+
+def test_render_graph_orders_lines_as_the_triples_term_text():
+    # IRIs that are prefixes of one another, nested quoting and all states
+    pool = [Iri(f"urn:x:n{i}") for i in (1, 10, 100, 2, 20)]
+    rng = random.Random(5150)
+    states, depth = set(), 0
+    for _ in range(60):
+        g = random_graph(rng, pool, max_exceptions=30)
+        lines = [f"@default {g.default.label} ."]
+        for t in sorted(g.exceptions, key=term_text):
+            v = g.exceptions[t]
+            suffix = "" if v == T else f" @{v.label}"
+            lines.append(f"{term_text(t.subject)} {term_text(t.predicate)} "
+                         f"{term_text(t.object)}{suffix} .")
+        text = render_graph(g)
+        assert text == "\n".join(lines) + "\n"
+        assert parse_graph(text) == g
+        states.update(g.exceptions.values())
+        depth = max([depth] + [_quote_depth(t) for t in g.exceptions])
+    assert states == {T, F, U, C}
+    assert depth == 3
 
 
 # ------------------------------------------------------------------ fuzzing
