@@ -12,15 +12,21 @@ evaluator:
   or the evaluator refuses with NonFinitelySupported when no finite
   default+exception table exists.
 
-``evaluate`` interprets the full algebra over the four states;
+One engine serves both entry points.  ``evaluate`` interprets the full
+algebra over the four states, each node with its own operator;
 ``evaluate_k`` interprets the plain fragment (patterns, join, union,
 filter, projection) over an arbitrary commutative semiring, ignoring the
-operator slots and using the semiring's add/multiply instead.
+operator slots and using the semiring's add/multiply instead.  Projection
+adds up a group's values with its default counted once per missing
+extension; open mode has infinitely many, so it answers only when the
+default is zero or idempotent (``d + d == d``, as for all four-valued
+operators).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 from operator import attrgetter
@@ -42,7 +48,6 @@ from .four import (
     absorbing_of,
     apply,
     identity_of,
-    reduce as four_reduce,
 )
 from .model import (
     BeliefVocabulary,
@@ -98,9 +103,6 @@ class Mapping:
                 return t
         return None
 
-    def as_dict(self) -> dict[Variable, Term]:
-        return dict(self.bindings)
-
     def restrict(self, vars: frozenset[Variable]) -> "Mapping":
         return Mapping(tuple((v, t) for v, t in self.bindings if v in vars))
 
@@ -141,7 +143,9 @@ class Relation:
 
     ``universe`` is the active-domain term set, or None in open mode.
     Canonical form: no exception carries the default value and every
-    exception's domain is exactly ``vars``.
+    exception's domain is exactly ``vars``.  No code mutates a relation
+    after construction, so operators may return an input unchanged and
+    the engine's memo may hand one relation to several nodes.
     """
 
     __slots__ = ("vars", "default", "exceptions", "universe")
@@ -258,41 +262,26 @@ class Or:
 FilterFormula = Eq | Bound | StateIs | Not | And | Or
 
 
-def formula_variables(f: FilterFormula) -> frozenset[Variable]:
-    if isinstance(f, Eq):
-        out = set()
-        for side in (f.left, f.right):
-            if isinstance(side, Variable):
-                out.add(side)
-        return frozenset(out)
-    if isinstance(f, Bound):
-        return frozenset({f.var})
-    if isinstance(f, StateIs):
-        return frozenset()
+def _atoms(f: FilterFormula) -> Iterator[Eq | Bound | StateIs]:
+    """The atoms of f, left to right."""
     if isinstance(f, Not):
-        return formula_variables(f.inner)
-    return formula_variables(f.left) | formula_variables(f.right)
+        yield from _atoms(f.inner)
+    elif isinstance(f, (And, Or)):
+        yield from _atoms(f.left)
+        yield from _atoms(f.right)
+    else:
+        yield f
 
 
 def formula_constants(f: FilterFormula) -> frozenset[Iri]:
-    if isinstance(f, Eq):
-        return frozenset(s for s in (f.left, f.right) if isinstance(s, Iri))
-    if isinstance(f, (Bound, StateIs)):
-        return frozenset()
-    if isinstance(f, Not):
-        return formula_constants(f.inner)
-    return formula_constants(f.left) | formula_constants(f.right)
+    return frozenset(s for a in _atoms(f) if isinstance(a, Eq)
+                     for s in (a.left, a.right) if isinstance(s, Iri))
 
 
 def _compared_variables(f: FilterFormula) -> frozenset[Variable]:
     """Variables that an equality atom of f compares."""
-    if isinstance(f, Eq):
-        return formula_variables(f)
-    if isinstance(f, (Bound, StateIs)):
-        return frozenset()
-    if isinstance(f, Not):
-        return _compared_variables(f.inner)
-    return _compared_variables(f.left) | _compared_variables(f.right)
+    return frozenset(s for a in _atoms(f) if isinstance(a, Eq)
+                     for s in (a.left, a.right) if isinstance(s, Variable))
 
 
 def _formula_value(f: FilterFormula, get: Callable[[Variable], Any], state) -> ThreeValued:
@@ -396,29 +385,36 @@ class Belief:
 Query = Pattern | Join | Union | Filter | Project | MapState | Belief
 
 
-def _scope(q: Query, table: dict[int, frozenset[Variable]]) -> frozenset[Variable]:
+def _scope(q: Query, table: dict[int, frozenset[Variable]],
+           plain: bool = False) -> frozenset[Variable]:
     """q's in-scope variables; each node's scope is also stored in ``table``
     under its id.  Raises IllFormedQuery on any scoping-rule violation
     (join/union operator family, union scope mismatch, projection of an
-    out-of-scope variable, belief variable shadowing)."""
+    out-of-scope variable, belief variable shadowing) and, when ``plain``,
+    on any node or state test outside the plain-annotated fragment."""
+    if plain:
+        if isinstance(q, (MapState, Belief)):
+            raise IllFormedQuery(f"{type(q).__name__} is outside the plain-annotated fragment")
+        if isinstance(q, Filter) and any(isinstance(a, StateIs) for a in _atoms(q.formula)):
+            raise IllFormedQuery("state tests have no meaning over a generic semiring")
     if isinstance(q, Pattern):
         w = pattern_variables(q.pattern)
     elif isinstance(q, Join):
         if q.op not in MEET_OPERATORS:
             raise IllFormedQuery(f"join must use a meet operator, got {q.op.value}")
-        w = _scope(q.left, table) | _scope(q.right, table)
+        w = _scope(q.left, table, plain) | _scope(q.right, table, plain)
     elif isinstance(q, Union):
         if q.op not in JOIN_OPERATORS:
             raise IllFormedQuery(f"union must use a join operator, got {q.op.value}")
-        w, right = _scope(q.left, table), _scope(q.right, table)
+        w, right = _scope(q.left, table, plain), _scope(q.right, table, plain)
         if w != right:
             ln = sorted(v.name for v in w)
             rn = sorted(v.name for v in right)
             raise IllFormedQuery(f"union branches bind different variables: {ln} vs {rn}")
     elif isinstance(q, (Filter, MapState)):
-        w = _scope(q.query, table)
+        w = _scope(q.query, table, plain)
     elif isinstance(q, Project):
-        inner = _scope(q.query, table)
+        inner = _scope(q.query, table, plain)
         if not q.vars <= inner:
             missing = sorted(v.name for v in q.vars - inner)
             raise IllFormedQuery(f"projection of out-of-scope variable(s): {missing}")
@@ -437,10 +433,10 @@ def _scope(q: Query, table: dict[int, frozenset[Variable]]) -> frozenset[Variabl
     return w
 
 
-def _scopes(q: Query) -> dict[int, frozenset[Variable]]:
+def _scopes(q: Query, plain: bool = False) -> dict[int, frozenset[Variable]]:
     """Every node's in-scope variables, keyed by node id, in one pass."""
     table: dict[int, frozenset[Variable]] = {}
-    _scope(q, table)
+    _scope(q, table, plain)
     return table
 
 
@@ -586,7 +582,7 @@ def _class_members(rep: dict[Variable, Any], vars: frozenset[Variable],
 
 
 # ---------------------------------------------------------------------------
-# Shared combinators (four-valued and generic-semiring evaluation)
+# Combinators, each parameterised by the node's operator
 # ---------------------------------------------------------------------------
 
 
@@ -688,79 +684,54 @@ def _transform_by_formula(
     return Relation(w, default, exceptions, r.universe)
 
 
-def _group_exceptions(
-    r: Relation, keep: frozenset[Variable]
-) -> dict[Mapping, list]:
-    groups: dict[Mapping, list] = {}
-    for m, v in r.exceptions.items():
-        groups.setdefault(m.restrict(keep), []).append(v)
-    return groups
-
-
 def _project_four(
     r: Relation,
     keep: frozenset[Variable],
-    op: FourOperator,
+    add: Callable[[Any, Any], Any],
+    zero: Any,
     mode: EvalMode,
     universe_list: list[Term] | None,
 ) -> Relation:
+    """Sum r over the variables outside ``keep`` with ``add``, whose identity
+    is ``zero``.
+
+    Each group of exceptions that agree on ``keep`` adds up its values plus
+    r's default once for each missing extension.  A default ``d`` with
+    ``add(d, d) == d`` stands for any positive number of copies, which is
+    exact in every semiring; any other default is added copy by copy, so
+    open mode, with infinitely many extensions, refuses it.
+    """
     dropped = r.vars - keep
     if not dropped:
-        return Relation(keep, r.default, dict(r.exceptions), r.universe)
-    groups = _group_exceptions(r, keep)
-    exceptions: dict[Mapping, Any] = {}
-    if mode is EvalMode.OPEN:
-        # infinitely many default extensions always exist; one copy suffices
-        default = r.default
-        for m, vals in groups.items():
-            acc = apply(op, four_reduce(op, vals), r.default)
-            if acc != default:
-                exceptions[m] = acc
-        return Relation(keep, default, exceptions, None)
-    ext_total = len(universe_list) ** len(dropped)
-    default = r.default if ext_total >= 1 else identity_of(op)
-    for m, vals in groups.items():
-        acc = four_reduce(op, vals)
-        if len(vals) < ext_total:
-            acc = apply(op, acc, r.default)
-        if acc != default:
-            exceptions[m] = acc
-    return Relation(keep, default, exceptions, r.universe)
+        return r
+    d = r.default
+    idempotent = add(d, d) == d
+    if mode is EvalMode.OPEN and not idempotent:
+        raise NonFinitelySupported(
+            "projection over an infinite domain needs a zero or idempotent default"
+        )
+    total = None if mode is EvalMode.OPEN else len(universe_list) ** len(dropped)
 
+    def copies(n: int | None):
+        """d added n times; None stands for infinitely many."""
+        if idempotent:
+            return zero if n == 0 else d
+        return functools.reduce(add, itertools.repeat(d, n), zero)
 
-def _project_semiring(
-    r: Relation,
-    keep: frozenset[Variable],
-    s: Semiring,
-    mode: EvalMode,
-    universe_list: list[Term] | None,
-) -> Relation:
-    dropped = r.vars - keep
-    if not dropped:
-        return Relation(keep, r.default, dict(r.exceptions), r.universe)
-    groups = _group_exceptions(r, keep)
+    groups: dict[Mapping, list] = {}
+    for m, v in r.exceptions.items():
+        groups.setdefault(m.restrict(keep), []).append(v)
+    default = copies(total)
     exceptions: dict[Mapping, Any] = {}
-    if mode is EvalMode.OPEN:
-        if r.default != s.zero:
-            raise NonFinitelySupported(
-                "generic projection over an infinite domain needs a zero default"
-            )
-        for m, vals in groups.items():
-            acc = s.sum(vals)
-            if acc != s.zero:
-                exceptions[m] = acc
-        return Relation(keep, s.zero, exceptions, None)
-    ext_total = len(universe_list) ** len(dropped)
-    default = s.sum_repeated(r.default, ext_total)
     for m, vals in groups.items():
-        acc = s.add(s.sum(vals), s.sum_repeated(r.default, ext_total - len(vals)))
+        acc = functools.reduce(add, vals, copies(None if total is None else total - len(vals)))
         if acc != default:
             exceptions[m] = acc
     return Relation(keep, default, exceptions, r.universe)
 
 
 # ---------------------------------------------------------------------------
-# Four-valued evaluation
+# Evaluation
 # ---------------------------------------------------------------------------
 
 
@@ -817,21 +788,35 @@ def _eval_pattern(p: TriplePattern, g: FourGraph, universe: frozenset[Term] | No
 
 
 class _FourEngine:
-    """One evaluation.  Memos are keyed on graph identity, and each memo
-    value keeps its graph alive so the id cannot be reused meanwhile."""
+    """One evaluation, four-valued or, given a semiring, over its carrier.
+
+    Memos are keyed on graph identity, and each memo value keeps its graph
+    alive so the id cannot be reused meanwhile."""
 
     def __init__(self, vocab: BeliefVocabulary, mode: EvalMode, universe: frozenset[Term] | None,
-                 universe_list: list[Term] | None, scopes: dict[int, frozenset[Variable]]):
+                 universe_list: list[Term] | None, scopes: dict[int, frozenset[Variable]],
+                 semiring: Semiring | None = None):
         self.vocab = vocab
         self.mode = mode
         self.universe = universe
         self.universe_list = universe_list
         self.scopes = scopes
+        self.semiring = semiring
         self._indexes: dict = {}
         self._extract_cache: dict = {}
         self._eval_cache: dict = {}
 
     # -- helpers -----------------------------------------------------------
+
+    def _ops(self, op: FourOperator, additive: bool) -> tuple:
+        """A node's (operator, identity, absorbing element): its own
+        FourOperator's, or the semiring's add (Union, Project) or multiply
+        (Join, Filter) in its place.  ``apply`` is looked up at each call,
+        so a replaced module global reaches the engine."""
+        s = self.semiring
+        if s is None:
+            return (lambda a, b: apply(op, a, b)), identity_of(op), absorbing_of(op)
+        return (s.add, s.zero, None) if additive else (s.multiply, s.one, s.zero)
 
     def _index(self, g: FourGraph) -> dict:
         hit = self._indexes.get(id(g))
@@ -860,25 +845,20 @@ class _FourEngine:
         if isinstance(q, Pattern):
             return _eval_pattern(q.pattern, g, self.universe)
         if isinstance(q, Join):
-            r1 = self.eval(q.left, g)
-            r2 = self.eval(q.right, g)
-            return _combine_join(
-                r1, r2, lambda a, b: apply(q.op, a, b), self.mode, self.universe_list
-            )
+            multiply = self._ops(q.op, False)[0]
+            return _combine_join(self.eval(q.left, g), self.eval(q.right, g), multiply,
+                                 self.mode, self.universe_list)
         if isinstance(q, Union):
-            r1 = self.eval(q.left, g)
-            r2 = self.eval(q.right, g)
-            return _combine_union(r1, r2, lambda a, b: apply(q.op, a, b))
+            add = self._ops(q.op, True)[0]
+            return _combine_union(self.eval(q.left, g), self.eval(q.right, g), add)
         if isinstance(q, Filter):
-            r1 = self.eval(q.query, g)
-            ident = identity_of(q.op)
-            absorb = absorbing_of(q.op)
+            multiply, one, zero = self._ops(q.op, False)
 
             def value_for(outcome: ThreeValued, v):
-                c = ident if outcome is ThreeValued.TRUE else absorb
-                return apply(q.op, v, c)
+                return multiply(v, one if outcome is ThreeValued.TRUE else zero)
 
-            return _transform_by_formula(r1, q.formula, value_for, self.mode, self.universe_list)
+            return _transform_by_formula(self.eval(q.query, g), q.formula, value_for,
+                                         self.mode, self.universe_list)
         if isinstance(q, MapState):
             r1 = self.eval(q.query, g)
 
@@ -887,8 +867,9 @@ class _FourEngine:
 
             return _transform_by_formula(r1, q.formula, value_for, self.mode, self.universe_list)
         if isinstance(q, Project):
-            r1 = self.eval(q.query, g)
-            return _project_four(r1, frozenset(q.vars), q.op, self.mode, self.universe_list)
+            add, zero, _ = self._ops(q.op, True)
+            return _project_four(self.eval(q.query, g), frozenset(q.vars), add, zero,
+                                 self.mode, self.universe_list)
         if isinstance(q, Belief):
             return self._eval_belief(q, g)
         raise TypeError(f"not a query: {q!r}")
@@ -1006,39 +987,6 @@ def evaluate(
     return _FourEngine(vocab, mode, *_universe(q, g, mode, cap, scopes), scopes).eval(q, g)
 
 
-# ---------------------------------------------------------------------------
-# Generic semiring evaluation (plain-annotated fragment)
-# ---------------------------------------------------------------------------
-
-
-def _check_plain_fragment(q: Query) -> None:
-    def check_formula(f: FilterFormula) -> None:
-        if isinstance(f, StateIs):
-            raise IllFormedQuery("state tests have no meaning over a generic semiring")
-        if isinstance(f, Not):
-            check_formula(f.inner)
-        elif isinstance(f, (And, Or)):
-            check_formula(f.left)
-            check_formula(f.right)
-
-    if isinstance(q, Pattern):
-        return
-    if isinstance(q, (Join, Union)):
-        _check_plain_fragment(q.left)
-        _check_plain_fragment(q.right)
-        return
-    if isinstance(q, Filter):
-        check_formula(q.formula)
-        _check_plain_fragment(q.query)
-        return
-    if isinstance(q, Project):
-        _check_plain_fragment(q.query)
-        return
-    raise IllFormedQuery(
-        f"{type(q).__name__} is outside the plain-annotated fragment"
-    )
-
-
 def evaluate_k(
     q: Query,
     g: FourGraph,
@@ -1052,27 +1000,9 @@ def evaluate_k(
     Join/union/filter/projection operator slots are ignored; the semiring's
     multiply and add take their place (filters multiply by one or zero, so
     a failed condition annihilates).  Graph annotations must live in the
-    semiring's carrier.
+    semiring's carrier.  Open-mode projection needs a zero or idempotent
+    default, else NonFinitelySupported.
     """
-    _check_plain_fragment(q)
-    universe, universe_list = _universe(q, g, mode, cap, _scopes(q))
-
-    def run(node: Query) -> Relation:
-        if isinstance(node, Pattern):
-            return _eval_pattern(node.pattern, g, universe)
-        if isinstance(node, Join):
-            return _combine_join(run(node.left), run(node.right), s.multiply, mode, universe_list)
-        if isinstance(node, Union):
-            return _combine_union(run(node.left), run(node.right), s.add)
-        if isinstance(node, Filter):
-            r1 = run(node.query)
-
-            def value_for(outcome: ThreeValued, v):
-                return s.multiply(v, s.one if outcome is ThreeValued.TRUE else s.zero)
-
-            return _transform_by_formula(r1, node.formula, value_for, mode, universe_list)
-        if isinstance(node, Project):
-            return _project_semiring(run(node.query), frozenset(node.vars), s, mode, universe_list)
-        raise TypeError(f"not a plain query: {node!r}")
-
-    return run(q)
+    scopes = _scopes(q, plain=True)
+    universe, universe_list = _universe(q, g, mode, cap, scopes)
+    return _FourEngine(DEFAULT_VOCABULARY, mode, universe, universe_list, scopes, s).eval(q, g)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .four import FourValue, STATES
 
@@ -144,53 +144,6 @@ def term_to_pattern(t: Term) -> TermPattern:
     return TriplePattern(term_to_pattern(t.subject), t.predicate, term_to_pattern(t.object))
 
 
-def substitute(p: TermPattern, binding: dict[Variable, Term]) -> Term:
-    """Replace every variable of p using binding; binding must cover them all."""
-    if isinstance(p, Variable):
-        try:
-            return binding[p]
-        except KeyError:
-            raise ValueError(f"unbound variable {p!r} in substitution") from None
-    if isinstance(p, Iri):
-        return p
-    subj = substitute(p.subject, binding)
-    obj = substitute(p.object, binding)
-    pred = binding[p.predicate] if isinstance(p.predicate, Variable) else p.predicate
-    if not isinstance(pred, Iri):
-        raise ValueError(f"predicate variable bound to non-IRI: {pred!r}")
-    return StarTriple(subj, pred, obj)
-
-
-def match(p: TermPattern, t: Term,
-          binding: dict[Variable, Term] | None = None) -> dict[Variable, Term] | None:
-    """Unify a pattern with a ground term.
-
-    Returns the extending binding, or None.  Repeated variables must match
-    equal terms; a predicate-position variable only matches an IRI.
-    """
-    if binding is None:
-        binding = {}
-    if isinstance(p, Variable):
-        seen = binding.get(p)
-        if seen is None:
-            out = dict(binding)
-            out[p] = t
-            return out
-        return binding if seen == t else None
-    if isinstance(p, Iri):
-        return binding if p == t else None
-    # quoted pattern
-    if not isinstance(t, StarTriple):
-        return None
-    binding = match(p.subject, t.subject, binding)
-    if binding is None:
-        return None
-    binding = match(p.predicate, t.predicate, binding)
-    if binding is None:
-        return None
-    return match(p.object, t.object, binding)
-
-
 # ---------------------------------------------------------------------------
 # Graphs
 # ---------------------------------------------------------------------------
@@ -224,11 +177,6 @@ class FourGraph:
         self.exceptions = exc
         self._derived: dict = {}
 
-    @classmethod
-    def from_asserted(cls, triples: Iterable[StarTriple]) -> "FourGraph":
-        """Open-world reading of a plain triple set: listed true, rest unknown."""
-        return cls(FourValue.UNKNOWN, {t: FourValue.TRUE for t in triples})
-
     def lookup(self, t: StarTriple):
         return self.exceptions.get(t, self.default)
 
@@ -240,13 +188,6 @@ class FourGraph:
         else:
             exc[t] = v
         return FourGraph(self.default, exc)
-
-    def items(self) -> Iterator[tuple[StarTriple, object]]:
-        return iter(self.exceptions.items())
-
-    def key(self):
-        """Hashable identity, usable as a cache key."""
-        return (self.default, frozenset(self.exceptions.items()))
 
     def bucket(self, position: str, term: Term) -> Sequence[StarTriple]:
         """Exception triples whose ``position`` ('subject' or 'predicate')
@@ -276,7 +217,7 @@ class FourGraph:
             return NotImplemented
         return self.default == other.default and self.exceptions == other.exceptions
 
-    __hash__ = None  # mutable-looking container; use key() for caching
+    __hash__ = None  # equal by content; memos key graphs by id
 
     def __repr__(self) -> str:
         rows = ", ".join(

@@ -96,7 +96,6 @@ def test_mapping_basics():
     assert m.domain == {X, Y}
     assert m.get(X) == POPE
     assert m.get(S) is None
-    assert m.as_dict() == {X: POPE, Y: JESUS}
     assert m == Mapping.of({X: POPE, Y: JESUS})
     assert hash(m) == hash(Mapping.of({X: POPE, Y: JESUS}))
     assert m.restrict(frozenset({X})) == Mapping.of({X: POPE})
@@ -420,9 +419,6 @@ def test_variable_holder_work_is_sparse(monkeypatch):
         atomic_calls += isinstance(e, AtomicBelief)
         return real_extract(g, e, vocab, index)
 
-    def no_key(self):
-        raise AssertionError("FourGraph.key called during evaluation")
-
     scope_passes = 0
     real_scopes = esparql.algebra._scopes
 
@@ -432,7 +428,6 @@ def test_variable_holder_work_is_sparse(monkeypatch):
         return real_scopes(q)
 
     monkeypatch.setattr(belief_mod, "extract", counting_extract)
-    monkeypatch.setattr(FourGraph, "key", no_key)
     monkeypatch.setattr(esparql.algebra, "_scopes", counting_scopes)
     r = evaluate(q, g)
     monkeypatch.undo()

@@ -19,6 +19,7 @@ from esparql import (
     FourOperator,
     FourValue,
     IllFormedQuery,
+    NonFinitelySupported,
     Join,
     MapState,
     Pattern,
@@ -201,6 +202,44 @@ def test_matches_engine_on_truth_semiring(seed):
     g = randgen.random_graph(rng, pool)
     q = _with_ops(randgen.random_plain_query(rng, pool, depth=3), AND, OR)
     assert evaluate_k(q, g, FOUR_TRUTH).same_function(evaluate(q, g))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**9),
+       st.sampled_from([(FOUR_INFO, OTIMES, OPLUS), (FOUR_TRUTH, AND, OR)]))
+def test_matches_engine_in_open_mode(seed, ops):
+    # random graphs default to unknown or false; whichever is not the
+    # semiring's zero exercises the idempotent-default projection rule
+    s, meet, join = ops
+    rng = random.Random(seed)
+    pool = randgen.iri_pool()
+    g = randgen.random_graph(rng, pool)
+    q = _with_ops(randgen.random_plain_query(rng, pool, depth=3), meet, join)
+    try:
+        want = evaluate(q, g, mode=EvalMode.OPEN)
+    except NonFinitelySupported:
+        with pytest.raises(NonFinitelySupported):
+            evaluate_k(q, g, s, mode=EvalMode.OPEN)
+        return
+    assert evaluate_k(q, g, s, mode=EvalMode.OPEN) == want
+
+
+def test_open_projection_of_an_idempotent_default():
+    g = FourGraph(True, {POPE_CHRISTIAN: False, ARIUS_CHRISTIAN: False})
+    q = Project(OPLUS, frozenset({X}), Pattern(TriplePattern(X, A, Y)))
+    r = evaluate_k(q, g, BOOLEAN, mode=EvalMode.OPEN)
+    assert r.default is True and not r.exceptions
+    for m, want in evaluate_k(q, g, BOOLEAN).all_rows():
+        assert r.value_at(m) == want
+
+
+def test_open_projection_refuses_a_non_idempotent_default():
+    g = FourGraph(1, {POPE_CHRISTIAN: 2})
+    q = Project(OPLUS, frozenset(), X_CHRISTIAN)
+    with pytest.raises(NonFinitelySupported, match="zero or idempotent"):
+        evaluate_k(q, g, COUNTING, mode=EvalMode.OPEN)
+    # over the active domain {POPE, A, CHRISTIAN}: POPE's 2, the others' 1 each
+    assert evaluate_k(q, g, COUNTING).value_at(Mapping.of({})) == 2 + 1 + 1
 
 
 @settings(max_examples=25, deadline=None)

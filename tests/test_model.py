@@ -14,6 +14,7 @@ from esparql import (
     FourOperator,
     Iri,
     Join,
+    Mapping,
     NonFinitelySupported,
     Pattern,
     StarTriple,
@@ -22,11 +23,9 @@ from esparql import (
     Variable,
     active_domain,
     evaluate,
-    match,
     parse_graph,
     pattern_variables,
     render_graph,
-    substitute,
     term_text,
 )
 from esparql import randgen
@@ -142,38 +141,25 @@ def test_pattern_term_conversions():
         pattern_to_term(q)
 
 
-def test_substitute():
-    p = TriplePattern(X, VOCAB.to_be_false, TriplePattern(Y, A, FULL_DEITY))
-    t = substitute(p, {X: ARIUS, Y: JESUS})
-    assert t == StarTriple(ARIUS, VOCAB.to_be_false, JESUS_DEITY)
-    with pytest.raises(ValueError):
-        substitute(p, {X: ARIUS})
-    with pytest.raises(ValueError):
-        substitute(TriplePattern(X, Y, X), {X: POPE, Y: JESUS_DEITY})
-
-
 def test_match_binds_and_rejects():
+    def rows(p, t):
+        g = FourGraph(FourValue.UNKNOWN, {t: FourValue.TRUE})
+        return dict(evaluate(Pattern(p), g).exceptions)
+
     p = TriplePattern(X, A, Y)
-    assert match(p, StarTriple(POPE, A, CHRISTIAN)) == {X: POPE, Y: CHRISTIAN}
-    assert match(p, StarTriple(POPE, VOCAB.to_be_true, CHRISTIAN)) is None
+    assert rows(p, StarTriple(POPE, A, CHRISTIAN)) == {
+        Mapping.of({X: POPE, Y: CHRISTIAN}): FourValue.TRUE}
+    assert rows(p, StarTriple(POPE, VOCAB.to_be_true, CHRISTIAN)) == {}
 
     repeated = TriplePattern(X, A, X)
-    assert match(repeated, StarTriple(POPE, A, POPE)) == {X: POPE}
-    assert match(repeated, StarTriple(POPE, A, CHRISTIAN)) is None
+    assert rows(repeated, StarTriple(POPE, A, POPE)) == {Mapping.of({X: POPE}): FourValue.TRUE}
+    assert rows(repeated, StarTriple(POPE, A, CHRISTIAN)) == {}
 
     quoted = TriplePattern(X, VOCAB.to_be_false, TriplePattern(Y, A, FULL_DEITY))
-    assert match(quoted, StarTriple(ARIUS, VOCAB.to_be_false, JESUS_DEITY)) == {
-        X: ARIUS,
-        Y: JESUS,
-    }
-    assert match(quoted, StarTriple(ARIUS, VOCAB.to_be_false, ZEUS)) is None
-
-
-def test_match_extends_given_binding():
-    p = TriplePattern(X, A, Y)
-    t = StarTriple(POPE, A, CHRISTIAN)
-    assert match(p, t, {X: POPE}) == {X: POPE, Y: CHRISTIAN}
-    assert match(p, t, {X: ARIUS}) is None
+    assert rows(quoted, StarTriple(ARIUS, VOCAB.to_be_false, JESUS_DEITY)) == {
+        Mapping.of({X: ARIUS, Y: JESUS}): FourValue.TRUE}
+    assert rows(quoted, StarTriple(ARIUS, VOCAB.to_be_false, ZEUS)) == {}
+    assert rows(quoted, StarTriple(ARIUS, VOCAB.to_be_false, StarTriple(JESUS, A, ZEUS))) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -199,16 +185,14 @@ def test_graph_set_value_stays_canonical():
     assert g3 == g
 
 
-def test_graph_from_asserted_and_equality():
-    g = FourGraph.from_asserted([JESUS_DEITY, POPE_AFFIRMS])
+def test_graph_equality():
+    g = FourGraph(FourValue.UNKNOWN, {JESUS_DEITY: FourValue.TRUE, POPE_AFFIRMS: FourValue.TRUE})
     assert g.default == FourValue.UNKNOWN
     assert g.lookup(POPE_AFFIRMS) == FourValue.TRUE
     assert g.lookup(ZEUS_DEITY) == FourValue.UNKNOWN
     same = FourGraph(FourValue.UNKNOWN, {POPE_AFFIRMS: FourValue.TRUE,
                                          JESUS_DEITY: FourValue.TRUE})
     assert g == same
-    assert g.key() == same.key()
-    assert hash(g.key()) == hash(same.key())
     assert g != FourGraph(FourValue.FALSE, dict(g.exceptions))
 
 
