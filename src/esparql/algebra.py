@@ -12,6 +12,10 @@ evaluator:
   or the evaluator refuses with NonFinitelySupported when no finite
   default+exception table exists.
 
+The universe is decided once per evaluation and carried by every
+relation: each operator reads it from its input relation, where None
+means open mode.
+
 One engine serves both entry points.  ``evaluate`` interprets the full
 algebra over the four states, each node with its own operator;
 ``evaluate_k`` interprets the plain fragment (patterns, join, union,
@@ -567,7 +571,7 @@ def _equality_classes(
 
 
 def _class_members(rep: dict[Variable, Any], vars: frozenset[Variable],
-                   pool: list[Term], universe_list: list[Term]) -> Iterator[Mapping]:
+                   pool: list[Term], universe: Iterable[Term]) -> Iterator[Mapping]:
     """Every mapping over ``vars`` in the class of ``rep``: generic blocks
     take distinct terms of ``pool``, the other variables any universe term."""
     names = sorted(vars, key=lambda v: v.name)
@@ -576,7 +580,7 @@ def _class_members(rep: dict[Variable, Any], vars: frozenset[Variable],
     for picks in itertools.permutations(pool, len(blocks)):
         term = dict(zip(blocks, picks))
         binding = {v: term.get(t, t) for v, t in rep.items()}
-        for combo in itertools.product(universe_list, repeat=len(free)):
+        for combo in itertools.product(universe, repeat=len(free)):
             binding.update(zip(free, combo))
             yield Mapping(tuple((v, binding[v]) for v in names))
 
@@ -586,13 +590,7 @@ def _class_members(rep: dict[Variable, Any], vars: frozenset[Variable],
 # ---------------------------------------------------------------------------
 
 
-def _combine_join(
-    r1: Relation,
-    r2: Relation,
-    op2: Callable[[Any, Any], Any],
-    mode: EvalMode,
-    universe_list: list[Term] | None,
-) -> Relation:
+def _combine_join(r1: Relation, r2: Relation, op2: Callable[[Any, Any], Any]) -> Relation:
     w1, w2 = r1.vars, r2.vars
     d = op2(r1.default, r2.default)
     exceptions: dict[Mapping, Any] = {}
@@ -606,13 +604,13 @@ def _combine_join(
         if not extra:
             exceptions.update(hot)
             continue
-        if hot and mode is EvalMode.OPEN:
+        if hot and r1.universe is None:
             raise NonFinitelySupported(
                 "join of relations with disjoint variables whose defaults do not absorb"
             )
         extra_sorted = sorted(extra, key=lambda v: v.name)
         for m, x in hot:
-            for combo in itertools.product(universe_list, repeat=len(extra_sorted)):
+            for combo in itertools.product(r1.universe, repeat=len(extra_sorted)):
                 exceptions[m.extend(dict(zip(extra_sorted, combo)))] = x
     # pairs of exceptions that agree on the shared variables, hashed on them
     shared = w1 & w2
@@ -628,8 +626,7 @@ def _combine_join(
                 exceptions[m] = x
             else:
                 exceptions.pop(m, None)
-    universe = frozenset(universe_list) if universe_list is not None else None
-    return Relation(w1 | w2, d, exceptions, universe)
+    return Relation(w1 | w2, d, exceptions, r1.universe)
 
 
 def _combine_union(r1: Relation, r2: Relation, op2: Callable[[Any, Any], Any]) -> Relation:
@@ -646,8 +643,6 @@ def _transform_by_formula(
     r: Relation,
     f: FilterFormula,
     value_for: Callable[[ThreeValued, Any], Any],
-    mode: EvalMode,
-    universe_list: list[Term] | None,
 ) -> Relation:
     """Shared core of filtering and state-mapping.
 
@@ -661,9 +656,9 @@ def _transform_by_formula(
     """
     w = r.vars
     default = value_for(_generic_outcome(f, w, r.default), r.default)
-    open_mode = mode is EvalMode.OPEN
+    open_mode = r.universe is None
     constants = formula_constants(f)
-    pool = [] if open_mode else [t for t in universe_list if t not in constants]
+    pool = [] if open_mode else [t for t in r.universe if t not in constants]
     exceptions: dict[Mapping, Any] = {}
     for rep, outcome in _equality_classes(f, w, r.default, None if open_mode else len(pool)):
         value = value_for(outcome, r.default)
@@ -673,7 +668,7 @@ def _transform_by_formula(
             raise NonFinitelySupported(
                 "formula distinguishes infinitely many off-support mappings"
             )
-        for m in _class_members(rep, w, pool, universe_list or []):
+        for m in _class_members(rep, w, pool, r.universe or ()):
             exceptions[m] = value
     for m, v in r.exceptions.items():
         nv = value_for(_formula_value(f, m.get, v), v)
@@ -689,8 +684,6 @@ def _project_four(
     keep: frozenset[Variable],
     add: Callable[[Any, Any], Any],
     zero: Any,
-    mode: EvalMode,
-    universe_list: list[Term] | None,
 ) -> Relation:
     """Sum r over the variables outside ``keep`` with ``add``, whose identity
     is ``zero``.
@@ -706,11 +699,11 @@ def _project_four(
         return r
     d = r.default
     idempotent = add(d, d) == d
-    if mode is EvalMode.OPEN and not idempotent:
+    if r.universe is None and not idempotent:
         raise NonFinitelySupported(
             "projection over an infinite domain needs a zero or idempotent default"
         )
-    total = None if mode is EvalMode.OPEN else len(universe_list) ** len(dropped)
+    total = None if r.universe is None else len(r.universe) ** len(dropped)
 
     def copies(n: int | None):
         """d added n times; None stands for infinitely many."""
@@ -793,13 +786,10 @@ class _FourEngine:
     Memos are keyed on graph identity, and each memo value keeps its graph
     alive so the id cannot be reused meanwhile."""
 
-    def __init__(self, vocab: BeliefVocabulary, mode: EvalMode, universe: frozenset[Term] | None,
-                 universe_list: list[Term] | None, scopes: dict[int, frozenset[Variable]],
-                 semiring: Semiring | None = None):
+    def __init__(self, vocab: BeliefVocabulary, universe: frozenset[Term] | None,
+                 scopes: dict[int, frozenset[Variable]], semiring: Semiring | None = None):
         self.vocab = vocab
-        self.mode = mode
         self.universe = universe
-        self.universe_list = universe_list
         self.scopes = scopes
         self.semiring = semiring
         self._indexes: dict = {}
@@ -846,8 +836,7 @@ class _FourEngine:
             return _eval_pattern(q.pattern, g, self.universe)
         if isinstance(q, Join):
             multiply = self._ops(q.op, False)[0]
-            return _combine_join(self.eval(q.left, g), self.eval(q.right, g), multiply,
-                                 self.mode, self.universe_list)
+            return _combine_join(self.eval(q.left, g), self.eval(q.right, g), multiply)
         if isinstance(q, Union):
             add = self._ops(q.op, True)[0]
             return _combine_union(self.eval(q.left, g), self.eval(q.right, g), add)
@@ -857,19 +846,17 @@ class _FourEngine:
             def value_for(outcome: ThreeValued, v):
                 return multiply(v, one if outcome is ThreeValued.TRUE else zero)
 
-            return _transform_by_formula(self.eval(q.query, g), q.formula, value_for,
-                                         self.mode, self.universe_list)
+            return _transform_by_formula(self.eval(q.query, g), q.formula, value_for)
         if isinstance(q, MapState):
             r1 = self.eval(q.query, g)
 
             def value_for(outcome: ThreeValued, v):
                 return q.then_state if outcome is ThreeValued.TRUE else q.else_state
 
-            return _transform_by_formula(r1, q.formula, value_for, self.mode, self.universe_list)
+            return _transform_by_formula(r1, q.formula, value_for)
         if isinstance(q, Project):
             add, zero, _ = self._ops(q.op, True)
-            return _project_four(self.eval(q.query, g), frozenset(q.vars), add, zero,
-                                 self.mode, self.universe_list)
+            return _project_four(self.eval(q.query, g), frozenset(q.vars), add, zero)
         if isinstance(q, Belief):
             return self._eval_belief(q, g)
         raise TypeError(f"not a query: {q!r}")
@@ -881,7 +868,7 @@ class _FourEngine:
 
         evars_sorted = sorted(evars, key=lambda v: v.name)
         w1 = self.scopes[id(q.query)]
-        open_mode = self.mode is EvalMode.OPEN
+        open_mode = self.universe is None
         taken = {h for h, _ in self._index(g)}
         fresh = next(i for i in (Iri(f"urn:esparql:fresh{n}") for n in itertools.count())
                      if i not in taken)
@@ -904,8 +891,8 @@ class _FourEngine:
             stands_for = {fresh: []}
         else:
             stands_for = {
-                fresh: [t for t in self.universe_list if isinstance(t, Iri) and t not in taken],
-                None: [t for t in self.universe_list if not isinstance(t, Iri)],
+                fresh: [t for t in self.universe if isinstance(t, Iri) and t not in taken],
+                None: [t for t in self.universe if not isinstance(t, Iri)],
             }
         default = r0.default
         unknown = Relation(w1, UNKNOWN, None, self.universe)
@@ -927,7 +914,7 @@ class _FourEngine:
                 )
             else:
                 rows = [(m1, rel.value_at(m1))
-                        for m1 in mappings_over(w1, self.universe_list or ())]
+                        for m1 in mappings_over(w1, self.universe or ())]
             for combo in itertools.product(*(stands_for.get(t, (t,)) for t in key)):
                 binding = dict(zip(evars_sorted, combo))
                 for m1, v in rows:
@@ -936,37 +923,18 @@ class _FourEngine:
         return Relation(w1 | evars, default, exceptions, self.universe)
 
 
-def _scope_guard(q: Query, universe: frozenset[Term], cap: int,
-                 scopes: dict[int, frozenset[Variable]]) -> None:
-    """Refuse up front when any sub-result could exceed the enumeration cap."""
-    size = len(universe)
-
-    def walk(node: Query) -> None:
-        w = len(scopes[id(node)])
-        if size ** w > cap:
-            raise UniverseTooLarge(
-                f"|universe| ** |vars| = {size}**{w} exceeds cap {cap}"
-            )
-        if isinstance(node, (Join, Union)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, (Filter, Project, MapState, Belief)):
-            walk(node.query)
-
-    walk(q)
-
-
 def _universe(q: Query, g: FourGraph, mode: EvalMode, cap: int,
-              scopes: dict[int, frozenset[Variable]]) -> tuple:
-    """The active-domain universe of q over g and its ``term_text``-sorted
-    list (the graph's cached one when q adds no term), or (None, None) in
-    open mode."""
+              scopes: dict[int, frozenset[Variable]]) -> frozenset[Term] | None:
+    """The active-domain universe of q over g, or None in open mode.
+    Refuses up front when the widest sub-result could exceed the
+    enumeration cap."""
     if mode is EvalMode.OPEN:
-        return None, None
+        return None
     universe = active_domain(g, query_constants(q))
-    _scope_guard(q, universe, cap, scopes)
-    domain, ordered = g.domain()
-    return universe, ordered if universe is domain else sorted(universe, key=term_text)
+    size, widest = len(universe), max(map(len, scopes.values()))
+    if size ** widest > cap:
+        raise UniverseTooLarge(f"|universe| ** |vars| = {size}**{widest} exceeds cap {cap}")
+    return universe
 
 
 def evaluate(
@@ -984,7 +952,7 @@ def evaluate(
     open mode may raise NonFinitelySupported.
     """
     scopes = _scopes(q)
-    return _FourEngine(vocab, mode, *_universe(q, g, mode, cap, scopes), scopes).eval(q, g)
+    return _FourEngine(vocab, _universe(q, g, mode, cap, scopes), scopes).eval(q, g)
 
 
 def evaluate_k(
@@ -1004,5 +972,5 @@ def evaluate_k(
     default, else NonFinitelySupported.
     """
     scopes = _scopes(q, plain=True)
-    universe, universe_list = _universe(q, g, mode, cap, scopes)
-    return _FourEngine(DEFAULT_VOCABULARY, mode, universe, universe_list, scopes, s).eval(q, g)
+    universe = _universe(q, g, mode, cap, scopes)
+    return _FourEngine(DEFAULT_VOCABULARY, universe, scopes, s).eval(q, g)

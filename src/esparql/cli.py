@@ -11,7 +11,7 @@ import sys
 
 import click
 
-from .algebra import DEFAULT_CAP, EvalMode, evaluate
+from .algebra import DEFAULT_CAP, EvalMode, evaluate, in_scope
 from .errors import (
     DuplicateTriple,
     IllFormedQuery,
@@ -143,6 +143,7 @@ def cmd_check(graph_path, query_path, inline, base_iri) -> None:
     """Validate a graph file and/or a query without evaluating."""
     if graph_path is None and query_path is None and inline is None:
         raise click.UsageError("nothing to check; provide --graph and/or --query/--eval")
+    text = None if query_path is None and inline is None else _query_text(query_path, inline)
 
     def run():
         if graph_path is not None:
@@ -151,16 +152,9 @@ def cmd_check(graph_path, query_path, inline, base_iri) -> None:
                 f"graph {graph_path}: ok "
                 f"({len(g.exceptions)} exceptions, default {g.default.label})"
             )
-        if query_path is not None or inline is not None:
-            text = inline
-            label = "query <inline>"
-            if query_path is not None:
-                with open(query_path, "r", encoding="utf-8") as handle:
-                    text = handle.read()
-                label = f"query {query_path}"
+        if text is not None:
+            label = "query <inline>" if query_path is None else f"query {query_path}"
             q = desugar(parse_query(text, base_iri=base_iri))
-            from .algebra import in_scope
-
             names = ", ".join(sorted("?" + v.name for v in in_scope(q))) or "(none)"
             click.echo(f"{label}: ok (in scope: {names})")
 

@@ -241,23 +241,6 @@ class Semiring:
     def __repr__(self) -> str:
         return f"Semiring({self.name})"
 
-    def sum(self, values: Iterable[Any]) -> Any:
-        acc = self.zero
-        for v in values:
-            acc = self.add(acc, v)
-        return acc
-
-    def sum_repeated(self, value: Any, count: int) -> Any:
-        """value + value + ... (count times).  Exact, no idempotence shortcut."""
-        if count < 0:
-            raise ValueError("negative repetition count")
-        acc = self.zero
-        if value == self.zero:
-            return acc
-        for _ in range(count):
-            acc = self.add(acc, value)
-        return acc
-
 
 FOUR_TRUTH = Semiring(
     name="four-truth",

@@ -158,9 +158,8 @@ class FourGraph:
 
     Invariant: ``exceptions`` is never mutated after construction (updates
     such as ``set_value`` return a new graph).  The structures derived from
-    it, triples bucketed by subject and by predicate and the active domain
-    with its sorted list, are built on first use and then cached on that
-    invariant.
+    it, triples bucketed by subject and by predicate and the active domain,
+    are built on first use and then cached on that invariant.
     """
 
     __slots__ = ("default", "exceptions", "_derived")
@@ -199,9 +198,8 @@ class FourGraph:
                 index.setdefault(getattr(t, position), []).append(t)
         return index.get(term, ())
 
-    def domain(self) -> tuple[frozenset[Term], list[Term]]:
-        """The active domain of the exceptions (see ``active_domain``) and
-        the same terms sorted by ``term_text``."""
+    def domain(self) -> frozenset[Term]:
+        """The active domain of the exceptions (see ``active_domain``)."""
         hit = self._derived.get("domain")
         if hit is None:
             acc: set[Term] = set()
@@ -209,7 +207,7 @@ class FourGraph:
                 _collect_term(t.subject, acc)
                 _collect_term(t.predicate, acc)
                 _collect_term(t.object, acc)
-            hit = self._derived["domain"] = (frozenset(acc), sorted(acc, key=term_text))
+            hit = self._derived["domain"] = frozenset(acc)
         return hit
 
     def __eq__(self, other) -> bool:
@@ -245,7 +243,7 @@ def active_domain(g: FourGraph, extra: Iterable[Term] = ()) -> frozenset[Term]:
     The graph's own part is cached on the graph; when every extra term is
     already in it, that cached set itself is returned.
     """
-    base = g.domain()[0]
+    base = g.domain()
     missing = [t for t in extra if t not in base]
     if not missing:
         return base

@@ -546,9 +546,7 @@ def _parse_operand(s: _Stream):
 
 def desugar(uq: UserQuery) -> Query:
     """Lower the surface form onto the algebra and validate scopes."""
-    q = _desugar_select(uq)
-    in_scope(q)  # raises IllFormedQuery on any structural violation
-    return q
+    return _desugar_select(uq)
 
 
 def _ops_for(info: bool):

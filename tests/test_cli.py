@@ -200,6 +200,35 @@ def test_cap_overruns_exit_with_5(runner):
     assert result.stderr == "error: |universe| ** |vars| = 17**4 exceeds cap 1000\n"
 
 
+def test_cap_refusal_reports_the_widest_scope(runner):
+    # the root projection binds two variables, the join under it four
+    query = "SELECT ?a ?b WHERE { ?a <p> ?b . ?c <q> ?d }"
+    result = runner.invoke(main, ["query", "--graph", GRAPH, "--eval", query, "--cap", "17"])
+    assert result.exit_code == 5
+    assert result.stderr == "error: |universe| ** |vars| = 19**4 exceeds cap 17\n"
+
+
+def test_answers_do_not_depend_on_hash_order():
+    # operators iterate the universe as a set, in hash order; the printed
+    # answer of a densifying join and an equality filter must not show it
+    src = Path(esparql.__file__).resolve().parent.parent
+    inline = ("SELECT ?a ?b ?c WHERE { ?a <a> ?b . MAP IF (STATE IS TRUE) TO FALSE "
+              "ELSE UNKNOWN . ?c <a> <Christian> . FILTER (?a = ?b) }")
+    sources = [["--query", _fx(f"u{i}.esq")] for i in range(1, 5)] + [["--eval", inline]]
+    for source in sources:
+        outputs = set()
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
+            result = subprocess.run(
+                [sys.executable, "-m", "esparql", "query", "--graph", GRAPH, *source,
+                 "--show-default"],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.add(result.stdout)
+        assert len(outputs) == 1, source
+
+
 # --------------------------------------------------------------------- check
 
 
@@ -233,6 +262,14 @@ def test_check_with_no_inputs_is_a_usage_error(runner):
     result = runner.invoke(main, ["check"])
     assert result.exit_code == 2
     assert "nothing to check" in result.stderr
+
+
+def test_check_with_both_query_sources_is_a_usage_error(runner):
+    result = runner.invoke(
+        main, ["check", "--query", _fx("u1.esq"), "--eval", "SELECT ?x WHERE { ?x a ?kind }"]
+    )
+    assert result.exit_code == 2
+    assert "provide exactly one of --query and --eval" in result.stderr
 
 
 # ---------------------------------------------------------------------- diff

@@ -264,18 +264,3 @@ def test_semiring_registry():
     for name, s in SEMIRINGS.items():
         assert s.name == name
 
-
-def test_sum_and_sum_repeated():
-    assert COUNTING.sum([1, 2, 3]) == 6
-    assert COUNTING.sum([]) == 0
-    assert COUNTING.sum_repeated(3, 4) == 12
-    assert COUNTING.sum_repeated(3, 0) == 0
-    assert BOOLEAN.sum_repeated(True, 2) is True
-    for s in (FOUR_TRUTH, FOUR_INFO):
-        for v in STATES:
-            # idempotent add: any positive repetition collapses
-            assert s.sum_repeated(v, 1) == v
-            assert s.sum_repeated(v, 5) == v
-            assert s.sum_repeated(v, 0) == s.zero
-    with pytest.raises(ValueError):
-        COUNTING.sum_repeated(1, -1)
