@@ -392,10 +392,13 @@ Query = Pattern | Join | Union | Filter | Project | MapState | Belief
 def _scope(q: Query, table: dict[int, frozenset[Variable]],
            plain: bool = False) -> frozenset[Variable]:
     """q's in-scope variables; each node's scope is also stored in ``table``
-    under its id.  Raises IllFormedQuery on any scoping-rule violation
-    (join/union operator family, union scope mismatch, projection of an
-    out-of-scope variable, belief variable shadowing) and, when ``plain``,
-    on any node or state test outside the plain-annotated fragment."""
+    under its id, and a node already there is not walked again.  Raises
+    IllFormedQuery on any scoping-rule violation (join/union operator
+    family, union scope mismatch, projection of an out-of-scope variable,
+    belief variable shadowing) and, when ``plain``, on any node or state
+    test outside the plain-annotated fragment."""
+    if id(q) in table:
+        return table[id(q)]
     if plain:
         if isinstance(q, (MapState, Belief)):
             raise IllFormedQuery(f"{type(q).__name__} is outside the plain-annotated fragment")

@@ -33,31 +33,33 @@ from .oracle import DEFAULT_ORACLE_CAP, diff as diff_relations, oracle_eval
 from .parser import desugar, parse_graph, parse_query, serialize_relation
 from . import randgen
 
-_SYNTAX_ERRORS = (ParseError, DuplicateTriple)
-_FORM_ERRORS = (IllFormedQuery, UnboundBeliefVariable, NonIriHolder)
-
-
-def _fail(code: int, err: Exception) -> None:
-    click.echo(f"error: {err}", err=True)
-    sys.exit(code)
+# The exit code of each error class a command reports; a subclass takes its
+# nearest listed ancestor's code (see the module docstring).
+_EXIT_CODES = {ParseError: 2, DuplicateTriple: 2,
+               IllFormedQuery: 3, UnboundBeliefVariable: 3, NonIriHolder: 3,
+               NonFinitelySupported: 4, UniverseTooLarge: 5}
+_REPORTED = tuple(_EXIT_CODES)
 
 
 def _guarded(action):
     try:
         return action()
-    except _SYNTAX_ERRORS as e:
-        _fail(2, e)
-    except _FORM_ERRORS as e:
-        _fail(3, e)
-    except NonFinitelySupported as e:
-        _fail(4, e)
-    except UniverseTooLarge as e:
-        _fail(5, e)
+    except _REPORTED as e:
+        click.echo(f"error: {e}", err=True)
+        sys.exit(next(_EXIT_CODES[c] for c in type(e).__mro__ if c in _EXIT_CODES))
 
 
 def _load_graph(path: str, base_iri: str) -> FourGraph:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_graph(handle.read(), base_iri=base_iri)
+
+
+def _answer(text: str, graph: FourGraph, vocab: BeliefVocabulary, mode: str, cap: int,
+            fmt: str, show_default: bool, base_iri: str) -> str:
+    """Parse, evaluate and serialize one query: what `query` and the repl print."""
+    q = desugar(parse_query(text, base_iri=base_iri))
+    r = evaluate(q, graph, vocab=vocab, mode=EvalMode(mode), cap=cap)
+    return serialize_relation(r, fmt, show_default=show_default, base_iri=base_iri)
 
 
 def _query_text(query_path, inline) -> str:
@@ -123,13 +125,8 @@ def cmd_query(graph_path, query_path, inline, mode, fmt, show_default,
 
     def run():
         g = _load_graph(graph_path, base_iri)
-        q = desugar(parse_query(text, base_iri=base_iri))
         vocab = BeliefVocabulary.from_namespace(vocab_ns)
-        r = evaluate(q, g, vocab=vocab, mode=EvalMode(mode), cap=cap)
-        click.echo(
-            serialize_relation(r, fmt, show_default=show_default, base_iri=base_iri),
-            nl=False,
-        )
+        click.echo(_answer(text, g, vocab, mode, cap, fmt, show_default, base_iri), nl=False)
 
     _guarded(run)
 
@@ -203,11 +200,7 @@ def cmd_diff(seed, cases, cap, vocab_ns) -> None:
 @click.option("--cap", type=int, default=DEFAULT_CAP, show_default=True)
 def cmd_repl(graph_path, mode, fmt, show_default, base_iri, vocab_ns, cap) -> None:
     """Interactive session: queries end with a blank line, ':quit' leaves."""
-    state = {
-        "graph": FourGraph(FourValue.UNKNOWN),
-        "mode": EvalMode(mode),
-        "format": fmt,
-    }
+    state = {"graph": FourGraph(FourValue.UNKNOWN), "mode": mode, "format": fmt}
     vocab = BeliefVocabulary.from_namespace(vocab_ns)
     if graph_path is not None:
         state["graph"] = _load_graph(graph_path, base_iri)
@@ -216,18 +209,10 @@ def cmd_repl(graph_path, mode, fmt, show_default, base_iri, vocab_ns, cap) -> No
 
     def run_query(text: str) -> None:
         try:
-            q = desugar(parse_query(text, base_iri=base_iri))
-            r = evaluate(q, state["graph"], vocab=vocab, mode=state["mode"], cap=cap)
-        except (
-            *_SYNTAX_ERRORS, *_FORM_ERRORS, NonFinitelySupported, UniverseTooLarge
-        ) as e:
+            click.echo(_answer(text, state["graph"], vocab, state["mode"], cap,
+                               state["format"], show_default, base_iri), nl=False)
+        except _REPORTED as e:
             click.echo(f"error: {e}")
-            return
-        click.echo(
-            serialize_relation(r, state["format"], show_default=show_default,
-                               base_iri=base_iri),
-            nl=False,
-        )
 
     def directive(line: str) -> bool:
         parts = line.split(None, 1)
@@ -242,16 +227,14 @@ def cmd_repl(graph_path, mode, fmt, show_default, base_iri, vocab_ns, cap) -> No
             try:
                 state["graph"] = _load_graph(arg, base_iri)
                 click.echo(f"loaded {arg}")
-            except OSError as e:
-                click.echo(f"error: {e}")
-            except _SYNTAX_ERRORS as e:
+            except (OSError, *_REPORTED) as e:
                 click.echo(f"error: {e}")
             return True
         if name == ":mode":
             if arg is None:
-                click.echo(state["mode"].value)
+                click.echo(state["mode"])
             elif arg in ("active-domain", "open"):
-                state["mode"] = EvalMode(arg)
+                state["mode"] = arg
             else:
                 click.echo("modes: active-domain, open")
             return True

@@ -45,7 +45,7 @@ from .algebra import (
     Relation,
     StateIs,
     Union,
-    in_scope,
+    _scope,
 )
 
 _SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
@@ -546,7 +546,7 @@ def _parse_operand(s: _Stream):
 
 def desugar(uq: UserQuery) -> Query:
     """Lower the surface form onto the algebra and validate scopes."""
-    return _desugar_select(uq)
+    return _desugar_select(uq, {})
 
 
 def _ops_for(info: bool):
@@ -561,13 +561,15 @@ def _pos(position: tuple[int, int]) -> str:
     return f"{position[0]}:{position[1]}"
 
 
-def _desugar_select(uq: UserQuery) -> Query:
+def _desugar_select(uq: UserQuery, scopes: dict) -> Query:
+    """``scopes`` is the ``_scope`` table shared by every nested select, so
+    each subquery is scope-checked once."""
     project_op = _ops_for(uq.info)[2]
-    body = _desugar_body(uq.body, uq.info, uq.position)
+    body = _desugar_body(uq.body, uq.info, uq.position, scopes)
     if uq.holders:
         expr = _holders_expression(uq.holders)
         body = Belief(expr, body)
-    scope = in_scope(body)
+    scope = _scope(body, scopes)
     if uq.projection is None:
         keep = scope
     else:
@@ -584,7 +586,8 @@ def _holders_expression(holders: list) -> BeliefQuery:
     return _fold(lambda a, b: CompoundBelief(a, FourOperator.INFO_JOIN, b), parts)
 
 
-def _desugar_body(items: list, info: bool, position: tuple[int, int]) -> Query:
+def _desugar_body(items: list, info: bool, position: tuple[int, int],
+                  scopes: dict) -> Query:
     join_op, union_op, _, filter_op = _ops_for(info)
     acc: Optional[Query] = None
     for item in items:
@@ -605,12 +608,12 @@ def _desugar_body(items: list, info: bool, position: tuple[int, int]) -> Query:
         if isinstance(item, TripleItem):
             q: Query = Pattern(item.pattern)
         elif isinstance(item, SubSelect):
-            q = _desugar_select(item.query)
+            q = _desugar_select(item.query, scopes)
         elif isinstance(item, UnionItem):
             q = Union(
                 union_op,
-                _desugar_body(item.left, info, item.position),
-                _desugar_body(item.right, info, item.position),
+                _desugar_body(item.left, info, item.position, scopes),
+                _desugar_body(item.right, info, item.position, scopes),
             )
         else:  # pragma: no cover - parser produces no other items
             raise IllFormedQuery(f"unknown body item {item!r}")
@@ -637,19 +640,15 @@ def _value_label(v) -> str:
     return str(v)
 
 
-def _cell_text(term, base: str) -> str:
-    if isinstance(term, Iri):
-        return shorten_iri(term.text, base)
-    return _quoted_cell(term, base)
+# an IRI inside a term's text; '<<' and '>>' never match
+_IRI_IN_TEXT = re.compile(r"<([^\s<>]+)>")
 
 
-def _quoted_cell(t: StarTriple, base: str) -> str:
-    def part(term):
-        if isinstance(term, Iri):
-            return f"<{shorten_iri(term.text, base)}>"
-        return _quoted_cell(term, base)
-
-    return f"<< {part(t.subject)} <{shorten_iri(t.predicate.text, base)}> {part(t.object)} >>"
+def _table_cell(text: str, base: str) -> str:
+    """A term's text with every IRI shortened; a lone IRI loses its brackets."""
+    if not text.startswith("<<"):
+        return shorten_iri(text[1:-1], base)
+    return _IRI_IN_TEXT.sub(lambda m: f"<{shorten_iri(m[1], base)}>", text)
 
 
 def serialize_relation(
@@ -659,36 +658,25 @@ def serialize_relation(
     show_default: bool = False,
     base_iri: str = DEFAULT_BASE_IRI,
 ) -> str:
-    """Render a relation's exception rows (plus the wildcard row on request)."""
+    """Render a relation's exception rows (plus the wildcard row on request).
+
+    A row is the ``term_text`` of each binding, in variable-name order, then
+    the state; rows sort by those texts, as ``Relation.rows`` does."""
     names = sorted(v.name for v in r.vars)
-    order = [Variable(name) for name in names]
-    rows = r.rows()
+    header = names + ["state"]
+    rows = sorted([*(term_text(t) for _, t in m.bindings), _value_label(v)]
+                  for m, v in r.exceptions.items())
+    wildcard = [["*"] * len(names) + [_value_label(r.default)]] if show_default else []
     if format == "table":
-        lines = [" | ".join(names + ["state"])]
-        for m, v in rows:
-            cells = [_cell_text(m.get(var), base_iri) for var in order]
-            lines.append(" | ".join(cells + [_value_label(v)]))
-        if show_default:
-            lines.append(" | ".join(["*"] * len(order) + [_value_label(r.default)]))
-        return "\n".join(lines) + "\n"
+        rows = [[*(_table_cell(c, base_iri) for c in row[:-1]), row[-1]] for row in rows]
+        return "".join(" | ".join(row) + "\n" for row in [header, *rows, *wildcard])
     if format == "json-lines":
-        lines = []
-        for m, v in rows:
-            record = {name: term_text(m.get(var)) for name, var in zip(names, order)}
-            record["state"] = _value_label(v)
-            lines.append(json.dumps(record))
-        if show_default:
-            record = {name: "*" for name in names}
-            record["state"] = _value_label(r.default)
-            lines.append(json.dumps(record))
-        return "\n".join(lines) + ("\n" if lines else "")
+        if "state" in names:
+            raise IllFormedQuery("json-lines cannot write variable ?state: "
+                                 "its records use that key for the state")
+        return "".join(json.dumps(dict(zip(header, row))) + "\n" for row in rows + wildcard)
     if format == "csv":
         out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(names + ["state"])
-        for m, v in rows:
-            writer.writerow([term_text(m.get(var)) for var in order] + [_value_label(v)])
-        if show_default:
-            writer.writerow(["*"] * len(order) + [_value_label(r.default)])
+        csv.writer(out, lineterminator="\n").writerows([header, *rows, *wildcard])
         return out.getvalue()
     raise ValueError(f"unknown format {format!r}")

@@ -239,7 +239,35 @@ def random_belief_expr(rng: random.Random, pool: list[Iri], holder) -> BeliefQue
 # Queries
 # ---------------------------------------------------------------------------
 
-_NODE_KINDS = ("join", "union", "filter", "project", "map", "belief")
+_PLAIN_KINDS = ("join", "union", "filter", "project")
+_NODE_KINDS = (*_PLAIN_KINDS, "map", "belief")
+
+
+def _plain_node(rng: random.Random, pool: list[Iri], kind: str, target, child,
+                filter_ops, allow_state: bool) -> Query:
+    """A ``kind`` node (one of ``_PLAIN_KINDS``) with in-scope set ``target``;
+    ``child(scope)`` builds each sub-query.  Shared by both query
+    generators; the order of the draws is part of every seed's output."""
+    if kind == "join":
+        left, right = set(), set()
+        for v in _sorted_vars(target):
+            side = rng.randint(0, 2)
+            if side in (0, 2):
+                left.add(v)
+            if side in (1, 2):
+                right.add(v)
+        return Join(rng.choice(MEET_OPERATORS), child(frozenset(left)), child(frozenset(right)))
+    if kind == "union":
+        return Union(rng.choice(JOIN_OPERATORS), child(target), child(target))
+    if kind == "filter":
+        return Filter(rng.choice(filter_ops), child(target),
+                      random_formula(rng, pool, target, allow_state=allow_state))
+    spare = [v for v in VARS if v not in target]
+    wider = set(target)
+    for v in spare:
+        if len(wider) < 3 and rng.random() < 0.5:
+            wider.add(v)
+    return Project(rng.choice(ALL_OPERATORS), target, child(frozenset(wider)))
 
 
 def random_query(
@@ -269,42 +297,9 @@ def random_query(
                 gen(frozenset(names[mid:]), 0, var_holder_ok),
             )
         kind = rng.choice(_NODE_KINDS)
-        if kind == "join":
-            left, right = set(), set()
-            for v in _sorted_vars(target):
-                side = rng.randint(0, 2)
-                if side in (0, 2):
-                    left.add(v)
-                if side in (1, 2):
-                    right.add(v)
-            return Join(
-                rng.choice(MEET_OPERATORS),
-                gen(frozenset(left), budget - 1, var_holder_ok),
-                gen(frozenset(right), budget - 1, var_holder_ok),
-            )
-        if kind == "union":
-            return Union(
-                rng.choice(JOIN_OPERATORS),
-                gen(target, budget - 1, var_holder_ok),
-                gen(target, budget - 1, var_holder_ok),
-            )
-        if kind == "filter":
-            return Filter(
-                rng.choice(ALL_OPERATORS),
-                gen(target, budget - 1, var_holder_ok),
-                random_formula(rng, pool, target),
-            )
-        if kind == "project":
-            spare = [v for v in VARS if v not in target]
-            wider = set(target)
-            for v in spare:
-                if len(wider) < 3 and rng.random() < 0.5:
-                    wider.add(v)
-            return Project(
-                rng.choice(ALL_OPERATORS),
-                target,
-                gen(frozenset(wider), budget - 1, var_holder_ok),
-            )
+        if kind in _PLAIN_KINDS:
+            return _plain_node(rng, pool, kind, target,
+                               lambda t: gen(t, budget - 1, var_holder_ok), ALL_OPERATORS, True)
         if kind == "map":
             return MapState(
                 gen(target, budget - 1, var_holder_ok),
@@ -371,41 +366,8 @@ def random_plain_query(
     def gen(target, budget: int) -> Query:
         if budget <= 0 or rng.random() < 0.3:
             return Pattern(random_pattern(rng, pool, target))
-        kind = rng.choice(("join", "union", "filter", "project"))
-        if kind == "join":
-            left, right = set(), set()
-            for v in _sorted_vars(target):
-                side = rng.randint(0, 2)
-                if side in (0, 2):
-                    left.add(v)
-                if side in (1, 2):
-                    right.add(v)
-            return Join(
-                rng.choice(MEET_OPERATORS),
-                gen(frozenset(left), budget - 1),
-                gen(frozenset(right), budget - 1),
-            )
-        if kind == "union":
-            return Union(
-                rng.choice(JOIN_OPERATORS),
-                gen(target, budget - 1),
-                gen(target, budget - 1),
-            )
-        if kind == "filter":
-            return Filter(
-                rng.choice(MEET_OPERATORS),
-                gen(target, budget - 1),
-                random_formula(rng, pool, target, allow_state=False),
-            )
-        spare = [v for v in VARS if v not in target]
-        wider = set(target)
-        for v in spare:
-            if len(wider) < 3 and rng.random() < 0.5:
-                wider.add(v)
-        return Project(
-            rng.choice(ALL_OPERATORS),
-            target,
-            gen(frozenset(wider), budget - 1),
-        )
+        kind = rng.choice(_PLAIN_KINDS)
+        return _plain_node(rng, pool, kind, target, lambda t: gen(t, budget - 1),
+                           MEET_OPERATORS, False)
 
     return gen(scope, depth)

@@ -10,7 +10,20 @@ from click.testing import CliRunner
 
 import esparql
 import esparql.algebra
+import esparql.cli
 from esparql.cli import main
+from esparql.errors import (
+    DuplicateTriple,
+    EsparqlError,
+    IllFormedQuery,
+    NonFiniteBeliefExtraction,
+    NonFinitelySupported,
+    NonIriHolder,
+    ParseError,
+    ShapeMismatch,
+    UnboundBeliefVariable,
+    UniverseTooLarge,
+)
 from esparql.fixtures import fixture_path, fixture_text
 from esparql.four import FourOperator, FourValue, apply as real_apply
 
@@ -227,6 +240,137 @@ def test_answers_do_not_depend_on_hash_order():
             assert result.returncode == 0, result.stderr
             outputs.add(result.stdout)
         assert len(outputs) == 1, source
+
+
+# ------------------------------------------------------------- output path
+
+# a nested quoted triple, an IRI equal to the base and an IRI outside it
+_CELLS_GRAPH = (
+    "<s> <p> << <urn:x:o> <q> << <a> <b> <https://esparql.dev/data#> >> >> .\n"
+    "<https://esparql.dev/data#> <p> <urn:x:o> .\n"
+)
+_NESTED = "<< <urn:x:o> <{0}q> << <{0}a> <{0}b> <https://esparql.dev/data#> >> >>"
+_TABLE_CELLS = (
+    "o | s | state\n"
+    "<< <urn:x:o> <q> << <a> <b> <https://esparql.dev/data#> >> >> | s | true\n"
+    "urn:x:o | https://esparql.dev/data# | true\n"
+    "* | * | unknown\n"
+)
+
+
+@pytest.mark.parametrize("base, fmt, expected", [
+    (None, "table", _TABLE_CELLS),
+    (None, "csv",
+     "o,s,state\n"
+     f"{_NESTED.format('https://esparql.dev/data#')},<https://esparql.dev/data#s>,true\n"
+     "<urn:x:o>,<https://esparql.dev/data#>,true\n"
+     "*,*,unknown\n"),
+    (None, "json-lines",
+     f'{{"o": "{_NESTED.format("https://esparql.dev/data#")}", '
+     '"s": "<https://esparql.dev/data#s>", "state": "true"}\n'
+     '{"o": "<urn:x:o>", "s": "<https://esparql.dev/data#>", "state": "true"}\n'
+     '{"o": "*", "s": "*", "state": "unknown"}\n'),
+    ("", "table", _TABLE_CELLS),
+    ("", "csv",
+     "o,s,state\n"
+     f"{_NESTED.format('')},<s>,true\n"
+     "<urn:x:o>,<https://esparql.dev/data#>,true\n"
+     "*,*,unknown\n"),
+    ("", "json-lines",
+     f'{{"o": "{_NESTED.format("")}", "s": "<s>", "state": "true"}}\n'
+     '{"o": "<urn:x:o>", "s": "<https://esparql.dev/data#>", "state": "true"}\n'
+     '{"o": "*", "s": "*", "state": "unknown"}\n'),
+])
+def test_result_cells_in_each_format(runner, tmp_path, base, fmt, expected):
+    # rows sort by the full term texts, so the quoted triple comes first;
+    # only table cells shorten IRIs, and never one equal to the base
+    graph = tmp_path / "cells.f4s"
+    graph.write_text(_CELLS_GRAPH)
+    args = ["query", "--graph", str(graph), "--eval", "SELECT * WHERE { ?s <p> ?o }",
+            "--format", fmt, "--show-default"]
+    if base is not None:
+        args += ["--base-iri", base]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.stderr
+    assert result.output == expected
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json-lines"])
+def test_query_and_repl_print_the_same_answer(runner, fmt):
+    text = fixture_text("u2.esq").strip()
+    options = ["--graph", GRAPH, "--format", fmt, "--show-default"]
+    query = runner.invoke(main, ["query", "--eval", text, *options])
+    assert query.exit_code == 0, query.stderr
+    repl = runner.invoke(main, ["repl", *options], input=text + "\n\n:quit\n")
+    assert repl.exit_code == 0
+    assert repl.output == f"loaded {GRAPH}\n" + query.output
+
+
+_STATE_VARIABLE = "SELECT ?state ?o WHERE { ?state <a> ?o }"
+
+
+@pytest.mark.parametrize("fmt, expected", [
+    ("table", "o | state | state\nChristian | Arius | true\nChristian | PopeDI | true\n"),
+    ("csv", "o,state,state\n<https://esparql.dev/data#Christian>,<https://esparql.dev/data#Arius>,"
+            "true\n<https://esparql.dev/data#Christian>,<https://esparql.dev/data#PopeDI>,true\n"),
+    ("json-lines", None),
+])
+def test_a_variable_named_state(runner, fmt, expected):
+    # table and csv keep both columns; a json-lines record has one "state" key
+    result = runner.invoke(main, ["query", "--graph", GRAPH, "--eval", _STATE_VARIABLE,
+                                  "--format", fmt])
+    repl = runner.invoke(main, ["repl", "--graph", GRAPH, "--format", fmt],
+                         input=_STATE_VARIABLE + "\n")
+    if expected is None:
+        message = "error: json-lines cannot write variable ?state: " \
+                  "its records use that key for the state\n"
+        assert result.exit_code == 3
+        assert result.stderr == message
+        assert repl.output == f"loaded {GRAPH}\n{message}"
+    else:
+        assert result.exit_code == 0
+        assert result.output == expected
+        assert repl.output == f"loaded {GRAPH}\n{expected}"
+
+
+def _error_classes(cls=EsparqlError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+# the words that the module docstring and the README put after each code
+_DOCUMENTED = {
+    ParseError: ("syntax errors", "syntax errors"),
+    DuplicateTriple: ("syntax errors", "syntax errors"),
+    IllFormedQuery: ("ill-formed queries", "ill-formed queries"),
+    UnboundBeliefVariable: ("ill-formed queries", "ill-formed queries"),
+    NonIriHolder: ("ill-formed queries", "ill-formed queries"),
+    NonFinitelySupported: ("results without finite support", "no finite representation"),
+    NonFiniteBeliefExtraction: ("results without finite support", "no finite representation"),
+    UniverseTooLarge: ("resource limits", "enumeration cap exceeded"),
+}
+
+
+def test_every_error_query_can_raise_exits_with_its_documented_code(runner, monkeypatch):
+    # ShapeMismatch comes only from comparing two relations, which `query` never does
+    assert set(_error_classes()) - {ShapeMismatch} == set(_DOCUMENTED)
+    readme = " ".join((Path(__file__).parent.parent / "README.md").read_text().split())
+    docstring = " ".join(esparql.cli.__doc__.split())
+    for cls, (doc_words, readme_words) in _DOCUMENTED.items():
+        err = cls("boom", 1, 2) if cls in (ParseError, DuplicateTriple) else cls("boom")
+
+        def fail(*args, **kwargs):
+            raise err
+
+        monkeypatch.setattr(esparql.cli, "evaluate", fail)
+        result = runner.invoke(main, ["query", "--graph", GRAPH, "--query", _fx("u1.esq")])
+        code = result.exit_code
+        assert f"{code} {doc_words}" in docstring, cls
+        assert f"`{code}` {readme_words}" in readme, cls
+        assert result.stderr == f"error: {err}\n", cls
+        repl = runner.invoke(main, ["repl"], input=fixture_text("u1.esq") + "\n")
+        assert repl.output == f"error: {err}\n", cls
 
 
 # --------------------------------------------------------------------- check

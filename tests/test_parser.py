@@ -7,6 +7,8 @@ import random
 
 import pytest
 
+import esparql.algebra
+import esparql.parser
 from esparql import (
     DEFAULT_BASE_IRI,
     FourGraph,
@@ -613,6 +615,30 @@ def test_unused_projection_fixture_names_the_variable():
 def test_query_fixtures_desugar_and_pass_the_scope_check(name):
     q = parse_and_desugar(fixture_text(name))
     in_scope(q)
+
+
+def test_desugar_scope_checks_each_nested_select_once(monkeypatch):
+    # one scope table serves every level: no subquery is walked again by
+    # the selects around it
+    visits = []
+    original = esparql.algebra._scope
+
+    def counting(q, *args, **kwargs):
+        visits.append(q)
+        return original(q, *args, **kwargs)
+
+    monkeypatch.setattr(esparql.algebra, "_scope", counting)
+    monkeypatch.setattr(esparql.parser, "_scope", counting, raising=False)
+    text = "SELECT * WHERE { " * 101 + "?s <p> ?o" + " }" * 101
+    q = parse_and_desugar(text)
+    nodes, stack = 0, [q]
+    while stack:
+        node = stack.pop()
+        nodes += 1
+        if isinstance(node, Project):
+            stack.append(node.query)
+    assert nodes == 102
+    assert len(visits) <= 3 * nodes
 
 
 # ------------------------------------------------------------- result writing
