@@ -467,15 +467,6 @@ def _pattern_constant_terms(p, acc: set[Term]) -> None:
     _pattern_constant_terms(p.object, acc)
 
 
-def _belief_holders(e: belief_mod.BeliefQuery, acc: set[Term]) -> None:
-    if isinstance(e, belief_mod.AtomicBelief):
-        if isinstance(e.holder, Iri):
-            acc.add(e.holder)
-        return
-    _belief_holders(e.left, acc)
-    _belief_holders(e.right, acc)
-
-
 def query_constants(q: Query) -> frozenset[Term]:
     """Ground terms the query mentions; they join the active domain."""
     acc: set[Term] = set()
@@ -495,7 +486,7 @@ def query_constants(q: Query) -> frozenset[Term]:
             acc.update(formula_constants(node.formula))
             walk(node.query)
         elif isinstance(node, Belief):
-            _belief_holders(node.expr, acc)
+            acc.update(h for h in belief_mod.atom_holders(node.expr) if isinstance(h, Iri))
             walk(node.query)
         else:
             raise TypeError(f"not a query: {node!r}")
@@ -624,22 +615,14 @@ def _combine_join(r1: Relation, r2: Relation, op2: Callable[[Any, Any], Any]) ->
         index.setdefault(tuple(m2.bindings[i][1] for i in at2), []).append((m2, v2))
     for m1, v1 in r1.exceptions.items():
         for m2, v2 in index.get(tuple(m1.bindings[i][1] for i in at1), ()):
-            m, x = m1.merge(m2), op2(v1, v2)
-            if x != d:
-                exceptions[m] = x
-            else:
-                exceptions.pop(m, None)
+            exceptions[m1.merge(m2)] = op2(v1, v2)
     return Relation(w1 | w2, d, exceptions, r1.universe)
 
 
 def _combine_union(r1: Relation, r2: Relation, op2: Callable[[Any, Any], Any]) -> Relation:
-    d = op2(r1.default, r2.default)
-    exceptions: dict[Mapping, Any] = {}
-    for m in r1.exceptions.keys() | r2.exceptions.keys():
-        v = op2(r1.value_at(m), r2.value_at(m))
-        if v != d:
-            exceptions[m] = v
-    return Relation(r1.vars, d, exceptions, r1.universe)
+    exceptions = {m: op2(r1.value_at(m), r2.value_at(m))
+                  for m in r1.exceptions.keys() | r2.exceptions.keys()}
+    return Relation(r1.vars, op2(r1.default, r2.default), exceptions, r1.universe)
 
 
 def _transform_by_formula(
@@ -674,11 +657,7 @@ def _transform_by_formula(
         for m in _class_members(rep, w, pool, r.universe or ()):
             exceptions[m] = value
     for m, v in r.exceptions.items():
-        nv = value_for(_formula_value(f, m.get, v), v)
-        if nv != default:
-            exceptions[m] = nv
-        else:
-            exceptions.pop(m, None)
+        exceptions[m] = value_for(_formula_value(f, m.get, v), v)
     return Relation(w, default, exceptions, r.universe)
 
 
@@ -717,13 +696,11 @@ def _project_four(
     groups: dict[Mapping, list] = {}
     for m, v in r.exceptions.items():
         groups.setdefault(m.restrict(keep), []).append(v)
-    default = copies(total)
-    exceptions: dict[Mapping, Any] = {}
-    for m, vals in groups.items():
-        acc = functools.reduce(add, vals, copies(None if total is None else total - len(vals)))
-        if acc != default:
-            exceptions[m] = acc
-    return Relation(keep, default, exceptions, r.universe)
+    exceptions = {
+        m: functools.reduce(add, vals, copies(None if total is None else total - len(vals)))
+        for m, vals in groups.items()
+    }
+    return Relation(keep, copies(total), exceptions, r.universe)
 
 
 # ---------------------------------------------------------------------------
@@ -795,7 +772,6 @@ class _FourEngine:
         self.universe = universe
         self.scopes = scopes
         self.semiring = semiring
-        self._indexes: dict = {}
         self._extract_cache: dict = {}
         self._eval_cache: dict = {}
 
@@ -811,17 +787,15 @@ class _FourEngine:
             return (lambda a, b: apply(op, a, b)), identity_of(op), absorbing_of(op)
         return (s.add, s.zero, None) if additive else (s.multiply, s.one, s.zero)
 
-    def _index(self, g: FourGraph) -> dict:
-        hit = self._indexes.get(id(g))
-        if hit is None:
-            hit = self._indexes[id(g)] = (g, belief_mod.holder_index(g, self.vocab))
-        return hit[1]
-
-    def _extract(self, g: FourGraph, e: belief_mod.BeliefQuery) -> FourGraph:
-        key = (id(g), e)
+    def _extract(self, g: FourGraph, e: belief_mod.BeliefQuery,
+                 binding: dict[Variable, Term] | None = None) -> FourGraph:
+        """e's extraction from g under ``binding``.  The memo keys on e's id,
+        as ``eval`` keys on the node's (e is a node's own expression), and
+        on the bound holders, which a node always binds in one order."""
+        key = (id(g), id(e), *(binding or {}).values())
         hit = self._extract_cache.get(key)
         if hit is None:
-            extracted = belief_mod.extract(g, e, self.vocab, self._index(g))
+            extracted = belief_mod.extract(g, e, self.vocab, binding)
             hit = self._extract_cache[key] = (g, extracted)
         return hit[1]
 
@@ -872,13 +846,12 @@ class _FourEngine:
         evars_sorted = sorted(evars, key=lambda v: v.name)
         w1 = self.scopes[id(q.query)]
         open_mode = self.universe is None
-        taken = {h for h, _ in self._index(g)}
+        taken = {h for h, _ in belief_mod.holder_index(g, self.vocab)}
         fresh = next(i for i in (Iri(f"urn:esparql:fresh{n}") for n in itertools.count())
                      if i not in taken)
 
         def slice_at(key: tuple[Iri, ...]) -> Relation:
-            inst = belief_mod.instantiate(q.expr, dict(zip(evars_sorted, key)))
-            return self.eval(q.query, self._extract(g, inst))
+            return self.eval(q.query, self._extract(g, q.expr, dict(zip(evars_sorted, key))))
 
         r0 = slice_at((fresh,) * len(evars))
         # a key position is a holder; or fresh, standing for every IRI without

@@ -11,7 +11,7 @@ combine extractions pointwise with a lattice operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 from .errors import NonFiniteBeliefExtraction, NonIriHolder, UnboundBeliefVariable
 from .four import CONFLICTED, FALSE, TRUE, UNKNOWN, FourOperator, FourValue, apply, identity_of
@@ -54,76 +54,70 @@ def all_states_shorthand(holder: Union[Iri, Variable], op: FourOperator) -> Beli
     return query
 
 
+def atom_holders(e: BeliefQuery) -> Iterator[Union[Iri, Variable]]:
+    """The holder of each atom of e, left to right."""
+    if isinstance(e, AtomicBelief):
+        yield e.holder
+    else:
+        yield from atom_holders(e.left)
+        yield from atom_holders(e.right)
+
+
 def belief_variables(e: BeliefQuery) -> frozenset[Variable]:
-    if isinstance(e, AtomicBelief):
-        return frozenset({e.holder}) if isinstance(e.holder, Variable) else frozenset()
-    return belief_variables(e.left) | belief_variables(e.right)
-
-
-def is_ground(e: BeliefQuery) -> bool:
-    return not belief_variables(e)
-
-
-def instantiate(e: BeliefQuery, binding: dict[Variable, Term]) -> BeliefQuery:
-    """Bind every holder variable to an IRI.
-
-    Raises UnboundBeliefVariable if the binding misses a variable and
-    NonIriHolder if it supplies a quoted triple; only IRIs hold beliefs.
-    """
-    if isinstance(e, AtomicBelief):
-        if isinstance(e.holder, Variable):
-            if e.holder not in binding:
-                raise UnboundBeliefVariable(f"belief variable {e.holder!r} is unbound")
-            bound = binding[e.holder]
-            if not isinstance(bound, Iri):
-                raise NonIriHolder(f"belief variable {e.holder!r} bound to {bound!r}")
-            return AtomicBelief(bound, e.state, e.fallback)
-        return e
-    return CompoundBelief(instantiate(e.left, binding), e.op, instantiate(e.right, binding))
+    return frozenset(h for h in atom_holders(e) if isinstance(h, Variable))
 
 
 def holder_index(g: FourGraph,
                  vocab: BeliefVocabulary) -> dict[tuple[Iri, Iri], list[StarTriple]]:
     """(holder IRI, belief predicate) -> the quoted triples so believed, from
     the belief statements valued true or conflicted: only those count for
-    extraction, so an IRI without entries extracts like any non-holder."""
-    predicates = vocab.predicates()
-    index: dict[tuple[Iri, Iri], list[StarTriple]] = {}
-    for key, value in g.exceptions.items():
-        if (
-            key.predicate in predicates
-            and isinstance(key.subject, Iri)
-            and isinstance(key.object, StarTriple)
-            and value in (TRUE, CONFLICTED)
-        ):
-            index.setdefault((key.subject, key.predicate), []).append(key.object)
-    return index
+    extraction, so an IRI without entries extracts like any non-holder.
+    Built once per graph and vocabulary, and cached on the graph."""
+    def build() -> dict[tuple[Iri, Iri], list[StarTriple]]:
+        predicates = vocab.predicates()
+        index: dict[tuple[Iri, Iri], list[StarTriple]] = {}
+        for key, value in g.exceptions.items():
+            if (
+                key.predicate in predicates
+                and isinstance(key.subject, Iri)
+                and isinstance(key.object, StarTriple)
+                and value in (TRUE, CONFLICTED)
+            ):
+                index.setdefault((key.subject, key.predicate), []).append(key.object)
+        return index
+    return g.derived(("holders", vocab), build)
 
 
 def extract(g: FourGraph, e: BeliefQuery, vocab: BeliefVocabulary,
-            index: dict[tuple[Iri, Iri], list[StarTriple]] | None = None) -> FourGraph:
-    """Materialize a ground belief query against g as a graph of its own,
-    looking atoms up in g's ``holder_index`` (built here when not given).
+            binding: dict[Variable, Term] | None = None) -> FourGraph:
+    """Materialize a belief query against g as a graph of its own, looking
+    atoms up in g's ``holder_index``; a variable holder is read from
+    ``binding``.
 
-    Only the exception table is consulted: a belief triple sitting at the
-    graph default would contribute exactly when the default is true or
-    conflicted, and then *every* absent belief triple contributes, so no
-    finite exception table can represent the extraction; that case raises
-    NonFiniteBeliefExtraction.
+    Raises UnboundBeliefVariable if the binding misses a holder variable
+    and NonIriHolder if it binds one to a quoted triple; only IRIs hold
+    beliefs.  Only the exception table is consulted: a belief triple
+    sitting at the graph default would contribute exactly when the default
+    is true or conflicted, and then *every* absent belief triple
+    contributes, so no finite exception table can represent the
+    extraction; that case raises NonFiniteBeliefExtraction.
     """
     if g.default in (TRUE, CONFLICTED):
         raise NonFiniteBeliefExtraction(
             f"graph default {g.default.label} asserts belief triples everywhere"
         )
-    if isinstance(e, AtomicBelief) and isinstance(e.holder, Variable):
-        raise UnboundBeliefVariable(f"cannot extract with free holder {e.holder!r}")
-    if index is None:
-        index = holder_index(g, vocab)
     if isinstance(e, AtomicBelief):
-        believed = index.get((e.holder, vocab.predicate_for(e.state)), ())
+        holder = e.holder
+        if isinstance(holder, Variable):
+            if binding is None or holder not in binding:
+                raise UnboundBeliefVariable(f"belief variable {holder!r} is unbound")
+            holder = binding[holder]
+            if not isinstance(holder, Iri):
+                raise NonIriHolder(f"belief variable {e.holder!r} bound to {holder!r}")
+        believed = holder_index(g, vocab).get((holder, vocab.predicate_for(e.state)), ())
         return FourGraph(e.fallback, dict.fromkeys(believed, e.state))
-    left = extract(g, e.left, vocab, index)
-    right = extract(g, e.right, vocab, index)
+    left = extract(g, e.left, vocab, binding)
+    right = extract(g, e.right, vocab, binding)
     default = apply(e.op, left.default, right.default)
     merged: dict[StarTriple, FourValue] = {}
     for t in left.exceptions.keys() | right.exceptions.keys():

@@ -37,7 +37,7 @@ class IllFormedQuery(EsparqlError):
 
 
 class UnboundBeliefVariable(EsparqlError):
-    """A belief query was instantiated with a mapping missing one of its variables."""
+    """A belief query was extracted with a binding missing one of its holder variables."""
 
 
 class NonIriHolder(EsparqlError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Any, Callable, Hashable, Iterable, Sequence, Union
 
 from .four import FourValue, STATES
 
@@ -158,8 +158,9 @@ class FourGraph:
 
     Invariant: ``exceptions`` is never mutated after construction (updates
     such as ``set_value`` return a new graph).  The structures derived from
-    it, triples bucketed by subject and by predicate and the active domain,
-    are built on first use and then cached on that invariant.
+    it (triples bucketed by subject and by predicate, the active domain and
+    the belief holder index of each vocabulary) are built on first use and
+    then cached on that invariant by ``derived``.
     """
 
     __slots__ = ("default", "exceptions", "_derived")
@@ -188,27 +189,34 @@ class FourGraph:
             exc[t] = v
         return FourGraph(self.default, exc)
 
+    def derived(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """The structure cached under ``key``, made by ``build`` from the
+        exceptions on first use."""
+        hit = self._derived.get(key)
+        if hit is None:
+            hit = self._derived[key] = build()
+        return hit
+
     def bucket(self, position: str, term: Term) -> Sequence[StarTriple]:
         """Exception triples whose ``position`` ('subject' or 'predicate')
         holds ``term``."""
-        index = self._derived.get(position)
-        if index is None:
-            index = self._derived[position] = {}
+        def build() -> dict[Term, list[StarTriple]]:
+            index: dict[Term, list[StarTriple]] = {}
             for t in self.exceptions:
                 index.setdefault(getattr(t, position), []).append(t)
-        return index.get(term, ())
+            return index
+        return self.derived(position, build).get(term, ())
 
     def domain(self) -> frozenset[Term]:
         """The active domain of the exceptions (see ``active_domain``)."""
-        hit = self._derived.get("domain")
-        if hit is None:
+        def build() -> frozenset[Term]:
             acc: set[Term] = set()
             for t in self.exceptions:
                 _collect_term(t.subject, acc)
                 _collect_term(t.predicate, acc)
                 _collect_term(t.object, acc)
-            hit = self._derived["domain"] = frozenset(acc)
-        return hit
+            return frozenset(acc)
+        return self.derived("domain", build)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FourGraph):

@@ -62,6 +62,10 @@ QUOTE_DEPTH_LIMIT = 128
 # together.  Deeper input is a ParseError at the first one past the limit.
 CONDITION_DEPTH_LIMIT = 128
 
+# How many branches one UNION chain may join.  A longer chain is a
+# ParseError at the UNION that would add the first branch past the limit.
+UNION_BRANCH_LIMIT = 128
+
 
 def resolve_iri(text: str, base: str) -> Iri:
     """Keep absolute IRIs; resolve bare names against the base."""
@@ -405,12 +409,18 @@ def _parse_item(s: _Stream):
             sub = _parse_select(s)
             s.expect("}")
             item: BodyItem = SubSelect(sub)
+            branches = 1
         else:
             left = _parse_group(s)
             union_tok = s.expect("UNION")
             right = _parse_group(s)
             item = UnionItem(left, right, s.position(union_tok))
+            branches = 2
         while s.at("UNION"):
+            if branches == UNION_BRANCH_LIMIT:
+                raise ParseError(f"UNION chain longer than {UNION_BRANCH_LIMIT} branches",
+                                 *s.position(s.peek()))
+            branches += 1
             union_tok = s.next()
             right = _parse_group(s)
             item = UnionItem([item], right, s.position(union_tok))

@@ -56,8 +56,8 @@ VARS = (Variable("x"), Variable("y"), Variable("z"))
 ALL_OPERATORS = tuple(FourOperator)
 
 
-def iri_pool(count: int = 6, base: str = DEFAULT_BASE_IRI) -> list[Iri]:
-    return [Iri(f"{base}n{i}") for i in range(count)]
+def iri_pool() -> list[Iri]:
+    return [Iri(f"{DEFAULT_BASE_IRI}n{i}") for i in range(6)]
 
 
 def _sorted_vars(scope) -> list[Variable]:
@@ -89,16 +89,13 @@ def random_graph(
     *,
     max_exceptions: int = 12,
     vocab: BeliefVocabulary = DEFAULT_VOCABULARY,
-    allow_false_default: bool = True,
 ) -> FourGraph:
     """Graph with a small active domain and a healthy share of belief triples.
 
     Defaults stay in {unknown, false} so belief extraction is always finite.
     """
     pool = pool or iri_pool()
-    default = FourValue.UNKNOWN
-    if allow_false_default and rng.random() < 0.3:
-        default = FourValue.FALSE
+    default = FourValue.FALSE if rng.random() < 0.3 else FourValue.UNKNOWN
     exceptions: dict[StarTriple, FourValue] = {}
     for _ in range(rng.randint(0, max_exceptions)):
         if rng.random() < 0.5:
@@ -115,11 +112,7 @@ def random_graph(
 
 
 def random_k_graph(
-    rng: random.Random,
-    semiring: Semiring,
-    pool: Optional[list[Iri]] = None,
-    *,
-    max_exceptions: int = 10,
+    rng: random.Random, semiring: Semiring, pool: Optional[list[Iri]] = None
 ) -> FourGraph:
     """Zero-default graph annotated with values from the given semiring."""
     pool = pool or iri_pool()
@@ -130,7 +123,7 @@ def random_k_graph(
     else:
         candidates = [v for v in STATES if v != semiring.zero]
     exceptions = {}
-    for _ in range(rng.randint(0, max_exceptions)):
+    for _ in range(rng.randint(0, 10)):
         exceptions[_random_ground_triple(rng, pool, 1)] = rng.choice(candidates)
     return FourGraph(semiring.zero, exceptions)
 
@@ -270,19 +263,10 @@ def _plain_node(rng: random.Random, pool: list[Iri], kind: str, target, child,
     return Project(rng.choice(ALL_OPERATORS), target, child(frozenset(wider)))
 
 
-def random_query(
-    rng: random.Random,
-    pool: Optional[list[Iri]] = None,
-    *,
-    depth: int = 4,
-    scope=None,
-    vocab: BeliefVocabulary = DEFAULT_VOCABULARY,
-) -> Query:
-    """Query over every algebra operator, with in-scope set exactly ``scope``."""
-    pool = pool or iri_pool()
-    if scope is None:
-        scope = frozenset(rng.sample(VARS, rng.randint(1, 3)))
-    scope = frozenset(scope)
+def random_query(rng: random.Random, *, vocab: BeliefVocabulary = DEFAULT_VOCABULARY) -> Query:
+    """Query over every algebra operator, binding one to three variables."""
+    pool = iri_pool()
+    scope = frozenset(rng.sample(VARS, rng.randint(1, 3)))
 
     def gen(target, budget: int, var_holder_ok: bool) -> Query:
         if budget <= 0 or len(target) > 3 or rng.random() < 0.25:
@@ -324,7 +308,7 @@ def random_query(
             gen(target, budget - 1, var_holder_ok),
         )
 
-    q = gen(scope, depth, True)
+    q = gen(scope, 4, True)
     assert in_scope(q) == scope
     return q
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from esparql import (
     AtomicBelief,
+    BeliefVocabulary,
     CompoundBelief,
     FourGraph,
     FourOperator,
@@ -22,11 +23,12 @@ from esparql import (
     all_states_shorthand,
     apply,
     belief_variables,
+    evaluate,
     extract,
     identity_of,
-    instantiate,
-    is_ground,
+    parse_and_desugar,
 )
+from esparql.belief import holder_index
 
 from conftest import (
     ARIUS,
@@ -173,29 +175,62 @@ def test_compound_extraction_is_pointwise(left_value, right_value, op):
 
 
 # ---------------------------------------------------------------------------
-# Variables and instantiation
+# Variables and bindings
 # ---------------------------------------------------------------------------
 
 
-def test_belief_variables_and_is_ground():
+def test_belief_variables():
     e = CompoundBelief(shorthand(X), INFO_JOIN, shorthand(POPE))
     assert belief_variables(e) == {X}
-    assert not is_ground(e)
-    assert is_ground(shorthand(POPE))
+    assert belief_variables(shorthand(POPE)) == frozenset()
 
 
-def test_instantiate():
+def test_extract_with_a_binding(g1):
     e = shorthand(X)
-    ground = instantiate(e, {X: POPE})
-    assert is_ground(ground)
-    assert ground == shorthand(POPE)
-    with pytest.raises(UnboundBeliefVariable):
-        instantiate(e, {})
+    for holder in (POPE, ARIUS, RUSSELL, CHRISTIANITY, Iri("urn:nobody")):
+        assert extract(g1, e, VOCAB, {X: holder}) == extract(g1, shorthand(holder), VOCAB)
+    for binding in ({}, None, {Variable("y"): POPE}):
+        with pytest.raises(UnboundBeliefVariable):
+            extract(g1, e, VOCAB, binding)
     with pytest.raises(NonIriHolder):
-        instantiate(e, {X: JESUS_DEITY})
+        extract(g1, e, VOCAB, {X: JESUS_DEITY})
 
 
-def test_instantiate_leaves_ground_parts_alone():
+def test_a_binding_leaves_ground_holders_alone(g1):
     e = CompoundBelief(shorthand(POPE), INFO_JOIN, shorthand(X))
-    got = instantiate(e, {X: ARIUS})
-    assert got == CompoundBelief(shorthand(POPE), INFO_JOIN, shorthand(ARIUS))
+    ground = CompoundBelief(shorthand(POPE), INFO_JOIN, shorthand(ARIUS))
+    got = extract(g1, e, VOCAB, {X: ARIUS})
+    assert got == extract(g1, ground, VOCAB) == FourGraph(U, {JESUS_DEITY: C})
+    assert extract(g1, ground, VOCAB, {X: RUSSELL}) == extract(g1, ground, VOCAB)
+    # a variable holder inside a compound is looked up too, not read as a
+    # holder without beliefs
+    with pytest.raises(UnboundBeliefVariable):
+        extract(g1, e, VOCAB)
+    with pytest.raises(NonIriHolder):
+        extract(g1, e, VOCAB, {X: POPE_AFFIRMS})
+
+
+# ---------------------------------------------------------------------------
+# The holder index lives on the graph
+# ---------------------------------------------------------------------------
+
+
+def test_holder_index_is_built_once_per_graph_and_vocabulary(g1):
+    index = holder_index(g1, VOCAB)
+    assert index[(POPE, VOCAB.to_be_true)] == [JESUS_DEITY]
+    assert holder_index(g1, VOCAB) is index
+    q = parse_and_desugar("SELECT ?h ?x FROM BELIEF ?h WHERE { ?x a <FullDeity> }")
+    first = evaluate(q, g1)
+    assert holder_index(g1, VOCAB) is index
+    assert evaluate(q, g1) == first
+    assert holder_index(g1, VOCAB) is index
+    # another vocabulary finds no belief statements in g1, in an index of its own
+    other = BeliefVocabulary.from_namespace("urn:b#")
+    assert holder_index(g1, other) == {}
+    assert holder_index(g1, other) is holder_index(g1, other)
+    assert holder_index(g1, VOCAB) is index
+    # a graph that set_value returns builds its own
+    updated = g1.set_value(StarTriple(ARIUS, VOCAB.to_be_true, ZEUS_DEITY), T)
+    assert holder_index(updated, VOCAB) is not index
+    assert holder_index(updated, VOCAB)[(ARIUS, VOCAB.to_be_true)] == [ZEUS_DEITY]
+    assert (ARIUS, VOCAB.to_be_true) not in index

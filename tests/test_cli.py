@@ -130,6 +130,16 @@ def test_conditions_nested_past_the_limit_exit_with_2(runner, tmp_path, cond):
     assert result.stderr == f"error: 1:{column}: condition nested deeper than 128 levels\n"
 
 
+def test_a_union_chain_past_the_limit_exits_with_2(runner, tmp_path):
+    query = tmp_path / "long.esq"
+    query.write_text("SELECT * WHERE { " + " UNION ".join(["{ ?s ?p ?o }"] * 1500) + " }\n")
+    result = runner.invoke(main, ["query", "--graph", GRAPH, "--query", str(query)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    column = 17 + 12 * 128 + 7 * 127 + 2  # the UNION after branch 128
+    assert result.stderr == f"error: 1:{column}: UNION chain longer than 128 branches\n"
+
+
 @pytest.mark.parametrize(
     "args",
     [

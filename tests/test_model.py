@@ -7,6 +7,7 @@ import pytest
 import esparql.model
 
 from esparql import (
+    Belief,
     BeliefVocabulary,
     EvalMode,
     FourGraph,
@@ -22,6 +23,7 @@ from esparql import (
     TriplePattern,
     Variable,
     active_domain,
+    all_states_shorthand,
     evaluate,
     parse_graph,
     pattern_variables,
@@ -273,7 +275,7 @@ def test_graph_caches_stay_coherent_under_set_value():
     rng = random.Random(60606)
     pool = randgen.iri_pool()
     predicates = pool + sorted(VOCAB.predicates(), key=term_text)
-    x, y, z, p = (Variable(n) for n in "xyzp")
+    x, y, z, p, h = (Variable(n) for n in "xyzph")
     for _ in range(12):
         g = randgen.random_graph(rng, pool, max_exceptions=20)
         for _ in range(6):
@@ -288,6 +290,7 @@ def test_graph_caches_stay_coherent_under_set_value():
                 Pattern(TriplePattern(x, p, y)),
                 Pattern(TriplePattern(TriplePattern(x, pred, y), p, z)),
                 Join(FourOperator.INFO_MEET, by_predicate, by_subject),
+                Belief(all_states_shorthand(h, FourOperator.INFO_JOIN), by_predicate),
             ]
             answers = _answers(queries, g)
             assert answers == _answers(queries, parse_graph(render_graph(g)))

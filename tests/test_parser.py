@@ -11,6 +11,7 @@ import esparql.algebra
 import esparql.parser
 from esparql import (
     DEFAULT_BASE_IRI,
+    EvalMode,
     FourGraph,
     FourOperator,
     FourValue,
@@ -48,6 +49,7 @@ from esparql.model import term_text
 from esparql.parser import (
     CONDITION_DEPTH_LIMIT,
     QUOTE_DEPTH_LIMIT,
+    UNION_BRANCH_LIMIT,
     desugar,
     resolve_iri,
     shorten_iri,
@@ -315,6 +317,33 @@ def test_conditions_past_the_limit_are_a_syntax_error():
             with pytest.raises(ParseError) as err:
                 parse_query(_filter_query(cond))
             assert str(err.value) == message
+
+
+def _union_chain(branches: int) -> str:
+    """A left-deep chain of ``branches`` groups over three predicates."""
+    return "SELECT * WHERE { " + " UNION ".join(
+        f"{{ ?s <p{i % 3}> ?o }}" for i in range(branches)) + " }"
+
+
+def test_union_chains_may_join_up_to_the_limit():
+    g = parse_graph("<a> <p0> <b> .\n<b> <p1> <c> @false .\n<c> <p2> <a> @conflicted .\n")
+    longest = parse_and_desugar(_union_chain(UNION_BRANCH_LIMIT))
+    # the truth join is idempotent, so repeating a branch changes nothing
+    three = parse_and_desugar(_union_chain(3))
+    for mode in EvalMode:
+        assert evaluate(longest, g, mode=mode) == evaluate(three, g, mode=mode)
+
+
+def test_union_chains_past_the_limit_are_a_syntax_error():
+    limit = UNION_BRANCH_LIMIT
+    # the UNION after branch 128: the head, 128 branches, 127 separators, a space
+    column = 17 + 14 * limit + 7 * (limit - 1) + 2
+    message = f"1:{column}: UNION chain longer than {limit} branches"
+    # far past the limit it is still a ParseError, not a RecursionError
+    for branches in (limit + 1, 1500):
+        with pytest.raises(ParseError) as err:
+            parse_query(_union_chain(branches))
+        assert str(err.value) == message
 
 
 # --------------------------------------------------------------- graph writer
