@@ -33,7 +33,7 @@ import enum
 import functools
 import itertools
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
 from . import belief as belief_mod
@@ -81,7 +81,9 @@ DEFAULT_CAP = 10**6
 class Mapping:
     """A total assignment of terms to a finite set of variables.
 
-    Stored as a name-sorted tuple so equal assignments hash equally.
+    Stored as a name-sorted tuple so equal assignments hash equally.  The
+    engine keeps rows positionally (see ``Relation``); mappings are its
+    public view of them.
     """
 
     bindings: tuple[tuple[Variable, Term], ...]
@@ -110,22 +112,6 @@ class Mapping:
     def restrict(self, vars: frozenset[Variable]) -> "Mapping":
         return Mapping(tuple((v, t) for v, t in self.bindings if v in vars))
 
-    def merge(self, other: "Mapping") -> "Mapping | None":
-        """Union of compatible mappings, None on any disagreement."""
-        combined = dict(self.bindings)
-        for v, t in other.bindings:
-            seen = combined.get(v)
-            if seen is None:
-                combined[v] = t
-            elif seen != t:
-                return None
-        return Mapping.of(combined)
-
-    def extend(self, extra: dict[Variable, Term]) -> "Mapping":
-        combined = dict(self.bindings)
-        combined.update(extra)
-        return Mapping.of(combined)
-
     def sort_key(self) -> tuple[str, ...]:
         return tuple(term_text(t) for _, t in self.bindings)
 
@@ -134,9 +120,24 @@ class Mapping:
         return f"{{{inner}}}"
 
 
+def _schema(vars: Iterable[Variable]) -> tuple[Variable, ...]:
+    """The variables sorted by name: the order of a row's terms."""
+    return tuple(sorted(vars, key=attrgetter("name")))
+
+
+def _plan(target: tuple[Variable, ...], source: tuple[Variable, ...]) -> Callable[[tuple], tuple]:
+    """The function taking a row over ``source`` to the row over ``target``,
+    each variable read at its first position in ``source``."""
+    at = [source.index(v) for v in target]
+    if len(at) == 1:
+        i = at[0]
+        return lambda row: (row[i],)
+    return itemgetter(*at) if at else lambda row: ()
+
+
 def mappings_over(vars: Iterable[Variable], universe: Iterable[Term]) -> Iterator[Mapping]:
     """Every total mapping from vars into universe, in deterministic order."""
-    vs = sorted(set(vars), key=lambda v: v.name)
+    vs = _schema(set(vars))
     uni = sorted(set(universe), key=term_text)
     for combo in itertools.product(uni, repeat=len(vs)):
         yield Mapping(tuple(zip(vs, combo)))
@@ -145,30 +146,53 @@ def mappings_over(vars: Iterable[Variable], universe: Iterable[Term]) -> Iterato
 class Relation:
     """Total annotation of all mappings over ``vars``: default + exceptions.
 
-    ``universe`` is the active-domain term set, or None in open mode.
-    Canonical form: no exception carries the default value and every
-    exception's domain is exactly ``vars``.  No code mutates a relation
-    after construction, so operators may return an input unchanged and
-    the engine's memo may hand one relation to several nodes.
+    Rows are positional: ``schema`` is ``vars`` sorted by name, and
+    ``table`` maps each exception row, the tuple of its terms in schema
+    order, to its value.  ``exceptions``, the same table keyed by
+    ``Mapping``, is built on first read.  ``universe`` is the active-domain
+    term set, or None in open mode.  Canonical form: no row carries the
+    default value.  No code mutates a relation after construction, so
+    operators may return an input unchanged and the engine's memo may hand
+    one relation to several nodes.
     """
 
-    __slots__ = ("vars", "default", "exceptions", "universe")
+    __slots__ = ("vars", "schema", "default", "table", "universe", "_exceptions")
 
     def __init__(self, vars: frozenset[Variable], default,
                  exceptions: dict[Mapping, Any] | None = None,
                  universe: frozenset[Term] | None = None):
-        self.vars = frozenset(vars)
-        self.default = default
-        self.universe = universe
-        exc = {}
-        if exceptions:
-            order = sorted(self.vars, key=lambda v: v.name)
-            for m, v in exceptions.items():
-                if [b[0] for b in m.bindings] != order:
-                    raise ValueError(f"exception domain {set(m.domain)} != vars {set(self.vars)}")
-                if v != default:
-                    exc[m] = v
-        self.exceptions = exc
+        """Checks that every exception binds exactly ``vars``."""
+        schema = _schema(frozenset(vars))
+        table = {}
+        for m, v in (exceptions or {}).items():
+            if tuple(var for var, _ in m.bindings) != schema:
+                raise ValueError(f"exception domain {set(m.domain)} != vars {set(schema)}")
+            table[tuple(t for _, t in m.bindings)] = v
+        self._fill(schema, default, table, universe)
+
+    @classmethod
+    def _of(cls, schema: tuple[Variable, ...], default, table: dict[tuple, Any],
+            universe: frozenset[Term] | None) -> "Relation":
+        """The engine's constructor: rows already in schema order, of which
+        only the lengths are checked."""
+        r = cls.__new__(cls)
+        r._fill(schema, default, table, universe)
+        return r
+
+    def _fill(self, schema, default, table, universe) -> None:
+        if not set(map(len, table)) <= {len(schema)}:
+            raise ValueError(f"row length differs from the schema's {len(schema)}")
+        self.vars = frozenset(schema)
+        self.schema, self.default, self.universe = schema, default, universe
+        self.table = {k: v for k, v in table.items() if v != default}
+        self._exceptions = None
+
+    @property
+    def exceptions(self) -> dict[Mapping, Any]:
+        if self._exceptions is None:
+            schema = self.schema
+            self._exceptions = {Mapping(tuple(zip(schema, k))): v for k, v in self.table.items()}
+        return self._exceptions
 
     def value_at(self, m: Mapping):
         return self.exceptions.get(m, self.default)
@@ -178,36 +202,13 @@ class Relation:
         for m in sorted(self.exceptions, key=Mapping.sort_key):
             yield m, self.exceptions[m]
 
-    def all_rows(self) -> Iterator[tuple[Mapping, Any]]:
-        """Every mapping over the universe with its value; active-domain only."""
-        if self.universe is None:
-            raise ValueError("open relation has no finite row set")
-        for m in mappings_over(self.vars, self.universe):
-            yield m, self.value_at(m)
-
-    def same_function(self, other: "Relation") -> bool:
-        """Equality as total functions, tolerant of default choice when every
-        mapping happens to be listed as an exception."""
-        if self.vars != other.vars or self.universe != other.universe:
-            return False
-        for m in self.exceptions.keys() | other.exceptions.keys():
-            if self.value_at(m) != other.value_at(m):
-                return False
-        if self.default == other.default:
-            return True
-        if self.universe is None:
-            return False
-        total = len(self.universe) ** len(self.vars)
-        covered = len(self.exceptions.keys() | other.exceptions.keys())
-        return covered >= total
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Relation):
             return NotImplemented
         return (
             self.vars == other.vars
             and self.default == other.default
-            and self.exceptions == other.exceptions
+            and self.table == other.table
             and self.universe == other.universe
         )
 
@@ -215,7 +216,7 @@ class Relation:
 
     def __repr__(self) -> str:
         rows = ", ".join(f"{m!r}: {v!r}" for m, v in self.rows())
-        names = " ".join(sorted(v.name for v in self.vars))
+        names = " ".join(v.name for v in self.schema)
         return f"Relation([{names}] default={self.default!r} {{{rows}}})"
 
 
@@ -328,10 +329,6 @@ def _formula_value(f: FilterFormula, get: Callable[[Variable], Any], state) -> T
             return E
         return F
     raise TypeError(f"not a filter formula: {f!r}")
-
-
-def eval_formula(f: FilterFormula, m: Mapping, r: Relation) -> ThreeValued:
-    return _formula_value(f, m.get, r.value_at(m))
 
 
 # ---------------------------------------------------------------------------
@@ -564,19 +561,18 @@ def _equality_classes(
                 f, lambda v: rep.get(v, uncompared if v in vars else None), state)
 
 
-def _class_members(rep: dict[Variable, Any], vars: frozenset[Variable],
-                   pool: list[Term], universe: Iterable[Term]) -> Iterator[Mapping]:
-    """Every mapping over ``vars`` in the class of ``rep``: generic blocks
+def _class_members(rep: dict[Variable, Any], schema: tuple[Variable, ...],
+                   pool: list[Term], universe: Iterable[Term]) -> Iterator[tuple]:
+    """Every row over ``schema`` in the class of ``rep``: generic blocks
     take distinct terms of ``pool``, the other variables any universe term."""
-    names = sorted(vars, key=lambda v: v.name)
     blocks = sorted({t for t in rep.values() if isinstance(t, _Generic)}, key=lambda g: g.index)
-    free = [v for v in names if v not in rep]
+    free = [v for v in schema if v not in rep]
     for picks in itertools.permutations(pool, len(blocks)):
         term = dict(zip(blocks, picks))
         binding = {v: term.get(t, t) for v, t in rep.items()}
         for combo in itertools.product(universe, repeat=len(free)):
             binding.update(zip(free, combo))
-            yield Mapping(tuple((v, binding[v]) for v in names))
+            yield tuple([binding[v] for v in schema])
 
 
 # ---------------------------------------------------------------------------
@@ -585,44 +581,45 @@ def _class_members(rep: dict[Variable, Any], vars: frozenset[Variable],
 
 
 def _combine_join(r1: Relation, r2: Relation, op2: Callable[[Any, Any], Any]) -> Relation:
-    w1, w2 = r1.vars, r2.vars
+    s1, s2 = r1.schema, r2.schema
+    schema = _schema(r1.vars | r2.vars)
     d = op2(r1.default, r2.default)
-    exceptions: dict[Mapping, Any] = {}
+    table: dict[tuple, Any] = {}
     # one side's exception against the other side's default, over every
     # extension to the variables only the other side binds
-    for left, right, extra in ((r1, r2, w2 - w1), (r2, r1, w1 - w2)):
+    for left, right in ((r1, r2), (r2, r1)):
         if left is r1:
-            hot = [(m, x) for m, v in left.exceptions.items() if (x := op2(v, right.default)) != d]
+            hot = [(k, x) for k, v in left.table.items() if (x := op2(v, right.default)) != d]
         else:
-            hot = [(m, x) for m, v in left.exceptions.items() if (x := op2(right.default, v)) != d]
+            hot = [(k, x) for k, v in left.table.items() if (x := op2(right.default, v)) != d]
+        extra = _schema(right.vars - left.vars)
         if not extra:
-            exceptions.update(hot)
+            table.update(hot)
             continue
         if hot and r1.universe is None:
             raise NonFinitelySupported(
                 "join of relations with disjoint variables whose defaults do not absorb"
             )
-        extra_sorted = sorted(extra, key=lambda v: v.name)
-        for m, x in hot:
-            for combo in itertools.product(r1.universe, repeat=len(extra_sorted)):
-                exceptions[m.extend(dict(zip(extra_sorted, combo)))] = x
+        extend = _plan(schema, left.schema + extra)
+        for k, x in hot:
+            for combo in itertools.product(r1.universe, repeat=len(extra)):
+                table[extend(k + combo)] = x
     # pairs of exceptions that agree on the shared variables, hashed on them
-    shared = w1 & w2
-    at1 = [i for i, v in enumerate(sorted(w1, key=lambda v: v.name)) if v in shared]
-    at2 = [i for i, v in enumerate(sorted(w2, key=lambda v: v.name)) if v in shared]
+    shared = _schema(r1.vars & r2.vars)
+    key1, key2, merge = _plan(shared, s1), _plan(shared, s2), _plan(schema, s1 + s2)
     index: dict[tuple, list] = {}
-    for m2, v2 in r2.exceptions.items():
-        index.setdefault(tuple(m2.bindings[i][1] for i in at2), []).append((m2, v2))
-    for m1, v1 in r1.exceptions.items():
-        for m2, v2 in index.get(tuple(m1.bindings[i][1] for i in at1), ()):
-            exceptions[m1.merge(m2)] = op2(v1, v2)
-    return Relation(w1 | w2, d, exceptions, r1.universe)
+    for k2, v2 in r2.table.items():
+        index.setdefault(key2(k2), []).append((k2, v2))
+    for k1, v1 in r1.table.items():
+        for k2, v2 in index.get(key1(k1), ()):
+            table[merge(k1 + k2)] = op2(v1, v2)
+    return Relation._of(schema, d, table, r1.universe)
 
 
 def _combine_union(r1: Relation, r2: Relation, op2: Callable[[Any, Any], Any]) -> Relation:
-    exceptions = {m: op2(r1.value_at(m), r2.value_at(m))
-                  for m in r1.exceptions.keys() | r2.exceptions.keys()}
-    return Relation(r1.vars, op2(r1.default, r2.default), exceptions, r1.universe)
+    t1, t2, d1, d2 = r1.table, r2.table, r1.default, r2.default
+    table = {k: op2(t1.get(k, d1), t2.get(k, d2)) for k in t1.keys() | t2.keys()}
+    return Relation._of(r1.schema, op2(d1, d2), table, r1.universe)
 
 
 def _transform_by_formula(
@@ -645,7 +642,8 @@ def _transform_by_formula(
     open_mode = r.universe is None
     constants = formula_constants(f)
     pool = [] if open_mode else [t for t in r.universe if t not in constants]
-    exceptions: dict[Mapping, Any] = {}
+    schema = r.schema
+    table: dict[tuple, Any] = {}
     for rep, outcome in _equality_classes(f, w, r.default, None if open_mode else len(pool)):
         value = value_for(outcome, r.default)
         if value == default:
@@ -654,11 +652,11 @@ def _transform_by_formula(
             raise NonFinitelySupported(
                 "formula distinguishes infinitely many off-support mappings"
             )
-        for m in _class_members(rep, w, pool, r.universe or ()):
-            exceptions[m] = value
-    for m, v in r.exceptions.items():
-        exceptions[m] = value_for(_formula_value(f, m.get, v), v)
-    return Relation(w, default, exceptions, r.universe)
+        for k in _class_members(rep, schema, pool, r.universe or ()):
+            table[k] = value
+    for k, v in r.table.items():
+        table[k] = value_for(_formula_value(f, dict(zip(schema, k)).get, v), v)
+    return Relation._of(schema, default, table, r.universe)
 
 
 def _project_four(
@@ -693,14 +691,16 @@ def _project_four(
             return zero if n == 0 else d
         return functools.reduce(add, itertools.repeat(d, n), zero)
 
-    groups: dict[Mapping, list] = {}
-    for m, v in r.exceptions.items():
-        groups.setdefault(m.restrict(keep), []).append(v)
-    exceptions = {
-        m: functools.reduce(add, vals, copies(None if total is None else total - len(vals)))
-        for m, vals in groups.items()
+    schema = tuple(v for v in r.schema if v in keep)
+    restrict = _plan(schema, r.schema)
+    groups: dict[tuple, list] = {}
+    for k, v in r.table.items():
+        groups.setdefault(restrict(k), []).append(v)
+    table = {
+        k: functools.reduce(add, vals, copies(None if total is None else total - len(vals)))
+        for k, vals in groups.items()
     }
-    return Relation(keep, copies(total), exceptions, r.universe)
+    return Relation._of(schema, copies(total), table, r.universe)
 
 
 # ---------------------------------------------------------------------------
@@ -711,8 +711,8 @@ def _project_four(
 def _pattern_matcher(p: TriplePattern) -> Callable[[StarTriple], tuple | None]:
     """Compile p into positional tests on a triple and extractors.
 
-    The matcher gives the name-sorted bindings of p's variables that a
-    matching triple makes (a ``Mapping``'s tuple), or None.  Tests run in
+    The matcher gives the terms a matching triple binds p's variables to,
+    in name order (a row over p's schema), or None.  Tests run in
     pre-order, so a quoted position is known to hold a triple before any
     test looks inside it; a repeated variable must equal its first position.
     """
@@ -733,14 +733,13 @@ def _pattern_matcher(p: TriplePattern) -> Callable[[StarTriple], tuple | None]:
                 walk(sub, path + part + ".")
 
     walk(p, "")
-    names = sorted(first, key=lambda v: v.name)
-    extractors = [first[v] for v in names]
+    extractors = [first[v] for v in _schema(first)]
 
     def matcher(t: StarTriple) -> tuple | None:
         for test in tests:
             if not test(t):
                 return None
-        return tuple(zip(names, [get(t) for get in extractors]))
+        return tuple([get(t) for get in extractors])
 
     return matcher
 
@@ -755,9 +754,8 @@ def _eval_pattern(p: TriplePattern, g: FourGraph, universe: frozenset[Term] | No
     else:
         candidates = g.exceptions
     matcher = _pattern_matcher(p)
-    exceptions = {Mapping(bindings): g.exceptions[t]
-                  for t in candidates if (bindings := matcher(t)) is not None}
-    return Relation(pattern_variables(p), g.default, exceptions, universe)
+    table = {row: g.exceptions[t] for t in candidates if (row := matcher(t)) is not None}
+    return Relation._of(_schema(pattern_variables(p)), g.default, table, universe)
 
 
 class _FourEngine:
@@ -789,10 +787,10 @@ class _FourEngine:
 
     def _extract(self, g: FourGraph, e: belief_mod.BeliefQuery,
                  binding: dict[Variable, Term] | None = None) -> FourGraph:
-        """e's extraction from g under ``binding``.  The memo keys on e's id,
-        as ``eval`` keys on the node's (e is a node's own expression), and
-        on the bound holders, which a node always binds in one order."""
-        key = (id(g), id(e), *(binding or {}).values())
+        """e's extraction from g under ``binding``.  The memo keys on e's
+        value, so nodes with equal expressions share it, and on the bound
+        holders, which an expression always binds in one order."""
+        key = (id(g), e, *(binding or {}).values())
         hit = self._extract_cache.get(key)
         if hit is None:
             extracted = belief_mod.extract(g, e, self.vocab, binding)
@@ -843,8 +841,9 @@ class _FourEngine:
         if not evars:
             return self.eval(q.query, self._extract(g, q.expr))
 
-        evars_sorted = sorted(evars, key=lambda v: v.name)
+        evars_sorted = _schema(evars)
         w1 = self.scopes[id(q.query)]
+        s1 = _schema(w1)
         open_mode = self.universe is None
         taken = {h for h, _ in belief_mod.holder_index(g, self.vocab)}
         fresh = next(i for i in (Iri(f"urn:esparql:fresh{n}") for n in itertools.count())
@@ -860,7 +859,7 @@ class _FourEngine:
         # triples, whose slices are constantly unknown
         stands_for: dict[Iri | None, list[Term]]
         if open_mode:
-            if r0.exceptions or r0.default != UNKNOWN:
+            if r0.table or r0.default != UNKNOWN:
                 raise NonFinitelySupported(
                     "belief over a quantified holder is not constantly unknown off-support"
                 )
@@ -871,32 +870,34 @@ class _FourEngine:
                 None: [t for t in self.universe if not isinstance(t, Iri)],
             }
         default = r0.default
-        unknown = Relation(w1, UNKNOWN, None, self.universe)
-        exceptions: dict[Mapping, Any] = {}
+        unknown = Relation._of(s1, UNKNOWN, {}, self.universe)
+        schema = _schema(w1 | evars)
+        extend = _plan(schema, s1 + evars_sorted)
+        table: dict[tuple, Any] = {}
         keys = sorted(taken, key=lambda i: i.text) + list(stands_for)
         for key in itertools.product(keys, repeat=len(evars)):
             rel = unknown if None in key else slice_at(key)
-            if rel.default == default and not rel.exceptions:
+            if rel.default == default and not rel.table:
                 continue
             if open_mode and fresh in key:
                 raise NonFinitelySupported(
                     "belief naming a holder and a quantified non-holder is not constantly unknown"
                 )
             if rel.default == default:
-                rows = list(rel.exceptions.items())
+                rows = rel.table.items()
             elif open_mode and w1:
                 raise NonFinitelySupported(
                     "belief slice disagrees with the default on infinitely many mappings"
                 )
             else:
-                rows = [(m1, rel.value_at(m1))
-                        for m1 in mappings_over(w1, self.universe or ())]
+                dense = mappings_over(w1, self.universe or ())
+                rows = [(k, rel.table.get(k, rel.default))
+                        for k in (tuple(t for _, t in m.bindings) for m in dense)]
             for combo in itertools.product(*(stands_for.get(t, (t,)) for t in key)):
-                binding = dict(zip(evars_sorted, combo))
-                for m1, v in rows:
+                for k, v in rows:
                     if v != default:
-                        exceptions[m1.extend(binding)] = v
-        return Relation(w1 | evars, default, exceptions, self.universe)
+                        table[extend(k + combo)] = v
+        return Relation._of(schema, default, table, self.universe)
 
 
 def _universe(q: Query, g: FourGraph, mode: EvalMode, cap: int,

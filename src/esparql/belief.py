@@ -18,11 +18,22 @@ from .four import CONFLICTED, FALSE, TRUE, UNKNOWN, FourOperator, FourValue, app
 from .model import BeliefVocabulary, FourGraph, Iri, StarTriple, Term, Variable
 
 
+def _cached_hash(node, fields: tuple) -> int:
+    """hash(fields), stored on the node: memos key on expressions, whose
+    generated hash would walk the whole tree on every lookup."""
+    if "_hash" not in node.__dict__:
+        object.__setattr__(node, "_hash", hash(fields))
+    return node.__dict__["_hash"]
+
+
 @dataclass(frozen=True)
 class AtomicBelief:
     holder: Union[Iri, Variable]
     state: FourValue
     fallback: FourValue
+
+    def __hash__(self) -> int:
+        return _cached_hash(self, (self.holder, self.state, self.fallback))
 
     def __repr__(self) -> str:
         return f"[{self.holder!r}, {self.state!r}, {self.fallback!r}]"
@@ -33,6 +44,9 @@ class CompoundBelief:
     left: "BeliefQuery"
     op: FourOperator
     right: "BeliefQuery"
+
+    def __hash__(self) -> int:
+        return _cached_hash(self, (self.left, self.op, self.right))
 
     def __repr__(self) -> str:
         return f"({self.left!r} {self.op.value} {self.right!r})"

@@ -296,12 +296,6 @@ class BeliefVocabulary:
             object.__setattr__(self, "_by_state", table)
         return table[state]
 
-    def state_for(self, predicate: Iri) -> FourValue | None:
-        for state in STATES:
-            if self.predicate_for(state) == predicate:
-                return state
-        return None
-
     def predicates(self) -> frozenset[Iri]:
         return frozenset(self.predicate_for(s) for s in STATES)
 

@@ -319,13 +319,13 @@ def diff(engine: Relation, reference: DenseRelation
         )
     if engine.universe != reference.universe:
         raise ShapeMismatch("universes differ")
-    # the engine's exceptions by position (its rows list bindings in name
+    # the engine's exceptions by position (its rows list terms in name
     # order; a row off the universe has no reference value), then the
     # reference in canonical order, so the first counterexample is stable
     digit = {t: d for d, t in enumerate(reference._terms)}
     exceptions = {}
-    for m, v in engine.exceptions.items():
-        digits = [digit.get(t) for _, t in m.bindings]
+    for row, v in engine.table.items():
+        digits = [digit.get(t) for t in row]
         if None not in digits:
             exceptions[sum(d * len(digit) ** k for k, d in enumerate(reversed(digits)))] = v
     out = []

@@ -66,6 +66,10 @@ CONDITION_DEPTH_LIMIT = 128
 # ParseError at the UNION that would add the first branch past the limit.
 UNION_BRANCH_LIMIT = 128
 
+# How deep SELECTs may nest, the outermost one counted.  Deeper input is a
+# ParseError at the first SELECT past the limit.
+SELECT_DEPTH_LIMIT = 128
+
 
 def resolve_iri(text: str, base: str) -> Iri:
     """Keep absolute IRIs; resolve bare names against the base."""
@@ -315,6 +319,7 @@ class _Stream:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.iris = _Iris(base)
+        self.selects = 0  # SELECTs open at the cursor
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -350,6 +355,10 @@ def parse_query(text: str, *, base_iri: str = DEFAULT_BASE_IRI) -> UserQuery:
 
 def _parse_select(s: _Stream) -> UserQuery:
     start = s.expect("SELECT")
+    if s.selects == SELECT_DEPTH_LIMIT:
+        raise ParseError(f"SELECT nested deeper than {SELECT_DEPTH_LIMIT} levels",
+                         *s.position(start))
+    s.selects += 1
     info = False
     if s.at("INFO"):
         s.next()
@@ -374,6 +383,7 @@ def _parse_select(s: _Stream) -> UserQuery:
             raise s.error("expected a belief holder")
     s.expect("WHERE")
     body = _parse_group(s)
+    s.selects -= 1
     return UserQuery(info, projection, holders, body, s.position(start))
 
 
@@ -674,8 +684,7 @@ def serialize_relation(
     the state; rows sort by those texts, as ``Relation.rows`` does."""
     names = sorted(v.name for v in r.vars)
     header = names + ["state"]
-    rows = sorted([*(term_text(t) for _, t in m.bindings), _value_label(v)]
-                  for m, v in r.exceptions.items())
+    rows = sorted([*map(term_text, row), _value_label(v)] for row, v in r.table.items())
     wildcard = [["*"] * len(names) + [_value_label(r.default)]] if show_default else []
     if format == "table":
         rows = [[*(_table_cell(c, base_iri) for c in row[:-1]), row[-1]] for row in rows]

@@ -45,7 +45,7 @@ from esparql import (
     mappings_over,
     oracle_eval,
 )
-from esparql.algebra import ThreeValued, eval_formula
+from esparql.algebra import ThreeValued
 from esparql.model import term_to_pattern
 from esparql import randgen
 
@@ -65,6 +65,7 @@ from conftest import (
     ZEUS_DEITY,
     example_graph,
 )
+from helpers import all_rows, eval_formula, same_function
 
 F, T, U, C = (FourValue.FALSE, FourValue.TRUE,
               FourValue.UNKNOWN, FourValue.CONFLICTED)
@@ -102,15 +103,6 @@ def test_mapping_basics():
     assert m.restrict(frozenset()) == Mapping.of({})
 
 
-def test_mapping_merge_and_extend():
-    a = Mapping.of({X: POPE})
-    b = Mapping.of({Y: JESUS})
-    assert a.merge(b) == Mapping.of({X: POPE, Y: JESUS})
-    assert a.merge(Mapping.of({X: POPE, Y: JESUS})) is not None
-    assert a.merge(Mapping.of({X: ARIUS})) is None
-    assert a.extend({Y: JESUS}).domain == {X, Y}
-
-
 def test_mappings_over_is_exhaustive_and_ordered():
     universe = [POPE, ARIUS, JESUS]
     ms = list(mappings_over([X, Y], universe))
@@ -135,15 +127,37 @@ def test_relation_canonical_form():
         Relation(frozenset({X}), U, {Mapping.of({Y: POPE}): T})
 
 
+def test_relation_rejects_mappings_over_other_variables():
+    stray = (Mapping.of({Y: POPE}), Mapping.of({}), Mapping.of({X: POPE, Y: ARIUS}))
+    for m in stray:
+        # a stray row is refused even when it carries the default
+        for value in (T, U):
+            with pytest.raises(ValueError, match="exception domain"):
+                Relation(frozenset({X}), U, {m: value})
+    # the right variables out of name order
+    with pytest.raises(ValueError, match="exception domain"):
+        Relation(frozenset({X, Y}), U, {Mapping(((Y, POPE), (X, ARIUS))): T})
+
+
+def test_engine_rows_must_have_the_schema_length():
+    for schema, row in (((X,), (POPE, ARIUS)), ((X, Y), (POPE,)), ((X,), ())):
+        for value in (T, U):
+            with pytest.raises(ValueError, match="row length"):
+                Relation._of(schema, U, {row: value}, None)
+    r = Relation._of((X,), U, {(POPE,): T, (ARIUS,): U}, None)
+    assert r == Relation(frozenset({X}), U, {Mapping.of({X: POPE}): T})
+    assert r.table == {(POPE,): T}
+
+
 def test_relation_rows_and_all_rows():
     uni = frozenset({POPE, ARIUS})
     r = Relation(frozenset({X}), U, {Mapping.of({X: POPE}): T}, universe=uni)
     assert list(r.rows()) == [row({X: POPE}, T)]
-    assert dict(r.all_rows()) == {Mapping.of({X: POPE}): T,
+    assert dict(all_rows(r)) == {Mapping.of({X: POPE}): T,
                                   Mapping.of({X: ARIUS}): U}
     open_r = Relation(frozenset({X}), U)
     with pytest.raises(ValueError):
-        list(open_r.all_rows())
+        list(all_rows(open_r))
 
 
 def test_relation_same_function_tolerates_default_choice():
@@ -152,10 +166,10 @@ def test_relation_same_function_tolerates_default_choice():
     dense = Relation(frozenset({X}), F,
                      {Mapping.of({X: POPE}): T, Mapping.of({X: ARIUS}): U},
                      universe=uni)
-    assert sparse.same_function(dense)
+    assert same_function(sparse, dense)
     assert sparse != dense
     other = Relation(frozenset({X}), U, {Mapping.of({X: ARIUS}): T}, universe=uni)
-    assert not sparse.same_function(other)
+    assert not same_function(sparse, other)
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +320,13 @@ def test_projection_folds_default_rows_too(g1):
 def test_projection_identity_on_full_scope(g1):
     base = evaluate(IS_CHRISTIAN, g1)
     projected = evaluate(Project(OPLUS, frozenset({X}), IS_CHRISTIAN), g1)
-    assert projected.same_function(base)
+    assert same_function(projected, base)
 
 
 def test_filter_on_always_true_formula_is_identity(g1):
     base = evaluate(IS_CHRISTIAN, g1)
     filtered = evaluate(Filter(OTIMES, IS_CHRISTIAN, Bound(X)), g1)
-    assert filtered.same_function(base)
+    assert same_function(filtered, base)
 
 
 def test_universe_cap(g1):
@@ -378,7 +392,7 @@ def test_conflict_listing_with_two_holders(g1):
         assert r.default == F
         assert exceptions(r) == {Mapping.of({X: ARIUS}): T,
                                  Mapping.of({X: CHRISTIANITY}): T}
-    assert literal.same_function(projected)
+    assert same_function(literal, projected)
 
 
 def test_nested_belief_of_belief(g1):
@@ -510,18 +524,63 @@ def test_wide_filter_classifies_only_the_compared_variables(monkeypatch):
 
 def test_join_merges_only_matching_exception_pairs(monkeypatch):
     p, q = Iri("urn:p"), Iri("urn:q")
-    g = _ring_graph(30, (p, q))
+    # every term a separate object, so comparing two rows' terms runs Iri.__eq__
+    g = FourGraph(U, {StarTriple(Iri(t.subject.text), t.predicate, Iri(t.object.text)): v
+                      for t, v in _ring_graph(30, (p, q)).exceptions.items()})
     left, right = Pattern(TriplePattern(X, p, Y)), Pattern(TriplePattern(Y, q, S))
     pairs = sum(1 for t1 in g.exceptions for t2 in g.exceptions
                 if t1.predicate == p and t2.predicate == q and t1.object == t2.subject)
 
-    merges = _counting(monkeypatch, Mapping, "merge")
+    compared, joining = [0], [False]
+    real_eq, real_join = Iri.__eq__, esparql.algebra._combine_join
+
+    def counted_eq(a, b):
+        compared[0] += joining[0]
+        return real_eq(a, b)
+
+    def counted_join(*args):
+        joining[0] = True
+        try:
+            return real_join(*args)
+        finally:
+            joining[0] = False
+
+    monkeypatch.setattr(Iri, "__eq__", counted_eq)
+    monkeypatch.setattr(esparql.algebra, "_combine_join", counted_join)
     r = evaluate(Join(OTIMES, left, right), g)
     monkeypatch.undo()
 
-    # every node has one p-successor and one q-successor: 30 of 30 * 30 pairs
-    assert merges[0] == pairs == 30
+    # every node has one p-successor and one q-successor: the join compares
+    # each of the 30 matching pairs once, of 30 * 30 pairs
+    assert compared[0] == pairs == 30
     assert diff(r, oracle_eval(Join(OTIMES, left, right), g)) == []
+
+
+def test_evaluation_builds_no_mapping_until_exceptions_are_read(monkeypatch):
+    p, q = Iri("urn:p"), Iri("urn:q")
+    g = _ring_graph(30, (p, q))
+    a, b, c = (Variable(n) for n in "abc")
+    tri = Join(AND, Pattern(TriplePattern(a, p, b)), Pattern(TriplePattern(b, q, c)))
+    query = Project(OR, frozenset({a, c}), Filter(AND, tri, Not(Eq(a, c))))
+
+    made = _counting(monkeypatch, Mapping, "__init__")
+    r = evaluate(query, g)
+    assert made[0] == 0
+    rows = r.exceptions
+    assert made[0] == len(rows) > 0
+    assert r.exceptions is rows and made[0] == len(rows)
+    monkeypatch.undo()
+    assert diff(r, oracle_eval(query, g)) == []
+
+
+def test_equal_belief_expressions_share_their_extractions(monkeypatch, g1):
+    calls = _counting(monkeypatch, belief_mod, "extract")
+    evaluate(Belief(all_states_shorthand(Y, OPLUS), IS_CHRISTIAN), g1)
+    alone = calls[0]
+    # two nodes, each with its own copy of the expression
+    evaluate(Join(OTIMES, Belief(all_states_shorthand(Y, OPLUS), IS_CHRISTIAN),
+                  Belief(all_states_shorthand(Y, OPLUS), DENIES_JESUS)), g1)
+    assert calls[0] - alone == alone > 0
 
 
 def _counting_matcher(monkeypatch):
@@ -589,11 +648,11 @@ def test_join_and_union_are_commutative(seed):
     for op in (OTIMES, AND):
         ab = evaluate(Join(op, qa, qb), g)
         ba = evaluate(Join(op, qb, qa), g)
-        assert ab.same_function(ba)
+        assert same_function(ab, ba)
     for op in (OPLUS, OR):
         ab = evaluate(Union(op, qa, qb), g)
         ba = evaluate(Union(op, qb, qa), g)
-        assert ab.same_function(ba)
+        assert same_function(ab, ba)
 
 
 @settings(max_examples=20, deadline=None)
@@ -603,7 +662,7 @@ def test_join_and_union_are_associative(seed):
     for node, op in ((Join, OTIMES), (Union, OPLUS)):
         left = evaluate(node(op, node(op, qa, qb), qc), g)
         right = evaluate(node(op, qa, node(op, qb, qc)), g)
-        assert left.same_function(right)
+        assert same_function(left, right)
 
 
 @settings(max_examples=20, deadline=None)
@@ -611,5 +670,5 @@ def test_join_and_union_are_associative(seed):
 def test_projection_and_filter_identities_hold_generally(seed):
     g, (q,) = _seeded_case(seed, 1, frozenset({X, Y}))
     base = evaluate(q, g)
-    assert evaluate(Project(OPLUS, frozenset({X, Y}), q), g).same_function(base)
-    assert evaluate(Filter(OTIMES, q, Bound(X)), g).same_function(base)
+    assert same_function(evaluate(Project(OPLUS, frozenset({X, Y}), q), g), base)
+    assert same_function(evaluate(Filter(OTIMES, q, Bound(X)), g), base)

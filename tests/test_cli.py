@@ -140,6 +140,16 @@ def test_a_union_chain_past_the_limit_exits_with_2(runner, tmp_path):
     assert result.stderr == f"error: 1:{column}: UNION chain longer than 128 branches\n"
 
 
+def test_selects_nested_past_the_limit_exit_with_2(runner, tmp_path):
+    query = tmp_path / "deep.esq"
+    query.write_text("SELECT * WHERE { " * 1000 + "?s ?p ?o" + " }" * 1000 + "\n")
+    result = runner.invoke(main, ["query", "--graph", GRAPH, "--query", str(query)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    column = 17 * 128 + 1  # the SELECT of level 129
+    assert result.stderr == f"error: 1:{column}: SELECT nested deeper than 128 levels\n"
+
+
 @pytest.mark.parametrize(
     "args",
     [

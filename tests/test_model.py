@@ -49,6 +49,7 @@ from conftest import (
     ZEUS_DEITY,
     example_graph,
 )
+from helpers import state_for
 
 X = Variable("x")
 Y = Variable("y")
@@ -316,8 +317,8 @@ def test_graph_caches_stay_coherent_under_set_value():
 
 def test_vocabulary_round_trip():
     for state in STATES:
-        assert VOCAB.state_for(VOCAB.predicate_for(state)) == state
-    assert VOCAB.state_for(A) is None
+        assert state_for(VOCAB, VOCAB.predicate_for(state)) == state
+    assert state_for(VOCAB, A) is None
     assert len(VOCAB.predicates()) == 4
 
 

@@ -51,6 +51,7 @@ from conftest import (
     data,
     example_graph,
 )
+from helpers import all_rows
 
 F, T, U, C = (FourValue.FALSE, FourValue.TRUE,
               FourValue.UNKNOWN, FourValue.CONFLICTED)
@@ -97,7 +98,7 @@ def test_open_agrees_with_active_domain(g1):
     q = Union(OPLUS, IS_CHRISTIAN, DENIES_JESUS)
     opened = open_eval(q, g1)
     grounded = evaluate(q, g1)
-    for m, want in grounded.all_rows():
+    for m, want in all_rows(grounded):
         assert opened.value_at(m) == want
 
 
@@ -250,7 +251,7 @@ def test_open_belief_quantified_holder_with_body_scope(g1):
     assert r.value_at(Mapping.of({X: POPE, Y: JESUS})) == T
     assert r.value_at(Mapping.of({X: ARIUS, Y: JESUS})) == F
     grounded = evaluate(q, g1)
-    for m, want in grounded.all_rows():
+    for m, want in all_rows(grounded):
         assert r.value_at(m) == want
 
 
@@ -318,5 +319,5 @@ def test_join_free_open_queries_always_finite(seed):
     r = open_eval(q, g)
     assert r.universe is None
     grounded = evaluate(q, g)
-    for m, want in grounded.all_rows():
+    for m, want in all_rows(grounded):
         assert r.value_at(m) == want

@@ -49,6 +49,7 @@ from esparql.model import term_text
 from esparql.parser import (
     CONDITION_DEPTH_LIMIT,
     QUOTE_DEPTH_LIMIT,
+    SELECT_DEPTH_LIMIT,
     UNION_BRANCH_LIMIT,
     desugar,
     resolve_iri,
@@ -343,6 +344,29 @@ def test_union_chains_past_the_limit_are_a_syntax_error():
     for branches in (limit + 1, 1500):
         with pytest.raises(ParseError) as err:
             parse_query(_union_chain(branches))
+        assert str(err.value) == message
+
+
+def _nested_selects(levels: int) -> str:
+    """``levels`` SELECTs, each the whole body of the one around it."""
+    return "SELECT * WHERE { " * levels + "?s <p> ?o" + " }" * levels
+
+
+def test_selects_may_nest_up_to_the_limit():
+    g = parse_graph("<a> <p> <b> .\n<b> <p> <c> @false .\n")
+    deepest = parse_and_desugar(_nested_selects(SELECT_DEPTH_LIMIT))
+    one = parse_and_desugar(_nested_selects(1))
+    for mode in EvalMode:
+        assert evaluate(deepest, g, mode=mode) == evaluate(one, g, mode=mode)
+
+
+def test_selects_nested_past_the_limit_are_a_syntax_error():
+    limit = SELECT_DEPTH_LIMIT
+    # the SELECT of level 129 follows 128 openings of 17 characters
+    message = f"1:{17 * limit + 1}: SELECT nested deeper than {limit} levels"
+    for levels in (limit + 1, 1000):
+        with pytest.raises(ParseError) as err:
+            parse_query(_nested_selects(levels))
         assert str(err.value) == message
 
 
