@@ -745,14 +745,12 @@ def _pattern_matcher(p: TriplePattern) -> Callable[[StarTriple], tuple | None]:
 
 
 def _eval_pattern(p: TriplePattern, g: FourGraph, universe: frozenset[Term] | None) -> Relation:
-    """Scan the graph's predicate bucket when p's predicate is an IRI, its
-    subject bucket when p's subject is ground, else every exception."""
-    if isinstance(p.predicate, Iri):
-        candidates = g.bucket("predicate", p.predicate)
-    elif pattern_is_ground(p.subject):
-        candidates = g.bucket("subject", pattern_to_term(p.subject))
-    else:
-        candidates = g.exceptions
+    """Scan the smallest of the graph's buckets for p's ground subject,
+    predicate and object, or every exception when none is ground."""
+    candidates = min((g.bucket(position, pattern_to_term(part))
+                      for position in ("subject", "predicate", "object")
+                      if pattern_is_ground(part := getattr(p, position))),
+                     key=len, default=g.exceptions)
     matcher = _pattern_matcher(p)
     table = {row: g.exceptions[t] for t in candidates if (row := matcher(t)) is not None}
     return Relation._of(_schema(pattern_variables(p)), g.default, table, universe)
@@ -798,7 +796,8 @@ class _FourEngine:
         return hit[1]
 
     def eval(self, q: Query, g: FourGraph) -> Relation:
-        key = (id(q), id(g))
+        # a Pattern node keys on its pattern's value, so repeats scan once
+        key = (q.pattern if isinstance(q, Pattern) else id(q), id(g))
         hit = self._eval_cache.get(key)
         if hit is None:
             hit = self._eval_cache[key] = (g, self._eval(q, g))

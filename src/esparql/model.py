@@ -23,64 +23,107 @@ DEFAULT_BASE_IRI = "https://esparql.dev/data#"
 _BAD_IRI_CHAR = re.compile(r"[\s<>]").search
 
 
-@dataclass(frozen=True)
-class Iri:
+class _Term:
+    """Immutable once built: ``__init__`` sets the slots through their descriptors."""
+
+    __slots__ = ("_hash",)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, slot) for slot in self.__slots__)
+
+
+class Iri(_Term):
     """An opaque IRI.  Non-empty, no whitespace, no angle brackets."""
 
-    text: str
+    __slots__ = ("text",)
+    __hash__ = _Term.__hash__
 
-    def __post_init__(self):
-        if not self.text:
+    def __init__(self, text: str):
+        if not text:
             raise ValueError("empty IRI")
-        if _BAD_IRI_CHAR(self.text):
-            raise ValueError(f"bad IRI text: {self.text!r}")
+        if _BAD_IRI_CHAR(text):
+            raise ValueError(f"bad IRI text: {text!r}")
+        _set_text(self, text)
+        _set_hash(self, hash(text))
+
+    def __eq__(self, other) -> bool:
+        return self.text == other.text if other.__class__ is self.__class__ else NotImplemented
 
     def __repr__(self) -> str:
         return f"<{self.text}>"
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(_Term):
     """A query variable.  Distinct from any IRI, whatever the spelling."""
 
-    name: str
+    __slots__ = ("name",)
+    __hash__ = _Term.__hash__
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str):
+        if not name:
             raise ValueError("empty variable name")
-        if any(c.isspace() for c in self.name) or "?" in self.name:
-            raise ValueError(f"bad variable name: {self.name!r}")
+        if any(c.isspace() for c in name) or "?" in name:
+            raise ValueError(f"bad variable name: {name!r}")
+        _set_name(self, name)
+        _set_hash(self, hash(name))
+
+    def __eq__(self, other) -> bool:
+        return self.name == other.name if other.__class__ is self.__class__ else NotImplemented
 
     def __repr__(self) -> str:
         return f"?{self.name}"
 
 
-@dataclass(frozen=True)
-class StarTriple:
+class StarTriple(_Term):
     """A ground triple; subject and object may themselves be quoted triples."""
 
-    subject: "Term"
-    predicate: Iri
-    object: "Term"
+    __slots__ = ("subject", "predicate", "object")
+    __hash__ = _Term.__hash__
 
-    def __post_init__(self):
-        for slot, val in (("subject", self.subject), ("object", self.object)):
-            if not isinstance(val, (Iri, StarTriple)):
-                raise TypeError(f"{slot} must be a term, got {type(val).__name__}")
-        if not isinstance(self.predicate, Iri):
+    def __init__(self, subject: "Term", predicate: Iri, object: "Term"):
+        if subject.__class__ not in _TERMS and not isinstance(subject, _TERMS):
+            raise TypeError(f"subject must be a term, got {type(subject).__name__}")
+        if object.__class__ not in _TERMS and not isinstance(object, _TERMS):
+            raise TypeError(f"object must be a term, got {type(object).__name__}")
+        if predicate.__class__ is not Iri and not isinstance(predicate, Iri):
             raise TypeError("predicate must be an IRI")
+        _set_subject(self, subject)
+        _set_predicate(self, predicate)
+        _set_object(self, object)
+        _set_hash(self, hash((subject._hash, predicate._hash, object._hash)))
 
-    def __hash__(self) -> int:
-        # cached: deep nesting makes the generated hash quadratic in practice
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.subject, self.predicate, self.object))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # quoted parts wait on a stack, so deep quoting cannot overflow it
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a._hash != b._hash:
+                return False
+            for x, y in (a.subject, b.subject), (a.predicate, b.predicate), (a.object, b.object):
+                if x is not y and x.__class__ is StarTriple is y.__class__:
+                    todo.append((x, y))
+                elif x is not y and not x == y:
+                    return False
+        return True
 
     def __repr__(self) -> str:
         return f"<< {self.subject!r} {self.predicate!r} {self.object!r} >>"
 
+
+_TERMS = (Iri, StarTriple)
+_set_hash, _set_text, _set_name = _Term._hash.__set__, Iri.text.__set__, Variable.name.__set__
+_set_subject, _set_predicate, _set_object = (
+    getattr(StarTriple, slot).__set__ for slot in StarTriple.__slots__)
 
 Term = Union[Iri, StarTriple]
 
@@ -158,9 +201,9 @@ class FourGraph:
 
     Invariant: ``exceptions`` is never mutated after construction (updates
     such as ``set_value`` return a new graph).  The structures derived from
-    it (triples bucketed by subject and by predicate, the active domain and
-    the belief holder index of each vocabulary) are built on first use and
-    then cached on that invariant by ``derived``.
+    it (triples bucketed by subject, predicate and object, the active
+    domain and the belief holder index of each vocabulary) are built on
+    first use and then cached on that invariant by ``derived``.
     """
 
     __slots__ = ("default", "exceptions", "_derived")
@@ -198,8 +241,8 @@ class FourGraph:
         return hit
 
     def bucket(self, position: str, term: Term) -> Sequence[StarTriple]:
-        """Exception triples whose ``position`` ('subject' or 'predicate')
-        holds ``term``."""
+        """Exception triples whose ``position`` ('subject', 'predicate' or
+        'object') holds ``term``."""
         def build() -> dict[Term, list[StarTriple]]:
             index: dict[Term, list[StarTriple]] = {}
             for t in self.exceptions:

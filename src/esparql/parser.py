@@ -51,6 +51,7 @@ from .algebra import (
 _SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 
 _STATE_WORDS = {v.label: v for v in FourValue}
+_LABELS = {v: v.label for v in FourValue}  # read without Enum's descriptors
 
 _STATE_KEYWORDS = {v.label.upper(): v for v in FourValue}
 
@@ -69,6 +70,10 @@ UNION_BRANCH_LIMIT = 128
 # How deep SELECTs may nest, the outermost one counted.  Deeper input is a
 # ParseError at the first SELECT past the limit.
 SELECT_DEPTH_LIMIT = 128
+
+# How deep groups '{ ... }' may nest, the WHERE group counted.  Deeper input
+# is a ParseError at the first '{' past the limit.
+GROUP_DEPTH_LIMIT = 128
 
 
 def resolve_iri(text: str, base: str) -> Iri:
@@ -253,7 +258,7 @@ def render_graph(g: FourGraph) -> str:
     so no such body is a prefix of another: sorting the lines is enough."""
     lines = sorted(
         f"{term_text(t.subject)} <{t.predicate.text}> {term_text(t.object)}"
-        f"{'' if v == FourValue.TRUE else ' @' + v.label} ."
+        f"{'' if v == FourValue.TRUE else ' @' + _LABELS[v]} ."
         for t, v in g.exceptions.items()
     )
     return "\n".join([f"@default {g.default.label} .", *lines]) + "\n"
@@ -319,7 +324,7 @@ class _Stream:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.iris = _Iris(base)
-        self.selects = 0  # SELECTs open at the cursor
+        self.selects = self.groups = 0  # SELECTs and groups open at the cursor
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -388,27 +393,30 @@ def _parse_select(s: _Stream) -> UserQuery:
 
 
 def _parse_group(s: _Stream) -> list:
-    s.expect("{")
+    tok = s.expect("{")
+    if s.groups == GROUP_DEPTH_LIMIT:
+        raise ParseError(f"groups nested deeper than {GROUP_DEPTH_LIMIT} levels", *s.position(tok))
+    s.groups += 1
     if s.at("SELECT"):
         # a group may hold a bare sub-query
-        sub = _parse_select(s)
-        s.expect("}")
-        return [SubSelect(sub)]
-    items = [_parse_item(s)]
-    while True:
-        if s.at("."):
-            s.next()
-            if s.at("}"):
+        items = [SubSelect(_parse_select(s))]
+    else:
+        items = [_parse_item(s)]
+        while True:
+            if s.at("."):
+                s.next()
+                if s.at("}"):
+                    break
+                items.append(_parse_item(s))
+            elif s.at("}"):
                 break
-            items.append(_parse_item(s))
-        elif s.at("}"):
-            break
-        elif isinstance(items[-1], (SubSelect, UnionItem)):
-            # separator dot is optional after a braced item
-            items.append(_parse_item(s))
-        else:
-            raise s.error("expected '.' or '}'")
+            elif isinstance(items[-1], (SubSelect, UnionItem)):
+                # separator dot is optional after a braced item
+                items.append(_parse_item(s))
+            else:
+                raise s.error("expected '.' or '}'")
     s.expect("}")
+    s.groups -= 1
     return items
 
 
@@ -654,7 +662,7 @@ def parse_and_desugar(text: str, *, base_iri: str = DEFAULT_BASE_IRI) -> Query:
 
 def _value_label(v) -> str:
     if isinstance(v, FourValue):
-        return v.label
+        return _LABELS[v]
     if isinstance(v, bool):
         return "true" if v else "false"
     return str(v)

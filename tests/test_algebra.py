@@ -627,6 +627,45 @@ def test_pattern_scan_with_a_ground_subject_examines_only_its_triples(monkeypatc
     assert diff(r, oracle_eval(Pattern(TriplePattern(node, P, Y)), g)) == []
 
 
+@pytest.mark.parametrize("pattern, examined", [
+    # predicate bucket 20 triples, object bucket 7: <n1> is the object of
+    # two p-links, one q-link and four r-links
+    (TriplePattern(X, Iri("urn:p"), Iri("urn:n1")), 7),
+    (TriplePattern(Iri("urn:n7"), P, O), 3),
+    (TriplePattern(Iri("urn:n7"), Iri("urn:p"), O), 3),
+])
+def test_pattern_scan_reads_the_narrowest_bucket(monkeypatch, pattern, examined):
+    g = _ring_graph(20, (Iri("urn:p"), Iri("urn:q"), Iri("urn:r")))
+    matcher = esparql.algebra._pattern_matcher(pattern)
+    full_scan = {row: v for t, v in g.exceptions.items() if (row := matcher(t)) is not None}
+    assert full_scan
+    calls = _counting_matcher(monkeypatch)
+    for mode in EvalMode:
+        r = evaluate(Pattern(pattern), g, mode=mode)
+        assert (r.default, r.table) == (U, full_scan)
+    monkeypatch.undo()
+    assert calls[0] == 2 * examined
+
+
+def test_repeated_patterns_are_scanned_once_per_evaluation(monkeypatch):
+    preds = [Iri(f"urn:p{i}") for i in range(3)]
+    g = _ring_graph(12, preds)
+
+    def chain(length):
+        # every node built apart, so only the pattern values repeat
+        q = Pattern(TriplePattern(X, Iri("urn:p0"), Y))
+        for i in range(1, length):
+            q = Join(AND, q, Pattern(TriplePattern(X, Iri(f"urn:p{i % 3}"), Y)))
+        return q
+
+    calls = _counting(monkeypatch, esparql.algebra, "_eval_pattern")
+    long = evaluate(chain(60), g)
+    assert calls[0] == 3
+    monkeypatch.undo()
+    # the truth meet is idempotent, so repeating a conjunct changes nothing
+    assert long == evaluate(chain(3), g)
+
+
 # ---------------------------------------------------------------------------
 # Algebraic laws, engine-level
 # ---------------------------------------------------------------------------

@@ -150,6 +150,17 @@ def test_selects_nested_past_the_limit_exit_with_2(runner, tmp_path):
     assert result.stderr == f"error: 1:{column}: SELECT nested deeper than 128 levels\n"
 
 
+def test_groups_nested_past_the_limit_exit_with_2(runner, tmp_path):
+    query = tmp_path / "deep.esq"
+    query.write_text("SELECT * WHERE { " + "{ " * 999 + "?s ?p ?o"
+                     + " } UNION { ?s ?p ?o }" * 999 + " }\n")
+    result = runner.invoke(main, ["query", "--graph", GRAPH, "--query", str(query)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    column = 17 + 2 * 127 + 1  # the '{' of level 129
+    assert result.stderr == f"error: 1:{column}: groups nested deeper than 128 levels\n"
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -1,5 +1,7 @@
 """Terms, patterns, graphs and the active domain."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -113,6 +115,73 @@ def test_star_triple_hash_and_equality():
     assert hash(again) == hash(POPE_AFFIRMS)
     assert hash(again) == hash(again)
     assert POPE_AFFIRMS != POPE_DENIES
+
+
+def test_iris_and_variables_of_one_spelling_differ():
+    assert Iri("x") != Variable("x") and Variable("x") != Iri("x")
+    assert not Iri("x") == Variable("x")
+    assert len({Iri("x"), Variable("x"), Iri("x"), Variable("x")}) == 2
+
+
+def test_triples_built_apart_are_equal_and_hash_alike():
+    def build(s, p, o):
+        # fresh objects all the way down
+        return StarTriple(StarTriple(Iri(s), Iri(p), Iri(o)), Iri(p), Iri(o))
+
+    a, b = build("urn:s", "urn:p", "urn:o"), build("urn:s", "urn:p", "urn:o")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert a != build("urn:s", "urn:p", "urn:x")
+    assert a != build("urn:x", "urn:p", "urn:o")
+    # keywords build the same term as positions
+    assert StarTriple(subject=a, predicate=Iri(text="urn:p"), object=Iri("urn:o")) == \
+        StarTriple(b, Iri("urn:p"), Iri("urn:o"))
+    assert Variable(name="v") == Variable("v")
+    assert repr(a) == "<< << <urn:s> <urn:p> <urn:o> >> <urn:p> <urn:o> >>"
+
+
+@pytest.mark.parametrize("term", [Iri("urn:a"), Variable("v"), POPE_AFFIRMS])
+def test_terms_are_immutable(term):
+    for name in ("text", "name", "subject", "predicate", "object", "_hash", "other"):
+        with pytest.raises(AttributeError):
+            setattr(term, name, Iri("urn:z"))
+        with pytest.raises(AttributeError):
+            delattr(term, name)
+
+
+def test_triple_positions_reject_variables_and_strings_with_the_same_messages():
+    cases = [
+        (("s", A, CHRISTIAN), "subject must be a term, got str"),
+        ((POPE, A, Variable("o")), "object must be a term, got Variable"),
+        ((X, A, "o"), "subject must be a term, got Variable"),
+        ((POPE, X, CHRISTIAN), "predicate must be an IRI"),
+        ((POPE, "a", CHRISTIAN), "predicate must be an IRI"),
+        ((POPE, JESUS_DEITY, CHRISTIAN), "predicate must be an IRI"),
+    ]
+    for args, message in cases:
+        with pytest.raises(TypeError) as err:
+            StarTriple(*args)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("term", [Iri("urn:a"), Variable("v"), POPE_AFFIRMS])
+def test_terms_survive_pickle_and_deepcopy(term):
+    for again in (pickle.loads(pickle.dumps(term)), copy.deepcopy(term)):
+        assert again == term and hash(again) == hash(term)
+        assert type(again) is type(term)
+
+
+def test_deep_triples_hash_and_compare_without_recursion():
+    def deep(n, leaf):
+        t = StarTriple(Iri(leaf), A, CHRISTIAN)
+        for _ in range(n - 1):
+            t = StarTriple(t, A, StarTriple(Iri("urn:y"), A, CHRISTIAN))
+        return t
+
+    a, b = deep(2000, "urn:x"), deep(2000, "urn:x")
+    assert a is not b and hash(a) == hash(b) and a == b
+    assert {a: 1}[b] == 1
+    assert a != deep(2000, "urn:other") and a != deep(1999, "urn:x")
 
 
 def test_triple_pattern_validation():

@@ -48,6 +48,7 @@ from esparql.model import TriplePattern
 from esparql.model import term_text
 from esparql.parser import (
     CONDITION_DEPTH_LIMIT,
+    GROUP_DEPTH_LIMIT,
     QUOTE_DEPTH_LIMIT,
     SELECT_DEPTH_LIMIT,
     UNION_BRANCH_LIMIT,
@@ -239,13 +240,13 @@ def test_each_iri_spelling_is_resolved_and_validated_once(monkeypatch):
     lines = [f"<{s}> <{p}> << <{s}> <{p}> <{o}> >> ."
              for s in names for p in names for o in names]
     validated = []
-    real = Iri.__post_init__
+    real = Iri.__init__
 
-    def counting(self):
-        validated.append(self.text)
-        real(self)
+    def counting(self, text):
+        validated.append(text)
+        real(self, text)
 
-    monkeypatch.setattr(Iri, "__post_init__", counting)
+    monkeypatch.setattr(Iri, "__init__", counting)
     g = parse_graph("\n".join(lines))
     assert len(g.exceptions) == len(names) ** 3
     assert sorted(validated) == sorted(
@@ -367,6 +368,31 @@ def test_selects_nested_past_the_limit_are_a_syntax_error():
     for levels in (limit + 1, 1000):
         with pytest.raises(ParseError) as err:
             parse_query(_nested_selects(levels))
+        assert str(err.value) == message
+
+
+def _nested_groups(levels: int) -> str:
+    """``levels`` groups, the WHERE group counted, each inner one the left
+    branch of a UNION in the group around it."""
+    n = levels - 1
+    return "SELECT * WHERE { " + "{ " * n + "?s <p> ?o" + " } UNION { ?s <p> ?o }" * n + " }"
+
+
+def test_groups_may_nest_up_to_the_limit():
+    g = parse_graph("<a> <p> <b> .\n<b> <p> <c> @false .\n")
+    deepest = parse_and_desugar(_nested_groups(GROUP_DEPTH_LIMIT))
+    one = parse_and_desugar(_nested_groups(1))
+    for mode in EvalMode:
+        assert evaluate(deepest, g, mode=mode) == evaluate(one, g, mode=mode)
+
+
+def test_groups_nested_past_the_limit_are_a_syntax_error():
+    limit = GROUP_DEPTH_LIMIT
+    # the '{' of level 129 follows the head and 127 openings of 2 characters
+    message = f"1:{17 + 2 * (limit - 1) + 1}: groups nested deeper than {limit} levels"
+    for levels in (limit + 1, 1000):
+        with pytest.raises(ParseError) as err:
+            parse_query(_nested_groups(levels))
         assert str(err.value) == message
 
 
