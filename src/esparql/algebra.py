@@ -483,7 +483,7 @@ def query_constants(q: Query) -> frozenset[Term]:
             acc.update(formula_constants(node.formula))
             walk(node.query)
         elif isinstance(node, Belief):
-            acc.update(h for h in belief_mod.atom_holders(node.expr) if isinstance(h, Iri))
+            acc.update(a.holder for a in belief_mod.atoms(node.expr) if isinstance(a.holder, Iri))
             walk(node.query)
         else:
             raise TypeError(f"not a query: {node!r}")
@@ -744,16 +744,30 @@ def _pattern_matcher(p: TriplePattern) -> Callable[[StarTriple], tuple | None]:
     return matcher
 
 
-def _eval_pattern(p: TriplePattern, g: FourGraph, universe: frozenset[Term] | None) -> Relation:
+def _scan_plan(p: TriplePattern, plans: dict) -> tuple:
+    """p's scan plan from ``plans``, an evaluation's table of them, compiled
+    there on first use: the (position, term) probe of each ground part,
+    the matcher and the schema."""
+    plan = plans.get(p)
+    if plan is None:
+        probes = tuple((position, pattern_to_term(part))
+                       for position in ("subject", "predicate", "object")
+                       if pattern_is_ground(part := getattr(p, position)))
+        plan = plans[p] = (probes, _pattern_matcher(p), _schema(pattern_variables(p)))
+    return plan
+
+
+def _eval_pattern(p: TriplePattern, g: FourGraph, universe: frozenset[Term] | None,
+                  plans: dict) -> Relation:
     """Scan the smallest of the graph's buckets for p's ground subject,
-    predicate and object, or every exception when none is ground."""
-    candidates = min((g.bucket(position, pattern_to_term(part))
-                      for position in ("subject", "predicate", "object")
-                      if pattern_is_ground(part := getattr(p, position))),
-                     key=len, default=g.exceptions)
-    matcher = _pattern_matcher(p)
-    table = {row: g.exceptions[t] for t in candidates if (row := matcher(t)) is not None}
-    return Relation._of(_schema(pattern_variables(p)), g.default, table, universe)
+    predicate and object, or every exception when none is ground, with
+    p's plan from ``plans`` (see ``_scan_plan``)."""
+    probes, matcher, schema = _scan_plan(p, plans)
+    exceptions = g.exceptions
+    candidates = min((g.bucket(position, term) for position, term in probes),
+                     key=len, default=exceptions)
+    table = {row: exceptions[t] for t in candidates if (row := matcher(t)) is not None}
+    return Relation._of(schema, g.default, table, universe)
 
 
 class _FourEngine:
@@ -770,6 +784,7 @@ class _FourEngine:
         self.semiring = semiring
         self._extract_cache: dict = {}
         self._eval_cache: dict = {}
+        self._plans: dict = {}
 
     # -- helpers -----------------------------------------------------------
 
@@ -807,7 +822,7 @@ class _FourEngine:
 
     def _eval(self, q: Query, g: FourGraph) -> Relation:
         if isinstance(q, Pattern):
-            return _eval_pattern(q.pattern, g, self.universe)
+            return _eval_pattern(q.pattern, g, self.universe, self._plans)
         if isinstance(q, Join):
             multiply = self._ops(q.op, False)[0]
             return _combine_join(self.eval(q.left, g), self.eval(q.right, g), multiply)
@@ -836,15 +851,18 @@ class _FourEngine:
         raise TypeError(f"not a query: {q!r}")
 
     def _eval_belief(self, q: Belief, g: FourGraph) -> Relation:
-        evars = belief_mod.belief_variables(q.expr)
+        # the scope rules keep the holder variables out of the body's scope
+        w1 = self.scopes[id(q.query)]
+        evars = self.scopes[id(q)] - w1
         if not evars:
             return self.eval(q.query, self._extract(g, q.expr))
 
         evars_sorted = _schema(evars)
-        w1 = self.scopes[id(q.query)]
         s1 = _schema(w1)
         open_mode = self.universe is None
-        taken = {h for h, _ in belief_mod.holder_index(g, self.vocab)}
+        index = belief_mod.holder_index(g, self.vocab)
+        taken = {h for h, _ in index}
+        relevant = self._relevant_holders(q.query, index)
         fresh = next(i for i in (Iri(f"urn:esparql:fresh{n}") for n in itertools.count())
                      if i not in taken)
 
@@ -852,10 +870,10 @@ class _FourEngine:
             return self.eval(q.query, self._extract(g, q.expr, dict(zip(evars_sorted, key))))
 
         r0 = slice_at((fresh,) * len(evars))
-        # a key position is a holder; or fresh, standing for every IRI without
-        # belief statements (they all extract alike), infinitely many in open
-        # mode; or, over the active domain, None, standing for the quoted
-        # triples, whose slices are constantly unknown
+        # a key position is a relevant holder; or fresh, standing for every
+        # other IRI (the body cannot tell their extractions apart),
+        # infinitely many in open mode; or, over the active domain, None,
+        # standing for the quoted triples, whose slices are constantly unknown
         stands_for: dict[Iri | None, list[Term]]
         if open_mode:
             if r0.table or r0.default != UNKNOWN:
@@ -865,7 +883,7 @@ class _FourEngine:
             stands_for = {fresh: []}
         else:
             stands_for = {
-                fresh: [t for t in self.universe if isinstance(t, Iri) and t not in taken],
+                fresh: [t for t in self.universe if isinstance(t, Iri) and t not in relevant],
                 None: [t for t in self.universe if not isinstance(t, Iri)],
             }
         default = r0.default
@@ -873,7 +891,7 @@ class _FourEngine:
         schema = _schema(w1 | evars)
         extend = _plan(schema, s1 + evars_sorted)
         table: dict[tuple, Any] = {}
-        keys = sorted(taken, key=lambda i: i.text) + list(stands_for)
+        keys = sorted(relevant, key=lambda i: i.text) + list(stands_for)
         for key in itertools.product(keys, repeat=len(evars)):
             rel = unknown if None in key else slice_at(key)
             if rel.default == default and not rel.table:
@@ -897,6 +915,27 @@ class _FourEngine:
                     if v != default:
                         table[extend(k + combo)] = v
         return Relation._of(schema, default, table, self.universe)
+
+    def _relevant_holders(self, body: Query, index: dict) -> set[Iri]:
+        """The holders in ``index`` with a stance on a triple that some
+        pattern of ``body`` matches.  A pattern with a variable predicate or
+        a nested belief could match anything, and makes every holder
+        relevant.  An irrelevant holder's extraction differs from that of
+        an IRI without stances only on triples no pattern reads, so the
+        body evaluates alike over both."""
+        matchers, todo = [], [body]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, Pattern) and isinstance(node.pattern.predicate, Iri):
+                matchers.append(_scan_plan(node.pattern, self._plans)[1])
+            elif isinstance(node, (Pattern, Belief)):
+                return {h for h, _ in index}
+            elif isinstance(node, (Join, Union)):
+                todo += (node.left, node.right)
+            else:
+                todo.append(node.query)
+        return {h for (h, _), believed in index.items()
+                if any(m(t) is not None for m in matchers for t in believed)}
 
 
 def _universe(q: Query, g: FourGraph, mode: EvalMode, cap: int,

@@ -11,7 +11,7 @@ combine extractions pointwise with a lattice operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .errors import NonFiniteBeliefExtraction, NonIriHolder, UnboundBeliefVariable
 from .four import CONFLICTED, FALSE, TRUE, UNKNOWN, FourOperator, FourValue, apply, identity_of
@@ -68,17 +68,17 @@ def all_states_shorthand(holder: Union[Iri, Variable], op: FourOperator) -> Beli
     return query
 
 
-def atom_holders(e: BeliefQuery) -> Iterator[Union[Iri, Variable]]:
-    """The holder of each atom of e, left to right."""
+def atoms(e: BeliefQuery) -> Iterator[AtomicBelief]:
+    """The atoms of e, left to right."""
     if isinstance(e, AtomicBelief):
-        yield e.holder
+        yield e
     else:
-        yield from atom_holders(e.left)
-        yield from atom_holders(e.right)
+        yield from atoms(e.left)
+        yield from atoms(e.right)
 
 
 def belief_variables(e: BeliefQuery) -> frozenset[Variable]:
-    return frozenset(h for h in atom_holders(e) if isinstance(h, Variable))
+    return frozenset(a.holder for a in atoms(e) if isinstance(a.holder, Variable))
 
 
 def holder_index(g: FourGraph,
@@ -106,7 +106,9 @@ def extract(g: FourGraph, e: BeliefQuery, vocab: BeliefVocabulary,
             binding: dict[Variable, Term] | None = None) -> FourGraph:
     """Materialize a belief query against g as a graph of its own, looking
     atoms up in g's ``holder_index``; a variable holder is read from
-    ``binding``.
+    ``binding``.  Each triple some atom believes gets e's value at the set
+    of atoms that believe it; every other triple gets e's value where none
+    does, the default.
 
     Raises UnboundBeliefVariable if the binding misses a holder variable
     and NonIriHolder if it binds one to a quoted triple; only IRIs hold
@@ -120,20 +122,53 @@ def extract(g: FourGraph, e: BeliefQuery, vocab: BeliefVocabulary,
         raise NonFiniteBeliefExtraction(
             f"graph default {g.default.label} asserts belief triples everywhere"
         )
-    if isinstance(e, AtomicBelief):
-        holder = e.holder
-        if isinstance(holder, Variable):
-            if binding is None or holder not in binding:
-                raise UnboundBeliefVariable(f"belief variable {holder!r} is unbound")
-            holder = binding[holder]
+    return g.derived(("extraction", vocab, e), lambda: _extraction(g, e, vocab))(binding)
+
+
+def _extraction(g: FourGraph, e: BeliefQuery,
+                vocab: BeliefVocabulary) -> Callable[[dict | None], FourGraph]:
+    """e's extraction from g as a function of the binding, cached on g by
+    ``extract``.  The ground atoms are looked up here, once; a call looks
+    up only the variable atoms, and makes one graph in one pass over the
+    atoms' supports.  Atom i is bit i of a triple's set of believers."""
+    index = holder_index(g, vocab)
+    ground: dict[StarTriple, int] = {}
+    variable: list[tuple[Variable, Iri, int]] = []
+    for bit, atom in enumerate(atoms(e)):
+        predicate = vocab.predicate_for(atom.state)
+        if isinstance(atom.holder, Variable):
+            variable.append((atom.holder, predicate, 1 << bit))
+        else:
+            for t in index.get((atom.holder, predicate), ()):
+                ground[t] = ground.get(t, 0) | 1 << bit
+    values: dict[int, FourValue] = {}
+
+    def value(believers: int) -> FourValue:
+        v = values.get(believers)
+        if v is None:
+            v = values[believers] = _value_at(e, believers, 0)[0]
+        return v
+
+    def at(binding: dict[Variable, Term] | None) -> FourGraph:
+        believers = dict(ground)
+        for var, predicate, bit in variable:
+            if binding is None or var not in binding:
+                raise UnboundBeliefVariable(f"belief variable {var!r} is unbound")
+            holder = binding[var]
             if not isinstance(holder, Iri):
-                raise NonIriHolder(f"belief variable {e.holder!r} bound to {holder!r}")
-        believed = holder_index(g, vocab).get((holder, vocab.predicate_for(e.state)), ())
-        return FourGraph(e.fallback, dict.fromkeys(believed, e.state))
-    left = extract(g, e.left, vocab, binding)
-    right = extract(g, e.right, vocab, binding)
-    default = apply(e.op, left.default, right.default)
-    merged: dict[StarTriple, FourValue] = {}
-    for t in left.exceptions.keys() | right.exceptions.keys():
-        merged[t] = apply(e.op, left.lookup(t), right.lookup(t))
-    return FourGraph(default, merged)
+                raise NonIriHolder(f"belief variable {var!r} bound to {holder!r}")
+            for t in index.get((holder, predicate), ()):
+                believers[t] = believers.get(t, 0) | bit
+        return FourGraph(value(0), {t: value(b) for t, b in believers.items()})
+
+    return at
+
+
+def _value_at(e: BeliefQuery, believers: int, bit: int) -> tuple[FourValue, int]:
+    """e's value where exactly the atoms in ``believers`` believe, e's first
+    atom being ``bit``; and the bit after e's last atom."""
+    if isinstance(e, AtomicBelief):
+        return (e.state if believers >> bit & 1 else e.fallback), bit + 1
+    left, bit = _value_at(e.left, believers, bit)
+    right, bit = _value_at(e.right, believers, bit)
+    return apply(e.op, left, right), bit

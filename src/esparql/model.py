@@ -117,7 +117,29 @@ class StarTriple(_Term):
         return True
 
     def __repr__(self) -> str:
-        return f"<< {self.subject!r} {self.predicate!r} {self.object!r} >>"
+        return term_text(self)
+
+    def __reduce__(self):
+        """A flat form, so deep quoting pickles and copies without recursion:
+        the IRIs in post-order, each triple's class after its three parts."""
+        flat, todo = [], [self]
+        while todo:
+            t = todo.pop()
+            if isinstance(t, StarTriple):
+                todo += (t.__class__, t.object, t.predicate, t.subject)
+            else:
+                flat.append(t)
+        return _unflatten, (tuple(flat),)
+
+
+def _unflatten(flat: tuple) -> "StarTriple":
+    stack: list = []
+    for x in flat:
+        if isinstance(x, type):
+            o, p, s = stack.pop(), stack.pop(), stack.pop()
+            x = x(s, p, o)
+        stack.append(x)
+    return stack[0]
 
 
 _TERMS = (Iri, StarTriple)
@@ -154,10 +176,23 @@ TermPattern = Union[Iri, Variable, TriplePattern]
 
 
 def term_text(t: Term) -> str:
-    """Canonical text form; doubles as the deterministic sort key for terms."""
-    if isinstance(t, Iri):
+    """Canonical text form; doubles as the deterministic sort key for terms.
+    Quoted parts wait on a stack, so deep quoting cannot overflow the
+    interpreter's; an IRI, and a triple of IRIs, is formatted at once."""
+    if t.__class__ is Iri:
         return f"<{t.text}>"
-    return f"<< {term_text(t.subject)} {term_text(t.predicate)} {term_text(t.object)} >>"
+    out, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        if t.__class__ is str:
+            out.append(t)
+        elif isinstance(t, Iri):
+            out.append(f"<{t.text}>")
+        elif t.subject.__class__ is Iri and t.object.__class__ is Iri:
+            out.append(f"<< <{t.subject.text}> <{t.predicate.text}> <{t.object.text}> >>")
+        else:
+            todo += (" >>", t.object, f" <{t.predicate.text}> ", t.subject, "<< ")
+    return "".join(out)
 
 
 def pattern_variables(p: TermPattern) -> frozenset[Variable]:
@@ -202,8 +237,9 @@ class FourGraph:
     Invariant: ``exceptions`` is never mutated after construction (updates
     such as ``set_value`` return a new graph).  The structures derived from
     it (triples bucketed by subject, predicate and object, the active
-    domain and the belief holder index of each vocabulary) are built on
-    first use and then cached on that invariant by ``derived``.
+    domain, and per vocabulary the belief holder index and each belief
+    expression's extraction) are built on first use and then cached on
+    that invariant by ``derived``.
     """
 
     __slots__ = ("default", "exceptions", "_derived")
@@ -277,13 +313,13 @@ class FourGraph:
 
 
 def _collect_term(t: Term, acc: set[Term]) -> None:
-    if t in acc:
-        return
-    acc.add(t)
-    if isinstance(t, StarTriple):
-        _collect_term(t.subject, acc)
-        _collect_term(t.predicate, acc)
-        _collect_term(t.object, acc)
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if t not in acc:
+            acc.add(t)
+            if isinstance(t, StarTriple):
+                todo += (t.subject, t.predicate, t.object)
 
 
 def active_domain(g: FourGraph, extra: Iterable[Term] = ()) -> frozenset[Term]:

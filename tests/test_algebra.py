@@ -1,6 +1,8 @@
 """Algebra: mappings, relations, scoping rules and the four-valued engine."""
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ import esparql.algebra
 from esparql import belief as belief_mod
 from esparql import (
     And,
-    AtomicBelief,
     Belief,
     Bound,
     CompoundBelief,
@@ -44,6 +45,8 @@ from esparql import (
     in_scope,
     mappings_over,
     oracle_eval,
+    parse_and_desugar,
+    parse_graph,
 )
 from esparql.algebra import ThreeValued
 from esparql.model import term_to_pattern
@@ -73,6 +76,8 @@ AND, OR = FourOperator.TRUTH_MEET, FourOperator.TRUTH_JOIN
 OTIMES, OPLUS = FourOperator.INFO_MEET, FourOperator.INFO_JOIN
 
 X, Y, S, P, O, DEITY = (Variable(n) for n in ("x", "y", "s", "p", "o", "deity"))
+
+BENCH_GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
 
 IS_CHRISTIAN = Pattern(TriplePattern(X, A, CHRISTIAN))
 DENIES_JESUS = Pattern(TriplePattern(X, VOCAB.to_be_false,
@@ -413,25 +418,34 @@ def test_nested_belief_of_belief(g1):
     assert exceptions(r2) == {Mapping.of({X: POPE}): T}
 
 
+def _counting_body_evaluations(monkeypatch, node):
+    """Count the evaluations of a Belief node's body: one per extracted
+    graph the engine evaluates it over (the memo answers repeats)."""
+    calls = [0]
+    real = esparql.algebra._FourEngine._eval
+
+    def counted(self, q, g):
+        calls[0] += q is node.query
+        return real(self, q, g)
+
+    monkeypatch.setattr(esparql.algebra._FourEngine, "_eval", counted)
+    return calls
+
+
 def test_variable_holder_work_is_sparse(monkeypatch):
-    # N holders with stances and many more IRIs without any: the body runs
-    # once per holder plus once for all the rest, and no memo hashes the graph
+    # n holders with stances the body reads, 4 with stances it does not
+    # read and many more IRIs without any: the body runs once per relevant
+    # holder plus once for all the rest
     n = 8
     claims = [StarTriple(Iri(f"urn:god{i}"), A, FULL_DEITY) for i in range(4)]
     stances = {StarTriple(Iri(f"urn:holder{i}"), VOCAB.predicate_for(STATES[i % 4]),
                           claims[i % 4]): T for i in range(n)}
     noise = {StarTriple(Iri(f"urn:thing{i}"), Iri("urn:p"), Iri(f"urn:other{i}")): T
              for i in range(5 * n)}
-    g = FourGraph(U, {**stances, **noise})
+    off_body = {StarTriple(Iri(f"urn:aside{i}"), VOCAB.to_be_true, t): T
+                for i, t in enumerate(sorted(noise, key=repr)[:4])}
+    g = FourGraph(U, {**stances, **noise, **off_body})
     q = Belief(all_states_shorthand(X, OPLUS), Pattern(TriplePattern(S, A, FULL_DEITY)))
-
-    atomic_calls = 0
-    real_extract = belief_mod.extract
-
-    def counting_extract(g, e, vocab, index=None):
-        nonlocal atomic_calls
-        atomic_calls += isinstance(e, AtomicBelief)
-        return real_extract(g, e, vocab, index)
 
     scope_passes = 0
     real_scopes = esparql.algebra._scopes
@@ -441,15 +455,35 @@ def test_variable_holder_work_is_sparse(monkeypatch):
         scope_passes += 1
         return real_scopes(q)
 
-    monkeypatch.setattr(belief_mod, "extract", counting_extract)
+    bodies = _counting_body_evaluations(monkeypatch, q)
     monkeypatch.setattr(esparql.algebra, "_scopes", counting_scopes)
     r = evaluate(q, g)
     monkeypatch.undo()
 
     assert len(active_domain(g)) >= 5 * n
-    assert atomic_calls <= (n + 1) * 4
+    assert bodies[0] == n + 1
     assert scope_passes == 1
     assert diff(r, oracle_eval(q, g)) == []
+
+
+def test_two_holder_variables_enumerate_only_relevant_holder_pairs(monkeypatch):
+    # the benchmark's seed-12 belief graph: 100 holders, of which 8 have a
+    # stance on Zeus's divinity; every other holder folds into the fresh
+    # class, so the body runs (8 + 1) ** 2 times, not (100 + 1) ** 2
+    spec = importlib.util.spec_from_file_location("bench_gen", BENCH_GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    g = parse_graph(gen.graph_f4s(gen.belief_graph(random.Random(12))))
+    q = parse_and_desugar("SELECT INFO ?x ?y FROM BELIEF ?x ?y WHERE { <Zeus> a <FullDeity> }")
+    node = q.query
+    assert isinstance(node, Belief)
+
+    bodies = _counting_body_evaluations(monkeypatch, node)
+    r = evaluate(q, g)
+    monkeypatch.undo()
+
+    assert bodies[0] <= 100
+    assert len(r.table) == 1616
 
 
 def _counting(monkeypatch, owner, name):

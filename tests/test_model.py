@@ -184,6 +184,37 @@ def test_deep_triples_hash_and_compare_without_recursion():
     assert a != deep(2000, "urn:other") and a != deep(1999, "urn:x")
 
 
+def test_deep_triples_print_pickle_and_evaluate_without_recursion():
+    # quoted in object and subject position in turn, far past the parser's
+    # limit; the expected text grows at both ends
+    a, c = term_text(A), term_text(CHRISTIAN)
+    deep, heads, tails = StarTriple(Iri("urn:x"), A, CHRISTIAN), [], []
+    for i in range(1999):
+        if i % 2:
+            deep = StarTriple(CHRISTIAN, A, deep)
+            heads.append(f"<< {c} {a} ")
+            tails.append(" >>")
+        else:
+            deep = StarTriple(deep, A, CHRISTIAN)
+            heads.append("<< ")
+            tails.append(f" {a} {c} >>")
+    text = term_text(deep)
+    assert text == "".join(reversed(heads)) + f"<< <urn:x> {a} {c} >>" + "".join(tails)
+    assert repr(deep) == text
+    for again in (pickle.loads(pickle.dumps(deep)), copy.deepcopy(deep)):
+        assert again == deep and again is not deep and term_text(again) == text
+
+    g = FourGraph(FourValue.UNKNOWN, {deep: FourValue.TRUE, POPE_AFFIRMS: FourValue.FALSE})
+    # the 1,999 triples quoted in deep and its 3 IRIs, and 5 terms of the other
+    assert deep.subject in active_domain(g) and len(active_domain(g)) == 1999 + 3 + 5
+    q = Pattern(TriplePattern(X, A, CHRISTIAN))
+    for mode in EvalMode:
+        r = evaluate(q, g, mode=mode)
+        assert r.exceptions == {Mapping.of({X: deep.subject}): FourValue.TRUE}
+        assert [term_text(t) for m, _ in r.rows() for _, t in m.bindings] == [
+            term_text(deep.subject)]
+
+
 def test_triple_pattern_validation():
     TriplePattern(X, A, Y)
     TriplePattern(X, Y, TriplePattern(X, A, Y))

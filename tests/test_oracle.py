@@ -18,6 +18,7 @@ from esparql import (
     CompoundBelief,
     DenseRelation,
     Eq,
+    EvalMode,
     Filter,
     FourGraph,
     FourOperator,
@@ -26,6 +27,7 @@ from esparql import (
     Join,
     MapState,
     Mapping,
+    NonFinitelySupported,
     Not,
     Or,
     Pattern,
@@ -65,6 +67,7 @@ from conftest import (
     VOCAB,
     example_graph,
 )
+from helpers import all_rows
 
 F, T, U, C = (FourValue.FALSE, FourValue.TRUE,
               FourValue.UNKNOWN, FourValue.CONFLICTED)
@@ -442,6 +445,85 @@ def test_belief_shapes_agree_with_oracle():
             assert diff(engine, reference) == [], (seed, q)
             checked += 1
     assert checked == 84
+
+
+# ---------------------------------------------------------------------------
+# Holder relevance: bodies that read only a few holders' stances, so most
+# holders fold into the fresh class; a variable predicate and a nested
+# belief, which count every holder relevant; two and three holder variables
+# ---------------------------------------------------------------------------
+
+REL_HOLDERS = [Iri(f"urn:r{i}") for i in range(4)]
+REL_SUBJECTS = [Iri("urn:s0"), Iri("urn:s1")]
+REL_RULES = Iri("urn:rules")
+REL_CLAIMS = [StarTriple(REL_SUBJECTS[0], A, FULL_DEITY),
+              StarTriple(REL_SUBJECTS[1], A, FULL_DEITY),
+              StarTriple(REL_SUBJECTS[0], REL_RULES, REL_SUBJECTS[1])]
+REL_CAP = 5000
+Z = Variable("z")
+
+
+def relevance_graph(rng):
+    exceptions = {}
+    for h in REL_HOLDERS:
+        for claim in rng.sample(REL_CLAIMS, rng.randint(1, 2)):
+            exceptions[StarTriple(h, rng.choice(SHAPE_PREDICATES), claim)] = rng.choice((T, T, C, F))
+    # beliefs about stances on the second claim, which a body reads only
+    # through a nested belief
+    stances = sorted((t for t in exceptions if t.object == REL_CLAIMS[1]), key=repr)
+    for h in rng.sample(REL_HOLDERS, 2):
+        stance = rng.choice(stances or sorted(exceptions, key=repr))
+        exceptions[StarTriple(h, VOCAB.to_be_true, stance)] = T
+    exceptions[StarTriple(REL_SUBJECTS[1], A, FULL_DEITY)] = rng.choice((T, F))
+    return FourGraph(rng.choice((U, F)), exceptions)
+
+
+def relevance_queries(rng):
+    def atom(holder, fallbacks=(U, F, T)):
+        return AtomicBelief(holder, rng.choice((T, F, C)), rng.choice(fallbacks))
+
+    def op():
+        return rng.choice(list(FourOperator))
+
+    s0, s1 = REL_SUBJECTS
+    return [
+        # ground subject, ground object
+        Belief(all_states_shorthand(X, OPLUS), Pattern(TriplePattern(s0, A, O))),
+        Belief(atom(X), Pattern(TriplePattern(S, REL_RULES, s1))),
+        Belief(atom(X), MapState(Pattern(TriplePattern(S, A, FULL_DEITY)), Eq(S, s1), T, F)),
+        # a variable predicate
+        Belief(atom(X), Pattern(TriplePattern(s0, P, O))),
+        # a nested belief, and a nested belief beside a pattern; the outer
+        # context falls back to false or unknown (see shape_queries)
+        Belief(AtomicBelief(X, T, rng.choice((U, F))),
+               Belief(all_states_shorthand(Y, OPLUS), Pattern(TriplePattern(s1, A, FULL_DEITY)))),
+        Belief(atom(X, (U, F)), Join(OTIMES, Pattern(TriplePattern(s0, REL_RULES, O)),
+                             Belief(atom(rng.choice(REL_HOLDERS)),
+                                    Pattern(TriplePattern(s0, A, FULL_DEITY))))),
+        # two and three holder variables
+        Belief(CompoundBelief(atom(X), op(), atom(Y)), Pattern(TriplePattern(S, A, FULL_DEITY))),
+        Belief(CompoundBelief(CompoundBelief(atom(X), op(), atom(Y)), op(), atom(Z)),
+               Pattern(TriplePattern(s0, A, FULL_DEITY))),
+    ]
+
+
+def test_holder_relevance_agrees_with_oracle_and_open_mode():
+    checked = opened = 0
+    for seed in range(12):
+        rng = random.Random(seed)
+        g = relevance_graph(rng)
+        for q in relevance_queries(rng):
+            engine = evaluate(q, g, cap=REL_CAP)
+            assert diff(engine, oracle_eval(q, g, cap=REL_CAP)) == [], (seed, q)
+            checked += 1
+            try:
+                open_r = evaluate(q, g, mode=EvalMode.OPEN)
+            except NonFinitelySupported:
+                continue
+            for m, want in all_rows(engine):
+                assert open_r.value_at(m) == want, (seed, q, m)
+            opened += 1
+    assert checked == 96 and opened > 0
 
 
 # ---------------------------------------------------------------------------
