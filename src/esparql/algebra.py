@@ -2,8 +2,7 @@
 
 A relation annotates every total mapping (from its variables into terms)
 with a state, finitely represented as a default plus exceptions, mirroring
-the graph representation.  Two evaluation modes share one recursive
-evaluator:
+the graph representation.  Two evaluation modes share one evaluator:
 
 * active-domain: mappings range over the finite set of terms occurring in
   the graph and the query, fixed once at the top level (nested belief
@@ -127,8 +126,11 @@ def _schema(vars: Iterable[Variable]) -> tuple[Variable, ...]:
 
 def _plan(target: tuple[Variable, ...], source: tuple[Variable, ...]) -> Callable[[tuple], tuple]:
     """The function taking a row over ``source`` to the row over ``target``,
-    each variable read at its first position in ``source``."""
-    at = [source.index(v) for v in target]
+    each variable read at its first position in ``source``.  ``tuple.index``
+    calls ``Variable.__eq__`` per step, so a long source is indexed once."""
+    index = source.index if len(source) < 8 else {
+        v: i for i, v in reversed(list(enumerate(source)))}.__getitem__
+    at = [index(v) for v in target]
     if len(at) == 1:
         i = at[0]
         return lambda row: (row[i],)
@@ -312,22 +314,12 @@ def _formula_value(f: FilterFormula, get: Callable[[Variable], Any], state) -> T
     if isinstance(f, Not):
         inner = _formula_value(f.inner, get, state)
         return {T: F, F: T, E: E}[inner]
-    if isinstance(f, And):
+    if isinstance(f, (And, Or)):
+        # a conjunction's false, or a disjunction's true, decides it
+        decides, other = (F, T) if isinstance(f, And) else (T, F)
         a = _formula_value(f.left, get, state)
         b = _formula_value(f.right, get, state)
-        if F in (a, b):
-            return F
-        if E in (a, b):
-            return E
-        return T
-    if isinstance(f, Or):
-        a = _formula_value(f.left, get, state)
-        b = _formula_value(f.right, get, state)
-        if T in (a, b):
-            return T
-        if E in (a, b):
-            return E
-        return F
+        return decides if decides in (a, b) else E if E in (a, b) else other
     raise TypeError(f"not a filter formula: {f!r}")
 
 
@@ -386,6 +378,36 @@ class Belief:
 Query = Pattern | Join | Union | Filter | Project | MapState | Belief
 
 
+_LEAVE = object()  # on _postorder's stack: the node below has its children listed
+_UNARY = (Filter, Project, MapState, Belief)
+
+
+def _postorder(q: Query, skip=(), bodies: bool = True) -> list[Query]:
+    """Each distinct node of q once, by id, children before parents, with an
+    explicit stack, so depth costs no recursion and shared nodes are listed
+    once.  A node whose id is in ``skip`` is left out with its subtree, and
+    so is a Belief's body unless ``bodies``."""
+    order, seen, stack = [], set(), [q]
+    while stack:
+        node = stack.pop()
+        if node is _LEAVE:
+            order.append(stack.pop())
+        elif (key := id(node)) not in seen and key not in skip:
+            seen.add(key)
+            stack.append(node)
+            stack.append(_LEAVE)
+            kind = type(node)
+            if kind is Join or kind is Union:
+                stack.append(node.right)
+                stack.append(node.left)
+            elif kind in _UNARY:
+                if bodies or kind is not Belief:
+                    stack.append(node.query)
+            elif kind is not Pattern:
+                raise TypeError(f"not a query: {node!r}")
+    return order
+
+
 def _scope(q: Query, table: dict[int, frozenset[Variable]],
            plain: bool = False) -> frozenset[Variable]:
     """q's in-scope variables; each node's scope is also stored in ``table``
@@ -394,47 +416,44 @@ def _scope(q: Query, table: dict[int, frozenset[Variable]],
     family, union scope mismatch, projection of an out-of-scope variable,
     belief variable shadowing) and, when ``plain``, on any node or state
     test outside the plain-annotated fragment."""
-    if id(q) in table:
-        return table[id(q)]
-    if plain:
-        if isinstance(q, (MapState, Belief)):
-            raise IllFormedQuery(f"{type(q).__name__} is outside the plain-annotated fragment")
-        if isinstance(q, Filter) and any(isinstance(a, StateIs) for a in _atoms(q.formula)):
+    for node in _postorder(q, table):
+        if plain and isinstance(node, (MapState, Belief)):
+            raise IllFormedQuery(f"{type(node).__name__} is outside the plain-annotated fragment")
+        if plain and isinstance(node, Filter) and any(isinstance(a, StateIs)
+                                                      for a in _atoms(node.formula)):
             raise IllFormedQuery("state tests have no meaning over a generic semiring")
-    if isinstance(q, Pattern):
-        w = pattern_variables(q.pattern)
-    elif isinstance(q, Join):
-        if q.op not in MEET_OPERATORS:
-            raise IllFormedQuery(f"join must use a meet operator, got {q.op.value}")
-        w = _scope(q.left, table, plain) | _scope(q.right, table, plain)
-    elif isinstance(q, Union):
-        if q.op not in JOIN_OPERATORS:
-            raise IllFormedQuery(f"union must use a join operator, got {q.op.value}")
-        w, right = _scope(q.left, table, plain), _scope(q.right, table, plain)
-        if w != right:
-            ln = sorted(v.name for v in w)
-            rn = sorted(v.name for v in right)
-            raise IllFormedQuery(f"union branches bind different variables: {ln} vs {rn}")
-    elif isinstance(q, (Filter, MapState)):
-        w = _scope(q.query, table, plain)
-    elif isinstance(q, Project):
-        inner = _scope(q.query, table, plain)
-        if not q.vars <= inner:
-            missing = sorted(v.name for v in q.vars - inner)
-            raise IllFormedQuery(f"projection of out-of-scope variable(s): {missing}")
-        w = frozenset(q.vars)
-    elif isinstance(q, Belief):
-        inner = _scope(q.query, table)
-        evars = belief_mod.belief_variables(q.expr)
-        shadowed = inner & evars
-        if shadowed:
-            names = sorted(v.name for v in shadowed)
-            raise IllFormedQuery(f"belief variable(s) shadow body scope: {names}")
-        w = inner | evars
-    else:
-        raise TypeError(f"not a query: {q!r}")
-    table[id(q)] = w
-    return w
+        if isinstance(node, Pattern):
+            w = pattern_variables(node.pattern)
+        elif isinstance(node, Join):
+            if node.op not in MEET_OPERATORS:
+                raise IllFormedQuery(f"join must use a meet operator, got {node.op.value}")
+            w = table[id(node.left)] | table[id(node.right)]
+        elif isinstance(node, Union):
+            if node.op not in JOIN_OPERATORS:
+                raise IllFormedQuery(f"union must use a join operator, got {node.op.value}")
+            w, right = table[id(node.left)], table[id(node.right)]
+            if w != right:
+                ln = sorted(v.name for v in w)
+                rn = sorted(v.name for v in right)
+                raise IllFormedQuery(f"union branches bind different variables: {ln} vs {rn}")
+        elif isinstance(node, (Filter, MapState)):
+            w = table[id(node.query)]
+        elif isinstance(node, Project):
+            inner = table[id(node.query)]
+            if not node.vars <= inner:
+                missing = sorted(v.name for v in node.vars - inner)
+                raise IllFormedQuery(f"projection of out-of-scope variable(s): {missing}")
+            w = frozenset(node.vars)
+        else:  # Belief
+            inner = table[id(node.query)]
+            evars = belief_mod.belief_variables(node.expr)
+            shadowed = inner & evars
+            if shadowed:
+                names = sorted(v.name for v in shadowed)
+                raise IllFormedQuery(f"belief variable(s) shadow body scope: {names}")
+            w = inner | evars
+        table[id(node)] = w
+    return table[id(q)]
 
 
 def _scopes(q: Query, plain: bool = False) -> dict[int, frozenset[Variable]]:
@@ -467,28 +486,13 @@ def _pattern_constant_terms(p, acc: set[Term]) -> None:
 def query_constants(q: Query) -> frozenset[Term]:
     """Ground terms the query mentions; they join the active domain."""
     acc: set[Term] = set()
-
-    def walk(node: Query) -> None:
+    for node in _postorder(q):
         if isinstance(node, Pattern):
             _pattern_constant_terms(node.pattern, acc)
-        elif isinstance(node, (Join, Union)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Filter):
+        elif isinstance(node, (Filter, MapState)):
             acc.update(formula_constants(node.formula))
-            walk(node.query)
-        elif isinstance(node, Project):
-            walk(node.query)
-        elif isinstance(node, MapState):
-            acc.update(formula_constants(node.formula))
-            walk(node.query)
         elif isinstance(node, Belief):
             acc.update(a.holder for a in belief_mod.atoms(node.expr) if isinstance(a.holder, Iri))
-            walk(node.query)
-        else:
-            raise TypeError(f"not a query: {node!r}")
-
-    walk(q)
     return frozenset(acc)
 
 
@@ -785,6 +789,7 @@ class _FourEngine:
         self._extract_cache: dict = {}
         self._eval_cache: dict = {}
         self._plans: dict = {}
+        self._orders: dict = {}
 
     # -- helpers -----------------------------------------------------------
 
@@ -809,6 +814,21 @@ class _FourEngine:
             extracted = belief_mod.extract(g, e, self.vocab, binding)
             hit = self._extract_cache[key] = (g, extracted)
         return hit[1]
+
+    def run(self, q: Query, g: FourGraph) -> Relation:
+        """q's relation over g: every node of q's post-order through
+        ``eval``, so each ``_eval`` finds its children in the memo.  A
+        Belief body is left to ``_eval_belief``, which runs it once per
+        extracted graph, so only belief nesting recurses."""
+        for node in self._order(q):
+            r = self.eval(node, g)
+        return r
+
+    def _order(self, q: Query) -> list[Query]:
+        """q's post-order up to Belief bodies, listed once per evaluation."""
+        if id(q) not in self._orders:
+            self._orders[id(q)] = _postorder(q, bodies=False)
+        return self._orders[id(q)]
 
     def eval(self, q: Query, g: FourGraph) -> Relation:
         # a Pattern node keys on its pattern's value, so repeats scan once
@@ -846,16 +866,14 @@ class _FourEngine:
         if isinstance(q, Project):
             add, zero, _ = self._ops(q.op, True)
             return _project_four(self.eval(q.query, g), frozenset(q.vars), add, zero)
-        if isinstance(q, Belief):
-            return self._eval_belief(q, g)
-        raise TypeError(f"not a query: {q!r}")
+        return self._eval_belief(q, g)  # a Belief: _postorder lets only queries through
 
     def _eval_belief(self, q: Belief, g: FourGraph) -> Relation:
         # the scope rules keep the holder variables out of the body's scope
         w1 = self.scopes[id(q.query)]
         evars = self.scopes[id(q)] - w1
         if not evars:
-            return self.eval(q.query, self._extract(g, q.expr))
+            return self.run(q.query, self._extract(g, q.expr))
 
         evars_sorted = _schema(evars)
         s1 = _schema(w1)
@@ -867,7 +885,7 @@ class _FourEngine:
                      if i not in taken)
 
         def slice_at(key: tuple[Iri, ...]) -> Relation:
-            return self.eval(q.query, self._extract(g, q.expr, dict(zip(evars_sorted, key))))
+            return self.run(q.query, self._extract(g, q.expr, dict(zip(evars_sorted, key))))
 
         r0 = slice_at((fresh,) * len(evars))
         # a key position is a relevant holder; or fresh, standing for every
@@ -923,17 +941,12 @@ class _FourEngine:
         relevant.  An irrelevant holder's extraction differs from that of
         an IRI without stances only on triples no pattern reads, so the
         body evaluates alike over both."""
-        matchers, todo = [], [body]
-        while todo:
-            node = todo.pop()
+        matchers = []
+        for node in self._order(body):
             if isinstance(node, Pattern) and isinstance(node.pattern.predicate, Iri):
                 matchers.append(_scan_plan(node.pattern, self._plans)[1])
             elif isinstance(node, (Pattern, Belief)):
                 return {h for h, _ in index}
-            elif isinstance(node, (Join, Union)):
-                todo += (node.left, node.right)
-            else:
-                todo.append(node.query)
         return {h for (h, _), believed in index.items()
                 if any(m(t) is not None for m in matchers for t in believed)}
 
@@ -967,7 +980,7 @@ def evaluate(
     open mode may raise NonFinitelySupported.
     """
     scopes = _scopes(q)
-    return _FourEngine(vocab, _universe(q, g, mode, cap, scopes), scopes).eval(q, g)
+    return _FourEngine(vocab, _universe(q, g, mode, cap, scopes), scopes).run(q, g)
 
 
 def evaluate_k(
@@ -988,4 +1001,4 @@ def evaluate_k(
     """
     scopes = _scopes(q, plain=True)
     universe = _universe(q, g, mode, cap, scopes)
-    return _FourEngine(DEFAULT_VOCABULARY, universe, scopes, s).eval(q, g)
+    return _FourEngine(DEFAULT_VOCABULARY, universe, scopes, s).run(q, g)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 
 class FourValue(enum.Enum):
@@ -46,13 +46,6 @@ class FourValue(enum.Enum):
     @property
     def label(self) -> str:
         return self.value
-
-    @classmethod
-    def from_label(cls, text: str) -> "FourValue":
-        for v in cls:
-            if v.value == text:
-                return v
-        raise ValueError(f"not a state name: {text!r}")
 
     def __repr__(self) -> str:  # keeps test diffs readable
         return self.value
@@ -203,19 +196,6 @@ def identity_of(op: FourOperator) -> FourValue:
 
 def absorbing_of(op: FourOperator) -> FourValue:
     return _ABSORBING[op]
-
-
-def reduce(op: FourOperator, values: Iterable[FourValue]) -> FourValue:
-    """Fold an operator over any finite collection, starting at its identity.
-
-    All four operators are commutative, associative and idempotent, so the
-    result ignores order and duplicates.
-    """
-    acc = _IDENTITY[op]
-    table = _TABLES[op]
-    for v in values:
-        acc = table[(acc, v)]
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import io
 import json
 import re
 from dataclasses import dataclass
-from functools import reduce as _fold
 from operator import itemgetter
 from typing import Optional, Union as TUnion
 
@@ -610,8 +609,13 @@ def _desugar_select(uq: UserQuery, scopes: dict) -> Query:
 
 
 def _holders_expression(holders: list) -> BeliefQuery:
-    parts = [all_states_shorthand(h, FourOperator.INFO_JOIN) for h in holders]
-    return _fold(lambda a, b: CompoundBelief(a, FourOperator.INFO_JOIN, b), parts)
+    """The holders' shorthands, in order, joined pairwise into a balanced tree."""
+    op = FourOperator.INFO_JOIN
+    parts = [all_states_shorthand(h, op) for h in holders]
+    while len(parts) > 1:
+        pairs = [CompoundBelief(a, op, b) for a, b in zip(parts[::2], parts[1::2])]
+        parts = pairs + parts[len(pairs) * 2:]
+    return parts[0]
 
 
 def _desugar_body(items: list, info: bool, position: tuple[int, int],

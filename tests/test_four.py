@@ -27,7 +27,6 @@ from esparql import (
     identity_of,
     leq_info,
     leq_truth,
-    reduce,
 )
 from esparql.four import table_of
 
@@ -45,16 +44,7 @@ TRIPLES = list(itertools.product(STATES, repeat=3))
 def test_states_order_and_labels():
     assert STATES == (FourValue.FALSE, FourValue.TRUE,
                       FourValue.UNKNOWN, FourValue.CONFLICTED)
-    for v in STATES:
-        assert FourValue.from_label(v.label) is v
     assert [v.label for v in STATES] == ["false", "true", "unknown", "conflicted"]
-
-
-def test_from_label_rejects_junk():
-    with pytest.raises(ValueError):
-        FourValue.from_label("both")
-    with pytest.raises(ValueError):
-        FourValue.from_label("True")
 
 
 def _expected_leq_truth(a, b):
@@ -191,35 +181,6 @@ def test_table_of_matches_apply():
         assert len(tbl) == 16
         for a, b in PAIRS:
             assert tbl[(a, b)] == apply(op, a, b)
-
-
-# ---------------------------------------------------------------------------
-# reduce
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("op", OPS)
-def test_reduce_empty_is_identity(op):
-    assert reduce(op, []) == identity_of(op)
-    for v in STATES:
-        assert reduce(op, [v]) == v
-
-
-states_lists = st.lists(st.sampled_from(STATES), max_size=8)
-
-
-@given(states_lists, st.randoms(use_true_random=False))
-def test_reduce_ignores_order(values, rnd):
-    shuffled = list(values)
-    rnd.shuffle(shuffled)
-    for op in OPS:
-        assert reduce(op, values) == reduce(op, shuffled)
-
-
-@given(states_lists)
-def test_reduce_ignores_duplicates(values):
-    for op in OPS:
-        assert reduce(op, values + values) == reduce(op, values)
 
 
 # ---------------------------------------------------------------------------

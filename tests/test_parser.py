@@ -41,7 +41,7 @@ from esparql.algebra import (
     Union,
     in_scope,
 )
-from esparql.belief import CompoundBelief, all_states_shorthand
+from esparql.belief import CompoundBelief, all_states_shorthand, atoms
 from esparql.errors import DuplicateTriple, EsparqlError, IllFormedQuery, ParseError
 from esparql.fixtures import fixture_path, fixture_text
 from esparql.model import TriplePattern
@@ -545,6 +545,25 @@ def test_from_belief_folds_holders_with_the_information_join():
         all_states_shorthand(Iri(DEFAULT_BASE_IRI + "h2"), FourOperator.INFO_JOIN),
     )
     assert body.expr == want
+
+
+def test_many_holders_fold_into_a_balanced_tree_in_their_order(g1):
+    # five holders: ((h1 h2) (h3 h4)) h5, not the left-deep (((h1 h2) h3) h4) h5,
+    # with the same atoms left to right and the same answers
+    names = ["PopeDI", "Arius", "Christianity", "Russell", "Zeus"]
+    q = parse_and_desugar(
+        f"SELECT ?x FROM BELIEF {' '.join(f'<{n}>' for n in names)} WHERE {{ ?x a ?kind }}")
+    parts = [all_states_shorthand(data(n), FourOperator.INFO_JOIN) for n in names]
+    info = FourOperator.INFO_JOIN
+    pairs = [CompoundBelief(parts[0], info, parts[1]), CompoundBelief(parts[2], info, parts[3])]
+    assert q.query.expr == CompoundBelief(CompoundBelief(pairs[0], info, pairs[1]), info, parts[4])
+    assert [a.holder for a in atoms(q.query.expr)] == [data(n) for n in names for _ in range(4)]
+    left_deep = parts[0]
+    for part in parts[1:]:
+        left_deep = CompoundBelief(left_deep, info, part)
+    for mode in EvalMode:
+        assert evaluate(q, g1, mode=mode) == evaluate(
+            Project(q.op, q.vars, Belief(left_deep, q.query.query)), g1, mode=mode)
 
 
 def test_holder_fold_uses_info_join_even_in_truth_mode():
