@@ -126,11 +126,12 @@ def _schema(vars: Iterable[Variable]) -> tuple[Variable, ...]:
 
 def _plan(target: tuple[Variable, ...], source: tuple[Variable, ...]) -> Callable[[tuple], tuple]:
     """The function taking a row over ``source`` to the row over ``target``,
-    each variable read at its first position in ``source``.  ``tuple.index``
-    calls ``Variable.__eq__`` per step, so a long source is indexed once."""
-    index = source.index if len(source) < 8 else {
-        v: i for i, v in reversed(list(enumerate(source)))}.__getitem__
-    at = [index(v) for v in target]
+    each variable read at its first position in ``source``.  Positions are
+    keyed by name, which hashes without a Python-level call."""
+    first: dict[str, int] = {}
+    for i, v in enumerate(source):
+        first.setdefault(v.name, i)
+    at = [first[v.name] for v in target]
     if len(at) == 1:
         i = at[0]
         return lambda row: (row[i],)
@@ -314,12 +315,22 @@ def _formula_value(f: FilterFormula, get: Callable[[Variable], Any], state) -> T
     if isinstance(f, Not):
         inner = _formula_value(f.inner, get, state)
         return {T: F, F: T, E: E}[inner]
-    if isinstance(f, (And, Or)):
-        # a conjunction's false, or a disjunction's true, decides it
-        decides, other = (F, T) if isinstance(f, And) else (T, F)
+    if isinstance(f, And):
         a = _formula_value(f.left, get, state)
         b = _formula_value(f.right, get, state)
-        return decides if decides in (a, b) else E if E in (a, b) else other
+        if F in (a, b):
+            return F
+        if E in (a, b):
+            return E
+        return T
+    if isinstance(f, Or):
+        a = _formula_value(f.left, get, state)
+        b = _formula_value(f.right, get, state)
+        if T in (a, b):
+            return T
+        if E in (a, b):
+            return E
+        return F
     raise TypeError(f"not a filter formula: {f!r}")
 
 
@@ -382,17 +393,23 @@ _LEAVE = object()  # on _postorder's stack: the node below has its children list
 _UNARY = (Filter, Project, MapState, Belief)
 
 
-def _postorder(q: Query, skip=(), bodies: bool = True) -> list[Query]:
+def _postorder(q: Query, skip=(), bodies: bool = True,
+               again: dict[int, int] | None = None) -> list[Query]:
     """Each distinct node of q once, by id, children before parents, with an
     explicit stack, so depth costs no recursion and shared nodes are listed
     once.  A node whose id is in ``skip`` is left out with its subtree, and
-    so is a Belief's body unless ``bodies``."""
+    so is a Belief's body unless ``bodies``.  ``again``, if given, counts
+    under each id the further times a listed node is met, and every time a
+    skipped one is."""
     order, seen, stack = [], set(), [q]
     while stack:
         node = stack.pop()
         if node is _LEAVE:
             order.append(stack.pop())
-        elif (key := id(node)) not in seen and key not in skip:
+        elif (key := id(node)) in seen or key in skip:
+            if again is not None:
+                again[key] = again.get(key, 0) + 1
+        else:
             seen.add(key)
             stack.append(node)
             stack.append(_LEAVE)
@@ -410,13 +427,28 @@ def _postorder(q: Query, skip=(), bodies: bool = True) -> list[Query]:
 
 def _scope(q: Query, table: dict[int, frozenset[Variable]],
            plain: bool = False) -> frozenset[Variable]:
-    """q's in-scope variables; each node's scope is also stored in ``table``
-    under its id, and a node already there is not walked again.  Raises
-    IllFormedQuery on any scoping-rule violation (join/union operator
+    """q's in-scope variables.  ``table`` maps node ids to scopes, and a
+    node already there is not walked again.  The walk leaves there the
+    scopes of q, of each Belief it walks and its body, and of the widest
+    node it walks; any other scope is dropped when its last parent reads
+    it, so a chain of n patterns holds O(n) variables rather than n^2/2.
+    Raises IllFormedQuery on any scoping-rule violation (join/union operator
     family, union scope mismatch, projection of an out-of-scope variable,
     belief variable shadowing) and, when ``plain``, on any node or state
     test outside the plain-annotated fragment."""
-    for node in _postorder(q, table):
+    again: dict[int, int] = {}
+    order = _postorder(q, table, again=again)
+    keep = {id(q)}
+    widest = frozenset(), id(q)
+
+    def read(child: Query) -> frozenset[Variable]:
+        key = id(child)
+        if again.get(key):  # a later parent reads it too
+            again[key] -= 1
+            return table[key]
+        return table[key] if key in keep else table.pop(key)
+
+    for node in order:
         if plain and isinstance(node, (MapState, Belief)):
             raise IllFormedQuery(f"{type(node).__name__} is outside the plain-annotated fragment")
         if plain and isinstance(node, Filter) and any(isinstance(a, StateIs)
@@ -427,25 +459,26 @@ def _scope(q: Query, table: dict[int, frozenset[Variable]],
         elif isinstance(node, Join):
             if node.op not in MEET_OPERATORS:
                 raise IllFormedQuery(f"join must use a meet operator, got {node.op.value}")
-            w = table[id(node.left)] | table[id(node.right)]
+            w = read(node.left) | read(node.right)
         elif isinstance(node, Union):
             if node.op not in JOIN_OPERATORS:
                 raise IllFormedQuery(f"union must use a join operator, got {node.op.value}")
-            w, right = table[id(node.left)], table[id(node.right)]
+            w, right = read(node.left), read(node.right)
             if w != right:
                 ln = sorted(v.name for v in w)
                 rn = sorted(v.name for v in right)
                 raise IllFormedQuery(f"union branches bind different variables: {ln} vs {rn}")
         elif isinstance(node, (Filter, MapState)):
-            w = table[id(node.query)]
+            w = read(node.query)
         elif isinstance(node, Project):
-            inner = table[id(node.query)]
+            inner = read(node.query)
             if not node.vars <= inner:
                 missing = sorted(v.name for v in node.vars - inner)
                 raise IllFormedQuery(f"projection of out-of-scope variable(s): {missing}")
             w = frozenset(node.vars)
-        else:  # Belief
-            inner = table[id(node.query)]
+        else:  # Belief: the engine reads its scope and its body's
+            keep.update((id(node), id(node.query)))
+            inner = read(node.query)
             evars = belief_mod.belief_variables(node.expr)
             shadowed = inner & evars
             if shadowed:
@@ -453,11 +486,15 @@ def _scope(q: Query, table: dict[int, frozenset[Variable]],
                 raise IllFormedQuery(f"belief variable(s) shadow body scope: {names}")
             w = inner | evars
         table[id(node)] = w
+        if len(w) > len(widest[0]):
+            widest = w, id(node)
+    table.setdefault(widest[1], widest[0])
     return table[id(q)]
 
 
 def _scopes(q: Query, plain: bool = False) -> dict[int, frozenset[Variable]]:
-    """Every node's in-scope variables, keyed by node id, in one pass."""
+    """What one ``_scope`` walk over q leaves: the in-scope variables of q,
+    of each Belief and its body, and of the widest node, keyed by node id."""
     table: dict[int, frozenset[Variable]] = {}
     _scope(q, table, plain)
     return table

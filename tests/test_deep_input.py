@@ -35,6 +35,7 @@ from esparql.algebra import (
     Pattern,
     Project,
     Union,
+    _scopes,
     query_constants,
 )
 from esparql.belief import all_states_shorthand
@@ -63,13 +64,35 @@ def test_no_module_raises_the_recursion_limit():
     assert offenders == []
 
 
-def test_a_1200_pattern_join_chain_scopes_and_collects_constants():
-    p = Iri("urn:p")
+def _api_chain(n: int, p: Iri = Iri("urn:p")):
+    """The left-deep join of ?x0 p ?x1 . ... . ?x(n-1) p ?xn."""
     q = Pattern(TriplePattern(Variable("x0"), p, Variable("x1")))
-    for i in range(1, 1200):
+    for i in range(1, n):
         q = Join(MEET, q, Pattern(TriplePattern(Variable(f"x{i}"), p, Variable(f"x{i + 1}"))))
+    return q
+
+
+def test_a_1200_pattern_join_chain_scopes_and_collects_constants():
+    q = _api_chain(1200)
     assert in_scope(q) == {Variable(f"x{i}") for i in range(1201)}
-    assert query_constants(q) == {p}
+    assert query_constants(q) == {Iri("urn:p")}
+
+
+def test_the_scope_table_keeps_only_the_scopes_read_after_the_walk():
+    # a chain's table is its root's scope alone, not one set per node
+    chain = _api_chain(1200)
+    assert _scopes(chain) == {id(chain): in_scope(chain)}
+    # a belief and its body stay for the engine, and the widest node, the
+    # join under the projection, for the cap check; a pattern read by two
+    # parents stays until both have read it
+    x0, x1, x2, h = (Variable(n) for n in ("x0", "x1", "x2", "h"))
+    shared = _api_chain(1)
+    both = Union(JOIN, Filter(MEET, shared, Bound(x0)),
+                 MapState(shared, Bound(x1), FourValue.TRUE, FourValue.FALSE))
+    join = Join(MEET, both, Pattern(TriplePattern(x1, Iri("urn:p"), x2)))
+    body = Project(JOIN, frozenset({x0}), join)
+    q = Belief(all_states_shorthand(h, FourOperator.INFO_JOIN), body)
+    assert _scopes(q) == {id(q): {x0, h}, id(body): {x0}, id(join): {x0, x1, x2}}
 
 
 def test_an_800_pattern_open_chain_over_a_self_loop_answers_one_row():
