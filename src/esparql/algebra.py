@@ -426,27 +426,26 @@ def _postorder(q: Query, skip=(), bodies: bool = True,
 
 
 def _scope(q: Query, table: dict[int, frozenset[Variable]],
-           plain: bool = False) -> frozenset[Variable]:
-    """q's in-scope variables.  ``table`` maps node ids to scopes, and a
-    node already there is not walked again.  The walk leaves there the
-    scopes of q, of each Belief it walks and its body, and of the widest
-    node it walks; any other scope is dropped when its last parent reads
-    it, so a chain of n patterns holds O(n) variables rather than n^2/2.
+           plain: bool = False) -> tuple[frozenset[Variable], int]:
+    """q's in-scope variables, and the size of the widest node scope in the
+    walk.  ``table`` maps node ids to scopes, and a node already there is
+    not walked again.  The walk leaves there only q's scope: any other is
+    dropped when its last parent reads it, so a chain of n patterns holds
+    O(n) variables rather than n^2/2.
     Raises IllFormedQuery on any scoping-rule violation (join/union operator
     family, union scope mismatch, projection of an out-of-scope variable,
     belief variable shadowing) and, when ``plain``, on any node or state
     test outside the plain-annotated fragment."""
     again: dict[int, int] = {}
     order = _postorder(q, table, again=again)
-    keep = {id(q)}
-    widest = frozenset(), id(q)
+    widest = 0
 
     def read(child: Query) -> frozenset[Variable]:
         key = id(child)
         if again.get(key):  # a later parent reads it too
             again[key] -= 1
             return table[key]
-        return table[key] if key in keep else table.pop(key)
+        return table.pop(key)
 
     for node in order:
         if plain and isinstance(node, (MapState, Belief)):
@@ -476,8 +475,7 @@ def _scope(q: Query, table: dict[int, frozenset[Variable]],
                 missing = sorted(v.name for v in node.vars - inner)
                 raise IllFormedQuery(f"projection of out-of-scope variable(s): {missing}")
             w = frozenset(node.vars)
-        else:  # Belief: the engine reads its scope and its body's
-            keep.update((id(node), id(node.query)))
+        else:  # Belief
             inner = read(node.query)
             evars = belief_mod.belief_variables(node.expr)
             shadowed = inner & evars
@@ -486,24 +484,14 @@ def _scope(q: Query, table: dict[int, frozenset[Variable]],
                 raise IllFormedQuery(f"belief variable(s) shadow body scope: {names}")
             w = inner | evars
         table[id(node)] = w
-        if len(w) > len(widest[0]):
-            widest = w, id(node)
-    table.setdefault(widest[1], widest[0])
-    return table[id(q)]
-
-
-def _scopes(q: Query, plain: bool = False) -> dict[int, frozenset[Variable]]:
-    """What one ``_scope`` walk over q leaves: the in-scope variables of q,
-    of each Belief and its body, and of the widest node, keyed by node id."""
-    table: dict[int, frozenset[Variable]] = {}
-    _scope(q, table, plain)
-    return table
+        widest = max(widest, len(w))
+    return table[id(q)], widest
 
 
 def in_scope(q: Query) -> frozenset[Variable]:
     """Variables a query binds.  Raises IllFormedQuery on any scoping-rule
     violation anywhere in q."""
-    return _scope(q, {})
+    return _scope(q, {})[0]
 
 
 def _pattern_constant_terms(p, acc: set[Term]) -> None:
@@ -627,12 +615,9 @@ def _combine_join(r1: Relation, r2: Relation, op2: Callable[[Any, Any], Any]) ->
     d = op2(r1.default, r2.default)
     table: dict[tuple, Any] = {}
     # one side's exception against the other side's default, over every
-    # extension to the variables only the other side binds
+    # extension to the variables only the other side binds (op2 commutes)
     for left, right in ((r1, r2), (r2, r1)):
-        if left is r1:
-            hot = [(k, x) for k, v in left.table.items() if (x := op2(v, right.default)) != d]
-        else:
-            hot = [(k, x) for k, v in left.table.items() if (x := op2(right.default, v)) != d]
+        hot = [(k, x) for k, v in left.table.items() if (x := op2(v, right.default)) != d]
         extra = _schema(right.vars - left.vars)
         if not extra:
             table.update(hot)
@@ -818,10 +803,9 @@ class _FourEngine:
     alive so the id cannot be reused meanwhile."""
 
     def __init__(self, vocab: BeliefVocabulary, universe: frozenset[Term] | None,
-                 scopes: dict[int, frozenset[Variable]], semiring: Semiring | None = None):
+                 semiring: Semiring | None = None):
         self.vocab = vocab
         self.universe = universe
-        self.scopes = scopes
         self.semiring = semiring
         self._extract_cache: dict = {}
         self._eval_cache: dict = {}
@@ -906,14 +890,11 @@ class _FourEngine:
         return self._eval_belief(q, g)  # a Belief: _postorder lets only queries through
 
     def _eval_belief(self, q: Belief, g: FourGraph) -> Relation:
-        # the scope rules keep the holder variables out of the body's scope
-        w1 = self.scopes[id(q.query)]
-        evars = self.scopes[id(q)] - w1
+        evars = belief_mod.belief_variables(q.expr)
         if not evars:
             return self.run(q.query, self._extract(g, q.expr))
 
         evars_sorted = _schema(evars)
-        s1 = _schema(w1)
         open_mode = self.universe is None
         index = belief_mod.holder_index(g, self.vocab)
         taken = {h for h, _ in index}
@@ -924,6 +905,9 @@ class _FourEngine:
         def slice_at(key: tuple[Iri, ...]) -> Relation:
             return self.run(q.query, self._extract(g, q.expr, dict(zip(evars_sorted, key))))
 
+        # every slice has r0's default and schema: an extraction's default,
+        # the expression's value where no atom believes, is the same under
+        # every binding, and so is each operator's given its inputs'
         r0 = slice_at((fresh,) * len(evars))
         # a key position is a relevant holder; or fresh, standing for every
         # other IRI (the body cannot tell their extractions apart),
@@ -942,33 +926,27 @@ class _FourEngine:
                 None: [t for t in self.universe if not isinstance(t, Iri)],
             }
         default = r0.default
-        unknown = Relation._of(s1, UNKNOWN, {}, self.universe)
-        schema = _schema(w1 | evars)
-        extend = _plan(schema, s1 + evars_sorted)
+        schema = _schema(r0.vars | evars)
+        extend = _plan(schema, r0.schema + evars_sorted)
         table: dict[tuple, Any] = {}
         keys = sorted(relevant, key=lambda i: i.text) + list(stands_for)
         for key in itertools.product(keys, repeat=len(evars)):
-            rel = unknown if None in key else slice_at(key)
-            if rel.default == default and not rel.table:
-                continue
-            if open_mode and fresh in key:
-                raise NonFinitelySupported(
-                    "belief naming a holder and a quantified non-holder is not constantly unknown"
-                )
-            if rel.default == default:
-                rows = rel.table.items()
-            elif open_mode and w1:
-                raise NonFinitelySupported(
-                    "belief slice disagrees with the default on infinitely many mappings"
-                )
+            if None in key:
+                if default == UNKNOWN:
+                    continue
+                rows = [(tuple(t for _, t in m.bindings), UNKNOWN)
+                        for m in mappings_over(r0.vars, self.universe)]
             else:
-                dense = mappings_over(w1, self.universe or ())
-                rows = [(k, rel.table.get(k, rel.default))
-                        for k in (tuple(t for _, t in m.bindings) for m in dense)]
+                rows = slice_at(key).table.items()
+                if not rows:
+                    continue
+                if open_mode and fresh in key:
+                    raise NonFinitelySupported(
+                        "belief naming a holder and a quantified non-holder is not constantly unknown"
+                    )
             for combo in itertools.product(*(stands_for.get(t, (t,)) for t in key)):
                 for k, v in rows:
-                    if v != default:
-                        table[extend(k + combo)] = v
+                    table[extend(k + combo)] = v
         return Relation._of(schema, default, table, self.universe)
 
     def _relevant_holders(self, body: Query, index: dict) -> set[Iri]:
@@ -989,14 +967,14 @@ class _FourEngine:
 
 
 def _universe(q: Query, g: FourGraph, mode: EvalMode, cap: int,
-              scopes: dict[int, frozenset[Variable]]) -> frozenset[Term] | None:
+              widest: int) -> frozenset[Term] | None:
     """The active-domain universe of q over g, or None in open mode.
-    Refuses up front when the widest sub-result could exceed the
-    enumeration cap."""
+    Refuses up front when the widest sub-result, of ``widest`` variables,
+    could exceed the enumeration cap."""
     if mode is EvalMode.OPEN:
         return None
     universe = active_domain(g, query_constants(q))
-    size, widest = len(universe), max(map(len, scopes.values()))
+    size = len(universe)
     if size ** widest > cap:
         raise UniverseTooLarge(f"|universe| ** |vars| = {size}**{widest} exceeds cap {cap}")
     return universe
@@ -1016,8 +994,8 @@ def evaluate(
     universe is fixed once from the graph and the query's constant terms;
     open mode may raise NonFinitelySupported.
     """
-    scopes = _scopes(q)
-    return _FourEngine(vocab, _universe(q, g, mode, cap, scopes), scopes).run(q, g)
+    widest = _scope(q, {})[1]
+    return _FourEngine(vocab, _universe(q, g, mode, cap, widest)).run(q, g)
 
 
 def evaluate_k(
@@ -1036,6 +1014,5 @@ def evaluate_k(
     semiring's carrier.  Open-mode projection needs a zero or idempotent
     default, else NonFinitelySupported.
     """
-    scopes = _scopes(q, plain=True)
-    universe = _universe(q, g, mode, cap, scopes)
-    return _FourEngine(DEFAULT_VOCABULARY, universe, scopes, s).run(q, g)
+    widest = _scope(q, {}, plain=True)[1]
+    return _FourEngine(DEFAULT_VOCABULARY, _universe(q, g, mode, cap, widest), s).run(q, g)

@@ -30,7 +30,7 @@ from .model import (
     term_text,
 )
 from .oracle import DEFAULT_ORACLE_CAP, diff as diff_relations, oracle_eval
-from .parser import desugar, parse_graph, parse_query, serialize_relation
+from .parser import FORMATS, desugar, parse_graph, parse_query, serialize_relation
 from . import randgen
 
 # The exit code of each error class a command reports; a subclass takes its
@@ -71,16 +71,17 @@ def _query_text(query_path, inline) -> str:
         return handle.read()
 
 
+_MODES = tuple(m.value for m in EvalMode)
 _mode_option = click.option(
     "--mode",
-    type=click.Choice(["active-domain", "open"]),
+    type=click.Choice(_MODES),
     default="active-domain",
     show_default=True,
     help="Evaluation mode.",
 )
 _format_option = click.option(
     "--format", "fmt",
-    type=click.Choice(["table", "json-lines", "csv"]),
+    type=click.Choice(FORMATS),
     default="table",
     show_default=True,
     help="Result serialization.",
@@ -230,21 +231,15 @@ def cmd_repl(graph_path, mode, fmt, show_default, base_iri, vocab_ns, cap) -> No
             except (OSError, *_REPORTED) as e:
                 click.echo(f"error: {e}")
             return True
-        if name == ":mode":
+        if name in (":mode", ":format"):
+            key = name[1:]
+            allowed = _MODES if key == "mode" else FORMATS
             if arg is None:
-                click.echo(state["mode"])
-            elif arg in ("active-domain", "open"):
-                state["mode"] = arg
+                click.echo(state[key])
+            elif arg in allowed:
+                state[key] = arg
             else:
-                click.echo("modes: active-domain, open")
-            return True
-        if name == ":format":
-            if arg is None:
-                click.echo(state["format"])
-            elif arg in ("table", "json-lines", "csv"):
-                state["format"] = arg
-            else:
-                click.echo("formats: table, json-lines, csv")
+                click.echo(f"{key}s: {', '.join(allowed)}")
             return True
         click.echo(f"unknown directive {name}")
         return True

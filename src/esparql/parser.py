@@ -596,7 +596,7 @@ def _desugar_select(uq: UserQuery, scopes: dict) -> Query:
     if uq.holders:
         expr = _holders_expression(uq.holders)
         body = Belief(expr, body)
-    scope = _scope(body, scopes)
+    scope = _scope(body, scopes)[0]
     if uq.projection is None:
         keep = scope
     else:
@@ -681,6 +681,9 @@ def _table_cell(text: str, base: str) -> str:
     if not text.startswith("<<"):
         return shorten_iri(text[1:-1], base)
     return _IRI_IN_TEXT.sub(lambda m: f"<{shorten_iri(m[1], base)}>", text)
+
+
+FORMATS = ("table", "json-lines", "csv")  # what serialize_relation writes
 
 
 def serialize_relation(

@@ -269,17 +269,8 @@ def random_query(rng: random.Random, *, vocab: BeliefVocabulary = DEFAULT_VOCABU
     scope = frozenset(rng.sample(VARS, rng.randint(1, 3)))
 
     def gen(target, budget: int, var_holder_ok: bool) -> Query:
-        if budget <= 0 or len(target) > 3 or rng.random() < 0.25:
-            if len(target) <= 3:
-                return Pattern(random_pattern(rng, pool, target, vocab=vocab))
-            # too wide for one pattern: split over a join
-            names = _sorted_vars(target)
-            mid = len(names) // 2
-            return Join(
-                rng.choice(MEET_OPERATORS),
-                gen(frozenset(names[:mid]), 0, var_holder_ok),
-                gen(frozenset(names[mid:]), 0, var_holder_ok),
-            )
+        if budget <= 0 or rng.random() < 0.25:
+            return Pattern(random_pattern(rng, pool, target, vocab=vocab))
         kind = rng.choice(_NODE_KINDS)
         if kind in _PLAIN_KINDS:
             return _plain_node(rng, pool, kind, target,

@@ -26,6 +26,7 @@ from esparql import (
     Join,
     MapState,
     Mapping,
+    NonFinitelySupported,
     Not,
     Or,
     Pattern,
@@ -448,15 +449,15 @@ def test_variable_holder_work_is_sparse(monkeypatch):
     q = Belief(all_states_shorthand(X, OPLUS), Pattern(TriplePattern(S, A, FULL_DEITY)))
 
     scope_passes = 0
-    real_scopes = esparql.algebra._scopes
+    real_scope = esparql.algebra._scope
 
-    def counting_scopes(q):
+    def counting_scope(*args, **kwargs):
         nonlocal scope_passes
         scope_passes += 1
-        return real_scopes(q)
+        return real_scope(*args, **kwargs)
 
     bodies = _counting_body_evaluations(monkeypatch, q)
-    monkeypatch.setattr(esparql.algebra, "_scopes", counting_scopes)
+    monkeypatch.setattr(esparql.algebra, "_scope", counting_scope)
     r = evaluate(q, g)
     monkeypatch.undo()
 
@@ -464,6 +465,48 @@ def test_variable_holder_work_is_sparse(monkeypatch):
     assert bodies[0] == n + 1
     assert scope_passes == 1
     assert diff(r, oracle_eval(q, g)) == []
+
+
+def test_every_slice_of_a_belief_has_one_default(monkeypatch, g1):
+    # _eval_belief reads the default and schema of every slice off the
+    # fresh slice: each body relation it evaluates for one Belief node with
+    # holder variables has the same default, here over seeded random cases
+    # and a belief of a belief, in both modes
+    frames, checked = [], []
+    real_run = esparql.algebra._FourEngine.run
+    real_belief = esparql.algebra._FourEngine._eval_belief
+
+    def run(self, q, g):
+        r = real_run(self, q, g)
+        if frames and q is frames[-1][0]:
+            frames[-1][1].add(r.default)
+        return r
+
+    def eval_belief(self, q, g):
+        frames.append((q.query, set()))
+        try:
+            return real_belief(self, q, g)
+        finally:
+            _, defaults = frames.pop()
+            if belief_mod.belief_variables(q.expr):
+                checked.append(defaults)
+
+    monkeypatch.setattr(esparql.algebra._FourEngine, "run", run)
+    monkeypatch.setattr(esparql.algebra._FourEngine, "_eval_belief", eval_belief)
+    rng = random.Random(15)
+    cases = [(randgen.random_graph(rng), randgen.random_query(rng)) for _ in range(200)]
+    inner = Belief(all_states_shorthand(X, OPLUS), Pattern(term_to_pattern(ZEUS_DEITY)))
+    cases.append((g1, Belief(all_states_shorthand(Y, OPLUS), inner)))
+    for g, q in cases:
+        for mode in EvalMode:
+            try:
+                evaluate(q, g, mode=mode)
+            except (NonFinitelySupported, UniverseTooLarge):
+                pass
+    evaluated = [defaults for defaults in checked if defaults]  # not refused at once
+    assert len(evaluated) > 50
+    assert all(len(defaults) == 1 for defaults in evaluated)
+    assert len(set().union(*evaluated)) > 1
 
 
 def test_two_holder_variables_enumerate_only_relevant_holder_pairs(monkeypatch):

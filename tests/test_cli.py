@@ -458,6 +458,17 @@ def test_diff_small_run_agrees_and_is_deterministic(runner):
     assert second.output == first.output
 
 
+def test_diff_reports_and_counts_the_cases_it_skips(runner):
+    result = runner.invoke(main, ["diff", "--seed", "0", "--cases", "5", "--cap", "300"])
+    assert result.exit_code == 0
+    assert result.output == (
+        "case 1: skipped (universe too large)\n"
+        "case 2: skipped (universe too large)\n"
+        "case 3: skipped (universe too large)\n"
+        "2 cases agree, 3 skipped\n"
+    )
+
+
 def _flipped_apply(op, a, b):
     if op == FourOperator.INFO_JOIN and {a, b} == {FourValue.TRUE, FourValue.FALSE}:
         return FourValue.TRUE
@@ -547,3 +558,16 @@ def test_repl_reports_missing_load_target_and_continues(runner):
     result = runner.invoke(main, ["repl"], input=session)
     assert result.exit_code == 0
     assert result.output.startswith("error: ")
+
+
+def test_repl_directives_answer_bad_or_missing_arguments(runner):
+    session = ":mode open\n:mode\n:mode bogus\n:format\n:format bogus\n:load\n:quit\n"
+    result = runner.invoke(main, ["repl"], input=session)
+    assert result.exit_code == 0
+    assert result.output == (
+        "open\n"
+        "modes: active-domain, open\n"
+        "table\n"
+        "formats: table, json-lines, csv\n"
+        "usage: :load <path>\n"
+    )

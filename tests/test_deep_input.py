@@ -35,7 +35,7 @@ from esparql.algebra import (
     Pattern,
     Project,
     Union,
-    _scopes,
+    _scope,
     query_constants,
 )
 from esparql.belief import all_states_shorthand
@@ -79,20 +79,23 @@ def test_a_1200_pattern_join_chain_scopes_and_collects_constants():
 
 
 def test_the_scope_table_keeps_only_the_scopes_read_after_the_walk():
-    # a chain's table is its root's scope alone, not one set per node
-    chain = _api_chain(1200)
-    assert _scopes(chain) == {id(chain): in_scope(chain)}
-    # a belief and its body stay for the engine, and the widest node, the
-    # join under the projection, for the cap check; a pattern read by two
-    # parents stays until both have read it
+    # a chain's table is its root's scope alone, not one set per node, and
+    # the widest node is the root
+    chain, table = _api_chain(1200), {}
+    scope, widest = _scope(chain, table)
+    assert table == {id(chain): scope} and widest == 1201
+    # neither a belief nor its body stays; the widest node, the join under
+    # the projection, is reported by size; a pattern read by two parents
+    # is read by both
     x0, x1, x2, h = (Variable(n) for n in ("x0", "x1", "x2", "h"))
     shared = _api_chain(1)
     both = Union(JOIN, Filter(MEET, shared, Bound(x0)),
                  MapState(shared, Bound(x1), FourValue.TRUE, FourValue.FALSE))
     join = Join(MEET, both, Pattern(TriplePattern(x1, Iri("urn:p"), x2)))
     body = Project(JOIN, frozenset({x0}), join)
-    q = Belief(all_states_shorthand(h, FourOperator.INFO_JOIN), body)
-    assert _scopes(q) == {id(q): {x0, h}, id(body): {x0}, id(join): {x0, x1, x2}}
+    q, table = Belief(all_states_shorthand(h, FourOperator.INFO_JOIN), body), {}
+    scope, widest = _scope(q, table)
+    assert table == {id(q): scope} and scope == {x0, h} and widest == 3
 
 
 def test_an_800_pattern_open_chain_over_a_self_loop_answers_one_row():

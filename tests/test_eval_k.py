@@ -32,6 +32,7 @@ from esparql import (
     all_states_shorthand,
     evaluate,
     evaluate_k,
+    serialize_relation,
     Mapping,
 )
 from esparql import randgen
@@ -99,6 +100,12 @@ def test_boolean_filter(bool_graph):
     assert members(r) == {POPE}
 
 
+def test_boolean_results_serialize_their_values(bool_graph):
+    r = evaluate_k(X_CHRISTIAN, bool_graph, BOOLEAN)
+    assert serialize_relation(r, show_default=True) == (
+        "x | state\nArius | true\nPopeDI | true\n* | false\n")
+
+
 # ---------------------------------------------------------------------------
 # Counting semantics: how many derivations
 # ---------------------------------------------------------------------------
@@ -117,6 +124,13 @@ def test_counting_pattern_and_join(count_graph):
                          count_graph, COUNTING)
     assert squared.value_at(Mapping.of({X: POPE})) == 4
     assert squared.value_at(Mapping.of({X: ARIUS})) == 9
+
+
+def test_counting_results_serialize_their_values(count_graph):
+    r = evaluate_k(X_CHRISTIAN, count_graph, COUNTING)
+    assert serialize_relation(r, "csv", show_default=True) == (
+        "x,state\n<https://esparql.dev/data#Arius>,3\n"
+        "<https://esparql.dev/data#PopeDI>,2\n*,0\n")
 
 
 def test_counting_projection_sums(count_graph):
