@@ -155,8 +155,8 @@ class Relation:
     ``Mapping``, is built on first read.  ``universe`` is the active-domain
     term set, or None in open mode.  Canonical form: no row carries the
     default value.  No code mutates a relation after construction, so
-    operators may return an input unchanged and the engine's memo may hand
-    one relation to several nodes.
+    operators may return an input unchanged and a run may hand one
+    relation to several parents.
     """
 
     __slots__ = ("vars", "schema", "default", "table", "universe", "_exceptions")
@@ -385,6 +385,10 @@ class Belief:
     expr: belief_mod.BeliefQuery
     query: "Query"
 
+    @functools.cached_property
+    def _holders(self) -> frozenset[Variable]:  # read once per node
+        return belief_mod.belief_variables(self.expr)
+
 
 Query = Pattern | Join | Union | Filter | Project | MapState | Belief
 
@@ -477,12 +481,11 @@ def _scope(q: Query, table: dict[int, frozenset[Variable]],
             w = frozenset(node.vars)
         else:  # Belief
             inner = read(node.query)
-            evars = belief_mod.belief_variables(node.expr)
-            shadowed = inner & evars
+            shadowed = inner & node._holders
             if shadowed:
                 names = sorted(v.name for v in shadowed)
                 raise IllFormedQuery(f"belief variable(s) shadow body scope: {names}")
-            w = inner | evars
+            w = inner | node._holders
         table[id(node)] = w
         widest = max(widest, len(w))
     return table[id(q)], widest
@@ -796,11 +799,14 @@ def _eval_pattern(p: TriplePattern, g: FourGraph, universe: frozenset[Term] | No
     return Relation._of(schema, g.default, table, universe)
 
 
-class _FourEngine:
-    """One evaluation, four-valued or, given a semiring, over its carrier.
+def _key(q: Query):
+    """q's key among a run's relations: a Pattern's pattern, so a run scans
+    equal patterns once, or else the node's id."""
+    return q.pattern if isinstance(q, Pattern) else id(q)
 
-    Memos are keyed on graph identity, and each memo value keeps its graph
-    alive so the id cannot be reused meanwhile."""
+
+class _FourEngine:
+    """One evaluation, four-valued or, given a semiring, over its carrier."""
 
     def __init__(self, vocab: BeliefVocabulary, universe: frozenset[Term] | None,
                  semiring: Semiring | None = None):
@@ -808,7 +814,6 @@ class _FourEngine:
         self.universe = universe
         self.semiring = semiring
         self._extract_cache: dict = {}
-        self._eval_cache: dict = {}
         self._plans: dict = {}
         self._orders: dict = {}
 
@@ -826,9 +831,9 @@ class _FourEngine:
 
     def _extract(self, g: FourGraph, e: belief_mod.BeliefQuery,
                  binding: dict[Variable, Term] | None = None) -> FourGraph:
-        """e's extraction from g under ``binding``.  The memo keys on e's
-        value, so nodes with equal expressions share it, and on the bound
-        holders, which an expression always binds in one order."""
+        """e's extraction from g under ``binding``, memoised on g's id (the
+        entry keeps g alive), on e's value, which equal expressions share,
+        and on the bound holders, which e always binds in one order."""
         key = (id(g), e, *(binding or {}).values())
         hit = self._extract_cache.get(key)
         if hit is None:
@@ -837,12 +842,13 @@ class _FourEngine:
         return hit[1]
 
     def run(self, q: Query, g: FourGraph) -> Relation:
-        """q's relation over g: every node of q's post-order through
-        ``eval``, so each ``_eval`` finds its children in the memo.  A
-        Belief body is left to ``_eval_belief``, which runs it once per
-        extracted graph, so only belief nesting recurses."""
+        """q's relation over g: each node of q's post-order through ``eval``
+        once, so each ``_eval`` finds its children's relations in ``done``,
+        dropped when the run returns.  A Belief body is left to
+        ``_eval_belief``, which runs it once per extracted graph."""
+        done: dict = {}
         for node in self._order(q):
-            r = self.eval(node, g)
+            r = self.eval(node, g, done)
         return r
 
     def _order(self, q: Query) -> list[Query]:
@@ -851,51 +857,45 @@ class _FourEngine:
             self._orders[id(q)] = _postorder(q, bodies=False)
         return self._orders[id(q)]
 
-    def eval(self, q: Query, g: FourGraph) -> Relation:
-        # a Pattern node keys on its pattern's value, so repeats scan once
-        key = (q.pattern if isinstance(q, Pattern) else id(q), id(g))
-        hit = self._eval_cache.get(key)
-        if hit is None:
-            hit = self._eval_cache[key] = (g, self._eval(q, g))
-        return hit[1]
+    def eval(self, q: Query, g: FourGraph, done: dict) -> Relation:
+        """q's relation over g, recorded in ``done`` under ``_key(q)``."""
+        key = _key(q)
+        r = done.get(key)
+        if r is None:
+            r = done[key] = self._eval(q, g, done)
+        return r
 
     # -- node cases ---------------------------------------------------------
 
-    def _eval(self, q: Query, g: FourGraph) -> Relation:
+    def _eval(self, q: Query, g: FourGraph, done: dict) -> Relation:
         if isinstance(q, Pattern):
             return _eval_pattern(q.pattern, g, self.universe, self._plans)
         if isinstance(q, Join):
             multiply = self._ops(q.op, False)[0]
-            return _combine_join(self.eval(q.left, g), self.eval(q.right, g), multiply)
+            return _combine_join(done[_key(q.left)], done[_key(q.right)], multiply)
         if isinstance(q, Union):
             add = self._ops(q.op, True)[0]
-            return _combine_union(self.eval(q.left, g), self.eval(q.right, g), add)
-        if isinstance(q, Filter):
-            multiply, one, zero = self._ops(q.op, False)
-
-            def value_for(outcome: ThreeValued, v):
-                return multiply(v, one if outcome is ThreeValued.TRUE else zero)
-
-            return _transform_by_formula(self.eval(q.query, g), q.formula, value_for)
-        if isinstance(q, MapState):
-            r1 = self.eval(q.query, g)
-
-            def value_for(outcome: ThreeValued, v):
-                return q.then_state if outcome is ThreeValued.TRUE else q.else_state
-
-            return _transform_by_formula(r1, q.formula, value_for)
+            return _combine_union(done[_key(q.left)], done[_key(q.right)], add)
+        if isinstance(q, Belief):
+            return self._eval_belief(q, g)
+        r1 = done[_key(q.query)]
         if isinstance(q, Project):
             add, zero, _ = self._ops(q.op, True)
-            return _project_four(self.eval(q.query, g), frozenset(q.vars), add, zero)
-        return self._eval_belief(q, g)  # a Belief: _postorder lets only queries through
+            return _project_four(r1, frozenset(q.vars), add, zero)
+        if isinstance(q, MapState):
+            return _transform_by_formula(r1, q.formula, lambda outcome, v: (
+                q.then_state if outcome is ThreeValued.TRUE else q.else_state))
+        # a Filter: _postorder lets only queries through
+        multiply, one, zero = self._ops(q.op, False)
+        return _transform_by_formula(r1, q.formula, lambda outcome, v: multiply(
+            v, one if outcome is ThreeValued.TRUE else zero))
 
     def _eval_belief(self, q: Belief, g: FourGraph) -> Relation:
-        evars = belief_mod.belief_variables(q.expr)
-        if not evars:
+        if not q._holders:
             return self.run(q.query, self._extract(g, q.expr))
 
-        evars_sorted = _schema(evars)
-        open_mode = self.universe is None
+        evars = _schema(q._holders)
+        universe = self.universe or ()
         index = belief_mod.holder_index(g, self.vocab)
         taken = {h for h, _ in index}
         relevant = self._relevant_holders(q.query, index)
@@ -903,47 +903,42 @@ class _FourEngine:
                      if i not in taken)
 
         def slice_at(key: tuple[Iri, ...]) -> Relation:
-            return self.run(q.query, self._extract(g, q.expr, dict(zip(evars_sorted, key))))
+            return self.run(q.query, self._extract(g, q.expr, dict(zip(evars, key))))
 
         # every slice has r0's default and schema: an extraction's default,
         # the expression's value where no atom believes, is the same under
         # every binding, and so is each operator's given its inputs'
-        r0 = slice_at((fresh,) * len(evars))
+        all_fresh = (fresh,) * len(evars)
+        r0 = slice_at(all_fresh)
+        if self.universe is None and (r0.table or r0.default != UNKNOWN):
+            raise NonFinitelySupported(
+                "belief over a quantified holder is not constantly unknown off-support"
+            )
         # a key position is a relevant holder; or fresh, standing for every
-        # other IRI (the body cannot tell their extractions apart),
-        # infinitely many in open mode; or, over the active domain, None,
-        # standing for the quoted triples, whose slices are constantly unknown
-        stands_for: dict[Iri | None, list[Term]]
-        if open_mode:
-            if r0.table or r0.default != UNKNOWN:
-                raise NonFinitelySupported(
-                    "belief over a quantified holder is not constantly unknown off-support"
-                )
-            stands_for = {fresh: []}
-        else:
-            stands_for = {
-                fresh: [t for t in self.universe if isinstance(t, Iri) and t not in relevant],
-                None: [t for t in self.universe if not isinstance(t, Iri)],
-            }
+        # other IRI (the body cannot tell their extractions apart); or None,
+        # standing for the quoted triples, whose slices are constantly
+        # unknown.  In open mode both are infinitely many and stand for no
+        # listed term, so a key holding one must have no rows
+        stands_for = {
+            fresh: [t for t in universe if isinstance(t, Iri) and t not in relevant],
+            None: [t for t in universe if not isinstance(t, Iri)],
+        }
         default = r0.default
-        schema = _schema(r0.vars | evars)
-        extend = _plan(schema, r0.schema + evars_sorted)
+        quoted = [] if default == UNKNOWN else [
+            (tuple(t for _, t in m.bindings), UNKNOWN) for m in mappings_over(r0.vars, universe)]
+        schema = _schema(r0.vars.union(evars))
+        extend = _plan(schema, r0.schema + evars)
         table: dict[tuple, Any] = {}
         keys = sorted(relevant, key=lambda i: i.text) + list(stands_for)
         for key in itertools.product(keys, repeat=len(evars)):
-            if None in key:
-                if default == UNKNOWN:
-                    continue
-                rows = [(tuple(t for _, t in m.bindings), UNKNOWN)
-                        for m in mappings_over(r0.vars, self.universe)]
-            else:
-                rows = slice_at(key).table.items()
-                if not rows:
-                    continue
-                if open_mode and fresh in key:
-                    raise NonFinitelySupported(
-                        "belief naming a holder and a quantified non-holder is not constantly unknown"
-                    )
+            rows = quoted if None in key else (
+                r0 if key == all_fresh else slice_at(key)).table.items()
+            if not rows:
+                continue
+            if self.universe is None and fresh in key:
+                raise NonFinitelySupported(
+                    "belief naming a holder and a quantified non-holder is not constantly unknown"
+                )
             for combo in itertools.product(*(stands_for.get(t, (t,)) for t in key)):
                 for k, v in rows:
                     table[extend(k + combo)] = v

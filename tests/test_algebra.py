@@ -421,13 +421,13 @@ def test_nested_belief_of_belief(g1):
 
 def _counting_body_evaluations(monkeypatch, node):
     """Count the evaluations of a Belief node's body: one per extracted
-    graph the engine evaluates it over (the memo answers repeats)."""
+    graph the engine evaluates it over."""
     calls = [0]
     real = esparql.algebra._FourEngine._eval
 
-    def counted(self, q, g):
+    def counted(self, q, g, done):
         calls[0] += q is node.query
-        return real(self, q, g)
+        return real(self, q, g, done)
 
     monkeypatch.setattr(esparql.algebra._FourEngine, "_eval", counted)
     return calls
@@ -527,6 +527,69 @@ def test_two_holder_variables_enumerate_only_relevant_holder_pairs(monkeypatch):
 
     assert bodies[0] <= 100
     assert len(r.table) == 1616
+
+
+def _belief_of_a_belief():
+    inner = Belief(all_states_shorthand(X, OPLUS), Pattern(term_to_pattern(ZEUS_DEITY)))
+    return Belief(all_states_shorthand(Y, OPLUS), inner)
+
+
+def test_each_node_is_evaluated_once_per_run(monkeypatch, g1):
+    # a run enters eval once per node it lists and runs _eval once per
+    # distinct key and graph, equal patterns sharing one key; a Belief
+    # runs its body once per extracted graph, the all-fresh one included
+    engine = esparql.algebra._FourEngine
+    listed, entered, evaluated, runs = [], [], [], []
+    real_run, real_eval, real_inner = engine.run, engine.eval, engine._eval
+
+    def key(q, g):
+        return (q.pattern if isinstance(q, Pattern) else id(q), id(g))
+
+    def run(self, q, g):
+        listed.extend(map(id, self._order(q)))
+        runs.append(key(q, g))
+        return real_run(self, q, g)
+
+    def eval_(self, q, g, *rest):
+        entered.append(id(q))
+        return real_eval(self, q, g, *rest)
+
+    def inner(self, q, g, *rest):
+        evaluated.append(key(q, g))
+        return real_inner(self, q, g, *rest)
+
+    monkeypatch.setattr(engine, "run", run)
+    monkeypatch.setattr(engine, "eval", eval_)
+    monkeypatch.setattr(engine, "_eval", inner)
+    patterns = ("?s <a> ?o", "?s <a> <Christian>", "?s ?p ?o")
+    chain = parse_and_desugar(
+        "SELECT ?s WHERE { " + " . ".join(patterns[i % 3] for i in range(9)) + " }")
+    belief = _belief_of_a_belief()
+    for q, mode in [(chain, mode) for mode in EvalMode] + [(belief, EvalMode.ACTIVE_DOMAIN)]:
+        for log in (listed, entered, evaluated, runs):
+            log.clear()
+        assert evaluate(q, g1, mode=mode).table
+        assert sorted(entered) == sorted(listed)
+        assert len(evaluated) == len(set(evaluated))
+        assert len(listed) - len(evaluated) == (6 if q is chain else 0)  # the repeated patterns
+        assert len(runs) == len(set(runs))
+    assert len(runs) > 3  # the belief's bodies ran over several extractions
+    for q in (chain, belief):
+        assert diff(evaluate(q, g1), oracle_eval(q, g1)) == []
+
+
+def test_holder_variables_are_read_once_per_belief_node(monkeypatch, g1):
+    calls = _counting(monkeypatch, belief_mod, "belief_variables")
+    for mode in EvalMode:
+        q = _belief_of_a_belief()
+        try:
+            evaluate(q, g1, mode=mode)
+        except NonFinitelySupported:
+            pass
+        assert calls[0] == 2
+        evaluate(q, g1)
+        assert calls[0] == 2
+        calls[0] = 0
 
 
 def _counting(monkeypatch, owner, name):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from esparql import (
     AtomicBelief,
     Belief,
+    CompoundBelief,
     Eq,
     EvalMode,
     Filter,
@@ -29,7 +30,9 @@ from esparql import (
     Union,
     Variable,
     all_states_shorthand,
+    diff,
     evaluate,
+    oracle_eval,
     parse_and_desugar,
     parse_graph,
 )
@@ -261,6 +264,21 @@ def test_open_belief_raises_when_generic_slice_is_not_unknown(g1):
     with pytest.raises(NonFinitelySupported):
         open_eval(q, g1)
     assert evaluate(q, g1).vars == {X, Y}
+
+
+def test_open_belief_refuses_a_fresh_slice_that_is_not_constantly_unknown(g1):
+    # the all-fresh slice stands for infinitely many holders: a row from a
+    # ground holder's stance, or a default other than unknown, refuses;
+    # over the active domain both answer
+    body = Pattern(term_to_pattern(JESUS_DEITY))
+    with_pope = CompoundBelief(AtomicBelief(X, T, U), OPLUS, AtomicBelief(POPE, T, U))
+    for expr in (with_pope, AtomicBelief(X, T, F)):
+        q = Belief(expr, body)
+        with pytest.raises(NonFinitelySupported) as refused:
+            open_eval(q, g1)
+        assert str(refused.value) == (
+            "belief over a quantified holder is not constantly unknown off-support")
+        assert diff(evaluate(q, g1), oracle_eval(q, g1)) == []
 
 
 MIXED_HOLDERS_GRAPH = """@default unknown .
