@@ -187,7 +187,10 @@ class Relation:
             raise ValueError(f"row length differs from the schema's {len(schema)}")
         self.vars = frozenset(schema)
         self.schema, self.default, self.universe = schema, default, universe
-        self.table = {k: v for k, v in table.items() if v != default}
+        # most operators drop default rows themselves; their dicts are kept
+        if default in table.values():
+            table = {k: v for k, v in table.items() if v != default}
+        self.table = table
         self._exceptions = None
 
     @property
@@ -232,6 +235,13 @@ class ThreeValued(enum.Enum):
     TRUE = "true"
     FALSE = "false"
     ERROR = "error"
+
+    __hash__ = object.__hash__  # as FourValue's: Enum's hashes the name in Python
+
+
+# read without the class's attribute lookup in per-row code
+_TRUE3, _FALSE3, _ERROR3 = ThreeValued.TRUE, ThreeValued.FALSE, ThreeValued.ERROR
+_NOT3 = {_TRUE3: _FALSE3, _FALSE3: _TRUE3, _ERROR3: _ERROR3}
 
 
 @dataclass(frozen=True)
@@ -299,38 +309,30 @@ def _formula_value(f: FilterFormula, get: Callable[[Variable], Any], state) -> T
     errors; conjunction lets a definite false win over an error and
     disjunction a definite true.
     """
-    T, F, E = ThreeValued.TRUE, ThreeValued.FALSE, ThreeValued.ERROR
     if isinstance(f, Eq):
         sides = []
         for side in (f.left, f.right):
             val = get(side) if isinstance(side, Variable) else side
             if val is None:
-                return E
+                return _ERROR3
             sides.append(val)
-        return T if sides[0] == sides[1] else F
+        return _TRUE3 if sides[0] == sides[1] else _FALSE3
     if isinstance(f, Bound):
-        return T if get(f.var) is not None else F
+        return _TRUE3 if get(f.var) is not None else _FALSE3
     if isinstance(f, StateIs):
-        return T if state == f.state else F
+        return _TRUE3 if state == f.state else _FALSE3
     if isinstance(f, Not):
-        inner = _formula_value(f.inner, get, state)
-        return {T: F, F: T, E: E}[inner]
-    if isinstance(f, And):
+        return _NOT3[_formula_value(f.inner, get, state)]
+    if isinstance(f, (And, Or)):
         a = _formula_value(f.left, get, state)
         b = _formula_value(f.right, get, state)
-        if F in (a, b):
-            return F
-        if E in (a, b):
-            return E
-        return T
-    if isinstance(f, Or):
-        a = _formula_value(f.left, get, state)
-        b = _formula_value(f.right, get, state)
-        if T in (a, b):
-            return T
-        if E in (a, b):
-            return E
-        return F
+        # a definite false wins a conjunction, a definite true a disjunction
+        wins = _FALSE3 if isinstance(f, And) else _TRUE3
+        if a is wins or b is wins:
+            return wins
+        if a is _ERROR3 or b is _ERROR3:
+            return _ERROR3
+        return _NOT3[wins]
     raise TypeError(f"not a filter formula: {f!r}")
 
 
@@ -884,11 +886,11 @@ class _FourEngine:
             return _project_four(r1, frozenset(q.vars), add, zero)
         if isinstance(q, MapState):
             return _transform_by_formula(r1, q.formula, lambda outcome, v: (
-                q.then_state if outcome is ThreeValued.TRUE else q.else_state))
+                q.then_state if outcome is _TRUE3 else q.else_state))
         # a Filter: _postorder lets only queries through
         multiply, one, zero = self._ops(q.op, False)
         return _transform_by_formula(r1, q.formula, lambda outcome, v: multiply(
-            v, one if outcome is ThreeValued.TRUE else zero))
+            v, one if outcome is _TRUE3 else zero))
 
     def _eval_belief(self, q: Belief, g: FourGraph) -> Relation:
         if not q._holders:

@@ -9,16 +9,17 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_text
 from operator import itemgetter
 from typing import Optional, Union as TUnion
 
 from .belief import BeliefQuery, CompoundBelief, all_states_shorthand
 from .errors import DuplicateTriple, IllFormedQuery, ParseError
-from .four import FourOperator, FourValue
+from .four import TRUE, FourOperator, FourValue
 from .model import (
+    _BAD_IRI_CHAR,
     DEFAULT_BASE_IRI,
     FourGraph,
     Iri,
@@ -51,6 +52,8 @@ _SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 
 _STATE_WORDS = {v.label: v for v in FourValue}
 _LABELS = {v: v.label for v in FourValue}  # read without Enum's descriptors
+# how render_graph ends a statement of each state: '@true' is left implicit
+_LINE_ENDS = {v: " .\n" if v is TRUE else f" @{v.label} .\n" for v in FourValue}
 
 _STATE_KEYWORDS = {v.label.upper(): v for v in FourValue}
 
@@ -80,12 +83,6 @@ def resolve_iri(text: str, base: str) -> Iri:
     if _SCHEME.match(text):
         return Iri(text)
     return Iri(base + text)
-
-
-def shorten_iri(text: str, base: str) -> str:
-    if base and text.startswith(base) and len(text) > len(base):
-        return text[len(base):]
-    return text
 
 
 class _Iris(dict):
@@ -233,7 +230,7 @@ def parse_graph(text: str, *, base_iri: str = DEFAULT_BASE_IRI) -> FourGraph:
             raise _expected(text, "expected a predicate IRI", tokens[i])
         obj, i = _ground_term(text, tokens, i + 1, iris, 0)
         kind, spelling, offset = tokens[i]
-        value = FourValue.TRUE
+        value = TRUE
         if kind == "ANNOT":
             value = _STATE_WORDS.get(spelling[1:])
             if value is None:
@@ -255,12 +252,15 @@ def render_graph(g: FourGraph) -> str:
     ``term_text`` order of their triples.  A line starts with its triple's
     text less the outer '<< ' and ' >>', and term texts are self-delimiting,
     so no such body is a prefix of another: sorting the lines is enough."""
-    lines = sorted(
-        f"{term_text(t.subject)} <{t.predicate.text}> {term_text(t.object)}"
-        f"{'' if v == FourValue.TRUE else ' @' + _LABELS[v]} ."
+    lines = [
+        f"{f'<{s.text}>' if (s := t.subject).__class__ is Iri else term_text(s)}"
+        f" <{t.predicate.text}> "
+        f"{f'<{o.text}>' if (o := t.object).__class__ is Iri else term_text(o)}{_LINE_ENDS[v]}"
         for t, v in g.exceptions.items()
-    )
-    return "\n".join([f"@default {g.default.label} .", *lines]) + "\n"
+    ]
+    lines.sort()
+    lines.insert(0, f"@default {g.default.label} .\n")
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -672,15 +672,20 @@ def _value_label(v) -> str:
     return str(v)
 
 
-# an IRI inside a term's text; '<<' and '>>' never match
-_IRI_IN_TEXT = re.compile(r"<([^\s<>]+)>")
+def _table_cell(base: str):
+    """The function taking a term's text to its table cell: every IRI under
+    ``base`` shortened, a lone IRI without its brackets.  An IRI text holds
+    no whitespace or angle bracket, so no IRI lies under a base that does;
+    otherwise '<' + base starts only IRIs, and '<>', no term's text, marks
+    an IRI equal to the base."""
+    if not base or _BAD_IRI_CHAR(base):
+        return lambda text: text if text[1] == "<" else text[1:-1]
+    under, whole = "<" + base, f"<{base}>"
 
-
-def _table_cell(text: str, base: str) -> str:
-    """A term's text with every IRI shortened; a lone IRI loses its brackets."""
-    if not text.startswith("<<"):
-        return shorten_iri(text[1:-1], base)
-    return _IRI_IN_TEXT.sub(lambda m: f"<{shorten_iri(m[1], base)}>", text)
+    def cell(text: str) -> str:
+        text = text.replace(under, "<").replace("<>", whole)
+        return text if text[1] == "<" else text[1:-1]
+    return cell
 
 
 FORMATS = ("table", "json-lines", "csv")  # what serialize_relation writes
@@ -699,16 +704,21 @@ def serialize_relation(
     the state; rows sort by those texts, as ``Relation.rows`` does."""
     names = sorted(v.name for v in r.vars)
     header = names + ["state"]
-    rows = sorted([*map(term_text, row), _value_label(v)] for row, v in r.table.items())
+    rows = sorted([*map(term_text, row), _LABELS.get(v) or _value_label(v)]
+                  for row, v in r.table.items())
     wildcard = [["*"] * len(names) + [_value_label(r.default)]] if show_default else []
     if format == "table":
-        rows = [[*(_table_cell(c, base_iri) for c in row[:-1]), row[-1]] for row in rows]
+        cell = _table_cell(base_iri)
+        rows = [[*map(cell, row[:-1]), row[-1]] for row in rows]
         return "".join(" | ".join(row) + "\n" for row in [header, *rows, *wildcard])
     if format == "json-lines":
         if "state" in names:
             raise IllFormedQuery("json-lines cannot write variable ?state: "
                                  "its records use that key for the state")
-        return "".join(json.dumps(dict(zip(header, row))) + "\n" for row in rows + wildcard)
+        # json.dumps of the record {header[i]: row[i]}, each key escaped once
+        keys = (_json_text(h).replace("{", "{{").replace("}", "}}") for h in header)
+        record = ("{{" + ", ".join(k + ": {}" for k in keys) + "}}\n").format
+        return "".join([record(*map(_json_text, row)) for row in rows + wildcard])
     if format == "csv":
         out = io.StringIO()
         csv.writer(out, lineterminator="\n").writerows([header, *rows, *wildcard])

@@ -1,8 +1,24 @@
 """Views of engine values that only tests need: whole-function comparison
-of relations, formula evaluation at one mapping, and the inverse of a
-belief vocabulary."""
+of relations, formula evaluation at one mapping, the inverse of a belief
+vocabulary, and a plain reference writer for results and graphs."""
 
-from esparql import STATES, BeliefVocabulary, Iri, Mapping, Relation, mappings_over
+import csv
+import io
+import json
+import re
+
+from esparql import (
+    DEFAULT_BASE_IRI,
+    STATES,
+    BeliefVocabulary,
+    FourGraph,
+    FourValue,
+    Iri,
+    Mapping,
+    Relation,
+    mappings_over,
+    term_text,
+)
 from esparql.algebra import ThreeValued, _formula_value
 
 
@@ -40,3 +56,59 @@ def state_for(vocab: BeliefVocabulary, predicate: Iri):
         if vocab.predicate_for(state) == predicate:
             return state
     return None
+
+
+# ---------------------------------------------------------------------------
+# Reference output: serialize_relation and render_graph written plainly, one
+# cell and one line at a time, for byte-for-byte comparison.
+# ---------------------------------------------------------------------------
+
+
+def _label(v) -> str:
+    if isinstance(v, FourValue):
+        return v.label
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return str(v)
+
+
+# an IRI inside a term's text; '<<' and '>>' never match
+_IRI_IN_TEXT = re.compile(r"<([^\s<>]+)>")
+
+
+def shorten_iri(text: str, base: str) -> str:
+    if base and text.startswith(base) and len(text) > len(base):
+        return text[len(base):]
+    return text
+
+
+def _table_cell(text: str, base: str) -> str:
+    """A term's text with every IRI shortened; a lone IRI loses its brackets."""
+    if not text.startswith("<<"):
+        return shorten_iri(text[1:-1], base)
+    return _IRI_IN_TEXT.sub(lambda m: f"<{shorten_iri(m[1], base)}>", text)
+
+
+def reference_serialization(r: Relation, format: str, *, show_default: bool = False,
+                            base_iri: str = DEFAULT_BASE_IRI) -> str:
+    names = sorted(v.name for v in r.vars)
+    header = names + ["state"]
+    rows = sorted([*map(term_text, row), _label(v)] for row, v in r.table.items())
+    wildcard = [["*"] * len(names) + [_label(r.default)]] if show_default else []
+    if format == "table":
+        rows = [[*(_table_cell(c, base_iri) for c in row[:-1]), row[-1]] for row in rows]
+        return "".join(" | ".join(row) + "\n" for row in [header, *rows, *wildcard])
+    if format == "json-lines":
+        return "".join(json.dumps(dict(zip(header, row))) + "\n" for row in rows + wildcard)
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *rows, *wildcard])
+    return out.getvalue()
+
+
+def reference_render(g: FourGraph) -> str:
+    lines = sorted(
+        f"{term_text(t.subject)} <{t.predicate.text}> {term_text(t.object)}"
+        f"{'' if v == FourValue.TRUE else ' @' + v.label} ."
+        for t, v in g.exceptions.items()
+    )
+    return "\n".join([f"@default {g.default.label} .", *lines]) + "\n"

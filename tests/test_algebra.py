@@ -155,6 +155,19 @@ def test_engine_rows_must_have_the_schema_length():
     assert r.table == {(POPE,): T}
 
 
+def test_default_rows_are_dropped_and_other_tables_kept():
+    # either constructor drops a row equal to the default, leaving the
+    # caller's dict as it was; a table without one is kept as handed in
+    for default, at_default in ((U, U), (0, False), (1, True)):
+        table = {(POPE,): T, (ARIUS,): at_default}
+        assert Relation._of((X,), default, table, None).table == {(POPE,): T}
+        assert len(table) == 2
+        rows = {Mapping.of({X: POPE}): T, Mapping.of({X: ARIUS}): at_default}
+        assert Relation(frozenset({X}), default, rows).table == {(POPE,): T}
+    fresh = {(POPE,): T}
+    assert Relation._of((X,), U, fresh, None).table is fresh
+
+
 def test_relation_rows_and_all_rows():
     uni = frozenset({POPE, ARIUS})
     r = Relation(frozenset({X}), U, {Mapping.of({X: POPE}): T}, universe=uni)

@@ -14,6 +14,7 @@ from click.testing import CliRunner
 from esparql import (
     EvalMode,
     FourOperator,
+    IllFormedQuery,
     FourValue,
     Iri,
     Mapping,
@@ -38,10 +39,10 @@ from esparql.algebra import (
     _scope,
     query_constants,
 )
-from esparql.belief import all_states_shorthand
+from esparql.belief import BELIEF_DEPTH_LIMIT, CompoundBelief, all_states_shorthand
 from esparql.cli import main
 
-from conftest import A, ARIUS, JESUS, POPE, VOCAB, data
+from conftest import A, ARIUS, FULL_DEITY, JESUS, POPE, VOCAB, data
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "esparql"
 MEET, JOIN = FourOperator.TRUTH_MEET, FourOperator.TRUTH_JOIN
@@ -141,6 +142,30 @@ def test_from_belief_with_1000_holders_answers(tmp_path):
                                            "--mode", mode])
         assert result.exit_code == 0, result.stderr
         assert result.output == "x | state\nb | true\n"
+
+
+def test_a_left_deep_belief_query_is_refused_where_it_is_built(g1):
+    # the left fold of 400 holders' shorthands, as the API lets one build it
+    op = FourOperator.INFO_JOIN
+    holders = [POPE, ARIUS, *(Iri(f"urn:h{i}") for i in range(398))]
+    e = all_states_shorthand(holders[0], op)
+    folded = 1
+    with pytest.raises(IllFormedQuery, match=f"deeper than {BELIEF_DEPTH_LIMIT} levels"):
+        for h in holders[1:]:
+            e = CompoundBelief(e, op, all_states_shorthand(h, op))
+            folded += 1
+    # a shorthand is 3 deep, and each holder folded in adds one level
+    assert folded == BELIEF_DEPTH_LIMIT - 2
+    # the deepest query allowed answers as the parser's balanced fold does
+    x = Variable("x")
+    body = Pattern(TriplePattern(x, A, FULL_DEITY))
+    balanced = parse_and_desugar(
+        "SELECT ?x FROM BELIEF " + " ".join(f"<{h.text}>" for h in holders[:folded])
+        + f" WHERE {{ ?x <{A.text}> <{FULL_DEITY.text}> }}").query
+    for mode in EvalMode:
+        r = evaluate(Belief(e, body), g1, mode=mode)
+        assert r == evaluate(balanced, g1, mode=mode)
+        assert r.exceptions == {Mapping.of({x: JESUS}): FourValue.CONFLICTED}
 
 
 def _sharing(shared: bool):

@@ -16,6 +16,8 @@ from esparql import (
     FourOperator,
     FourValue,
     Iri,
+    Mapping,
+    Relation,
     StarTriple,
     Variable,
     evaluate,
@@ -54,7 +56,6 @@ from esparql.parser import (
     UNION_BRANCH_LIMIT,
     desugar,
     resolve_iri,
-    shorten_iri,
 )
 from esparql.randgen import random_graph
 
@@ -87,10 +88,15 @@ def test_resolve_iri_keeps_absolute_references():
 
 
 def test_shorten_iri_strips_only_proper_prefixes():
-    assert shorten_iri(DEFAULT_BASE_IRI + "Jesus", DEFAULT_BASE_IRI) == "Jesus"
-    assert shorten_iri("urn:x:1", DEFAULT_BASE_IRI) == "urn:x:1"
-    # the bare base is not shortened to an empty name
-    assert shorten_iri(DEFAULT_BASE_IRI, DEFAULT_BASE_IRI) == DEFAULT_BASE_IRI
+    # table cells shorten IRIs under the base, alone or quoted; the bare
+    # base is not shortened to an empty name
+    x, base = Variable("x"), Iri(DEFAULT_BASE_IRI)
+    cells = {data("Jesus"): "Jesus", Iri("urn:x:1"): "urn:x:1", base: DEFAULT_BASE_IRI,
+             StarTriple(base, data("a"), Iri("urn:x:1")):
+             f"<< <{DEFAULT_BASE_IRI}> <a> <urn:x:1> >>"}
+    for term, cell in cells.items():
+        r = Relation(frozenset({x}), FourValue.UNKNOWN, {Mapping.of({x: term}): FourValue.TRUE})
+        assert serialize_relation(r, "table") == f"x | state\n{cell} | true\n"
 
 
 # ------------------------------------------------------------------ tokenizer
