@@ -61,6 +61,7 @@ from .model import (
     Term,
     TriplePattern,
     Variable,
+    _nest,
     active_domain,
     pattern_is_ground,
     pattern_to_term,
@@ -126,12 +127,11 @@ def _schema(vars: Iterable[Variable]) -> tuple[Variable, ...]:
 
 def _plan(target: tuple[Variable, ...], source: tuple[Variable, ...]) -> Callable[[tuple], tuple]:
     """The function taking a row over ``source`` to the row over ``target``,
-    each variable read at its first position in ``source``.  Positions are
-    keyed by name, which hashes without a Python-level call."""
-    first: dict[str, int] = {}
+    each variable read at its first position in ``source``."""
+    first: dict[Variable, int] = {}
     for i, v in enumerate(source):
-        first.setdefault(v.name, i)
-    at = [first[v.name] for v in target]
+        first.setdefault(v, i)
+    at = [first[v] for v in target]
     if len(at) == 1:
         i = at[0]
         return lambda row: (row[i],)
@@ -260,19 +260,24 @@ class StateIs:
     state: FourValue
 
 
+class _Connective:  # its fields, in order, are one formula or two
+    def __post_init__(self):
+        _nest(self, "condition", tuple(vars(self).values()))
+
+
 @dataclass(frozen=True)
-class Not:
+class Not(_Connective):
     inner: "FilterFormula"
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Connective):
     left: "FilterFormula"
     right: "FilterFormula"
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Connective):
     left: "FilterFormula"
     right: "FilterFormula"
 
@@ -758,7 +763,7 @@ def _pattern_matcher(p: TriplePattern) -> Callable[[StarTriple], tuple | None]:
                 if seen is not get:
                     tests.append(lambda t, a=seen, b=get: a(t) == b(t))
             elif isinstance(sub, Iri):
-                tests.append(lambda t, get=get, c=sub: get(t) == c)
+                tests.append(lambda t, get=get, c=sub: get(t) is c)
             else:
                 tests.append(lambda t, get=get: type(get(t)) is StarTriple)
                 walk(sub, path + part + ".")
@@ -794,10 +799,9 @@ def _eval_pattern(p: TriplePattern, g: FourGraph, universe: frozenset[Term] | No
     predicate and object, or every exception when none is ground, with
     p's plan from ``plans`` (see ``_scan_plan``)."""
     probes, matcher, schema = _scan_plan(p, plans)
-    exceptions = g.exceptions
     candidates = min((g.bucket(position, term) for position, term in probes),
-                     key=len, default=exceptions)
-    table = {row: exceptions[t] for t in candidates if (row := matcher(t)) is not None}
+                     key=len, default=g.exceptions.items())
+    table = {row: v for t, v in candidates if (row := matcher(t)) is not None}
     return Relation._of(schema, g.default, table, universe)
 
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
-from .errors import (IllFormedQuery, NonFiniteBeliefExtraction, NonIriHolder,
-                     UnboundBeliefVariable)
+from .errors import NonFiniteBeliefExtraction, NonIriHolder, UnboundBeliefVariable
 from .four import CONFLICTED, FALSE, TRUE, UNKNOWN, FourOperator, FourValue, apply, identity_of
-from .model import BeliefVocabulary, FourGraph, Iri, StarTriple, Term, Variable
+from .model import (BeliefVocabulary, FourGraph, Iri, StarTriple, Term, Variable, _DEPTH_LIMIT,
+                    _nest)
 
 
 def _cached_hash(node, fields: tuple) -> int:
@@ -40,10 +40,8 @@ class AtomicBelief:
         return f"[{self.holder!r}, {self.state!r}, {self.fallback!r}]"
 
 
-# How deep compound belief queries may nest.  The walks over an expression
-# recurse, so a deeper one is refused where it is built, not left to raise
-# RecursionError there.  The parser's fold of n holders is about log2(n) + 3 deep.
-BELIEF_DEPTH_LIMIT = 128
+# How deep belief queries nest (``model._nest``); the parser folds n holders log2(n) + 3 deep
+BELIEF_DEPTH_LIMIT = _DEPTH_LIMIT
 
 
 @dataclass(frozen=True)
@@ -53,10 +51,7 @@ class CompoundBelief:
     right: "BeliefQuery"
 
     def __post_init__(self):
-        depth = 1 + max(getattr(self.left, "_depth", 0), getattr(self.right, "_depth", 0))
-        if depth > BELIEF_DEPTH_LIMIT:
-            raise IllFormedQuery(f"belief query nested deeper than {BELIEF_DEPTH_LIMIT} levels")
-        object.__setattr__(self, "_depth", depth)
+        _nest(self, "belief query", (self.left, self.right))
 
     def __hash__(self) -> int:
         return _cached_hash(self, (self.left, self.op, self.right))

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Sequence, Union
 
+from .errors import IllFormedQuery
 from .four import FourValue, STATES
 
 DEFAULT_VOCAB_NAMESPACE = "https://esparql.dev/vocab#"
@@ -24,38 +25,39 @@ _BAD_IRI_CHAR = re.compile(r"[\s<>]").search
 
 
 class _Term:
-    """Immutable once built: ``__init__`` sets the slots through their descriptors."""
+    """Immutable once built: constructors set the slots past ``__setattr__``."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ()
 
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
 
     __delattr__ = __setattr__
 
-    def __hash__(self) -> int:
-        return self._hash
-
     def __reduce__(self):
         return self.__class__, tuple(getattr(self, slot) for slot in self.__slots__)
+
+
+# One IRI or variable per spelling, kept for the life of the process, so equality is identity
+# and hashing is object's, both in C.  Triples are not interned (see README, cost model).
+_IRIS: dict[str, "Iri"] = {}
+_VARIABLES: dict[str, "Variable"] = {}
 
 
 class Iri(_Term):
     """An opaque IRI.  Non-empty, no whitespace, no angle brackets."""
 
     __slots__ = ("text",)
-    __hash__ = _Term.__hash__
 
-    def __init__(self, text: str):
+    def __new__(cls, text: str):
+        if text.__class__ is str and (hit := _IRIS.get(text)) is not None:
+            return hit
         if not text:
             raise ValueError("empty IRI")
         if _BAD_IRI_CHAR(text):
             raise ValueError(f"bad IRI text: {text!r}")
-        _set_text(self, text)
-        _set_hash(self, hash(text))
-
-    def __eq__(self, other) -> bool:
-        return self.text == other.text if other.__class__ is self.__class__ else NotImplemented
+        object.__setattr__(hit := object.__new__(cls), "text", text)
+        return _IRIS.setdefault(text, hit)
 
     def __repr__(self) -> str:
         return f"<{self.text}>"
@@ -65,18 +67,16 @@ class Variable(_Term):
     """A query variable.  Distinct from any IRI, whatever the spelling."""
 
     __slots__ = ("name",)
-    __hash__ = _Term.__hash__
 
-    def __init__(self, name: str):
+    def __new__(cls, name: str):
+        if name.__class__ is str and (hit := _VARIABLES.get(name)) is not None:
+            return hit
         if not name:
             raise ValueError("empty variable name")
         if any(c.isspace() for c in name) or "?" in name:
             raise ValueError(f"bad variable name: {name!r}")
-        _set_name(self, name)
-        _set_hash(self, hash(name))
-
-    def __eq__(self, other) -> bool:
-        return self.name == other.name if other.__class__ is self.__class__ else NotImplemented
+        object.__setattr__(hit := object.__new__(cls), "name", name)
+        return _VARIABLES.setdefault(name, hit)
 
     def __repr__(self) -> str:
         return f"?{self.name}"
@@ -85,8 +85,7 @@ class Variable(_Term):
 class StarTriple(_Term):
     """A ground triple; subject and object may themselves be quoted triples."""
 
-    __slots__ = ("subject", "predicate", "object")
-    __hash__ = _Term.__hash__
+    __slots__ = ("_hash", "subject", "predicate", "object")
 
     def __init__(self, subject: "Term", predicate: Iri, object: "Term"):
         if subject.__class__ not in _TERMS and not isinstance(subject, _TERMS):
@@ -98,22 +97,24 @@ class StarTriple(_Term):
         _set_subject(self, subject)
         _set_predicate(self, predicate)
         _set_object(self, object)
-        _set_hash(self, hash((subject._hash, predicate._hash, object._hash)))
+        _set_hash(self, hash((subject, predicate, object)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # quoted parts wait on a stack, so deep quoting cannot overflow it
+        # IRIs are interned, so only quoted parts are looked into; they wait
+        # on a stack, so deep quoting cannot overflow it
         todo = [(self, other)]
         while todo:
             a, b = todo.pop()
-            if a._hash != b._hash:
-                return False
-            for x, y in (a.subject, b.subject), (a.predicate, b.predicate), (a.object, b.object):
-                if x is not y and x.__class__ is StarTriple is y.__class__:
-                    todo.append((x, y))
-                elif x is not y and not x == y:
+            if a is not b:
+                if not a.__class__ is StarTriple is b.__class__ or a._hash != b._hash \
+                        or a.predicate is not b.predicate:
                     return False
+                todo += (a.subject, b.subject), (a.object, b.object)
         return True
 
     def __repr__(self) -> str:
@@ -143,11 +144,23 @@ def _unflatten(flat: tuple) -> "StarTriple":
 
 
 _TERMS = (Iri, StarTriple)
-_set_hash, _set_text, _set_name = _Term._hash.__set__, Iri.text.__set__, Variable.name.__set__
-_set_subject, _set_predicate, _set_object = (
+_set_hash, _set_subject, _set_predicate, _set_object = (
     getattr(StarTriple, slot).__set__ for slot in StarTriple.__slots__)
 
 Term = Union[Iri, StarTriple]
+
+# How deep quoting in a pattern, a filter formula and a compound belief may nest, as
+# the parser's limits.  Walks over them recurse, so a deeper one is refused where built.
+_DEPTH_LIMIT = 128
+
+
+def _nest(node, what: str, parts: tuple) -> None:
+    """Record on the frozen node one level more than its deepest part (a
+    part without a record counts 0), refusing it past the limit."""
+    depth = 1 + max(getattr(p, "_depth", 0) for p in parts)
+    if depth > _DEPTH_LIMIT:
+        raise IllFormedQuery(f"{what} nested deeper than {_DEPTH_LIMIT} levels")
+    object.__setattr__(node, "_depth", depth)
 
 
 @dataclass(frozen=True)
@@ -167,6 +180,8 @@ class TriplePattern:
                 raise TypeError(f"{slot} must be a term pattern, got {type(val).__name__}")
         if not isinstance(self.predicate, (Iri, Variable)):
             raise TypeError("predicate must be an IRI or a variable")
+        if isinstance(self.subject, TriplePattern) or isinstance(self.object, TriplePattern):
+            _nest(self, "quoting", (self.subject, self.object))
 
     def __repr__(self) -> str:
         return f"<< {self.subject!r} {self.predicate!r} {self.object!r} >>"
@@ -276,13 +291,13 @@ class FourGraph:
             hit = self._derived[key] = build()
         return hit
 
-    def bucket(self, position: str, term: Term) -> Sequence[StarTriple]:
-        """Exception triples whose ``position`` ('subject', 'predicate' or
-        'object') holds ``term``."""
-        def build() -> dict[Term, list[StarTriple]]:
-            index: dict[Term, list[StarTriple]] = {}
-            for t in self.exceptions:
-                index.setdefault(getattr(t, position), []).append(t)
+    def bucket(self, position: str, term: Term) -> Sequence[tuple[StarTriple, Any]]:
+        """(triple, value) pairs of the exceptions whose ``position``
+        ('subject', 'predicate' or 'object') holds ``term``."""
+        def build() -> dict[Term, list[tuple[StarTriple, Any]]]:
+            index: dict[Term, list[tuple[StarTriple, Any]]] = {}
+            for tv in self.exceptions.items():
+                index.setdefault(getattr(tv[0], position), []).append(tv)
             return index
         return self.derived(position, build).get(term, ())
 

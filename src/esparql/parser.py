@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_text
 from operator import itemgetter
-from typing import Optional, Union as TUnion
+from typing import Callable, Optional, Union as TUnion
 
 from .belief import BeliefQuery, CompoundBelief, all_states_shorthand
 from .errors import DuplicateTriple, IllFormedQuery, ParseError
@@ -513,20 +513,28 @@ def _parse_triple_pattern(s: _Stream, depth: int) -> TriplePattern:
     return TriplePattern(subject, pred, obj)
 
 
+def _balanced(parts: list, join: Callable):
+    """The parts, in order, joined pairwise into a tree about log2(n) deep."""
+    while len(parts) > 1:
+        pairs = [join(a, b) for a, b in zip(parts[::2], parts[1::2])]
+        parts = pairs + parts[len(pairs) * 2:]
+    return parts[0]
+
+
 def _parse_cond(s: _Stream, depth: int = 0) -> FilterFormula:
-    left = _parse_cond_and(s, depth)
+    parts = [_parse_cond_and(s, depth)]
     while s.at("||"):
         s.next()
-        left = Or(left, _parse_cond_and(s, depth))
-    return left
+        parts.append(_parse_cond_and(s, depth))
+    return _balanced(parts, Or)
 
 
 def _parse_cond_and(s: _Stream, depth: int) -> FilterFormula:
-    left = _parse_cond_unary(s, depth)
+    parts = [_parse_cond_unary(s, depth)]
     while s.at("&&"):
         s.next()
-        left = And(left, _parse_cond_unary(s, depth))
-    return left
+        parts.append(_parse_cond_unary(s, depth))
+    return _balanced(parts, And)
 
 
 def _parse_cond_unary(s: _Stream, depth: int) -> FilterFormula:
@@ -609,13 +617,10 @@ def _desugar_select(uq: UserQuery, scopes: dict) -> Query:
 
 
 def _holders_expression(holders: list) -> BeliefQuery:
-    """The holders' shorthands, in order, joined pairwise into a balanced tree."""
+    """The holders' shorthands, in order, joined into a balanced tree."""
     op = FourOperator.INFO_JOIN
-    parts = [all_states_shorthand(h, op) for h in holders]
-    while len(parts) > 1:
-        pairs = [CompoundBelief(a, op, b) for a, b in zip(parts[::2], parts[1::2])]
-        parts = pairs + parts[len(pairs) * 2:]
-    return parts[0]
+    return _balanced([all_states_shorthand(h, op) for h in holders],
+                     lambda a, b: CompoundBelief(a, op, b))
 
 
 def _desugar_body(items: list, info: bool, position: tuple[int, int],

@@ -677,35 +677,32 @@ def test_wide_filter_classifies_only_the_compared_variables(monkeypatch):
 
 def test_join_merges_only_matching_exception_pairs(monkeypatch):
     p, q = Iri("urn:p"), Iri("urn:q")
-    # every term a separate object, so comparing two rows' terms runs Iri.__eq__
-    g = FourGraph(U, {StarTriple(Iri(t.subject.text), t.predicate, Iri(t.object.text)): v
-                      for t, v in _ring_graph(30, (p, q)).exceptions.items()})
+    g = _ring_graph(30, (p, q))
     left, right = Pattern(TriplePattern(X, p, Y)), Pattern(TriplePattern(Y, q, S))
     pairs = sum(1 for t1 in g.exceptions for t2 in g.exceptions
                 if t1.predicate == p and t2.predicate == q and t1.object == t2.subject)
 
-    compared, joining = [0], [False]
-    real_eq, real_join = Iri.__eq__, esparql.algebra._combine_join
+    # count the join keys computed: calls of every plan onto the shared schema
+    keys, real_plan = [0], esparql.algebra._plan
 
-    def counted_eq(a, b):
-        compared[0] += joining[0]
-        return real_eq(a, b)
+    def counted_plan(target, source):
+        plan = real_plan(target, source)
+        if target != (Y,):
+            return plan
 
-    def counted_join(*args):
-        joining[0] = True
-        try:
-            return real_join(*args)
-        finally:
-            joining[0] = False
+        def counted(row):
+            keys[0] += 1
+            return plan(row)
 
-    monkeypatch.setattr(Iri, "__eq__", counted_eq)
-    monkeypatch.setattr(esparql.algebra, "_combine_join", counted_join)
+        return counted
+
+    monkeypatch.setattr(esparql.algebra, "_plan", counted_plan)
     r = evaluate(Join(OTIMES, left, right), g)
     monkeypatch.undo()
 
-    # every node has one p-successor and one q-successor: the join compares
-    # each of the 30 matching pairs once, of 30 * 30 pairs
-    assert compared[0] == pairs == 30
+    # every node has one p-successor and one q-successor: a hash join keys
+    # each of the 30 + 30 rows once, where a nested loop keys 30 * 30 pairs
+    assert pairs == 30 and keys[0] == 30 + 30
     assert diff(r, oracle_eval(Join(OTIMES, left, right), g)) == []
 
 

@@ -254,17 +254,21 @@ def test_cap_refusal_reports_the_widest_scope(runner):
 
 def test_answers_do_not_depend_on_hash_order():
     # operators iterate the universe as a set, in hash order; the printed
-    # answer of a densifying join and an equality filter must not show it
+    # answer of a densifying join and an equality filter must not show it.
+    # IRIs hash by address, which the hash seed does not move, so each run
+    # first interns a different number of unrelated IRIs
     src = Path(esparql.__file__).resolve().parent.parent
     inline = ("SELECT ?a ?b ?c WHERE { ?a <a> ?b . MAP IF (STATE IS TRUE) TO FALSE "
               "ELSE UNKNOWN . ?c <a> <Christian> . FILTER (?a = ?b) }")
     sources = [["--query", _fx(f"u{i}.esq")] for i in range(1, 5)] + [["--eval", inline]]
     for source in sources:
         outputs = set()
-        for seed in ("0", "1"):
+        for seed, unrelated in (("0", 0), ("1", 5), ("2", 13)):
             env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
+            stub = (f"from esparql.model import Iri; [Iri(f'urn:unrelated:{{i}}') for i in "
+                    f"range({unrelated})]; from esparql.cli import main; main()")
             result = subprocess.run(
-                [sys.executable, "-m", "esparql", "query", "--graph", GRAPH, *source,
+                [sys.executable, "-c", stub, "query", "--graph", GRAPH, *source,
                  "--show-default"],
                 capture_output=True, text=True, env=env, timeout=60,
             )

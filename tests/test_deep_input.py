@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 from esparql import (
     EvalMode,
+    FourGraph,
     FourOperator,
     IllFormedQuery,
     FourValue,
@@ -27,12 +28,14 @@ from esparql import (
     parse_graph,
 )
 from esparql.algebra import (
+    And,
     Belief,
     Bound,
     Eq,
     Filter,
     Join,
     MapState,
+    Not,
     Pattern,
     Project,
     Union,
@@ -41,6 +44,7 @@ from esparql.algebra import (
 )
 from esparql.belief import BELIEF_DEPTH_LIMIT, CompoundBelief, all_states_shorthand
 from esparql.cli import main
+from esparql.parser import CONDITION_DEPTH_LIMIT, QUOTE_DEPTH_LIMIT
 
 from conftest import A, ARIUS, FULL_DEITY, JESUS, POPE, VOCAB, data
 
@@ -166,6 +170,48 @@ def test_a_left_deep_belief_query_is_refused_where_it_is_built(g1):
         r = evaluate(Belief(e, body), g1, mode=mode)
         assert r == evaluate(balanced, g1, mode=mode)
         assert r.exceptions == {Mapping.of({x: JESUS}): FourValue.CONFLICTED}
+
+
+def test_a_condition_nested_past_the_limit_is_refused_where_it_is_built(g1):
+    x, y = Variable("x"), Variable("y")
+    body = Pattern(TriplePattern(x, A, y))
+    limit = CONDITION_DEPTH_LIMIT
+    for wrap in (Not, lambda f: And(f, Eq(x, y))):
+        f, levels = Eq(x, y), 0
+        with pytest.raises(IllFormedQuery, match=f"condition nested deeper than {limit} levels"):
+            for _ in range(3000):
+                f = wrap(f)
+                levels += 1
+        # the deepest formula allowed, an even number of negations or a
+        # conjunction of one atom, means ?x = ?y
+        assert levels == limit
+        assert evaluate(Filter(MEET, body, f), g1) == evaluate(Filter(MEET, body, Eq(x, y)), g1)
+
+
+def test_a_3000_operand_condition_chain_answers(g1):
+    # the parser folds a chain of && or || into a balanced tree
+    def query(cond):
+        return parse_and_desugar(f"SELECT * WHERE {{ ?x <a> ?y . FILTER ({cond}) }}")
+
+    one = evaluate(query("?x = ?y"), g1)
+    for op in ("&&", "||"):
+        assert evaluate(query(f" {op} ".join(["?x = ?y"] * 3000)), g1) == one
+
+
+def test_a_pattern_quoted_past_the_limit_is_refused_where_it_is_built(g1):
+    x, levels = Variable("x"), 0
+    p, t = TriplePattern(x, A, FULL_DEITY), StarTriple(JESUS, A, FULL_DEITY)
+    with pytest.raises(IllFormedQuery, match=f"quoting nested deeper than {QUOTE_DEPTH_LIMIT} "):
+        for _ in range(3000):
+            p = TriplePattern(p, A, FULL_DEITY)
+            t = StarTriple(t, A, FULL_DEITY)
+            levels += 1
+    assert levels == QUOTE_DEPTH_LIMIT
+    # the deepest pattern allowed finds its triple, quoted as deep
+    g = FourGraph(FourValue.UNKNOWN, {t: FourValue.TRUE})
+    for mode in EvalMode:
+        r = evaluate(Pattern(p), g, mode=mode)
+        assert r.exceptions == {Mapping.of({x: JESUS}): FourValue.TRUE}
 
 
 def _sharing(shared: bool):

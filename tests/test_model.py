@@ -98,6 +98,52 @@ def test_variable_validation():
     assert Variable("x") != Iri("x")
 
 
+def test_each_spelling_is_one_object():
+    assert Iri("urn:one") is Iri(text="urn:one") and Variable("one") is Variable(name="one")
+    # the two vocabularies are apart, whatever the spelling
+    assert Iri("one") is not Variable("one") and Iri("one") != Variable("one")
+    assert Variable("one") != Iri("one") and len({Iri("one"), Variable("one")}) == 2
+    for term in (Iri("urn:one"), Variable("one")):
+        assert pickle.loads(pickle.dumps(term)) is term
+        assert copy.deepcopy(term) is term and copy.copy(term) is term
+
+
+def test_interned_terms_compare_and_hash_in_c():
+    # no Python-level __eq__ or __hash__: equality is identity
+    for cls in (Iri, Variable):
+        assert cls.__hash__ is object.__hash__ and cls.__eq__ is object.__eq__
+    assert StarTriple.__hash__ is not object.__hash__  # triples stay value objects
+
+
+def test_triples_parsed_apart_share_their_iris():
+    text = "<urn:apart:s> <urn:apart:p> << <urn:apart:s> <urn:apart:p> <urn:apart:o> >> ."
+    (a,), (b,) = parse_graph(text).exceptions, parse_graph(text).exceptions
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a.subject is b.subject is b.object.subject and a.object.object is b.object.object
+
+
+@pytest.mark.parametrize("cls, spelling, error, message", [
+    (Iri, "", ValueError, "empty IRI"),
+    (Iri, "urn:a b", ValueError, "bad IRI text: 'urn:a b'"),
+    (Iri, " ", ValueError, "bad IRI text: ' '"),
+    (Iri, "<", ValueError, "bad IRI text: '<'"),
+    (Iri, None, ValueError, "empty IRI"),
+    (Iri, 5, TypeError, "expected string or bytes-like object, got 'int'"),
+    (Iri, b"urn:b", TypeError, "cannot use a string pattern on a bytes-like object"),
+    (Iri, ["urn:c"], TypeError, "expected string or bytes-like object, got 'list'"),
+    (Variable, "", ValueError, "empty variable name"),
+    (Variable, "a b", ValueError, "bad variable name: 'a b'"),
+    (Variable, "?x", ValueError, "bad variable name: '?x'"),
+    (Variable, 5, TypeError, "'int' object is not iterable"),
+])
+def test_a_refused_spelling_is_refused_again(cls, spelling, error, message):
+    # nothing is cached on a refusal, so a retry meets the same check
+    for _ in range(2):
+        with pytest.raises(error) as err:
+            cls(spelling)
+        assert str(err.value) == message
+
+
 def test_star_triple_validation():
     with pytest.raises(TypeError):
         StarTriple("s", A, CHRISTIAN)

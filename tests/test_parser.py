@@ -8,6 +8,7 @@ import random
 import pytest
 
 import esparql.algebra
+import esparql.model
 import esparql.parser
 from esparql import (
     DEFAULT_BASE_IRI,
@@ -242,22 +243,31 @@ def test_quoted_terms_nest_in_subject_and_object_position():
 
 
 def test_each_iri_spelling_is_resolved_and_validated_once(monkeypatch):
-    names = ["a", "b", "c", "https://elsewhere.org/d"]
+    # spellings no other test interns, so each is new to this process
+    names = ["once-a", "once-b", "once-c", "https://elsewhere.org/once-d"]
     lines = [f"<{s}> <{p}> << <{s}> <{p}> <{o}> >> ."
              for s in names for p in names for o in names]
-    validated = []
-    real = Iri.__init__
+    resolved, validated = [], []
+    resolve, check = esparql.parser.resolve_iri, esparql.model._BAD_IRI_CHAR
 
-    def counting(self, text):
+    def counted_resolve(text, base):
+        resolved.append(text)
+        return resolve(text, base)
+
+    def counted_check(text):
         validated.append(text)
-        real(self, text)
+        return check(text)
 
-    monkeypatch.setattr(Iri, "__init__", counting)
+    monkeypatch.setattr(esparql.parser, "resolve_iri", counted_resolve)
+    monkeypatch.setattr(esparql.model, "_BAD_IRI_CHAR", counted_check)
     g = parse_graph("\n".join(lines))
     assert len(g.exceptions) == len(names) ** 3
-    assert sorted(validated) == sorted(
-        n if ":" in n else DEFAULT_BASE_IRI + n for n in names
-    )
+    assert sorted(resolved) == sorted(names)
+    # a second parse resolves its spellings again, but meets each IRI interned
+    assert parse_graph("\n".join(lines)) == g
+    monkeypatch.undo()
+    assert sorted(resolved) == sorted(names * 2)
+    assert sorted(validated) == sorted(n if ":" in n else DEFAULT_BASE_IRI + n for n in names)
 
 
 def _nested_graph(depth: int) -> str:
