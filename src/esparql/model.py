@@ -182,6 +182,8 @@ class TriplePattern:
             raise TypeError("predicate must be an IRI or a variable")
         if isinstance(self.subject, TriplePattern) or isinstance(self.object, TriplePattern):
             _nest(self, "quoting", (self.subject, self.object))
+        object.__setattr__(self, "_vars", pattern_variables(self.subject)  # see pattern_variables
+                           | pattern_variables(self.predicate) | pattern_variables(self.object))
 
     def __repr__(self) -> str:
         return f"<< {self.subject!r} {self.predicate!r} {self.object!r} >>"
@@ -211,11 +213,12 @@ def term_text(t: Term) -> str:
 
 
 def pattern_variables(p: TermPattern) -> frozenset[Variable]:
+    """p's variables; a triple pattern's are recorded when it is built."""
     if isinstance(p, Variable):
         return frozenset({p})
     if isinstance(p, Iri):
         return frozenset()
-    return pattern_variables(p.subject) | pattern_variables(p.predicate) | pattern_variables(p.object)
+    return p._vars
 
 
 def pattern_is_ground(p: TermPattern) -> bool:

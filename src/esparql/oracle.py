@@ -14,14 +14,18 @@ terms at positions d1 .. dk has index d1 * n**(k-1) + ... + dk (n =
 rows through a restriction index map, which holds for each parent row the
 sum of its digits times the child's strides (0 for a variable the child
 does not bind).  Mappings are built only for the rows ``diff`` reports.
+Rows are substituted a column at a time: a pattern looks up one flat
+(subject, predicate, object) key per row, zipped from a column per
+position, so only quoted parts and belief probes build triples; formulas
+and belief expressions are compiled once per node.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from operator import itemgetter
-from typing import Callable
+from operator import eq, getitem, itemgetter
+from typing import Callable, Iterable
 
 from .algebra import (
     And,
@@ -45,7 +49,7 @@ from .algebra import (
 )
 from .belief import AtomicBelief, BeliefQuery, CompoundBelief, belief_variables
 from .errors import ShapeMismatch, UniverseTooLarge
-from .four import CONFLICTED, TRUE, UNKNOWN, FourValue, absorbing_of, apply, identity_of, table_of
+from .four import CONFLICTED, TRUE, UNKNOWN, FourValue, absorbing_of, identity_of, table_of
 from .model import (
     BeliefVocabulary,
     DEFAULT_VOCABULARY,
@@ -53,8 +57,10 @@ from .model import (
     Iri,
     StarTriple,
     Term,
+    TriplePattern,
     Variable,
     active_domain,
+    pattern_variables,
     term_text,
 )
 
@@ -113,71 +119,68 @@ class DenseRelation:
         return f"DenseRelation({len(self.vars)} vars, {len(self.values)} rows)"
 
 
-def _compile(p, pos: dict[Variable, int]) -> Callable[[tuple], Term | None]:
-    """p's substitution by a row; None when a predicate slot receives a quoted triple."""
-    if isinstance(p, Variable):
-        return itemgetter(pos[p])
-    if isinstance(p, Iri):
-        return lambda row: p
-    subj, pred, obj = (_compile(s, pos) for s in (p.subject, p.predicate, p.object))
-
-    def subst(row: tuple) -> Term | None:
-        s, pr, o = subj(row), pred(row), obj(row)
-        if s is None or o is None or not isinstance(pr, Iri):
-            return None
-        return StarTriple(s, pr, o)
-
-    return subst
+def _can_miss(p) -> bool:
+    """Whether some row puts a quoted triple in a predicate slot of p, at any depth."""
+    return isinstance(p, TriplePattern) and (
+        isinstance(p.predicate, Variable) or _can_miss(p.subject) or _can_miss(p.object))
 
 
-# three-valued outcomes, deliberately not reusing the engine's enum
-_T, _F, _E = "true", "false", "error"
+# three-valued outcomes, deliberately not reusing the engine's enum: True,
+# False and None for error; And and Or are Kleene's, decided by False and True
+# respectively (the deciding outcome wins, then error, then the other one)
+_NOT = {True: False, False: True, None: None}
+_KLEENE = {decides: {(a, b): decides if decides in (a, b) else None if None in (a, b)
+                     else not decides for a in _NOT for b in _NOT}
+           for decides in (False, True)}
 
 
-def _formula(f, row: tuple, pos: dict[Variable, int], state: FourValue) -> str:
+def _compile_formula(f, pos: dict[Variable, int]
+                     ) -> Callable[[list[tuple], list[FourValue]], list]:
+    """f as a function of a node's rows and their states to each row's outcome."""
     if isinstance(f, Eq):
         # a variable the row does not bind stays a variable: unbound
-        left, right = (row[pos[s]] if s in pos else s for s in (f.left, f.right))
-        if isinstance(left, Variable) or isinstance(right, Variable):
-            return _E
-        return _T if left == right else _F
+        if any(isinstance(s, Variable) and s not in pos for s in (f.left, f.right)):
+            return lambda rows, states: [None] * len(rows)
+
+        def side(s, rows: list[tuple]) -> Iterable:
+            return map(itemgetter(pos[s]), rows) if s in pos else itertools.repeat(s, len(rows))
+        return lambda rows, states: list(map(eq, side(f.left, rows), side(f.right, rows)))
     if isinstance(f, Bound):
-        return _T if f.var in pos else _F
+        bound = f.var in pos
+        return lambda rows, states: [bound] * len(rows)
     if isinstance(f, StateIs):
-        return _T if state == f.state else _F
+        return lambda rows, states: list(map(eq, states, itertools.repeat(f.state, len(states))))
     if isinstance(f, Not):
-        return {_T: _F, _F: _T}.get(_formula(f.inner, row, pos, state), _E)
+        inner = _compile_formula(f.inner, pos)
+        return lambda rows, states: list(map(_NOT.__getitem__, inner(rows, states)))
     if isinstance(f, (And, Or)):
-        # Kleene: the deciding outcome wins, then error, then the other one
-        decides, other = (_F, _T) if isinstance(f, And) else (_T, _F)
-        outcomes = (_formula(f.left, row, pos, state), _formula(f.right, row, pos, state))
-        if decides in outcomes:
-            return decides
-        return _E if _E in outcomes else other
+        tbl = _KLEENE[isinstance(f, Or)]
+        left, right = _compile_formula(f.left, pos), _compile_formula(f.right, pos)
+        return lambda rows, states: list(map(
+            tbl.__getitem__, zip(left(rows, states), right(rows, states))))
     raise TypeError(f"not a formula: {f!r}")
 
 
-Lookup = Callable[[StarTriple], FourValue]
+# a belief context's lookup: the state of the triple a flat key names
+Lookup = Callable[[tuple], FourValue]
 
 
-def _belief_value(e: BeliefQuery, t: StarTriple, base: Lookup,
-                  vocab: BeliefVocabulary) -> FourValue:
-    """Pointwise belief extraction: what does e say the state of t is."""
+def _compile_belief(e: BeliefQuery, vocab: BeliefVocabulary, atoms: list[Iri | Variable]
+                    ) -> Callable[[StarTriple, Lookup, tuple[Term, ...]], FourValue]:
+    """Pointwise belief extraction: what e says the state of t is, probing a
+    lookup, with each atom's holder read from a tuple of terms at the
+    position where the atom appends its own holder to ``atoms``."""
     if isinstance(e, AtomicBelief):
-        probe = StarTriple(e.holder, vocab.predicate_for(e.state), t)
-        return e.state if base(probe) in (TRUE, CONFLICTED) else e.fallback
-    left = _belief_value(e.left, t, base, vocab)
-    right = _belief_value(e.right, t, base, vocab)
-    return apply(e.op, left, right)
-
-
-def _bind_expr(e: BeliefQuery, binding: dict[Variable, Term]) -> BeliefQuery | None:
-    """Instantiate holder variables; None when one is bound to a quoted triple."""
-    if isinstance(e, AtomicBelief):
-        holder = binding.get(e.holder, e.holder)
-        return AtomicBelief(holder, e.state, e.fallback) if isinstance(holder, Iri) else None
-    left, right = _bind_expr(e.left, binding), _bind_expr(e.right, binding)
-    return None if left is None or right is None else CompoundBelief(left, e.op, right)
+        at, predicate = len(atoms), vocab.predicate_for(e.state)
+        state, fallback = e.state, e.fallback
+        atoms.append(e.holder)
+        return lambda t, base, terms: (
+            state if base((terms[at], predicate, t)) in (TRUE, CONFLICTED) else fallback)
+    if not isinstance(e, CompoundBelief):
+        raise TypeError(f"not a belief query: {e!r}")
+    left, right = _compile_belief(e.left, vocab, atoms), _compile_belief(e.right, vocab, atoms)
+    tbl = table_of(e.op)
+    return lambda t, base, terms: tbl[(left(t, base, terms), right(t, base, terms))]
 
 
 def oracle_eval(
@@ -223,26 +226,58 @@ def oracle_eval(
             indices = [i + o for i in indices for o in offsets]
         return indices
 
+    # the graph keyed by each triple's (subject, predicate, object): a row's
+    # key is a tuple of its columns, and only quoted parts and belief probes
+    # build triples
+    flat = {(t.subject, t.predicate, t.object): v for t, v in g.exceptions.items()}
+
     # mappings that put a quoted triple in a predicate slot name no triple at
-    # all; such rows take the context's default, probed with a fresh triple
+    # all; such rows take the context's default, probed with a fresh key
     fresh_text = "urn:x-esparql:absent"
     taken = {t.text for t in universe if isinstance(t, Iri)}
     while fresh_text in taken:
         fresh_text += "x"
     fresh = Iri(fresh_text)
-    probe = StarTriple(fresh, fresh, fresh)
+    probe = (fresh, fresh, fresh)
+
+    def columns(p: TriplePattern, w: tuple[Variable, ...]) -> list[Iterable]:
+        """The substitution of p's subject, predicate and object by each row over w."""
+        rows = rows_over(len(w))
+        # a constant's column is bounded, or a ground pattern's one row would zip forever
+        return [map(itemgetter(w.index(x)), rows) if isinstance(x, Variable)
+                else itertools.repeat(x, len(rows)) if isinstance(x, Iri)
+                else map(quoted(x).__getitem__, index_map(w, _by_name(pattern_variables(x))))
+                for x in (p.subject, p.predicate, p.object)]
+
+    @functools.cache
+    def quoted(p: TriplePattern) -> list[StarTriple | None]:
+        """A quoted part's triple per row over its own variables, None where it names none."""
+        return [StarTriple(s, pr, o) if pr.__class__ is Iri and s is not None and o is not None
+                else None for s, pr, o in zip(*columns(p, _by_name(pattern_variables(p))))]
+
+    @functools.cache
+    def keys(node: Pattern) -> list[tuple]:
+        """node's flat key for each row, the probe where it has none; shared by all contexts."""
+        out = list(zip(*columns(node.pattern, scopes[id(node)])))
+        if _can_miss(node.pattern):
+            out = [k if k[1].__class__ is Iri and k[0] is not None and k[2] is not None
+                   else probe for k in out]
+        return out
+
+    # formulas and belief expressions are compiled once for all contexts
+    @functools.cache
+    def formula_of(f, w: tuple[Variable, ...]) -> Callable:
+        return _compile_formula(f, {v: i for i, v in enumerate(w)})
+
+    @functools.cache
+    def belief_of(e: BeliefQuery) -> tuple[Callable, list[Iri | Variable]]:
+        atoms: list[Iri | Variable] = []
+        return _compile_belief(e, vocab, atoms), atoms
 
     # tables are memoized per (node, belief context); contexts get fresh ids
     tables: dict[tuple[int, int], list[FourValue]] = {}
-    context_ids: dict[tuple[int, BeliefQuery], tuple[Lookup, int]] = {}
+    context_ids: dict[tuple[int, BeliefQuery, tuple], tuple[Lookup, int]] = {}
     next_context = itertools.count(1)
-
-    @functools.cache
-    def triples(node: Pattern) -> list[StarTriple]:
-        """node's triple for each row, the probe where it has none; shared by all contexts."""
-        w = scopes[id(node)]
-        subst = _compile(node.pattern, {v: i for i, v in enumerate(w)})
-        return [probe if t is None else t for t in map(subst, rows_over(len(w)))]
 
     def build(node: Query, lookup: Lookup, ctx: int) -> list[FourValue]:
         key = (id(node), ctx)
@@ -251,24 +286,25 @@ def oracle_eval(
             return hit
         w = scopes[id(node)]
         if isinstance(node, Pattern):
-            table = [lookup(t) for t in triples(node)]
+            table = list(map(lookup, keys(node)))
         elif isinstance(node, (Join, Union)):
             # a union's branches bind its whole scope: their maps are the identity
             left = build(node.left, lookup, ctx)
             right = build(node.right, lookup, ctx)
-            tbl = table_of(node.op)
             li, ri = index_map(w, scopes[id(node.left)]), index_map(w, scopes[id(node.right)])
-            table = [tbl[(left[a], right[b])] for a, b in zip(li, ri)]
+            table = list(map(table_of(node.op).__getitem__,
+                             zip(map(left.__getitem__, li), map(right.__getitem__, ri))))
         elif isinstance(node, (Filter, MapState)):
             child = build(node.query, lookup, ctx)
-            pos = {v: i for i, v in enumerate(w)}
-            holds = [_formula(node.formula, row, pos, v) == _T
-                     for row, v in zip(rows_over(len(w)), child)]
+            holds = formula_of(node.formula, w)(rows_over(len(w)), child)
             if isinstance(node, MapState):
-                table = [node.then_state if h else node.else_state for h in holds]
+                states = {True: node.then_state, False: node.else_state, None: node.else_state}
+                table = list(map(states.__getitem__, holds))
             else:
-                tbl, ident, absorb = table_of(node.op), identity_of(node.op), absorbing_of(node.op)
-                table = [tbl[(v, ident if h else absorb)] for v, h in zip(child, holds)]
+                ident, absorb = identity_of(node.op), absorbing_of(node.op)
+                weights = {True: ident, False: absorb, None: absorb}
+                table = list(map(table_of(node.op).__getitem__,
+                                 zip(child, map(weights.__getitem__, holds))))
         elif isinstance(node, Project):
             child = build(node.query, lookup, ctx)
             tbl = table_of(node.op)
@@ -276,34 +312,35 @@ def oracle_eval(
             for i, v in zip(index_map(scopes[id(node.query)], w), child):
                 table[i] = tbl[(table[i], v)]
         elif isinstance(node, Belief):
-            # one context per holder tuple; None where a holder is a quoted triple
+            # one context per holder tuple; all unknown where a holder is a quoted triple
             holders = _by_name(belief_variables(node.expr))
+            value, atoms = belief_of(node.expr)
+            cw = scopes[id(node.query)]
+            unknown = [UNKNOWN] * size ** len(cw)
             contexts = []
-            for terms in rows_over(len(holders)):
-                bound = _bind_expr(node.expr, dict(zip(holders, terms)))
-                if bound is None:
-                    contexts.append(None)
+            for row in rows_over(len(holders)):
+                binding = dict(zip(holders, row))
+                terms = tuple([binding.get(h, h) for h in atoms])
+                if any(t.__class__ is not Iri for t in terms):
+                    contexts.append(unknown)
                     continue
-                inner = context_ids.get((ctx, bound))
+                inner = context_ids.get((ctx, node.expr, terms))
                 if inner is None:
-                    inner = _compose_lookup(bound, lookup, vocab), next(next_context)
-                    context_ids[(ctx, bound)] = inner
+                    # each key's triple is built once per context
+                    inner = functools.cache(
+                        lambda k, terms=terms, base=lookup: value(StarTriple(*k), base, terms)), \
+                        next(next_context)
+                    context_ids[(ctx, node.expr, terms)] = inner
                 contexts.append(build(node.query, *inner))
-            table = []
-            for h, c in zip(index_map(w, holders), index_map(w, scopes[id(node.query)])):
-                child = contexts[h]
-                table.append(UNKNOWN if child is None else child[c])
+            table = list(map(getitem, map(contexts.__getitem__, index_map(w, holders)),
+                             index_map(w, cw)))
         else:
             raise TypeError(f"not a query: {node!r}")
         tables[key] = table
         return table
 
-    values = build(q, lambda t: g.exceptions.get(t, g.default), 0)
+    values = build(q, lambda key: flat.get(key, g.default), 0)
     return DenseRelation(scopes[id(q)], universe, values)
-
-
-def _compose_lookup(e: BeliefQuery, base: Lookup, vocab: BeliefVocabulary) -> Lookup:
-    return functools.cache(lambda t: _belief_value(e, t, base, vocab))
 
 
 def diff(engine: Relation, reference: DenseRelation
@@ -319,18 +356,21 @@ def diff(engine: Relation, reference: DenseRelation
         )
     if engine.universe != reference.universe:
         raise ShapeMismatch("universes differ")
-    # the engine's exceptions by position (its rows list terms in name
-    # order; a row off the universe has no reference value), then the
-    # reference in canonical order, so the first counterexample is stable
+    # the engine's table laid out densely (its rows list terms in name order;
+    # a row off the universe has no reference value) and compared whole, then
+    # mismatches in canonical order, so the first counterexample is stable
     digit = {t: d for d, t in enumerate(reference._terms)}
-    exceptions = {}
+    got = [engine.default] * len(reference.values)
     for row, v in engine.table.items():
-        digits = [digit.get(t) for t in row]
-        if None not in digits:
-            exceptions[sum(d * len(digit) ** k for k, d in enumerate(reversed(digits)))] = v
-    out = []
-    for i, want in enumerate(reference.values):
-        got = exceptions.get(i, engine.default)
-        if got != want:
-            out.append((reference._mapping(i), got, want))
-    return out
+        i = 0
+        for t in row:
+            d = digit.get(t)
+            if d is None:
+                break
+            i = i * len(digit) + d
+        else:
+            got[i] = v
+    if got == reference.values:
+        return []
+    return [(reference._mapping(i), a, b)
+            for i, (a, b) in enumerate(zip(got, reference.values)) if a != b]

@@ -278,6 +278,63 @@ def test_oracle_quoted_triple_in_predicate_slot_takes_the_context_default(g1):
         Mapping.of({S: POPE, P: POPE_AFFIRMS, O: CHRISTIAN})) == U
 
 
+# ---------------------------------------------------------------------------
+# Substitution edge cases: each against the engine and against hand-computed
+# values.  Default unknown; (a p b) true, (a p a) false, (<<a p b>> q a)
+# conflicted, h believes (a p b) true and h2 believes that belief true.
+# ---------------------------------------------------------------------------
+
+SA, SB, SP, SQ, SH, SH2 = (Iri(f"urn:sub:{n}") for n in ("a", "b", "p", "q", "h", "h2"))
+AB = StarTriple(SA, SP, SB)
+H_AB = StarTriple(SH, VOCAB.to_be_true, AB)
+
+
+def substitution_graph():
+    return FourGraph(U, {AB: T, StarTriple(SA, SP, SA): F, StarTriple(AB, SQ, SA): C,
+                         H_AB: T, StarTriple(SH2, VOCAB.to_be_true, H_AB): T})
+
+
+def quoted_ab(x=SA, y=SB, p=SP):
+    return TriplePattern(x, p, y)
+
+
+def nested(outer, inner=SH, body=TriplePattern(SA, SP, SB)):
+    return Belief(AtomicBelief(outer, T, U), Belief(AtomicBelief(inner, T, F), Pattern(body)))
+
+
+
+@pytest.mark.parametrize("q, default, expected", [
+    # a fully ground pattern: one row over no variables
+    (Pattern(TriplePattern(SA, SP, SB)), T, {}),
+    (Pattern(TriplePattern(SB, SP, SA)), U, {}),
+    # a ground quoted part
+    (Pattern(TriplePattern(quoted_ab(), SQ, O)), U, {Mapping.of({O: SA}): C}),
+    # a quoted part over a strict subset of the node's scope
+    (Pattern(TriplePattern(quoted_ab(x=X), SQ, O)), U, {Mapping.of({X: SA, O: SA}): C}),
+    # a quoted part sharing a variable with the outer triple
+    (Pattern(TriplePattern(quoted_ab(x=X, y=Y), SQ, X)), U, {Mapping.of({X: SA, Y: SB}): C}),
+    # one variable twice
+    (Pattern(TriplePattern(X, SP, X)), U, {Mapping.of({X: SA}): F}),
+    # a variable predicate, which also ranges over the two quoted triples
+    (Pattern(TriplePattern(SA, P, SB)), U, {Mapping.of({P: SP}): T}),
+    (Pattern(TriplePattern(quoted_ab(p=P), SQ, O)), U, {Mapping.of({P: SP, O: SA}): C}),
+    # in a context falling back to false, a quoted predicate reads false too
+    (Belief(AtomicBelief(SH, T, F), Pattern(TriplePattern(SA, P, SB))), F,
+     {Mapping.of({P: SP}): T}),
+    # a belief nested in a belief: h2 believes h's belief, h does not
+    (nested(SH2), T, {}),
+    (nested(SH), F, {}),
+    (nested(SH2, body=TriplePattern(SB, SP, SA)), F, {}),
+    (nested(X), F, {Mapping.of({X: SH2}): T, Mapping.of({X: AB}): U, Mapping.of({X: H_AB}): U}),
+])
+def test_oracle_substitution_edge_cases(q, default, expected):
+    g = substitution_graph()
+    dense = oracle_eval(q, g)
+    assert len(dense.values) == 9 ** len(dense.vars)
+    assert {m: v for m, v in dense.rows.items() if v != default} == expected
+    assert_agrees(q, g)
+
+
 def _nodes(q):
     children = ((q.left, q.right) if isinstance(q, (Join, Union))
                 else () if isinstance(q, Pattern) else (q.query,))
