@@ -15,8 +15,7 @@ from typing import Callable, Iterator, Union
 
 from .errors import NonFiniteBeliefExtraction, NonIriHolder, UnboundBeliefVariable
 from .four import CONFLICTED, FALSE, TRUE, UNKNOWN, FourOperator, FourValue, apply, identity_of
-from .model import (BeliefVocabulary, FourGraph, Iri, StarTriple, Term, Variable, _DEPTH_LIMIT,
-                    _nest)
+from .model import BeliefVocabulary, FourGraph, Iri, StarTriple, Term, Variable, _nest
 
 
 def _cached_hash(node, fields: tuple) -> int:
@@ -40,10 +39,6 @@ class AtomicBelief:
         return f"[{self.holder!r}, {self.state!r}, {self.fallback!r}]"
 
 
-# How deep belief queries nest (``model._nest``); the parser folds n holders log2(n) + 3 deep
-BELIEF_DEPTH_LIMIT = _DEPTH_LIMIT
-
-
 @dataclass(frozen=True)
 class CompoundBelief:
     left: "BeliefQuery"
@@ -51,6 +46,7 @@ class CompoundBelief:
     right: "BeliefQuery"
 
     def __post_init__(self):
+        # the parser folds n holders log2(n) + 3 deep
         _nest(self, "belief query", (self.left, self.right))
 
     def __hash__(self) -> int:

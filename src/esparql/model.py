@@ -149,17 +149,18 @@ _set_hash, _set_subject, _set_predicate, _set_object = (
 
 Term = Union[Iri, StarTriple]
 
-# How deep quoting in a pattern, a filter formula and a compound belief may nest, as
-# the parser's limits.  Walks over them recurse, so a deeper one is refused where built.
-_DEPTH_LIMIT = 128
+# The one bound on nesting, each construct counted on its own: quoting, filter formulas
+# and compound beliefs where they are built (``_nest``), and the parser's quoting,
+# conditions, SELECTs and groups.  Walks over these recurse, so deeper input is refused.
+DEPTH_LIMIT = 128
 
 
 def _nest(node, what: str, parts: tuple) -> None:
     """Record on the frozen node one level more than its deepest part (a
     part without a record counts 0), refusing it past the limit."""
     depth = 1 + max(getattr(p, "_depth", 0) for p in parts)
-    if depth > _DEPTH_LIMIT:
-        raise IllFormedQuery(f"{what} nested deeper than {_DEPTH_LIMIT} levels")
+    if depth > DEPTH_LIMIT:
+        raise IllFormedQuery(f"{what} nested deeper than {DEPTH_LIMIT} levels")
     object.__setattr__(node, "_depth", depth)
 
 

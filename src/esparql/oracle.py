@@ -119,6 +119,25 @@ class DenseRelation:
         return f"DenseRelation({len(self.vars)} vars, {len(self.values)} rows)"
 
 
+def _postorder(q: Query, bodies: bool) -> list[Query]:
+    """Each distinct node of q, a query ``in_scope`` has checked, once by id,
+    children before parents, with an explicit stack, so a deep query costs
+    no recursion; a Belief's body is left out unless ``bodies``."""
+    order, seen, stack = [], set(), [(q, False)]
+    while stack:
+        node, leaving = stack.pop()
+        if leaving:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            if isinstance(node, (Join, Union)):
+                stack += (node.right, False), (node.left, False)
+            elif isinstance(node, (Filter, Project, MapState)) or bodies and isinstance(node, Belief):
+                stack.append((node.query, False))
+    return order
+
+
 def _can_miss(p) -> bool:
     """Whether some row puts a quoted triple in a predicate slot of p, at any depth."""
     return isinstance(p, TriplePattern) and (
@@ -193,23 +212,26 @@ def oracle_eval(
     universe = active_domain(g, query_constants(q))
     uni = sorted(universe, key=term_text)
     size = len(uni)
-    # every node's name-sorted scope, from one in_scope call per node; the
-    # root's comes first and checks the whole query
+    # every node's name-sorted scope, from its children's, once in_scope has
+    # checked the whole query
+    in_scope(q)
     scopes: dict[int, tuple[Variable, ...]] = {}
-
-    def guard(node: Query) -> None:
-        if id(node) in scopes:
-            return
-        w = scopes[id(node)] = _by_name(in_scope(node))
+    for node in _postorder(q, bodies=True):
+        if isinstance(node, Pattern):
+            w = pattern_variables(node.pattern)
+        elif isinstance(node, Join):
+            w = {*scopes[id(node.left)], *scopes[id(node.right)]}
+        elif isinstance(node, Union):
+            w = scopes[id(node.left)]
+        elif isinstance(node, Project):
+            w = node.vars
+        elif isinstance(node, Belief):
+            w = {*scopes[id(node.query)], *belief_variables(node.expr)}
+        else:
+            w = scopes[id(node.query)]
+        w = scopes[id(node)] = _by_name(w)
         if size ** len(w) > cap:
             raise UniverseTooLarge(f"{size}**{len(w)} rows exceed oracle cap {cap}")
-        if isinstance(node, (Join, Union)):
-            guard(node.left)
-            guard(node.right)
-        elif isinstance(node, (Filter, Project, MapState, Belief)):
-            guard(node.query)
-
-    guard(q)
 
     @functools.cache
     def rows_over(k: int) -> list[tuple]:
@@ -278,40 +300,24 @@ def oracle_eval(
     tables: dict[tuple[int, int], list[FourValue]] = {}
     context_ids: dict[tuple[int, BeliefQuery, tuple], tuple[Lookup, int]] = {}
     next_context = itertools.count(1)
+    orders: dict[int, list[Query]] = {}
 
-    def build(node: Query, lookup: Lookup, ctx: int) -> list[FourValue]:
-        key = (id(node), ctx)
-        hit = tables.get(key)
-        if hit is not None:
-            return hit
+    def build(root: Query, lookup: Lookup, ctx: int) -> list[FourValue]:
+        """root's table in context ctx, its nodes' tables filled children
+        first: only a belief context's body recurses."""
+        if id(root) not in orders:
+            orders[id(root)] = _postorder(root, bodies=False)
+        for node in orders[id(root)]:
+            if (id(node), ctx) not in tables:
+                tables[id(node), ctx] = table(node, lookup, ctx)
+        return tables[id(root), ctx]
+
+    def table(node: Query, lookup: Lookup, ctx: int) -> list[FourValue]:
+        """node's table in context ctx, its children's already in ``tables``."""
         w = scopes[id(node)]
         if isinstance(node, Pattern):
-            table = list(map(lookup, keys(node)))
-        elif isinstance(node, (Join, Union)):
-            # a union's branches bind its whole scope: their maps are the identity
-            left = build(node.left, lookup, ctx)
-            right = build(node.right, lookup, ctx)
-            li, ri = index_map(w, scopes[id(node.left)]), index_map(w, scopes[id(node.right)])
-            table = list(map(table_of(node.op).__getitem__,
-                             zip(map(left.__getitem__, li), map(right.__getitem__, ri))))
-        elif isinstance(node, (Filter, MapState)):
-            child = build(node.query, lookup, ctx)
-            holds = formula_of(node.formula, w)(rows_over(len(w)), child)
-            if isinstance(node, MapState):
-                states = {True: node.then_state, False: node.else_state, None: node.else_state}
-                table = list(map(states.__getitem__, holds))
-            else:
-                ident, absorb = identity_of(node.op), absorbing_of(node.op)
-                weights = {True: ident, False: absorb, None: absorb}
-                table = list(map(table_of(node.op).__getitem__,
-                                 zip(child, map(weights.__getitem__, holds))))
-        elif isinstance(node, Project):
-            child = build(node.query, lookup, ctx)
-            tbl = table_of(node.op)
-            table = [identity_of(node.op)] * size ** len(w)
-            for i, v in zip(index_map(scopes[id(node.query)], w), child):
-                table[i] = tbl[(table[i], v)]
-        elif isinstance(node, Belief):
+            return list(map(lookup, keys(node)))
+        if isinstance(node, Belief):
             # one context per holder tuple; all unknown where a holder is a quoted triple
             holders = _by_name(belief_variables(node.expr))
             value, atoms = belief_of(node.expr)
@@ -332,12 +338,30 @@ def oracle_eval(
                         next(next_context)
                     context_ids[(ctx, node.expr, terms)] = inner
                 contexts.append(build(node.query, *inner))
-            table = list(map(getitem, map(contexts.__getitem__, index_map(w, holders)),
-                             index_map(w, cw)))
-        else:
-            raise TypeError(f"not a query: {node!r}")
-        tables[key] = table
-        return table
+            return list(map(getitem, map(contexts.__getitem__, index_map(w, holders)),
+                            index_map(w, cw)))
+        if isinstance(node, (Join, Union)):
+            # a union's branches bind its whole scope: their maps are the identity
+            left, right = tables[id(node.left), ctx], tables[id(node.right), ctx]
+            li, ri = index_map(w, scopes[id(node.left)]), index_map(w, scopes[id(node.right)])
+            return list(map(table_of(node.op).__getitem__,
+                            zip(map(left.__getitem__, li), map(right.__getitem__, ri))))
+        child = tables[id(node.query), ctx]
+        if isinstance(node, Project):
+            tbl = table_of(node.op)
+            out = [identity_of(node.op)] * size ** len(w)
+            for i, v in zip(index_map(scopes[id(node.query)], w), child):
+                out[i] = tbl[(out[i], v)]
+            return out
+        holds = formula_of(node.formula, w)(rows_over(len(w)), child)
+        if isinstance(node, MapState):
+            states = {True: node.then_state, False: node.else_state, None: node.else_state}
+            return list(map(states.__getitem__, holds))
+        # a Filter
+        ident, absorb = identity_of(node.op), absorbing_of(node.op)
+        weights = {True: ident, False: absorb, None: absorb}
+        return list(map(table_of(node.op).__getitem__,
+                        zip(child, map(weights.__getitem__, holds))))
 
     values = build(q, lambda key: flat.get(key, g.default), 0)
     return DenseRelation(scopes[id(q)], universe, values)

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_text
 from operator import itemgetter
-from typing import Callable, Optional, Union as TUnion
+from typing import Callable, Optional
 
 from .belief import BeliefQuery, CompoundBelief, all_states_shorthand
 from .errors import DuplicateTriple, IllFormedQuery, ParseError
@@ -21,6 +21,7 @@ from .four import TRUE, FourOperator, FourValue
 from .model import (
     _BAD_IRI_CHAR,
     DEFAULT_BASE_IRI,
+    DEPTH_LIMIT,
     FourGraph,
     Iri,
     StarTriple,
@@ -56,27 +57,6 @@ _LABELS = {v: v.label for v in FourValue}  # read without Enum's descriptors
 _LINE_ENDS = {v: " .\n" if v is TRUE else f" @{v.label} .\n" for v in FourValue}
 
 _STATE_KEYWORDS = {v.label.upper(): v for v in FourValue}
-
-# How deep '<<' may nest in a graph term or a query pattern.  Deeper input is
-# a ParseError at the first '<<' past the limit, not a RecursionError.
-QUOTE_DEPTH_LIMIT = 128
-
-# How deep '!' and '(' may nest in a FILTER or MAP condition, counted
-# together.  Deeper input is a ParseError at the first one past the limit.
-CONDITION_DEPTH_LIMIT = 128
-
-# How many branches one UNION chain may join.  A longer chain is a
-# ParseError at the UNION that would add the first branch past the limit.
-UNION_BRANCH_LIMIT = 128
-
-# How deep SELECTs may nest, the outermost one counted.  Deeper input is a
-# ParseError at the first SELECT past the limit.
-SELECT_DEPTH_LIMIT = 128
-
-# How deep groups '{ ... }' may nest, the WHERE group counted.  Deeper input
-# is a ParseError at the first '{' past the limit.
-GROUP_DEPTH_LIMIT = 128
-
 
 def resolve_iri(text: str, base: str) -> Iri:
     """Keep absolute IRIs; resolve bare names against the base."""
@@ -174,9 +154,11 @@ def _expected(text: str, message: str, token: tuple[str, str, int]) -> ParseErro
                       expected=message, found=found)
 
 
-def _too_deep(text: str, offset: int) -> ParseError:
-    return ParseError(f"quoting nested deeper than {QUOTE_DEPTH_LIMIT} levels",
-                      *_position(text, offset))
+def _too_deep(text: str, offset: int, what: str) -> ParseError:
+    """The refusal of the construct ``what`` opened at text[offset] one level
+    past ``DEPTH_LIMIT``: quoting, conditions, SELECTs and groups each count
+    their own nesting, and deeper input is a ParseError, not a RecursionError."""
+    return ParseError(f"{what} nested deeper than {DEPTH_LIMIT} levels", *_position(text, offset))
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +173,8 @@ def _ground_term(text: str, tokens: list, i: int, iris: _Iris, depth: int):
         return iris[spelling], i + 1
     if spelling != "<<":
         raise _expected(text, "expected an IRI or a quoted triple", tokens[i])
-    if depth == QUOTE_DEPTH_LIMIT:
-        raise _too_deep(text, offset)
+    if depth == DEPTH_LIMIT:
+        raise _too_deep(text, offset, "quoting")
     subject, i = _ground_term(text, tokens, i + 1, iris, depth + 1)
     kind, predicate, _ = tokens[i]
     if kind != "IRI":
@@ -294,12 +276,9 @@ class SubSelect:
 
 @dataclass
 class UnionItem:
-    left: list
-    right: list
+    """A UNION chain: its branches' items, in order, and its first UNION's position."""
+    branches: list[list]
     position: tuple[int, int] = (0, 0)
-
-
-BodyItem = TUnion[TripleItem, MapItem, FilterItem, SubSelect, UnionItem]
 
 
 @dataclass
@@ -359,9 +338,8 @@ def parse_query(text: str, *, base_iri: str = DEFAULT_BASE_IRI) -> UserQuery:
 
 def _parse_select(s: _Stream) -> UserQuery:
     start = s.expect("SELECT")
-    if s.selects == SELECT_DEPTH_LIMIT:
-        raise ParseError(f"SELECT nested deeper than {SELECT_DEPTH_LIMIT} levels",
-                         *s.position(start))
+    if s.selects == DEPTH_LIMIT:
+        raise _too_deep(s.text, start[2], "SELECT")
     s.selects += 1
     info = False
     if s.at("INFO"):
@@ -393,8 +371,8 @@ def _parse_select(s: _Stream) -> UserQuery:
 
 def _parse_group(s: _Stream) -> list:
     tok = s.expect("{")
-    if s.groups == GROUP_DEPTH_LIMIT:
-        raise ParseError(f"groups nested deeper than {GROUP_DEPTH_LIMIT} levels", *s.position(tok))
+    if s.groups == DEPTH_LIMIT:
+        raise _too_deep(s.text, tok[2], "groups")
     s.groups += 1
     if s.at("SELECT"):
         # a group may hold a bare sub-query
@@ -423,25 +401,19 @@ def _parse_item(s: _Stream):
     if s.at("{"):
         if s.tokens[s.pos + 1][1] == "SELECT":
             s.next()
-            sub = _parse_select(s)
+            sub = SubSelect(_parse_select(s))
             s.expect("}")
-            item: BodyItem = SubSelect(sub)
-            branches = 1
+            if not s.at("UNION"):
+                return sub
+            first = [sub]
         else:
-            left = _parse_group(s)
-            union_tok = s.expect("UNION")
-            right = _parse_group(s)
-            item = UnionItem(left, right, s.position(union_tok))
-            branches = 2
+            first = _parse_group(s)
+        union_tok = s.expect("UNION")
+        branches = [first, _parse_group(s)]
         while s.at("UNION"):
-            if branches == UNION_BRANCH_LIMIT:
-                raise ParseError(f"UNION chain longer than {UNION_BRANCH_LIMIT} branches",
-                                 *s.position(s.peek()))
-            branches += 1
-            union_tok = s.next()
-            right = _parse_group(s)
-            item = UnionItem([item], right, s.position(union_tok))
-        return item
+            s.next()
+            branches.append(_parse_group(s))
+        return UnionItem(branches, s.position(union_tok))
     if s.at("MAP"):
         start = s.next()
         s.expect("IF")
@@ -487,8 +459,8 @@ def _parse_term_pattern(s: _Stream, depth: int):
     if term is not None:
         return term
     if s.at("<<"):
-        if depth == QUOTE_DEPTH_LIMIT:
-            raise _too_deep(s.text, s.peek()[2])
+        if depth == DEPTH_LIMIT:
+            raise _too_deep(s.text, s.peek()[2], "quoting")
         s.next()
         pattern = _parse_triple_pattern(s, depth + 1)
         s.expect(">>")
@@ -539,9 +511,8 @@ def _parse_cond_and(s: _Stream, depth: int) -> FilterFormula:
 
 def _parse_cond_unary(s: _Stream, depth: int) -> FilterFormula:
     if s.at("!") or s.at("("):
-        if depth == CONDITION_DEPTH_LIMIT:
-            raise ParseError(f"condition nested deeper than {CONDITION_DEPTH_LIMIT} levels",
-                             *s.position(s.peek()))
+        if depth == DEPTH_LIMIT:
+            raise _too_deep(s.text, s.peek()[2], "condition")
         if s.next()[1] == "!":
             return Not(_parse_cond_unary(s, depth + 1))
         inner = _parse_cond(s, depth + 1)
@@ -647,11 +618,11 @@ def _desugar_body(items: list, info: bool, position: tuple[int, int],
         elif isinstance(item, SubSelect):
             q = _desugar_select(item.query, scopes)
         elif isinstance(item, UnionItem):
-            q = Union(
-                union_op,
-                _desugar_body(item.left, info, item.position, scopes),
-                _desugar_body(item.right, info, item.position, scopes),
-            )
+            # left-deep, as the chain reads; the fold is a loop, so a chain may be any length
+            branches = [_desugar_body(b, info, item.position, scopes) for b in item.branches]
+            q = branches[0]
+            for branch in branches[1:]:
+                q = Union(union_op, q, branch)
         else:  # pragma: no cover - parser produces no other items
             raise IllFormedQuery(f"unknown body item {item!r}")
         acc = q if acc is None else Join(join_op, acc, q)

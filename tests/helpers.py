@@ -1,10 +1,12 @@
 """Views of engine values that only tests need: whole-function comparison
 of relations, formula evaluation at one mapping, the inverse of a belief
-vocabulary, and a plain reference writer for results and graphs."""
+vocabulary, a plain reference writer for results and graphs, and seeded
+mutants of the fixtures for fuzzing."""
 
 import csv
 import io
 import json
+import random
 import re
 
 from esparql import (
@@ -112,3 +114,23 @@ def reference_render(g: FourGraph) -> str:
         for t, v in g.exceptions.items()
     )
     return "\n".join([f"@default {g.default.label} .", *lines]) + "\n"
+
+
+FUZZ_PIECES = ["<<", ">>", "#", "@", "?", "\x0b", "\xa0", " ", "<", ">", ".",
+               "\n", "{", "}", "(", ")", "&", "|", "!", "=", "a", "@true", "?x"]
+FUZZ_SOURCES = ["table1.f4s", "dup.f4s", "u1.esq", "u2.esq", "u3.esq", "u4.esq",
+                "bad.esq", "proj_unused.esq", "meet-disjoint.esq"]
+
+
+def mutant(rng: random.Random, text: str) -> str:
+    """Up to four seeded character insertions, deletions and swaps."""
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(text))
+        edit = rng.randrange(3)
+        if edit == 0:
+            text = text[:i] + rng.choice(FUZZ_PIECES) + text[i:]
+        elif edit == 1:
+            text = text[:i] + text[i + rng.randint(1, 3):]
+        elif i + 1 < len(text):
+            text = text[:i] + text[i + 1] + text[i] + text[i + 2:]
+    return text

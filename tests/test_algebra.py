@@ -723,16 +723,6 @@ def test_evaluation_builds_no_mapping_until_exceptions_are_read(monkeypatch):
     assert diff(r, oracle_eval(query, g)) == []
 
 
-def test_equal_belief_expressions_share_their_extractions(monkeypatch, g1):
-    calls = _counting(monkeypatch, belief_mod, "extract")
-    evaluate(Belief(all_states_shorthand(Y, OPLUS), IS_CHRISTIAN), g1)
-    alone = calls[0]
-    # two nodes, each with its own copy of the expression
-    evaluate(Join(OTIMES, Belief(all_states_shorthand(Y, OPLUS), IS_CHRISTIAN),
-                  Belief(all_states_shorthand(Y, OPLUS), DENIES_JESUS)), g1)
-    assert calls[0] - alone == alone > 0
-
-
 def _counting_matcher(monkeypatch):
     """Count the triples pattern scans examine: every call of every
     per-triple matcher that ``_pattern_matcher`` compiles."""

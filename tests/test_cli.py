@@ -1,6 +1,7 @@
 """End-to-end checks of the command line front end via click's test runner."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +27,8 @@ from esparql.errors import (
 )
 from esparql.fixtures import fixture_path, fixture_text
 from esparql.four import FourOperator, FourValue, apply as real_apply
+
+from helpers import FUZZ_SOURCES, mutant
 
 
 @pytest.fixture
@@ -130,14 +133,16 @@ def test_conditions_nested_past_the_limit_exit_with_2(runner, tmp_path, cond):
     assert result.stderr == f"error: 1:{column}: condition nested deeper than 128 levels\n"
 
 
-def test_a_union_chain_past_the_limit_exits_with_2(runner, tmp_path):
+def test_a_1500_branch_union_chain_exits_with_0(runner, tmp_path):
     query = tmp_path / "long.esq"
     query.write_text("SELECT * WHERE { " + " UNION ".join(["{ ?s ?p ?o }"] * 1500) + " }\n")
     result = runner.invoke(main, ["query", "--graph", GRAPH, "--query", str(query)])
-    assert result.exit_code == 2
-    assert isinstance(result.exception, SystemExit)
-    column = 17 + 12 * 128 + 7 * 127 + 2  # the UNION after branch 128
-    assert result.stderr == f"error: 1:{column}: UNION chain longer than 128 branches\n"
+    assert result.exit_code == 0, result.stderr
+    one = runner.invoke(main, ["query", "--graph", GRAPH, "--eval", "SELECT * WHERE { ?s ?p ?o }"])
+    assert result.output == one.output
+    result = runner.invoke(main, ["check", "--query", str(query)])
+    assert result.exit_code == 0, result.stderr
+    assert result.output == f"query {query}: ok (in scope: ?o, ?p, ?s)\n"
 
 
 def test_selects_nested_past_the_limit_exit_with_2(runner, tmp_path):
@@ -183,7 +188,7 @@ def _nested(depth: int, inner: str) -> str:
 
 
 def test_quoting_nests_up_to_the_limit_and_no_further(runner, tmp_path):
-    from esparql.parser import QUOTE_DEPTH_LIMIT as limit
+    from esparql.model import DEPTH_LIMIT as limit
 
     at_limit = tmp_path / "deep.f4s"
     at_limit.write_text(f"{_nested(limit, '<x>')} <says> <z> .\n")
@@ -204,6 +209,21 @@ def test_quoting_nests_up_to_the_limit_and_no_further(runner, tmp_path):
     result = runner.invoke(main, ["query", "--graph", str(at_limit), "--eval", query])
     assert result.exit_code == 2
     assert result.stderr == f"error: 1:{3 * limit + 18}: {message}\n"
+
+
+def test_fuzzed_inputs_exit_with_a_documented_code_and_no_traceback(runner, tmp_path):
+    rng, path = random.Random(2020), tmp_path / "mutant"
+    for name in FUZZ_SOURCES:
+        source = fixture_text(name)
+        for _ in range(30):
+            text = mutant(rng, source)
+            path.write_text(text, encoding="utf-8")
+            for args in (["query", "--graph", GRAPH, "--eval", text],
+                         ["check", "--graph", str(path)], ["check", "--eval", text]):
+                result = runner.invoke(main, args)
+                assert result.exit_code in (0, 2, 3, 4, 5), (args, result.output)
+                assert result.exception is None or isinstance(result.exception, SystemExit), \
+                    (args, result.exception)
 
 
 def test_scope_errors_exit_with_3(runner):

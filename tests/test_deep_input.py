@@ -42,9 +42,10 @@ from esparql.algebra import (
     _scope,
     query_constants,
 )
-from esparql.belief import BELIEF_DEPTH_LIMIT, CompoundBelief, all_states_shorthand
+from esparql.belief import CompoundBelief, all_states_shorthand
 from esparql.cli import main
-from esparql.parser import CONDITION_DEPTH_LIMIT, QUOTE_DEPTH_LIMIT
+from esparql.model import DEPTH_LIMIT
+from esparql.oracle import diff, oracle_eval
 
 from conftest import A, ARIUS, FULL_DEITY, JESUS, POPE, VOCAB, data
 
@@ -103,6 +104,17 @@ def test_the_scope_table_keeps_only_the_scopes_read_after_the_walk():
     assert table == {id(q): scope} and scope == {x0, h} and widest == 3
 
 
+def test_the_oracle_answers_a_1200_pattern_join_and_a_1500_branch_union():
+    g = parse_graph("<a> <p> <b> .\n")
+    x, y, p = Variable("x"), Variable("y"), data("p")
+    chain = Pattern(TriplePattern(x, p, y))
+    for _ in range(1199):
+        chain = Join(MEET, chain, Pattern(TriplePattern(x, p, y)))
+    union = parse_and_desugar("SELECT * WHERE { " + " UNION ".join(["{ ?x <p> ?y }"] * 1500) + " }")
+    for q in (chain, union):
+        assert diff(evaluate(q, g), oracle_eval(q, g)) == []
+
+
 def test_an_800_pattern_open_chain_over_a_self_loop_answers_one_row():
     g = parse_graph("<a> <p> <a> .\n")
     r = evaluate(parse_and_desugar(_chain_text(800)), g, mode=EvalMode.OPEN)
@@ -154,12 +166,12 @@ def test_a_left_deep_belief_query_is_refused_where_it_is_built(g1):
     holders = [POPE, ARIUS, *(Iri(f"urn:h{i}") for i in range(398))]
     e = all_states_shorthand(holders[0], op)
     folded = 1
-    with pytest.raises(IllFormedQuery, match=f"deeper than {BELIEF_DEPTH_LIMIT} levels"):
+    with pytest.raises(IllFormedQuery, match=f"deeper than {DEPTH_LIMIT} levels"):
         for h in holders[1:]:
             e = CompoundBelief(e, op, all_states_shorthand(h, op))
             folded += 1
     # a shorthand is 3 deep, and each holder folded in adds one level
-    assert folded == BELIEF_DEPTH_LIMIT - 2
+    assert folded == DEPTH_LIMIT - 2
     # the deepest query allowed answers as the parser's balanced fold does
     x = Variable("x")
     body = Pattern(TriplePattern(x, A, FULL_DEITY))
@@ -175,7 +187,7 @@ def test_a_left_deep_belief_query_is_refused_where_it_is_built(g1):
 def test_a_condition_nested_past_the_limit_is_refused_where_it_is_built(g1):
     x, y = Variable("x"), Variable("y")
     body = Pattern(TriplePattern(x, A, y))
-    limit = CONDITION_DEPTH_LIMIT
+    limit = DEPTH_LIMIT
     for wrap in (Not, lambda f: And(f, Eq(x, y))):
         f, levels = Eq(x, y), 0
         with pytest.raises(IllFormedQuery, match=f"condition nested deeper than {limit} levels"):
@@ -201,12 +213,12 @@ def test_a_3000_operand_condition_chain_answers(g1):
 def test_a_pattern_quoted_past_the_limit_is_refused_where_it_is_built(g1):
     x, levels = Variable("x"), 0
     p, t = TriplePattern(x, A, FULL_DEITY), StarTriple(JESUS, A, FULL_DEITY)
-    with pytest.raises(IllFormedQuery, match=f"quoting nested deeper than {QUOTE_DEPTH_LIMIT} "):
+    with pytest.raises(IllFormedQuery, match=f"quoting nested deeper than {DEPTH_LIMIT} "):
         for _ in range(3000):
             p = TriplePattern(p, A, FULL_DEITY)
             t = StarTriple(t, A, FULL_DEITY)
             levels += 1
-    assert levels == QUOTE_DEPTH_LIMIT
+    assert levels == DEPTH_LIMIT
     # the deepest pattern allowed finds its triple, quoted as deep
     g = FourGraph(FourValue.UNKNOWN, {t: FourValue.TRUE})
     for mode in EvalMode:

@@ -47,14 +47,9 @@ from esparql.algebra import (
 from esparql.belief import CompoundBelief, all_states_shorthand, atoms
 from esparql.errors import DuplicateTriple, EsparqlError, IllFormedQuery, ParseError
 from esparql.fixtures import fixture_path, fixture_text
-from esparql.model import TriplePattern
+from esparql.model import DEPTH_LIMIT, TriplePattern
 from esparql.model import term_text
 from esparql.parser import (
-    CONDITION_DEPTH_LIMIT,
-    GROUP_DEPTH_LIMIT,
-    QUOTE_DEPTH_LIMIT,
-    SELECT_DEPTH_LIMIT,
-    UNION_BRANCH_LIMIT,
     desugar,
     resolve_iri,
 )
@@ -69,6 +64,7 @@ from conftest import (
     data,
     example_graph,
 )
+from helpers import FUZZ_SOURCES, mutant
 
 T = FourValue.TRUE
 F = FourValue.FALSE
@@ -278,19 +274,19 @@ def _nested_graph(depth: int) -> str:
 
 
 def test_quoting_may_nest_up_to_the_limit():
-    g = parse_graph(_nested_graph(QUOTE_DEPTH_LIMIT))
+    g = parse_graph(_nested_graph(DEPTH_LIMIT))
     (triple,) = g.exceptions
     depth = 0
     term = triple.subject
     while isinstance(term, StarTriple):
         depth += 1
         term = term.subject
-    assert depth == QUOTE_DEPTH_LIMIT
+    assert depth == DEPTH_LIMIT
     assert parse_graph(render_graph(g)) == g
 
 
 def test_quoting_past_the_limit_is_a_syntax_error():
-    limit = QUOTE_DEPTH_LIMIT
+    limit = DEPTH_LIMIT
     column = 3 * limit + 1  # the first '<<' past the limit
     message = f"1:{column}: quoting nested deeper than {limit} levels"
     with pytest.raises(ParseError) as err:
@@ -305,6 +301,12 @@ def test_quoting_past_the_limit_is_a_syntax_error():
     # far past the limit it is still a ParseError, not a RecursionError
     with pytest.raises(ParseError):
         parse_graph(_nested_graph(600))
+    with pytest.raises(ParseError) as err:
+        parse_graph(_nested_graph(1000))
+    assert str(err.value) == message
+    with pytest.raises(ParseError) as err:
+        parse_query("SELECT * WHERE { " + "<< " * 1000 + "?x" + " <p> <y> >>" * 1000 + " <says> ?z }")
+    assert str(err.value) == f"1:{column + 17}: quoting nested deeper than {limit} levels"
 
 
 _FILTER_HEAD = "SELECT * WHERE { ?s <p> ?o . FILTER ("
@@ -317,7 +319,7 @@ def _filter_query(cond: str) -> str:
 def test_conditions_may_nest_up_to_the_limit():
     g = parse_graph("<a> <p> <b> .\n<b> <p> <b> @false .\n<c> <p> <c> @conflicted .\n")
     plain = evaluate(parse_and_desugar(_filter_query("?s = ?o")), g)
-    limit = CONDITION_DEPTH_LIMIT
+    limit = DEPTH_LIMIT
     for cond in ("!" * limit + "?s = ?o",
                  "(" * limit + "?s = ?o" + ")" * limit,
                  "!(" * (limit // 2) + "?s = ?o" + ")" * (limit // 2)):
@@ -326,7 +328,7 @@ def test_conditions_may_nest_up_to_the_limit():
 
 
 def test_conditions_past_the_limit_are_a_syntax_error():
-    limit = CONDITION_DEPTH_LIMIT
+    limit = DEPTH_LIMIT
     column = len(_FILTER_HEAD) + limit + 1  # the first '!' or '(' past the limit
     message = f"1:{column}: condition nested deeper than {limit} levels"
     # far past the limit it is still a ParseError, not a RecursionError
@@ -343,25 +345,14 @@ def _union_chain(branches: int) -> str:
         f"{{ ?s <p{i % 3}> ?o }}" for i in range(branches)) + " }"
 
 
-def test_union_chains_may_join_up_to_the_limit():
+def test_union_chains_of_any_length_answer():
     g = parse_graph("<a> <p0> <b> .\n<b> <p1> <c> @false .\n<c> <p2> <a> @conflicted .\n")
-    longest = parse_and_desugar(_union_chain(UNION_BRANCH_LIMIT))
-    # the truth join is idempotent, so repeating a branch changes nothing
     three = parse_and_desugar(_union_chain(3))
-    for mode in EvalMode:
-        assert evaluate(longest, g, mode=mode) == evaluate(three, g, mode=mode)
-
-
-def test_union_chains_past_the_limit_are_a_syntax_error():
-    limit = UNION_BRANCH_LIMIT
-    # the UNION after branch 128: the head, 128 branches, 127 separators, a space
-    column = 17 + 14 * limit + 7 * (limit - 1) + 2
-    message = f"1:{column}: UNION chain longer than {limit} branches"
-    # far past the limit it is still a ParseError, not a RecursionError
-    for branches in (limit + 1, 1500):
-        with pytest.raises(ParseError) as err:
-            parse_query(_union_chain(branches))
-        assert str(err.value) == message
+    # the truth join is idempotent, so repeating a branch changes nothing
+    for branches in (DEPTH_LIMIT + 1, 1500, 5000):
+        longest = parse_and_desugar(_union_chain(branches))
+        for mode in EvalMode:
+            assert evaluate(longest, g, mode=mode) == evaluate(three, g, mode=mode)
 
 
 def _nested_selects(levels: int) -> str:
@@ -371,14 +362,14 @@ def _nested_selects(levels: int) -> str:
 
 def test_selects_may_nest_up_to_the_limit():
     g = parse_graph("<a> <p> <b> .\n<b> <p> <c> @false .\n")
-    deepest = parse_and_desugar(_nested_selects(SELECT_DEPTH_LIMIT))
+    deepest = parse_and_desugar(_nested_selects(DEPTH_LIMIT))
     one = parse_and_desugar(_nested_selects(1))
     for mode in EvalMode:
         assert evaluate(deepest, g, mode=mode) == evaluate(one, g, mode=mode)
 
 
 def test_selects_nested_past_the_limit_are_a_syntax_error():
-    limit = SELECT_DEPTH_LIMIT
+    limit = DEPTH_LIMIT
     # the SELECT of level 129 follows 128 openings of 17 characters
     message = f"1:{17 * limit + 1}: SELECT nested deeper than {limit} levels"
     for levels in (limit + 1, 1000):
@@ -396,14 +387,14 @@ def _nested_groups(levels: int) -> str:
 
 def test_groups_may_nest_up_to_the_limit():
     g = parse_graph("<a> <p> <b> .\n<b> <p> <c> @false .\n")
-    deepest = parse_and_desugar(_nested_groups(GROUP_DEPTH_LIMIT))
+    deepest = parse_and_desugar(_nested_groups(DEPTH_LIMIT))
     one = parse_and_desugar(_nested_groups(1))
     for mode in EvalMode:
         assert evaluate(deepest, g, mode=mode) == evaluate(one, g, mode=mode)
 
 
 def test_groups_nested_past_the_limit_are_a_syntax_error():
-    limit = GROUP_DEPTH_LIMIT
+    limit = DEPTH_LIMIT
     # the '{' of level 129 follows the head and 127 openings of 2 characters
     message = f"1:{17 + 2 * (limit - 1) + 1}: groups nested deeper than {limit} levels"
     for levels in (limit + 1, 1000):
@@ -477,32 +468,12 @@ def test_render_graph_orders_lines_as_the_triples_term_text():
 
 # ------------------------------------------------------------------ fuzzing
 
-_FUZZ_PIECES = ["<<", ">>", "#", "@", "?", "\x0b", "\xa0", " ", "<", ">", ".",
-                "\n", "{", "}", "(", ")", "&", "|", "!", "=", "a", "@true", "?x"]
-_FUZZ_SOURCES = ["table1.f4s", "dup.f4s", "u1.esq", "u2.esq", "u3.esq", "u4.esq",
-                 "bad.esq", "proj_unused.esq", "meet-disjoint.esq"]
-
-
-def _mutant(rng: random.Random, text: str) -> str:
-    """Up to four seeded character insertions, deletions and swaps."""
-    for _ in range(rng.randint(1, 4)):
-        i = rng.randrange(len(text))
-        edit = rng.randrange(3)
-        if edit == 0:
-            text = text[:i] + rng.choice(_FUZZ_PIECES) + text[i:]
-        elif edit == 1:
-            text = text[:i] + text[i + rng.randint(1, 3):]
-        elif i + 1 < len(text):
-            text = text[:i] + text[i + 1] + text[i] + text[i + 2:]
-    return text
-
-
 def test_fuzzed_inputs_fail_only_with_typed_errors():
     rng = random.Random(20240)
-    for name in _FUZZ_SOURCES:
+    for name in FUZZ_SOURCES:
         source = fixture_text(name)
         for _ in range(400):
-            text = _mutant(rng, source)
+            text = mutant(rng, source)
             lines = text.count("\n") + 1
             try:
                 g = parse_graph(text)
@@ -621,6 +592,11 @@ def test_union_chains_associate_to_the_left():
     assert isinstance(outer.left, Union)
     assert isinstance(outer.right, Pattern)
     assert outer.right.pattern.predicate == data("r")
+    s, o = Variable("s"), Variable("o")
+    p = [Pattern(TriplePattern(s, data(f"p{i % 3}"), o)) for i in range(4)]
+    join = FourOperator.TRUTH_JOIN
+    tree = Union(join, Union(join, Union(join, p[0], p[1]), p[2]), p[3])
+    assert parse_and_desugar(_union_chain(4)) == Project(join, frozenset({s, o}), tree)
 
 
 def test_a_bare_subselect_group_parses():
