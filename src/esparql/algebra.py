@@ -748,14 +748,15 @@ def _pattern_matcher(p: TriplePattern) -> Callable[[StarTriple], tuple | None]:
     """Compile p into positional tests on a triple and extractors.
 
     The matcher gives the terms a matching triple binds p's variables to,
-    in name order (a row over p's schema), or None.  Tests run in
-    pre-order, so a quoted position is known to hold a triple before any
-    test looks inside it; a repeated variable must equal its first position.
+    in name order (a row over p's schema), or None.  A quoted position's
+    type test is listed before the tests inside it, which wait on the stack;
+    a repeated variable must equal its first position.
     """
     tests: list[Callable[[StarTriple], bool]] = []
     first: dict[Variable, Callable[[StarTriple], Term]] = {}
-
-    def walk(node: TriplePattern, path: str) -> None:
+    stack = [(p, "")]
+    while stack:
+        node, path = stack.pop()
         for part in ("subject", "predicate", "object"):
             sub, get = getattr(node, part), attrgetter(path + part)
             if isinstance(sub, Variable):
@@ -766,9 +767,7 @@ def _pattern_matcher(p: TriplePattern) -> Callable[[StarTriple], tuple | None]:
                 tests.append(lambda t, get=get, c=sub: get(t) is c)
             else:
                 tests.append(lambda t, get=get: type(get(t)) is StarTriple)
-                walk(sub, path + part + ".")
-
-    walk(p, "")
+                stack.append((sub, path + part + "."))
     extractors = [first[v] for v in _schema(first)]
 
     def matcher(t: StarTriple) -> tuple | None:

@@ -49,9 +49,23 @@ def _guarded(action):
         sys.exit(next(_EXIT_CODES[c] for c in type(e).__mro__ if c in _EXIT_CODES))
 
 
+def _read_text(path: str) -> str:
+    """A graph or query file's text; a byte that is not UTF-8 is a
+    ParseError at its line and column."""
+    with open(path, "rb") as handle:
+        # line ends as text-mode open reads them: in UTF-8, CR and LF bytes
+        # only ever stand for themselves
+        data = handle.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        before = data[:e.start].decode("utf-8")
+        raise ParseError(f"byte {data[e.start]:#04x} is not UTF-8", before.count("\n") + 1,
+                         len(before) - before.rfind("\n")) from None
+
+
 def _load_graph(path: str, base_iri: str) -> FourGraph:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_graph(handle.read(), base_iri=base_iri)
+    return parse_graph(_read_text(path), base_iri=base_iri)
 
 
 def _answer(text: str, graph: FourGraph, vocab: BeliefVocabulary, mode: str, cap: int,
@@ -65,10 +79,7 @@ def _answer(text: str, graph: FourGraph, vocab: BeliefVocabulary, mode: str, cap
 def _query_text(query_path, inline) -> str:
     if (query_path is None) == (inline is None):
         raise click.UsageError("provide exactly one of --query and --eval")
-    if inline is not None:
-        return inline
-    with open(query_path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    return inline if inline is not None else _read_text(query_path)
 
 
 _MODES = tuple(m.value for m in EvalMode)
@@ -122,9 +133,9 @@ def main() -> None:
 def cmd_query(graph_path, query_path, inline, mode, fmt, show_default,
               base_iri, vocab_ns, cap) -> None:
     """Evaluate a query over a graph file."""
-    text = _query_text(query_path, inline)
 
     def run():
+        text = _query_text(query_path, inline)
         g = _load_graph(graph_path, base_iri)
         vocab = BeliefVocabulary.from_namespace(vocab_ns)
         click.echo(_answer(text, g, vocab, mode, cap, fmt, show_default, base_iri), nl=False)
@@ -141,9 +152,9 @@ def cmd_check(graph_path, query_path, inline, base_iri) -> None:
     """Validate a graph file and/or a query without evaluating."""
     if graph_path is None and query_path is None and inline is None:
         raise click.UsageError("nothing to check; provide --graph and/or --query/--eval")
-    text = None if query_path is None and inline is None else _query_text(query_path, inline)
 
     def run():
+        text = None if query_path is None and inline is None else _query_text(query_path, inline)
         if graph_path is not None:
             g = _load_graph(graph_path, base_iri)
             click.echo(
@@ -204,7 +215,7 @@ def cmd_repl(graph_path, mode, fmt, show_default, base_iri, vocab_ns, cap) -> No
     state = {"graph": FourGraph(FourValue.UNKNOWN), "mode": mode, "format": fmt}
     vocab = BeliefVocabulary.from_namespace(vocab_ns)
     if graph_path is not None:
-        state["graph"] = _load_graph(graph_path, base_iri)
+        state["graph"] = _guarded(lambda: _load_graph(graph_path, base_iri))
         click.echo(f"loaded {graph_path}")
     interactive = sys.stdin.isatty()
 

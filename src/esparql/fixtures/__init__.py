@@ -1,12 +1,1 @@
-"""Bundled example graphs and queries."""
-
-from importlib import resources
-
-
-def fixture_path(name: str):
-    """Traversable path of a bundled fixture file."""
-    return resources.files(__package__).joinpath(name)
-
-
-def fixture_text(name: str) -> str:
-    return fixture_path(name).read_text(encoding="utf-8")
+"""Bundled example graphs and queries (package data)."""

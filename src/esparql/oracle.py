@@ -119,10 +119,16 @@ class DenseRelation:
         return f"DenseRelation({len(self.vars)} vars, {len(self.values)} rows)"
 
 
-def _postorder(q: Query, bodies: bool) -> list[Query]:
+def _children(node: Query) -> tuple[Query, ...]:
+    if isinstance(node, (Join, Union)):
+        return node.left, node.right
+    return (node.query,) if isinstance(node, (Filter, Project, MapState, Belief)) else ()
+
+
+def _postorder(q: Query) -> list[Query]:
     """Each distinct node of q, a query ``in_scope`` has checked, once by id,
-    children before parents, with an explicit stack, so a deep query costs
-    no recursion; a Belief's body is left out unless ``bodies``."""
+    children before parents, Belief bodies included, with an explicit stack,
+    so a deep query costs no recursion."""
     order, seen, stack = [], set(), [(q, False)]
     while stack:
         node, leaving = stack.pop()
@@ -131,10 +137,7 @@ def _postorder(q: Query, bodies: bool) -> list[Query]:
         elif id(node) not in seen:
             seen.add(id(node))
             stack.append((node, True))
-            if isinstance(node, (Join, Union)):
-                stack += (node.right, False), (node.left, False)
-            elif isinstance(node, (Filter, Project, MapState)) or bodies and isinstance(node, Belief):
-                stack.append((node.query, False))
+            stack += [(child, False) for child in reversed(_children(node))]
     return order
 
 
@@ -202,33 +205,54 @@ def _compile_belief(e: BeliefQuery, vocab: BeliefVocabulary, atoms: list[Iri | V
     return lambda t, base, terms: tbl[(left(t, base, terms), right(t, base, terms))]
 
 
+def _columns(p: TriplePattern, w: tuple, rows_over, index_map, quoted: dict) -> list[Iterable]:
+    """The substitution of p's subject, predicate and object by each row
+    over w; a quoted part's triples come from ``quoted`` (see ``_quoted``)."""
+    rows = rows_over(len(w))
+    # a constant's column is bounded, or a ground pattern's one row would zip forever
+    return [map(itemgetter(w.index(x)), rows) if isinstance(x, Variable)
+            else itertools.repeat(x, len(rows)) if isinstance(x, Iri)
+            else map(_quoted(x, rows_over, index_map, quoted).__getitem__,
+                     index_map(w, _by_name(pattern_variables(x))))
+            for x in (p.subject, p.predicate, p.object)]
+
+
+def _quoted(p: TriplePattern, rows_over, index_map, memo: dict) -> list[StarTriple | None]:
+    """A quoted part's triple per row over its own variables, None where it
+    names none, built into ``memo`` once per evaluation."""
+    if p not in memo:
+        memo[p] = [StarTriple(s, pr, o) if pr.__class__ is Iri and s is not None and o is not None
+                   else None for s, pr, o in zip(*_columns(
+                       p, _by_name(pattern_variables(p)), rows_over, index_map, memo))]
+    return memo[p]
+
+
 def oracle_eval(
     q: Query,
     g: FourGraph,
     vocab: BeliefVocabulary = DEFAULT_VOCABULARY,
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> DenseRelation:
-    """Dense active-domain evaluation of a four-valued query."""
+    """Dense active-domain evaluation of a four-valued query, in two flat
+    passes over one post-order of q: belief contexts from the root down,
+    then tables from the leaves up."""
     universe = active_domain(g, query_constants(q))
     uni = sorted(universe, key=term_text)
     size = len(uni)
     # every node's name-sorted scope, from its children's, once in_scope has
     # checked the whole query
     in_scope(q)
+    order = _postorder(q)
     scopes: dict[int, tuple[Variable, ...]] = {}
-    for node in _postorder(q, bodies=True):
+    for node in order:
         if isinstance(node, Pattern):
             w = pattern_variables(node.pattern)
-        elif isinstance(node, Join):
-            w = {*scopes[id(node.left)], *scopes[id(node.right)]}
-        elif isinstance(node, Union):
-            w = scopes[id(node.left)]
         elif isinstance(node, Project):
             w = node.vars
-        elif isinstance(node, Belief):
-            w = {*scopes[id(node.query)], *belief_variables(node.expr)}
         else:
-            w = scopes[id(node.query)]
+            w = {v for child in _children(node) for v in scopes[id(child)]}
+            if isinstance(node, Belief):
+                w |= belief_variables(node.expr)
         w = scopes[id(node)] = _by_name(w)
         if size ** len(w) > cap:
             raise UniverseTooLarge(f"{size}**{len(w)} rows exceed oracle cap {cap}")
@@ -248,9 +272,8 @@ def oracle_eval(
             indices = [i + o for i in indices for o in offsets]
         return indices
 
-    # the graph keyed by each triple's (subject, predicate, object): a row's
-    # key is a tuple of its columns, and only quoted parts and belief probes
-    # build triples
+    # the graph keyed by each triple's (subject, predicate, object): a row's key
+    # is a tuple of its columns; only quoted parts and belief probes build triples
     flat = {(t.subject, t.predicate, t.object): v for t, v in g.exceptions.items()}
 
     # mappings that put a quoted triple in a predicate slot name no triple at
@@ -262,109 +285,86 @@ def oracle_eval(
     fresh = Iri(fresh_text)
     probe = (fresh, fresh, fresh)
 
-    def columns(p: TriplePattern, w: tuple[Variable, ...]) -> list[Iterable]:
-        """The substitution of p's subject, predicate and object by each row over w."""
-        rows = rows_over(len(w))
-        # a constant's column is bounded, or a ground pattern's one row would zip forever
-        return [map(itemgetter(w.index(x)), rows) if isinstance(x, Variable)
-                else itertools.repeat(x, len(rows)) if isinstance(x, Iri)
-                else map(quoted(x).__getitem__, index_map(w, _by_name(pattern_variables(x))))
-                for x in (p.subject, p.predicate, p.object)]
-
-    @functools.cache
-    def quoted(p: TriplePattern) -> list[StarTriple | None]:
-        """A quoted part's triple per row over its own variables, None where it names none."""
-        return [StarTriple(s, pr, o) if pr.__class__ is Iri and s is not None and o is not None
-                else None for s, pr, o in zip(*columns(p, _by_name(pattern_variables(p))))]
-
-    @functools.cache
-    def keys(node: Pattern) -> list[tuple]:
-        """node's flat key for each row, the probe where it has none; shared by all contexts."""
-        out = list(zip(*columns(node.pattern, scopes[id(node)])))
-        if _can_miss(node.pattern):
-            out = [k if k[1].__class__ is Iri and k[0] is not None and k[2] is not None
-                   else probe for k in out]
-        return out
-
-    # formulas and belief expressions are compiled once for all contexts
-    @functools.cache
-    def formula_of(f, w: tuple[Variable, ...]) -> Callable:
-        return _compile_formula(f, {v: i for i, v in enumerate(w)})
-
-    @functools.cache
-    def belief_of(e: BeliefQuery) -> tuple[Callable, list[Iri | Variable]]:
+    # root down: each node's belief contexts, indexes into ``lookups``; 0 reads
+    # the graph, and a Belief gives its body one per holder row of each of its
+    # own, listed in ``slices``, or None where a holder is a quoted triple
+    lookups: list[Lookup] = [lambda key: flat.get(key, g.default)]
+    contexts: dict[int, dict[int, None]] = {id(q): {0: None}}
+    slices: dict[tuple[int, int], list[int | None]] = {}
+    for node in reversed(order):
+        own = contexts[id(node)]
+        if not isinstance(node, Belief):
+            for child in _children(node):
+                contexts.setdefault(id(child), {}).update(own)
+            continue
         atoms: list[Iri | Variable] = []
-        return _compile_belief(e, vocab, atoms), atoms
-
-    # tables are memoized per (node, belief context); contexts get fresh ids
-    tables: dict[tuple[int, int], list[FourValue]] = {}
-    context_ids: dict[tuple[int, BeliefQuery, tuple], tuple[Lookup, int]] = {}
-    next_context = itertools.count(1)
-    orders: dict[int, list[Query]] = {}
-
-    def build(root: Query, lookup: Lookup, ctx: int) -> list[FourValue]:
-        """root's table in context ctx, its nodes' tables filled children
-        first: only a belief context's body recurses."""
-        if id(root) not in orders:
-            orders[id(root)] = _postorder(root, bodies=False)
-        for node in orders[id(root)]:
-            if (id(node), ctx) not in tables:
-                tables[id(node), ctx] = table(node, lookup, ctx)
-        return tables[id(root), ctx]
-
-    def table(node: Query, lookup: Lookup, ctx: int) -> list[FourValue]:
-        """node's table in context ctx, its children's already in ``tables``."""
-        w = scopes[id(node)]
-        if isinstance(node, Pattern):
-            return list(map(lookup, keys(node)))
-        if isinstance(node, Belief):
-            # one context per holder tuple; all unknown where a holder is a quoted triple
-            holders = _by_name(belief_variables(node.expr))
-            value, atoms = belief_of(node.expr)
-            cw = scopes[id(node.query)]
-            unknown = [UNKNOWN] * size ** len(cw)
-            contexts = []
+        value = _compile_belief(node.expr, vocab, atoms)
+        holders = _by_name(belief_variables(node.expr))
+        body = contexts.setdefault(id(node.query), {})
+        for ctx in own:
+            slices[id(node), ctx] = out = []
             for row in rows_over(len(holders)):
                 binding = dict(zip(holders, row))
                 terms = tuple([binding.get(h, h) for h in atoms])
                 if any(t.__class__ is not Iri for t in terms):
-                    contexts.append(unknown)
+                    out.append(None)
                     continue
-                inner = context_ids.get((ctx, node.expr, terms))
-                if inner is None:
-                    # each key's triple is built once per context
-                    inner = functools.cache(
-                        lambda k, terms=terms, base=lookup: value(StarTriple(*k), base, terms)), \
-                        next(next_context)
-                    context_ids[(ctx, node.expr, terms)] = inner
-                contexts.append(build(node.query, *inner))
-            return list(map(getitem, map(contexts.__getitem__, index_map(w, holders)),
-                            index_map(w, cw)))
-        if isinstance(node, (Join, Union)):
-            # a union's branches bind its whole scope: their maps are the identity
-            left, right = tables[id(node.left), ctx], tables[id(node.right), ctx]
-            li, ri = index_map(w, scopes[id(node.left)]), index_map(w, scopes[id(node.right)])
-            return list(map(table_of(node.op).__getitem__,
-                            zip(map(left.__getitem__, li), map(right.__getitem__, ri))))
-        child = tables[id(node.query), ctx]
-        if isinstance(node, Project):
-            tbl = table_of(node.op)
-            out = [identity_of(node.op)] * size ** len(w)
-            for i, v in zip(index_map(scopes[id(node.query)], w), child):
-                out[i] = tbl[(out[i], v)]
-            return out
-        holds = formula_of(node.formula, w)(rows_over(len(w)), child)
-        if isinstance(node, MapState):
-            states = {True: node.then_state, False: node.else_state, None: node.else_state}
-            return list(map(states.__getitem__, holds))
-        # a Filter
-        ident, absorb = identity_of(node.op), absorbing_of(node.op)
-        weights = {True: ident, False: absorb, None: absorb}
-        return list(map(table_of(node.op).__getitem__,
-                        zip(child, map(weights.__getitem__, holds))))
+                out.append(len(lookups))
+                body[len(lookups)] = None
+                # each key's triple is built once per context
+                lookups.append(functools.cache(
+                    lambda k, terms=terms, base=lookups[ctx], value=value:
+                    value(StarTriple(*k), base, terms)))
 
-    values = build(q, lambda key: flat.get(key, g.default), 0)
-    return DenseRelation(scopes[id(q)], universe, values)
+    # leaves up: each node's table in each of its contexts, from its
+    # children's in the same context (a Belief's from its body's slices)
+    quoted: dict[TriplePattern, list[StarTriple | None]] = {}
+    tables: dict[tuple[int, int], list[FourValue]] = {}
+    for node in order:
+        w, own = scopes[id(node)], contexts[id(node)]
+        if isinstance(node, Pattern):
+            keys = list(zip(*_columns(node.pattern, w, rows_over, index_map, quoted)))
+            if _can_miss(node.pattern):
+                keys = [k if k[1].__class__ is Iri and k[0] is not None and k[2] is not None
+                        else probe for k in keys]
+            for ctx in own:
+                tables[id(node), ctx] = list(map(lookups[ctx], keys))
+        elif isinstance(node, Belief):
+            cw = scopes[id(node.query)]
+            unknown = [UNKNOWN] * size ** len(cw)
+            hi, bi = index_map(w, _by_name(belief_variables(node.expr))), index_map(w, cw)
+            for ctx in own:
+                rows = [unknown if c is None else tables[id(node.query), c]
+                        for c in slices[id(node), ctx]]
+                tables[id(node), ctx] = list(map(getitem, map(rows.__getitem__, hi), bi))
+        elif isinstance(node, (Join, Union)):
+            # a union's branches bind its whole scope: their maps are the identity
+            tbl = table_of(node.op)
+            li, ri = index_map(w, scopes[id(node.left)]), index_map(w, scopes[id(node.right)])
+            for ctx in own:
+                left, right = tables[id(node.left), ctx], tables[id(node.right), ctx]
+                tables[id(node), ctx] = list(map(tbl.__getitem__, zip(
+                    map(left.__getitem__, li), map(right.__getitem__, ri))))
+        elif isinstance(node, Project):
+            tbl, into = table_of(node.op), index_map(scopes[id(node.query)], w)
+            for ctx in own:
+                tables[id(node), ctx] = out = [identity_of(node.op)] * size ** len(w)
+                for i, v in zip(into, tables[id(node.query), ctx]):
+                    out[i] = tbl[(out[i], v)]
+        else:
+            # a MapState maps each row's outcome to a state; a Filter weighs
+            # the child's value by it
+            holds = _compile_formula(node.formula, {v: i for i, v in enumerate(w)})
+            mapping = isinstance(node, MapState)
+            yes, no = (node.then_state, node.else_state) if mapping else (
+                identity_of(node.op), absorbing_of(node.op))
+            pick = {True: yes, False: no, None: no}
+            for ctx in own:
+                child = tables[id(node.query), ctx]
+                out = list(map(pick.__getitem__, holds(rows_over(len(w)), child)))
+                tables[id(node), ctx] = out if mapping else list(
+                    map(table_of(node.op).__getitem__, zip(child, out)))
+    return DenseRelation(scopes[id(q)], universe, tables[id(q), 0])
 
 
 def diff(engine: Relation, reference: DenseRelation

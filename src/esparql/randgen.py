@@ -17,9 +17,6 @@ from .four import (
     FourValue,
     JOIN_OPERATORS,
     MEET_OPERATORS,
-    Semiring,
-    BOOLEAN,
-    COUNTING,
 )
 from .model import (
     DEFAULT_BASE_IRI,
@@ -109,23 +106,6 @@ def random_graph(
             t = _random_ground_triple(rng, pool, 1)
         exceptions[t] = rng.choice(STATES)
     return FourGraph(default, exceptions)
-
-
-def random_k_graph(
-    rng: random.Random, semiring: Semiring, pool: Optional[list[Iri]] = None
-) -> FourGraph:
-    """Zero-default graph annotated with values from the given semiring."""
-    pool = pool or iri_pool()
-    if semiring is COUNTING:
-        candidates = [1, 2, 3, 5]
-    elif semiring is BOOLEAN:
-        candidates = [True]
-    else:
-        candidates = [v for v in STATES if v != semiring.zero]
-    exceptions = {}
-    for _ in range(rng.randint(0, 10)):
-        exceptions[_random_ground_triple(rng, pool, 1)] = rng.choice(candidates)
-    return FourGraph(semiring.zero, exceptions)
 
 
 # ---------------------------------------------------------------------------
@@ -302,47 +282,3 @@ def random_query(rng: random.Random, *, vocab: BeliefVocabulary = DEFAULT_VOCABU
     q = gen(scope, 4, True)
     assert in_scope(q) == scope
     return q
-
-
-def random_join_free_query(
-    rng: random.Random,
-    pool: Optional[list[Iri]] = None,
-    *,
-    depth: int = 3,
-    scope=None,
-) -> Query:
-    """Patterns combined with the two lattice joins only; always finite."""
-    pool = pool or iri_pool()
-    if scope is None:
-        scope = frozenset(rng.sample(VARS, rng.randint(1, 2)))
-    scope = frozenset(scope)
-    if depth <= 0 or rng.random() < 0.35:
-        return Pattern(random_pattern(rng, pool, scope))
-    return Union(
-        rng.choice(JOIN_OPERATORS),
-        random_join_free_query(rng, pool, depth=depth - 1, scope=scope),
-        random_join_free_query(rng, pool, depth=depth - 1, scope=scope),
-    )
-
-
-def random_plain_query(
-    rng: random.Random,
-    pool: Optional[list[Iri]] = None,
-    *,
-    depth: int = 4,
-    scope=None,
-) -> Query:
-    """Query in the semiring-generic fragment: no state tests, maps or beliefs."""
-    pool = pool or iri_pool()
-    if scope is None:
-        scope = frozenset(rng.sample(VARS, rng.randint(1, 3)))
-    scope = frozenset(scope)
-
-    def gen(target, budget: int) -> Query:
-        if budget <= 0 or rng.random() < 0.3:
-            return Pattern(random_pattern(rng, pool, target))
-        kind = rng.choice(_PLAIN_KINDS)
-        return _plain_node(rng, pool, kind, target, lambda t: gen(t, budget - 1),
-                           MEET_OPERATORS, False)
-
-    return gen(scope, depth)

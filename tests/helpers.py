@@ -1,27 +1,46 @@
 """Views of engine values that only tests need: whole-function comparison
 of relations, formula evaluation at one mapping, the inverse of a belief
-vocabulary, a plain reference writer for results and graphs, and seeded
-mutants of the fixtures for fuzzing."""
+vocabulary, the bundled fixtures, a plain reference writer for results and
+graphs, seeded mutants of the fixtures for fuzzing, and seeded generators
+of semiring graphs and of plain and join-free queries."""
 
 import csv
 import io
 import json
 import random
 import re
+from importlib import resources
+from typing import Optional
 
 from esparql import (
+    BOOLEAN,
+    COUNTING,
     DEFAULT_BASE_IRI,
+    JOIN_OPERATORS,
+    MEET_OPERATORS,
     STATES,
     BeliefVocabulary,
     FourGraph,
     FourValue,
     Iri,
     Mapping,
+    Pattern,
+    Query,
     Relation,
+    Semiring,
+    Union,
     mappings_over,
     term_text,
 )
 from esparql.algebra import ThreeValued, _formula_value
+from esparql.randgen import (
+    VARS,
+    _PLAIN_KINDS,
+    _plain_node,
+    _random_ground_triple,
+    iri_pool,
+    random_pattern,
+)
 
 
 def all_rows(r: Relation):
@@ -51,6 +70,15 @@ def same_function(r: Relation, other: Relation) -> bool:
 
 def eval_formula(f, m: Mapping, r: Relation) -> ThreeValued:
     return _formula_value(f, m.get, r.value_at(m))
+
+
+def fixture_path(name: str):
+    """Traversable path of a fixture file bundled in ``esparql.fixtures``."""
+    return resources.files("esparql.fixtures").joinpath(name)
+
+
+def fixture_text(name: str) -> str:
+    return fixture_path(name).read_text(encoding="utf-8")
 
 
 def state_for(vocab: BeliefVocabulary, predicate: Iri):
@@ -134,3 +162,70 @@ def mutant(rng: random.Random, text: str) -> str:
         elif i + 1 < len(text):
             text = text[:i] + text[i + 1] + text[i] + text[i + 2:]
     return text
+
+
+# ---------------------------------------------------------------------------
+# Seeded generators for the semiring-generic fragment; they draw through
+# randgen's own helpers, in the same order as randgen's query generator
+# ---------------------------------------------------------------------------
+
+
+def random_k_graph(
+    rng: random.Random, semiring: Semiring, pool: Optional[list[Iri]] = None
+) -> FourGraph:
+    """Zero-default graph annotated with values from the given semiring."""
+    pool = pool or iri_pool()
+    if semiring is COUNTING:
+        candidates = [1, 2, 3, 5]
+    elif semiring is BOOLEAN:
+        candidates = [True]
+    else:
+        candidates = [v for v in STATES if v != semiring.zero]
+    exceptions = {}
+    for _ in range(rng.randint(0, 10)):
+        exceptions[_random_ground_triple(rng, pool, 1)] = rng.choice(candidates)
+    return FourGraph(semiring.zero, exceptions)
+
+
+def random_join_free_query(
+    rng: random.Random,
+    pool: Optional[list[Iri]] = None,
+    *,
+    depth: int = 3,
+    scope=None,
+) -> Query:
+    """Patterns combined with the two lattice joins only; always finite."""
+    pool = pool or iri_pool()
+    if scope is None:
+        scope = frozenset(rng.sample(VARS, rng.randint(1, 2)))
+    scope = frozenset(scope)
+    if depth <= 0 or rng.random() < 0.35:
+        return Pattern(random_pattern(rng, pool, scope))
+    return Union(
+        rng.choice(JOIN_OPERATORS),
+        random_join_free_query(rng, pool, depth=depth - 1, scope=scope),
+        random_join_free_query(rng, pool, depth=depth - 1, scope=scope),
+    )
+
+
+def random_plain_query(
+    rng: random.Random,
+    pool: Optional[list[Iri]] = None,
+    *,
+    depth: int = 4,
+    scope=None,
+) -> Query:
+    """Query in the semiring-generic fragment: no state tests, maps or beliefs."""
+    pool = pool or iri_pool()
+    if scope is None:
+        scope = frozenset(rng.sample(VARS, rng.randint(1, 3)))
+    scope = frozenset(scope)
+
+    def gen(target, budget: int) -> Query:
+        if budget <= 0 or rng.random() < 0.3:
+            return Pattern(random_pattern(rng, pool, target))
+        kind = rng.choice(_PLAIN_KINDS)
+        return _plain_node(rng, pool, kind, target, lambda t: gen(t, budget - 1),
+                           MEET_OPERATORS, False)
+
+    return gen(scope, depth)

@@ -38,16 +38,9 @@ from esparql import (
 from esparql.algebra import Belief, EvalMode, Mapping, Pattern, evaluate_k
 from esparql.belief import AtomicBelief, CompoundBelief, all_states_shorthand, extract
 from esparql.errors import NonFinitelySupported
-from esparql.fixtures import fixture_text
 from esparql.four import table_of
 from esparql.oracle import diff, oracle_eval
-from esparql.randgen import (
-    random_graph,
-    random_join_free_query,
-    random_k_graph,
-    random_plain_query,
-    random_query,
-)
+from esparql.randgen import random_graph, random_query
 
 from conftest import (
     A,
@@ -62,6 +55,7 @@ from conftest import (
     RUSSELL,
     example_graph,
 )
+from helpers import fixture_text, random_join_free_query, random_k_graph, random_plain_query
 
 F, T, U, C = STATES
 OPLUS = FourOperator.INFO_JOIN

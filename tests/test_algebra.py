@@ -69,7 +69,7 @@ from conftest import (
     ZEUS_DEITY,
     example_graph,
 )
-from helpers import all_rows, eval_formula, same_function
+from helpers import all_rows, eval_formula, random_plain_query, same_function
 
 F, T, U, C = (FourValue.FALSE, FourValue.TRUE,
               FourValue.UNKNOWN, FourValue.CONFLICTED)
@@ -815,7 +815,7 @@ def _seeded_case(seed, n_queries, scope):
     rng = random.Random(seed)
     pool = randgen.iri_pool()
     g = randgen.random_graph(rng, pool)
-    qs = [randgen.random_plain_query(rng, pool, depth=2, scope=scope)
+    qs = [random_plain_query(rng, pool, depth=2, scope=scope)
           for _ in range(n_queries)]
     return g, qs
 

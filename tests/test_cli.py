@@ -25,10 +25,9 @@ from esparql.errors import (
     UnboundBeliefVariable,
     UniverseTooLarge,
 )
-from esparql.fixtures import fixture_path, fixture_text
 from esparql.four import FourOperator, FourValue, apply as real_apply
 
-from helpers import FUZZ_SOURCES, mutant
+from helpers import FUZZ_SOURCES, fixture_path, fixture_text, mutant
 
 
 @pytest.fixture
@@ -224,6 +223,27 @@ def test_fuzzed_inputs_exit_with_a_documented_code_and_no_traceback(runner, tmp_
                 assert result.exit_code in (0, 2, 3, 4, 5), (args, result.output)
                 assert result.exception is None or isinstance(result.exception, SystemExit), \
                     (args, result.exception)
+
+
+def test_files_that_are_not_utf8_exit_with_2_and_no_traceback(runner, tmp_path):
+    graph, query = tmp_path / "bad.f4s", tmp_path / "bad.esq"
+    graph.write_bytes(b"<a> <b> <c> .\r\n<d> \xff <e> .\n")
+    query.write_bytes(b"SELECT * WHERE {\n  ?s <p\xfe> ?o }\n")
+    graph_error = "error: 2:5: byte 0xff is not UTF-8\n"
+    query_error = "error: 2:8: byte 0xfe is not UTF-8\n"
+    for args, stderr in (
+            (["query", "--graph", str(graph), "--eval", "SELECT * WHERE { ?s ?p ?o }"],
+             graph_error),
+            (["query", "--graph", GRAPH, "--query", str(query)], query_error),
+            (["check", "--graph", str(graph)], graph_error),
+            (["check", "--query", str(query)], query_error),
+            (["check", "--graph", GRAPH, "--query", str(query)], query_error),
+            (["repl", "--graph", str(graph)], graph_error)):
+        result = runner.invoke(main, args, input=":quit\n")
+        assert result.exit_code == 2, args
+        assert isinstance(result.exception, SystemExit), (args, result.exception)
+        assert result.stderr == stderr, args
+        assert result.stdout == "", args
 
 
 def test_scope_errors_exit_with_3(runner):
@@ -582,6 +602,16 @@ def test_repl_reports_missing_load_target_and_continues(runner):
     result = runner.invoke(main, ["repl"], input=session)
     assert result.exit_code == 0
     assert result.output.startswith("error: ")
+
+
+def test_repl_survives_loading_a_file_that_is_not_utf8(runner, tmp_path):
+    bad = tmp_path / "bad.f4s"
+    bad.write_bytes(b"<Arius> <a> <Christian\xff> .\n")
+    session = f":load {bad}\nSELECT ?x WHERE {{ ?x a <Christian> }}\n\n:quit\n"
+    result = runner.invoke(main, ["repl", "--graph", GRAPH], input=session)
+    assert result.exit_code == 0
+    assert result.output == (f"loaded {GRAPH}\nerror: 1:23: byte 0xff is not UTF-8\n"
+                             "x | state\nArius | true\nPopeDI | true\n")
 
 
 def test_repl_directives_answer_bad_or_missing_arguments(runner):

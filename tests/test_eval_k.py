@@ -38,7 +38,7 @@ from esparql import (
 from esparql import randgen
 
 from conftest import A, ARIUS, CHRISTIAN, FULL_DEITY, JESUS, POPE
-from helpers import all_rows, same_function
+from helpers import all_rows, random_k_graph, random_plain_query, same_function
 
 X, Y = Variable("x"), Variable("y")
 AND, OR = FourOperator.TRUTH_MEET, FourOperator.TRUTH_JOIN
@@ -205,7 +205,7 @@ def test_matches_engine_on_info_semiring(seed):
     rng = random.Random(seed)
     pool = randgen.iri_pool()
     g = randgen.random_graph(rng, pool)
-    q = _with_ops(randgen.random_plain_query(rng, pool, depth=3), OTIMES, OPLUS)
+    q = _with_ops(random_plain_query(rng, pool, depth=3), OTIMES, OPLUS)
     assert same_function(evaluate_k(q, g, FOUR_INFO), evaluate(q, g))
 
 
@@ -215,7 +215,7 @@ def test_matches_engine_on_truth_semiring(seed):
     rng = random.Random(seed)
     pool = randgen.iri_pool()
     g = randgen.random_graph(rng, pool)
-    q = _with_ops(randgen.random_plain_query(rng, pool, depth=3), AND, OR)
+    q = _with_ops(random_plain_query(rng, pool, depth=3), AND, OR)
     assert same_function(evaluate_k(q, g, FOUR_TRUTH), evaluate(q, g))
 
 
@@ -229,7 +229,7 @@ def test_matches_engine_in_open_mode(seed, ops):
     rng = random.Random(seed)
     pool = randgen.iri_pool()
     g = randgen.random_graph(rng, pool)
-    q = _with_ops(randgen.random_plain_query(rng, pool, depth=3), meet, join)
+    q = _with_ops(random_plain_query(rng, pool, depth=3), meet, join)
     try:
         want = evaluate(q, g, mode=EvalMode.OPEN)
     except NonFinitelySupported:
@@ -262,8 +262,8 @@ def test_open_projection_refuses_a_non_idempotent_default():
 def test_open_mode_stays_finitely_supported(seed, semiring):
     rng = random.Random(seed)
     pool = randgen.iri_pool()
-    g = randgen.random_k_graph(rng, semiring, pool)
-    q = randgen.random_plain_query(rng, pool, depth=3)
+    g = random_k_graph(rng, semiring, pool)
+    q = random_plain_query(rng, pool, depth=3)
     r = evaluate_k(q, g, semiring, mode=EvalMode.OPEN)
     assert r.universe is None
     assert r.default == semiring.zero

@@ -54,7 +54,7 @@ from conftest import (
     data,
     example_graph,
 )
-from helpers import all_rows
+from helpers import all_rows, random_join_free_query
 
 F, T, U, C = (FourValue.FALSE, FourValue.TRUE,
               FourValue.UNKNOWN, FourValue.CONFLICTED)
@@ -333,7 +333,7 @@ def test_join_free_open_queries_always_finite(seed):
     rng = random.Random(seed)
     pool = randgen.iri_pool()
     g = randgen.random_graph(rng, pool)
-    q = randgen.random_join_free_query(rng, pool)
+    q = random_join_free_query(rng, pool)
     r = open_eval(q, g)
     assert r.universe is None
     grounded = evaluate(q, g)

@@ -2,6 +2,7 @@
 
 import ast
 import collections
+import gc
 import random
 
 import pytest
@@ -436,6 +437,31 @@ def test_random_cases_agree():
         except UniverseTooLarge:
             continue
         assert diff(engine, reference) == []
+
+
+def test_evaluations_leave_nothing_for_the_cyclic_collector():
+    # the collector is off only so that it counts: everything evaluate and
+    # oracle_eval build, refusals included, must be freed by reference
+    # counting when they return; the cases are drawn before, because the
+    # generator is not what is measured
+    rng = random.Random(0)
+    cases = [(randgen.random_graph(rng), randgen.random_query(rng)) for _ in range(200)]
+    refused = 0
+    gc.collect()
+    gc.disable()
+    try:
+        for g, q in cases:
+            for run in (lambda: evaluate(q, g), lambda: evaluate(q, g, mode=EvalMode.OPEN),
+                        lambda: oracle_eval(q, g)):
+                try:
+                    run()
+                except (NonFinitelySupported, UniverseTooLarge):
+                    refused += 1
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert refused == 47
+    assert left == 0
 
 
 # ---------------------------------------------------------------------------

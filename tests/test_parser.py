@@ -46,7 +46,6 @@ from esparql.algebra import (
 )
 from esparql.belief import CompoundBelief, all_states_shorthand, atoms
 from esparql.errors import DuplicateTriple, EsparqlError, IllFormedQuery, ParseError
-from esparql.fixtures import fixture_path, fixture_text
 from esparql.model import DEPTH_LIMIT, TriplePattern
 from esparql.model import term_text
 from esparql.parser import (
@@ -64,7 +63,7 @@ from conftest import (
     data,
     example_graph,
 )
-from helpers import FUZZ_SOURCES, mutant
+from helpers import FUZZ_SOURCES, fixture_path, fixture_text, mutant
 
 T = FourValue.TRUE
 F = FourValue.FALSE
