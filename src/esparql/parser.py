@@ -166,6 +166,27 @@ def _too_deep(text: str, offset: int, what: str) -> ParseError:
 # ---------------------------------------------------------------------------
 
 
+# A statement as files mostly hold it, read by one match: IRIs and triples
+# quoting three IRIs, then an optional state.  Each character of its skip has
+# one way to match, so a failed match gives back no part of a comment and
+# fails in linear time; a match reads the tokens the tokenizer reads there.
+_SKIP = r"[ \t\r\n]*(?:\#[^\n]*(?![^\n])[ \t\r\n]*)*"
+_IRI = r"(<[^\s<>]+>)"
+_TERM = rf"(?:{_IRI}|<<{_SKIP}{_IRI}{_SKIP}{_IRI}{_SKIP}{_IRI}{_SKIP}>>)"
+_STATEMENT = re.compile(rf"{_SKIP}({_TERM}){_SKIP}{_IRI}{_SKIP}{_TERM}"
+                        rf"(?:{_SKIP}@(true|false|unknown|conflicted))?{_SKIP}\.")
+
+
+def _statement_tokens(text: str, pos: int) -> list[tuple[str, str, int]]:
+    """The tokens from text[pos] on, up to the first '.' or the end of input:
+    all a statement's reader looks at, for every token it reads is checked."""
+    tokens = []
+    for m in _TOKEN.finditer(text, pos):
+        tokens.append(token := (m.lastgroup, m[m.lastindex], m.start(m.lastindex)))
+        if token[1] in (".", ""):  # only EOF is spelled ''
+            return tokens
+
+
 def _ground_term(text: str, tokens: list, i: int, iris: _Iris, depth: int):
     """Read the term at tokens[i]; return it and the index after it."""
     kind, spelling, offset = tokens[i]
@@ -185,32 +206,28 @@ def _ground_term(text: str, tokens: list, i: int, iris: _Iris, depth: int):
     return StarTriple(subject, iris[predicate], obj), i + 1
 
 
-def parse_graph(text: str, *, base_iri: str = DEFAULT_BASE_IRI) -> FourGraph:
-    """Read a FourStar file into a graph; rejects duplicate triple keys."""
-    tokens = _tokenize(text)
-    iris = _Iris(base_iri)
-    default = FourValue.UNKNOWN
-    i = 0
-    if tokens[0][1] == "@default":
+def _read_statement(text: str, pos: int, iris: _Iris):
+    """The statement at text[pos] read from its own tokens: its triple (None
+    for the '@default' header), its value, its first token's offset and the
+    offset after its '.'; None at the end of input."""
+    tokens = _statement_tokens(text, pos)
+    kind, spelling, start = tokens[0]
+    if kind == "EOF":
+        return None
+    if spelling == "@default":
+        if pos:
+            raise _expected(text, "'@default' must be the first statement", tokens[0])
         kind, word, _ = tokens[1]
         if kind != "WORD" or word not in _STATE_WORDS:
             raise _expected(text, "expected a state name", tokens[1])
-        default = _STATE_WORDS[word]
-        if tokens[2][1] != ".":
-            raise _expected(text, "expected '.'", tokens[2])
-        i = 3
-    entries: dict[StarTriple, FourValue] = {}
-    while True:
-        kind, spelling, start = tokens[i]
-        if kind == "EOF":
-            break
-        if spelling == "@default":
-            raise _expected(text, "'@default' must be the first statement", tokens[i])
-        subject, i = _ground_term(text, tokens, i, iris, 0)
+        triple, value, i = None, _STATE_WORDS[word], 2
+    else:
+        subject, i = _ground_term(text, tokens, 0, iris, 0)
         kind, predicate, _ = tokens[i]
         if kind != "IRI":
             raise _expected(text, "expected a predicate IRI", tokens[i])
         obj, i = _ground_term(text, tokens, i + 1, iris, 0)
+        triple = StarTriple(subject, iris[predicate], obj)
         kind, spelling, offset = tokens[i]
         value = TRUE
         if kind == "ANNOT":
@@ -218,14 +235,45 @@ def parse_graph(text: str, *, base_iri: str = DEFAULT_BASE_IRI) -> FourGraph:
             if value is None:
                 raise ParseError(f"unknown state {spelling[1:]!r}", *_position(text, offset))
             i += 1
-        if tokens[i][1] != ".":
-            raise _expected(text, "expected '.'", tokens[i])
-        i += 1
-        triple = StarTriple(subject, iris[predicate], obj)
-        if triple in entries:
-            raise DuplicateTriple(f"triple annotated twice: {term_text(triple)}",
-                                  *_position(text, start))
-        entries[triple] = value
+    if tokens[i][1] != ".":
+        raise _expected(text, "expected '.'", tokens[i])
+    return triple, value, start, tokens[i][2] + 1
+
+
+def parse_graph(text: str, *, base_iri: str = DEFAULT_BASE_IRI) -> FourGraph:
+    """Read a FourStar file into a graph; rejects duplicate triple keys.
+    A statement is one match of ``_STATEMENT`` where it can be, else read from
+    its own tokens (the header, deeper quoting, anything malformed).  Only an
+    error tokenizes the whole text, so a token error anywhere still wins."""
+    iris = _Iris(base_iri)
+    default = FourValue.UNKNOWN
+    entries: dict[StarTriple, FourValue] = {}
+    pos = 0
+    try:
+        while True:
+            m = _STATEMENT.match(text, pos)
+            if m is None:
+                if (read := _read_statement(text, pos, iris)) is None:
+                    break
+                triple, value, start, pos = read
+                if triple is None:
+                    default = value
+                    continue
+            else:
+                _, s, s1, s2, s3, p, o, o1, o2, o3, state = m.groups()
+                triple = StarTriple(
+                    iris[s] if s else StarTriple(iris[s1], iris[s2], iris[s3]),
+                    iris[p],
+                    iris[o] if o else StarTriple(iris[o1], iris[o2], iris[o3]))
+                value = _STATE_WORDS[state] if state else TRUE
+                start, pos = m.start(1), m.end()
+            if triple in entries:
+                raise DuplicateTriple(f"triple annotated twice: {term_text(triple)}",
+                                      *_position(text, start))
+            entries[triple] = value
+    except (ParseError, DuplicateTriple, ValueError):  # ValueError: a bad base_iri
+        _tokenize(text)  # raises the first token error, wherever it is
+        raise
     return FourGraph(default, entries)
 
 
@@ -542,7 +590,6 @@ def _parse_operand(s: _Stream):
     if term is None:
         raise s.error("expected a variable or an IRI")
     return term
-
 
 
 # ---------------------------------------------------------------------------

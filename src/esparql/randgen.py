@@ -243,42 +243,46 @@ def _plain_node(rng: random.Random, pool: list[Iri], kind: str, target, child,
     return Project(rng.choice(ALL_OPERATORS), target, child(frozenset(wider)))
 
 
-def random_query(rng: random.Random, *, vocab: BeliefVocabulary = DEFAULT_VOCABULARY) -> Query:
-    """Query over every algebra operator, binding one to three variables."""
-    pool = iri_pool()
-    scope = frozenset(rng.sample(VARS, rng.randint(1, 3)))
-
-    def gen(target, budget: int, var_holder_ok: bool) -> Query:
-        if budget <= 0 or rng.random() < 0.25:
-            return Pattern(random_pattern(rng, pool, target, vocab=vocab))
-        kind = rng.choice(_NODE_KINDS)
-        if kind in _PLAIN_KINDS:
-            return _plain_node(rng, pool, kind, target,
-                               lambda t: gen(t, budget - 1, var_holder_ok), ALL_OPERATORS, True)
-        if kind == "map":
-            return MapState(
-                gen(target, budget - 1, var_holder_ok),
-                random_formula(rng, pool, target),
-                rng.choice(STATES),
-                rng.choice(STATES),
-            )
-        # belief: the expression may consume one of the target variables;
-        # at most one variable holder per ancestor chain, because every
-        # nesting level multiplies the evaluation contexts by |universe|
-        names = _sorted_vars(target)
-        if names and var_holder_ok and rng.random() < 0.5:
-            holder = rng.choice(names)
-            inner = frozenset(v for v in target if v != holder)
-            return Belief(
-                random_belief_expr(rng, pool, holder),
-                gen(inner, budget - 1, False),
-            )
-        holder = rng.choice(pool)
+def _random_node(rng: random.Random, pool: list[Iri], vocab: BeliefVocabulary,
+                 target, budget: int, var_holder_ok: bool) -> Query:
+    """One node of ``random_query`` and its sub-queries.  A module-level
+    function, not a closure that calls itself, so a query leaves nothing
+    for the cyclic collector."""
+    if budget <= 0 or rng.random() < 0.25:
+        return Pattern(random_pattern(rng, pool, target, vocab=vocab))
+    kind = rng.choice(_NODE_KINDS)
+    if kind in _PLAIN_KINDS:
+        return _plain_node(rng, pool, kind, target,
+                           lambda t: _random_node(rng, pool, vocab, t, budget - 1, var_holder_ok),
+                           ALL_OPERATORS, True)
+    if kind == "map":
+        return MapState(
+            _random_node(rng, pool, vocab, target, budget - 1, var_holder_ok),
+            random_formula(rng, pool, target),
+            rng.choice(STATES),
+            rng.choice(STATES),
+        )
+    # belief: the expression may consume one of the target variables;
+    # at most one variable holder per ancestor chain, because every
+    # nesting level multiplies the evaluation contexts by |universe|
+    names = _sorted_vars(target)
+    if names and var_holder_ok and rng.random() < 0.5:
+        holder = rng.choice(names)
+        inner = frozenset(v for v in target if v != holder)
         return Belief(
             random_belief_expr(rng, pool, holder),
-            gen(target, budget - 1, var_holder_ok),
+            _random_node(rng, pool, vocab, inner, budget - 1, False),
         )
+    holder = rng.choice(pool)
+    return Belief(
+        random_belief_expr(rng, pool, holder),
+        _random_node(rng, pool, vocab, target, budget - 1, var_holder_ok),
+    )
 
-    q = gen(scope, 4, True)
+
+def random_query(rng: random.Random, *, vocab: BeliefVocabulary = DEFAULT_VOCABULARY) -> Query:
+    """Query over every algebra operator, binding one to three variables."""
+    scope = frozenset(rng.sample(VARS, rng.randint(1, 3)))
+    q = _random_node(rng, iri_pool(), vocab, scope, 4, True)
     assert in_scope(q) == scope
     return q

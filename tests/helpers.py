@@ -208,6 +208,17 @@ def random_join_free_query(
     )
 
 
+def _plain_query_node(rng: random.Random, pool: list[Iri], target, budget: int) -> Query:
+    """One node of ``random_plain_query``; module-level, so that a query
+    leaves nothing for the cyclic collector."""
+    if budget <= 0 or rng.random() < 0.3:
+        return Pattern(random_pattern(rng, pool, target))
+    kind = rng.choice(_PLAIN_KINDS)
+    return _plain_node(rng, pool, kind, target,
+                       lambda t: _plain_query_node(rng, pool, t, budget - 1),
+                       MEET_OPERATORS, False)
+
+
 def random_plain_query(
     rng: random.Random,
     pool: Optional[list[Iri]] = None,
@@ -219,13 +230,4 @@ def random_plain_query(
     pool = pool or iri_pool()
     if scope is None:
         scope = frozenset(rng.sample(VARS, rng.randint(1, 3)))
-    scope = frozenset(scope)
-
-    def gen(target, budget: int) -> Query:
-        if budget <= 0 or rng.random() < 0.3:
-            return Pattern(random_pattern(rng, pool, target))
-        kind = rng.choice(_PLAIN_KINDS)
-        return _plain_node(rng, pool, kind, target, lambda t: gen(t, budget - 1),
-                           MEET_OPERATORS, False)
-
-    return gen(scope, depth)
+    return _plain_query_node(rng, pool, frozenset(scope), depth)

@@ -68,7 +68,7 @@ from conftest import (
     VOCAB,
     example_graph,
 )
-from helpers import all_rows
+from helpers import all_rows, random_plain_query
 
 F, T, U, C = (FourValue.FALSE, FourValue.TRUE,
               FourValue.UNKNOWN, FourValue.CONFLICTED)
@@ -461,6 +461,21 @@ def test_evaluations_leave_nothing_for_the_cyclic_collector():
     finally:
         gc.enable()
     assert refused == 47
+    assert left == 0
+
+
+def test_generated_queries_leave_nothing_for_the_cyclic_collector():
+    rng = random.Random(0)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(200):
+            randgen.random_graph(rng)
+            randgen.random_query(rng)
+            random_plain_query(rng)
+        left = gc.collect()
+    finally:
+        gc.enable()
     assert left == 0
 
 

@@ -4,6 +4,9 @@ Error messages are part of the interface, so several tests pin them verbatim.
 """
 
 import random
+import re
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +207,10 @@ def test_duplicate_triples_are_rejected_even_with_equal_values():
     )
     with pytest.raises(DuplicateTriple):
         parse_graph("<a> <b> <c> .\n<a> <b> <c> @false .")
+    # the position is the statement's first token, for a quoted subject its '<<'
+    with pytest.raises(DuplicateTriple) as err:
+        parse_graph("<x> <y> <z> .\n<< <a> <b> <c> >> <p> <o> .\n<< <a> <b> <c> >> <p> <o> .")
+    assert str(err.value).startswith("3:1: triple annotated twice: ")
 
 
 def test_bare_words_are_not_graph_terms():
@@ -227,6 +234,16 @@ def test_end_of_input_after_a_trailing_comment_is_at_the_true_end():
 def test_comments_and_blank_lines_are_ignored():
     g = parse_graph("# header\n\n<Arius> <a> <Christian> .  # trailing note\n")
     assert g == parse_graph("<Arius> <a> <Christian> .")
+
+
+def test_the_readme_graph_example_parses():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```\n(@default .*?)```", readme, re.DOTALL)
+    g = parse_graph(block)
+    assert g.default == U
+    assert len(g.exceptions) == 5
+    assert g.lookup(StarTriple(POPE, data("a"), CHRISTIAN)) == T
+    assert g.lookup(StarTriple(ARIUS, data("a"), CHRISTIAN)) == T
 
 
 def test_quoted_terms_nest_in_subject_and_object_position():
@@ -306,6 +323,68 @@ def test_quoting_past_the_limit_is_a_syntax_error():
     with pytest.raises(ParseError) as err:
         parse_query("SELECT * WHERE { " + "<< " * 1000 + "?x" + " <p> <y> >>" * 1000 + " <says> ?z }")
     assert str(err.value) == f"1:{column + 17}: quoting nested deeper than {limit} levels"
+
+
+def _graph_outcome(text: str):
+    try:
+        return parse_graph(text)
+    except (ParseError, DuplicateTriple) as e:
+        return type(e), str(e)
+
+
+def test_the_statement_pattern_reads_as_the_token_reader(monkeypatch):
+    # with a pattern that never matches, every statement goes through the
+    # token reader, the reference; each text is compared as soon as it is
+    # read, so a skip that backtracks fails on the comment cases first
+    rng = random.Random(2424)
+    texts = [
+        # a comment after a quoted part's predicate runs to the next line
+        "<< <Jesus> <a># <FullDeity> >> <says> <it> .\n<x> <y> <z> .\n",
+        "<s> <p> << <Jesus> <a># <FullDeity> >> .\n<x> >> .\n",
+        "<s> <p> << <Jesus> <a> <FullDeity> >> # note >> .\n.\n",
+        "<a> <b> <c> @true_x .\n",
+        "<a> <b> <c> @true.\n<a> <b> <d>@false.",
+        "<<<a> <b> <c>>> <p> <o> .\n<<<a>",
+        "<a> <b> <c> .\n@default false .\n",
+        "# note\n@default false . # x\n<a> <b> <c> @false .\n<a> <b> <d> .",
+        _nested_graph(2),
+        _nested_graph(DEPTH_LIMIT),
+        _nested_graph(DEPTH_LIMIT + 1),
+        "<a> <b> <c> .\n" + " " * 5000 + "$",
+        "<a> <b>" + " " * 5000 + "$",
+    ]
+    graphs = [render_graph(random_graph(rng)) for _ in range(40)]
+    sources = [fixture_text(name) for name in FUZZ_SOURCES] + graphs[:10] + texts[:8]
+    texts += graphs + [mutant(rng, source) for source in sources for _ in range(120)]
+    never = re.compile(r"(?!)")
+    for text in texts:
+        fast = _graph_outcome(text)
+        with monkeypatch.context() as m:
+            m.setattr(esparql.parser, "_STATEMENT", never)
+            assert _graph_outcome(text) == fast, text
+
+
+def test_a_parse_holds_no_list_of_its_tokens():
+    # 6,000 statements shaped as in the ingest benchmark; the graph is most
+    # of what a parse allocates, not one tuple per token
+    rng = random.Random(6000)
+    lines = []
+    for i in range(6000):
+        s, p, o = f"<mem-s{rng.randrange(900)}>", f"<mem-p{rng.randrange(12)}>", f"<mem-o{i}>"
+        if i % 10 == 1:
+            s = f"<< {s} {p} <mem-o{rng.randrange(900)}> >>"
+        elif i % 10 == 2:
+            o = f"<< {s} <mem-q> {o} >>"
+        lines.append(f"{s} {p} {o}{rng.choice(['', ' @false', ' @conflicted'])} .")
+    text = "\n".join(lines)
+    tracemalloc.start()
+    try:
+        g = parse_graph(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(g.exceptions) == 6000
+    assert peak <= 2.5 * kept
 
 
 _FILTER_HEAD = "SELECT * WHERE { ?s <p> ?o . FILTER ("
