@@ -442,7 +442,11 @@ def _scope(q: Query, table: dict[int, frozenset[Variable]],
     walk.  ``table`` maps node ids to scopes, and a node already there is
     not walked again.  The walk leaves there only q's scope: any other is
     dropped when its last parent reads it, so a chain of n patterns holds
-    O(n) variables rather than n^2/2.
+    O(n) variables rather than n^2/2.  A Join that is the last reader of
+    its larger child's scope, built in this walk, adds the smaller one to
+    that set in place (small-to-large), so checking a chain takes
+    O(n log n) rather than O(n^2); a scope built in the walk is a ``set``
+    until it leaves, as q's, a ``frozenset``.
     Raises IllFormedQuery on any scoping-rule violation (join/union operator
     family, union scope mismatch, projection of an out-of-scope variable,
     belief variable shadowing) and, when ``plain``, on any node or state
@@ -451,11 +455,12 @@ def _scope(q: Query, table: dict[int, frozenset[Variable]],
     order = _postorder(q, table, again=again)
     widest = 0
 
-    def read(child: Query) -> frozenset[Variable]:
+    def read(child: Query) -> frozenset[Variable] | set[Variable]:
+        """child's scope, which the caller may change if it is a set."""
         key = id(child)
         if again.get(key):  # a later parent reads it too
             again[key] -= 1
-            return table[key]
+            return frozenset(table[key])
         return table.pop(key)
 
     for node in order:
@@ -469,7 +474,13 @@ def _scope(q: Query, table: dict[int, frozenset[Variable]],
         elif isinstance(node, Join):
             if node.op not in MEET_OPERATORS:
                 raise IllFormedQuery(f"join must use a meet operator, got {node.op.value}")
-            w = read(node.left) | read(node.right)
+            w, small = read(node.left), read(node.right)
+            if len(w) < len(small):
+                w, small = small, w
+            if type(w) is set:
+                w |= small
+            else:
+                w = set(w).union(small)
         elif isinstance(node, Union):
             if node.op not in JOIN_OPERATORS:
                 raise IllFormedQuery(f"union must use a join operator, got {node.op.value}")
@@ -495,7 +506,8 @@ def _scope(q: Query, table: dict[int, frozenset[Variable]],
             w = inner | node._holders
         table[id(node)] = w
         widest = max(widest, len(w))
-    return table[id(q)], widest
+    w = table[id(q)] = frozenset(table[id(q)])
+    return w, widest
 
 
 def in_scope(q: Query) -> frozenset[Variable]:
@@ -702,24 +714,36 @@ def _project_four(
     zero: Any,
 ) -> Relation:
     """Sum r over the variables outside ``keep`` with ``add``, whose identity
-    is ``zero``.
-
-    Each group of exceptions that agree on ``keep`` adds up its values plus
-    r's default once for each missing extension.  A default ``d`` with
-    ``add(d, d) == d`` stands for any positive number of copies, which is
-    exact in every semiring; any other default is added copy by copy, so
-    open mode, with infinitely many extensions, refuses it.
-    """
+    is ``zero``: each group of exceptions that agree on ``keep`` adds up
+    its values (see ``_group_sum``)."""
     dropped = r.vars - keep
     if not dropped:
         return r
+    total = _group_sum(r, len(dropped), add, zero)
+    schema = tuple(v for v in r.schema if v in keep)
+    restrict = _plan(schema, r.schema)
+    groups: dict[tuple, list] = {}
+    for k, v in r.table.items():
+        groups.setdefault(restrict(k), []).append(v)
+    table = {k: total(vals) for k, vals in groups.items()}
+    return Relation._of(schema, total([]), table, r.universe)
+
+
+def _group_sum(r: Relation, dropped: int, add: Callable[[Any, Any], Any],
+               zero: Any) -> Callable[[list], Any]:
+    """The sum of a group of r's rows projected onto all but ``dropped``
+    variables, from the group's listed values: r's default is added once
+    for each missing extension.  A default ``d`` with ``add(d, d) == d``
+    stands for any positive number of copies, which is exact in every
+    semiring; any other default is added copy by copy, so open mode, with
+    infinitely many extensions, refuses it."""
     d = r.default
     idempotent = add(d, d) == d
     if r.universe is None and not idempotent:
         raise NonFinitelySupported(
             "projection over an infinite domain needs a zero or idempotent default"
         )
-    total = None if r.universe is None else len(r.universe) ** len(dropped)
+    total = None if r.universe is None else len(r.universe) ** dropped
 
     def copies(n: int | None):
         """d added n times; None stands for infinitely many."""
@@ -727,16 +751,110 @@ def _project_four(
             return zero if n == 0 else d
         return functools.reduce(add, itertools.repeat(d, n), zero)
 
-    schema = tuple(v for v in r.schema if v in keep)
-    restrict = _plan(schema, r.schema)
+    return lambda vals: functools.reduce(
+        add, vals, copies(None if total is None else total - len(vals)))
+
+
+# ---------------------------------------------------------------------------
+# Changed rows: an operator's output rows that changed inputs reach
+# ---------------------------------------------------------------------------
+#
+# Each function takes an operator's input relations and its output over
+# them, and returns the function from the input rows that changed (row ->
+# new value, the default for a row that left the table) to the output rows
+# those rows reach, recomputed from the inputs' current values.  The
+# four-valued operators have no inverse, so nothing is subtracted.
+
+
+def _current(r: Relation, changed: dict) -> Callable[[tuple], Any]:
+    """A row's value in r with ``changed`` applied."""
+    table, d = r.table, r.default
+    return lambda k: changed[k] if k in changed else table.get(k, d)
+
+
+def _join_changes(r1: Relation, r2: Relation, op2: Callable[[Any, Any], Any],
+                  out: Relation) -> Callable[[dict, dict], dict]:
+    """For ``out``, r1 joined with r2: a changed row meets the other side's
+    rows that agree with it on the shared variables, or, where its value
+    against the other side's default differs from out's default before or
+    after the change, every extension to the variables only the other
+    side binds.  Each side's rows are hashed on the shared variables here,
+    once."""
+    schema, d = out.schema, out.default
+    shared = _schema(r1.vars & r2.vars)
+    sides = []
+    for a, b in ((r1, r2), (r2, r1)):
+        extra = _schema(b.vars - a.vars)
+        key_b, index = _plan(shared, b.schema), {}
+        for k in b.table if extra else ():
+            index.setdefault(key_b(k), []).append(k)
+        sides.append((a, b, extra, _plan(shared, a.schema), key_b, index,
+                      _plan(schema, a.schema + extra), _plan(schema, a.schema + b.schema)))
+    at1, at2 = _plan(r1.schema, schema), _plan(r2.schema, schema)
+
+    def changes(c1: dict, c2: dict) -> dict:
+        rows: set[tuple] = set()
+        for (a, b, extra, key_a, key_b, index, extend, merge), ca, cb in zip(
+                sides, (c1, c2), (c2, c1)):
+            if not ca:
+                continue
+            if not extra:  # out's schema is a's
+                rows.update(ca)
+                continue
+            moved: dict[tuple, list] = {}
+            for k in cb:
+                moved.setdefault(key_b(k), []).append(k)
+            for k, v in ca.items():
+                hot = op2(v, b.default) != d
+                if hot or op2(a.table.get(k, a.default), b.default) != d:
+                    if hot and out.universe is None:
+                        raise NonFinitelySupported(
+                            "join of relations with disjoint variables whose defaults do not absorb"
+                        )
+                    rows.update(extend(k + combo)
+                                for combo in itertools.product(out.universe, repeat=len(extra)))
+                else:
+                    s = key_a(k)
+                    rows.update(merge(k + kb)
+                                for kb in itertools.chain(index.get(s, ()), moved.get(s, ())))
+        cur1, cur2 = _current(r1, c1), _current(r2, c2)
+        return {row: op2(cur1(at1(row)), cur2(at2(row))) for row in rows}
+
+    return changes
+
+
+def _union_changes(r1: Relation, r2: Relation,
+                   op2: Callable[[Any, Any], Any]) -> Callable[[dict, dict], dict]:
+    def changes(c1: dict, c2: dict) -> dict:
+        cur1, cur2 = _current(r1, c1), _current(r2, c2)
+        return {k: op2(cur1(k), cur2(k)) for k in c1.keys() | c2.keys()}
+
+    return changes
+
+
+def _project_changes(r: Relation, out: Relation, add: Callable[[Any, Any], Any],
+                     zero: Any) -> Callable[[dict], dict]:
+    """For ``out``, r projected: the groups that a changed row falls in,
+    each added up again from all its current rows.  r's rows are grouped
+    here, once."""
+    if out is r:  # the projection dropped nothing
+        return lambda c: c
+    restrict, d = _plan(out.schema, r.schema), r.default
+    total = _group_sum(r, len(r.vars) - len(out.vars), add, zero)
     groups: dict[tuple, list] = {}
-    for k, v in r.table.items():
-        groups.setdefault(restrict(k), []).append(v)
-    table = {
-        k: functools.reduce(add, vals, copies(None if total is None else total - len(vals)))
-        for k, vals in groups.items()
-    }
-    return Relation._of(schema, copies(total), table, r.universe)
+    for k in r.table:
+        groups.setdefault(restrict(k), []).append(k)
+
+    def changes(c: dict) -> dict:
+        cur = _current(r, c)
+        touched: dict[tuple, set] = {}
+        for k in c:
+            touched.setdefault(restrict(k), set()).add(k)
+        return {group: total([v for k in members.union(groups.get(group, ()))
+                              if (v := cur(k)) != d])
+                for group, members in touched.items()}
+
+    return changes
 
 
 # ---------------------------------------------------------------------------
@@ -750,8 +868,17 @@ def _pattern_matcher(p: TriplePattern) -> Callable[[StarTriple], tuple | None]:
     The matcher gives the terms a matching triple binds p's variables to,
     in name order (a row over p's schema), or None.  A quoted position's
     type test is listed before the tests inside it, which wait on the stack;
-    a repeated variable must equal its first position.
+    a repeated variable must equal its first position.  A pattern of three
+    distinct variables and IRIs reads the triple with one ``attrgetter``:
+    its IRI positions first, compared at once, then its variables.
     """
+    named = list(zip(("subject", "predicate", "object"), (p.subject, p.predicate, p.object)))
+    ground = [(name, part) for name, part in named if isinstance(part, Iri)]
+    at = {part: name for name, part in named if isinstance(part, Variable)}
+    if len(ground) + len(at) == 3:
+        get = attrgetter(*(name for name, _ in ground), *(at[v] for v in _schema(at)))
+        want, k = tuple(part for _, part in ground), len(ground)
+        return lambda t: v[k:] if (v := get(t))[:k] == want else None
     tests: list[Callable[[StarTriple], bool]] = []
     first: dict[Variable, Callable[[StarTriple], Term]] = {}
     stack = [(p, "")]
@@ -833,18 +960,19 @@ class _FourEngine:
             return (lambda a, b: apply(op, a, b)), identity_of(op), absorbing_of(op)
         return (s.add, s.zero, None) if additive else (s.multiply, s.one, s.zero)
 
-    def _extract(self, g: FourGraph, e: belief_mod.BeliefQuery,
-                 binding: dict[Variable, Term] | None = None) -> FourGraph:
-        """e's extraction from g under ``binding``: one call per holder key,
-        where the bench tracer counts holder assignments."""
-        return belief_mod.extract(g, e, self.vocab, binding)
+    def _extract(self, ext: belief_mod.Extraction, binding: dict[Variable, Term] | None,
+                 whole: bool = True) -> FourGraph | dict:
+        """``ext`` under ``binding``: the graph, or unless ``whole`` only the
+        triples that differ from the fresh binding's; one call per holder
+        key, where the bench tracer counts holder assignments."""
+        return ext.graph(binding) if whole else ext.delta(binding)
 
-    def run(self, q: Query, g: FourGraph) -> Relation:
+    def run(self, q: Query, g: FourGraph, done: dict | None = None) -> Relation:
         """q's relation over g: each node of q's post-order through ``eval``
         once, so each ``_eval`` finds its children's relations in ``done``,
-        dropped when the run returns.  A Belief body is left to
-        ``_eval_belief``, which runs it once per extracted graph."""
-        done: dict = {}
+        which the caller may pass to keep them.  A Belief body is left to
+        ``_eval_belief``."""
+        done = {} if done is None else done
         for node in self._order(q):
             r = self.eval(node, g, done)
         return r
@@ -880,17 +1008,75 @@ class _FourEngine:
         if isinstance(q, Project):
             add, zero, _ = self._ops(q.op, True)
             return _project_four(r1, frozenset(q.vars), add, zero)
+        return _transform_by_formula(r1, q.formula, self._value_for(q))
+
+    def _value_for(self, q: Filter | MapState) -> Callable[[ThreeValued, Any], Any]:
+        """A Filter's or MapState's value of a row from its formula's outcome
+        there and its value in the input."""
         if isinstance(q, MapState):
-            return _transform_by_formula(r1, q.formula, lambda outcome, v: (
-                q.then_state if outcome is _TRUE3 else q.else_state))
-        # a Filter: _postorder lets only queries through
+            return lambda outcome, v: q.then_state if outcome is _TRUE3 else q.else_state
         multiply, one, zero = self._ops(q.op, False)
-        return _transform_by_formula(r1, q.formula, lambda outcome, v: multiply(
-            v, one if outcome is _TRUE3 else zero))
+        return lambda outcome, v: multiply(v, one if outcome is _TRUE3 else zero)
+
+    def _changes_plan(self, body: Query, done: dict) -> list[tuple]:
+        """body's nodes in post-order, equal patterns once, each as its
+        ``_changes_step``: made once per Belief node and graph from the
+        relations in ``done``, and run per key by ``_slice_changes``."""
+        steps: list[tuple] = []
+        at: dict = {}
+        for node in self._order(body):
+            key = _key(node)
+            if key not in at:
+                steps.append(self._changes_step(node, done, at))
+                at[key] = len(steps) - 1
+        return steps
+
+    def _changes_step(self, q: Query, done: dict, at: dict) -> tuple:
+        """(q, its children's positions in the plan ``at`` indexes, or None
+        for a pattern, q's relation in ``done``, and the function of the
+        plan's changed rows so far and the graph's changed triples that
+        recomputes the rows of q's relation they reach)."""
+        out = done[_key(q)]
+        if isinstance(q, Pattern):
+            matcher = _scan_plan(q.pattern, self._plans)[1]
+            return q, None, out, lambda changes, triples: {
+                row: v for t, v in triples.items() if (row := matcher(t)) is not None}
+        if isinstance(q, (Join, Union)):
+            i, j = at[_key(q.left)], at[_key(q.right)]
+            r1, r2 = done[_key(q.left)], done[_key(q.right)]
+            both = (_union_changes(r1, r2, self._ops(q.op, True)[0]) if isinstance(q, Union)
+                    else _join_changes(r1, r2, self._ops(q.op, False)[0], out))
+            return q, (i, j), out, lambda changes, triples: both(changes[i], changes[j])
+        i, r = at[_key(q.query)], done[_key(q.query)]
+        if isinstance(q, Project):
+            add, zero, _ = self._ops(q.op, True)
+            one = _project_changes(r, out, add, zero)
+            return q, (i,), out, lambda changes, triples: one(changes[i])
+        schema, f, value_for = r.schema, q.formula, self._value_for(q)
+        return q, (i,), out, lambda changes, triples: {
+            k: value_for(_formula_value(f, dict(zip(schema, k)).get, v), v)
+            for k, v in changes[i].items()}
+
+    @staticmethod
+    def _slice_changes(steps: list[tuple], triples: dict) -> dict:
+        """The rows where the body's relation over an extraction that
+        differs from the fresh one on ``triples`` differs from its relation
+        over the fresh one, with their new values: ``steps``, the body's
+        ``_changes_plan``, in order.  A step runs only when its input
+        changed, and keeps only the rows whose value did."""
+        changes: list[dict] = []
+        for _, kids, out, step in steps:
+            rows = {}
+            if triples if kids is None else any(changes[i] for i in kids):
+                table, d = out.table, out.default
+                rows = {k: v for k, v in step(changes, triples).items() if v != table.get(k, d)}
+            changes.append(rows)
+        return changes[-1]
 
     def _eval_belief(self, q: Belief, g: FourGraph) -> Relation:
+        ext = belief_mod.extraction(g, q.expr, self.vocab)
         if not q._holders:
-            return self.run(q.query, self._extract(g, q.expr))
+            return self.run(q.query, self._extract(ext, None))
 
         evars = _schema(q._holders)
         universe = self.universe or ()
@@ -900,18 +1086,33 @@ class _FourEngine:
         fresh = next(i for i in (Iri(f"urn:esparql:fresh{n}") for n in itertools.count())
                      if i not in taken)
 
-        def slice_at(key: tuple[Iri, ...]) -> Relation:
-            return self.run(q.query, self._extract(g, q.expr, dict(zip(evars, key))))
-
         # every slice has r0's default and schema: an extraction's default,
         # the expression's value where no atom believes, is the same under
         # every binding, and so is each operator's given its inputs'
         all_fresh = (fresh,) * len(evars)
-        r0 = slice_at(all_fresh)
+        done: dict = {}
+        r0 = self.run(q.query, self._extract(ext, dict(zip(evars, all_fresh))), done)
         if self.universe is None and (r0.table or r0.default != UNKNOWN):
             raise NonFinitelySupported(
                 "belief over a quantified holder is not constantly unknown off-support"
             )
+        default = r0.default
+        nested = any(isinstance(node, Belief) for node in self._order(q.query))
+        steps = None if nested else self._changes_plan(q.query, done)
+
+        def slice_at(key: tuple[Iri, ...]) -> dict[tuple, Any]:
+            """The key's slice: r0's rows with those that the key's changed
+            triples reach recomputed, or a whole run of the body over the
+            key's extraction when the body holds a Belief."""
+            binding = dict(zip(evars, key))
+            if nested:
+                return self.run(q.query, self._extract(ext, binding)).table
+            changed = self._slice_changes(steps, self._extract(ext, binding, whole=False))
+            if not changed:
+                return r0.table
+            table = {**r0.table, **changed}
+            return {k: v for k, v in table.items() if v != default}
+
         # a key position is a relevant holder; or fresh, standing for every
         # other IRI (the body cannot tell their extractions apart); or None,
         # standing for the quoted triples, whose slices are constantly
@@ -921,7 +1122,6 @@ class _FourEngine:
             fresh: [t for t in universe if isinstance(t, Iri) and t not in relevant],
             None: [t for t in universe if not isinstance(t, Iri)],
         }
-        default = r0.default
         quoted = [] if default == UNKNOWN else [
             (tuple(t for _, t in m.bindings), UNKNOWN) for m in mappings_over(r0.vars, universe)]
         schema = _schema(r0.vars.union(evars))
@@ -930,7 +1130,7 @@ class _FourEngine:
         keys = sorted(relevant, key=lambda i: i.text) + list(stands_for)
         for key in itertools.product(keys, repeat=len(evars)):
             rows = quoted if None in key else (
-                r0 if key == all_fresh else slice_at(key)).table.items()
+                r0.table if key == all_fresh else slice_at(key)).items()
             if not rows:
                 continue
             if self.universe is None and fresh in key:

@@ -1,17 +1,19 @@
 """Belief queries: ask what a holder takes each triple's state to be.
 
 An atomic belief query names a holder, a probed state and a fallback
-state.  Extraction turns it into a whole new graph: each triple the
-holder is recorded as believing-to-be-in the probed state (via the
-corresponding belief predicate, asserted true or conflicted) gets the
-probed state; every other triple gets the fallback.  Compound queries
-combine extractions pointwise with a lattice operator.
+state.  Extraction gives every triple a state: each triple the holder is
+recorded as believing-to-be-in the probed state (via the corresponding
+belief predicate, asserted true or conflicted) gets the probed state;
+every other triple gets the fallback.  Compound queries combine
+extractions pointwise with a lattice operator.  ``extract`` returns an
+extraction as a graph; the engine reads a variable holder's extraction as
+its difference from the one of a holder without stances (``Extraction``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import Iterator, Union
 
 from .errors import NonFiniteBeliefExtraction, NonIriHolder, UnboundBeliefVariable
 from .four import CONFLICTED, FALSE, TRUE, UNKNOWN, FourOperator, FourValue, apply, identity_of
@@ -112,7 +114,8 @@ def extract(g: FourGraph, e: BeliefQuery, vocab: BeliefVocabulary,
     atoms up in g's ``holder_index``; a variable holder is read from
     ``binding``.  Each triple some atom believes gets e's value at the set
     of atoms that believe it; every other triple gets e's value where none
-    does, the default.
+    does, the default.  The engine reads the same extraction through
+    ``extraction``, mostly as differences from one graph.
 
     Raises UnboundBeliefVariable if the binding misses a holder variable
     and NonIriHolder if it binds one to a quoted triple; only IRIs hold
@@ -122,50 +125,99 @@ def extract(g: FourGraph, e: BeliefQuery, vocab: BeliefVocabulary,
     contributes, so no finite exception table can represent the
     extraction; that case raises NonFiniteBeliefExtraction.
     """
+    return extraction(g, e, vocab).graph(binding)
+
+
+def extraction(g: FourGraph, e: BeliefQuery, vocab: BeliefVocabulary) -> "Extraction":
+    """e's extraction from g as a function of the binding, built once per
+    graph, vocabulary and expression and cached on g; see ``extract``."""
     if g.default in (TRUE, CONFLICTED):
         raise NonFiniteBeliefExtraction(
             f"graph default {g.default.label} asserts belief triples everywhere"
         )
-    return g.derived(("extraction", vocab, e), lambda: _extraction(g, e, vocab))(binding)
+    return g.derived(("extraction", vocab, e), lambda: Extraction(g, e, vocab))
 
 
-def _extraction(g: FourGraph, e: BeliefQuery,
-                vocab: BeliefVocabulary) -> Callable[[dict | None], FourGraph]:
-    """e's extraction from g as a function of the binding, cached on g by
-    ``extract``.  The ground atoms are looked up here, once; a call looks
-    up only the variable atoms, and makes one graph in one pass over the
-    atoms' supports.  Atom i is bit i of a triple's set of believers."""
-    index = holder_index(g, vocab)
-    ground: dict[StarTriple, int] = {}
-    variable: list[tuple[Variable, Iri, int]] = []
-    for bit, atom in enumerate(atoms(e)):
-        predicate = vocab.predicate_for(atom.state)
-        if isinstance(atom.holder, Variable):
-            variable.append((atom.holder, predicate, 1 << bit))
-        else:
-            for t in index.get((atom.holder, predicate), ()):
-                ground[t] = ground.get(t, 0) | 1 << bit
-    values: dict[int, FourValue] = {}
+def _compiled(e: BeliefQuery, vocab: BeliefVocabulary) -> tuple[list, dict[int, FourValue]]:
+    """e's atoms as (holder, belief predicate, bit), and the memo of e's
+    values by set of believers that ``Extraction._value`` fills: made once
+    per expression object and vocabulary and kept on e, since the engine
+    extracts a nested Belief's expression from one graph per outer key."""
+    made = e.__dict__.setdefault("_compiled", {})
+    if vocab not in made:
+        made[vocab] = ([(atom.holder, vocab.predicate_for(atom.state), 1 << bit)
+                        for bit, atom in enumerate(atoms(e))], {})
+    return made[vocab]
 
-    def value(believers: int) -> FourValue:
-        v = values.get(believers)
+
+class Extraction:
+    """e's extraction from g under any binding of its holder variables.
+
+    The ground atoms are looked up once, here.  ``fresh`` holds the values
+    of the triples they believe: the extraction under a fresh binding, one
+    taking every variable to an IRI without stances.  A binding changes
+    only the triples its holders have stances on, which ``delta`` lists;
+    ``graph`` builds the whole extraction.  Atom i is bit i of a triple's
+    set of believers.
+    """
+
+    __slots__ = ("default", "fresh", "_index", "_ground", "_variables", "_stances",
+                 "_values", "_e")
+
+    def __init__(self, g: FourGraph, e: BeliefQuery, vocab: BeliefVocabulary):
+        self._index = index = holder_index(g, vocab)
+        self._ground = ground = {}
+        # each holder variable's atoms, as (predicate, bit), variables in
+        # the order of their first atom
+        self._variables: dict[Variable, list[tuple[Iri, int]]] = {}
+        read, self._values = _compiled(e, vocab)
+        for holder, predicate, bit in read:
+            if isinstance(holder, Variable):
+                self._variables.setdefault(holder, []).append((predicate, bit))
+            else:
+                for t in index.get((holder, predicate), ()):
+                    ground[t] = ground.get(t, 0) | bit
+        self._stances: dict[tuple[Variable, Iri], dict[StarTriple, int]] = {}
+        self._e = e
+        self.default = self._value(0)
+        self.fresh = {t: self._value(b) for t, b in ground.items()}
+
+    def _value(self, believers: int) -> FourValue:
+        v = self._values.get(believers)
         if v is None:
-            v = values[believers] = _value_at(e, believers, 0)[0]
+            v = self._values[believers] = _value_at(self._e, believers, 0)[0]
         return v
 
-    def at(binding: dict[Variable, Term] | None) -> FourGraph:
-        believers = dict(ground)
-        for var, predicate, bit in variable:
+    def _believed(self, var: Variable, holder: Iri) -> dict[StarTriple, int]:
+        """The triples ``holder`` has a stance on that var's atoms read,
+        each with the bits of the atoms that believe it; looked up once per
+        variable and holder."""
+        bits = self._stances.get((var, holder))
+        if bits is None:
+            bits = self._stances[var, holder] = {}
+            for predicate, bit in self._variables[var]:
+                for t in self._index.get((holder, predicate), ()):
+                    bits[t] = bits.get(t, 0) | bit
+        return bits
+
+    def delta(self, binding: dict[Variable, Term] | None) -> dict[StarTriple, FourValue]:
+        """The triples whose set of believers under ``binding`` differs from
+        the fresh binding's, with their values (the default included)."""
+        believers: dict[StarTriple, int] = {}
+        for var in self._variables:
             if binding is None or var not in binding:
                 raise UnboundBeliefVariable(f"belief variable {var!r} is unbound")
             holder = binding[var]
             if not isinstance(holder, Iri):
                 raise NonIriHolder(f"belief variable {var!r} bound to {holder!r}")
-            for t in index.get((holder, predicate), ()):
-                believers[t] = believers.get(t, 0) | bit
-        return FourGraph(value(0), {t: value(b) for t, b in believers.items()})
+            for t, bits in self._believed(var, holder).items():
+                believers[t] = believers.get(t, 0) | bits
+        ground, value = self._ground, self._value
+        return {t: value(ground.get(t, 0) | b) for t, b in believers.items()}
 
-    return at
+    def graph(self, binding: dict[Variable, Term] | None) -> FourGraph:
+        """The extraction under ``binding`` as a graph of its own."""
+        return FourGraph(self.default, {**self.fresh, **self.delta(binding)})
 
 
 def _value_at(e: BeliefQuery, believers: int, bit: int) -> tuple[FourValue, int]:

@@ -12,6 +12,7 @@ import esparql.algebra
 from esparql import belief as belief_mod
 from esparql import (
     And,
+    AtomicBelief,
     Belief,
     Bound,
     CompoundBelief,
@@ -432,9 +433,28 @@ def test_nested_belief_of_belief(g1):
     assert exceptions(r2) == {Mapping.of({X: POPE}): T}
 
 
+def _on_change_steps(monkeypatch, seen):
+    """Call ``seen(node, triples)`` whenever a Belief body's node
+    recomputes its changed rows under one holder key."""
+    engine = esparql.algebra._FourEngine
+    real = engine._changes_step
+
+    def changes_step(self, q, *rest):
+        node, kids, out, step = real(self, q, *rest)
+
+        def counted(changes, triples):
+            seen(node, triples)
+            return step(changes, triples)
+
+        return node, kids, out, counted
+
+    monkeypatch.setattr(engine, "_changes_step", changes_step)
+
+
 def _counting_body_evaluations(monkeypatch, node):
-    """Count the evaluations of a Belief node's body: one per extracted
-    graph the engine evaluates it over."""
+    """Count the evaluations of a Belief node's body: one per slice the
+    engine computes, a whole run over the fresh extraction or the body's
+    changed rows under one holder key."""
     calls = [0]
     real = esparql.algebra._FourEngine._eval
 
@@ -442,7 +462,11 @@ def _counting_body_evaluations(monkeypatch, node):
         calls[0] += q is node.query
         return real(self, q, g, done)
 
+    def seen(q, triples):
+        calls[0] += q is node.query
+
     monkeypatch.setattr(esparql.algebra._FourEngine, "_eval", counted)
+    _on_change_steps(monkeypatch, seen)
     return calls
 
 
@@ -489,8 +513,8 @@ def test_every_slice_of_a_belief_has_one_default(monkeypatch, g1):
     real_run = esparql.algebra._FourEngine.run
     real_belief = esparql.algebra._FourEngine._eval_belief
 
-    def run(self, q, g):
-        r = real_run(self, q, g)
+    def run(self, q, g, *rest):
+        r = real_run(self, q, g, *rest)
         if frames and q is frames[-1][0]:
             frames[-1][1].add(r.default)
         return r
@@ -542,6 +566,199 @@ def test_two_holder_variables_enumerate_only_relevant_holder_pairs(monkeypatch):
     assert len(r.table) == 1616
 
 
+HOLDER, HOLDER2 = Variable("h"), Variable("k")
+CLAIM_TERMS = [Iri(f"urn:c{i}") for i in range(2)]
+HOLDERS = [Iri(f"urn:holder{i}") for i in range(4)]
+
+
+def random_claim(rng):
+    return StarTriple(*(rng.choice(CLAIM_TERMS) for _ in range(3)))
+
+
+def holder_graph(rng):
+    """Stances of four holders on triples over two IRIs, which bodies
+    over those IRIs often read, and some such triples asserted."""
+    exceptions = {}
+    for _ in range(rng.randint(4, 16)):
+        if rng.random() < 0.8:
+            stance = StarTriple(rng.choice(HOLDERS), VOCAB.predicate_for(rng.choice(STATES)),
+                                random_claim(rng))
+            exceptions[stance] = rng.choice((T, T, C, F))
+        else:
+            exceptions[random_claim(rng)] = rng.choice(STATES)
+    return FourGraph(rng.choice((U, F)), exceptions)
+
+
+def random_body(rng, target, budget):
+    """A Belief body over ``CLAIM_TERMS`` binding ``target`` (variables of
+    ``randgen.VARS``): patterns, some with a variable predicate, joins over
+    shared and over disjoint variables, unions, filters, maps and
+    projections."""
+    if budget <= 0 or rng.random() < 0.2:
+        if rng.random() < 0.2:  # quoted parts and belief predicates too
+            return Pattern(randgen.random_pattern(rng, CLAIM_TERMS, target))
+        slots = [rng.choice(CLAIM_TERMS) for _ in range(3)]
+        for v, at in zip(sorted(target, key=lambda v: v.name), rng.sample(range(3), len(target))):
+            slots[at] = v
+        return Pattern(TriplePattern(*slots))
+    kind = rng.choice(("join", "join", "union", "filter", "filter", "map", "project"))
+    if kind == "join":
+        left, right = set(), set()
+        for v in sorted(target, key=lambda v: v.name):
+            side = rng.randint(0, 2)  # 2: both sides
+            if side != 1:
+                left.add(v)
+            if side != 0:
+                right.add(v)
+        return Join(rng.choice((AND, OTIMES)), random_body(rng, frozenset(left), budget - 1),
+                    random_body(rng, frozenset(right), budget - 1))
+    if kind == "union":
+        return Union(rng.choice((OR, OPLUS)), random_body(rng, target, budget - 1),
+                     random_body(rng, target, budget - 1))
+    if kind in ("filter", "map"):
+        inner = random_body(rng, target, budget - 1)
+        formula = randgen.random_formula(rng, CLAIM_TERMS, target)
+        if kind == "filter":
+            return Filter(rng.choice((AND, OTIMES)), inner, formula)
+        return MapState(inner, formula, rng.choice(STATES), rng.choice(STATES))
+    spare = sorted(set(randgen.VARS) - target, key=lambda v: v.name)
+    wider = target | set(rng.sample(spare, min(len(spare), rng.randint(1, 2))))
+    return Project(rng.choice(list(FourOperator)), target,
+                   random_body(rng, frozenset(wider), budget - 1))
+
+
+def random_holder_query(rng):
+    """A Belief over one or two holder variables, often beside a ground
+    holder (as in u3), and a ``random_body``."""
+    expr = randgen.random_belief_expr(rng, HOLDERS, HOLDER)
+    if rng.random() < 0.6:
+        expr = CompoundBelief(randgen.random_belief_expr(rng, HOLDERS, rng.choice(HOLDERS)),
+                              rng.choice(list(FourOperator)), expr)
+    if rng.random() < 0.3:
+        expr = CompoundBelief(expr, rng.choice(list(FourOperator)),
+                              randgen.random_belief_expr(rng, HOLDERS, HOLDER2))
+    scope = frozenset(rng.sample(randgen.VARS, rng.randint(1, 2)))
+    return Belief(expr, random_body(rng, scope, 3))
+
+
+def restance(rng, g):
+    """g with one stance added, or, when ``rng`` says so and g has one,
+    one removed (set to the default)."""
+    stances = sorted((t for t in g.exceptions if t.predicate in VOCAB.predicates()), key=repr)
+    if stances and rng.random() < 0.5:
+        return g.set_value(rng.choice(stances), g.default)
+    stance = StarTriple(rng.choice(HOLDERS), VOCAB.predicate_for(rng.choice(STATES)),
+                        random_claim(rng))
+    return g.set_value(stance, rng.choice((T, C)))
+
+
+def test_each_key_slice_equals_a_full_evaluation_of_its_extraction(monkeypatch):
+    # each holder key's slice, r0's table with the rows its changed triples
+    # reach recomputed, equals the body run whole over that key's
+    # belief.extract graph, refusals included, in both modes and after
+    # set_value adds or removes a stance
+    engine = esparql.algebra._FourEngine
+    real_belief, real_extract = engine._eval_belief, engine._extract
+    real_slice = engine._slice_changes
+    beliefs, bindings, compared = [], [], {mode: 0 for mode in EvalMode}
+    kinds = set()
+
+    def eval_belief(self, q, g):
+        beliefs.append((q, g))
+        try:
+            return real_belief(self, q, g)
+        finally:
+            beliefs.pop()
+
+    def extract(self, ext, binding, whole=True):
+        bindings.append(binding)
+        return real_extract(self, ext, binding, whole)
+
+    def slice_changes(steps, triples):
+        q, g = beliefs[-1]
+        r0 = steps[-1][2]  # the body's relation over the fresh extraction
+        universe = r0.universe
+        graph = belief_mod.extract(g, q.expr, VOCAB, bindings[-1])
+        try:
+            want = engine(VOCAB, universe).run(q.query, graph)
+        except NonFinitelySupported as e:
+            want = str(e)
+        try:
+            changed = real_slice(steps, triples)
+        except NonFinitelySupported as e:
+            got = str(e)
+        else:
+            table = {k: v for k, v in {**r0.table, **changed}.items() if v != r0.default}
+            got = Relation._of(r0.schema, r0.default, table, universe)
+        assert got == want, (q, bindings[-1])
+        compared[EvalMode.OPEN if universe is None else EvalMode.ACTIVE_DOMAIN] += 1
+        if isinstance(got, str):
+            raise NonFinitelySupported(got)
+        return changed
+
+    monkeypatch.setattr(engine, "_eval_belief", eval_belief)
+    monkeypatch.setattr(engine, "_extract", extract)
+    monkeypatch.setattr(engine, "_slice_changes", staticmethod(slice_changes))
+    _on_change_steps(monkeypatch, lambda q, triples: kinds.add(type(q)))
+    # a case the random ones miss: the ground holder's false makes a
+    # one-sided join row differ from the default on every extension, and
+    # holder 1's true takes it back
+    c0, c1 = CLAIM_TERMS
+    claim, other = StarTriple(c0, c0, c0), StarTriple(c1, c1, c1)
+    cooling = FourGraph(U, {StarTriple(HOLDERS[0], VOCAB.to_be_false, claim): T,
+                            StarTriple(HOLDERS[1], VOCAB.to_be_true, claim): T,
+                            StarTriple(HOLDERS[2], VOCAB.to_be_true, other): T})
+    expr = CompoundBelief(AtomicBelief(HOLDERS[0], F, U), OR, AtomicBelief(HOLDER, T, F))
+    body = Join(AND, Pattern(TriplePattern(X, c0, c0)), Pattern(TriplePattern(Y, c1, c1)))
+    rng = random.Random(25)
+    cases = [(cooling, Belief(expr, body))]
+    for _ in range(100):
+        g, q = holder_graph(rng), random_holder_query(rng)
+        cases += [(g, q), (restance(rng, g), q)]
+    for graph, q in cases:
+        for mode in EvalMode:
+            try:
+                evaluate(q, graph, mode=mode, cap=10**5)
+            except (NonFinitelySupported, UniverseTooLarge):
+                pass
+    assert compared[EvalMode.ACTIVE_DOMAIN] > 900 and compared[EvalMode.OPEN] > 300
+    assert kinds == {Pattern, Join, Union, Filter, MapState, Project}
+
+
+def test_belief_slices_build_no_graph_per_key(monkeypatch):
+    # a Belief whose body holds no Belief builds one graph, the fresh
+    # extraction, however many holder keys it visits; the u3 shape reads
+    # every triple through a variable predicate
+    spec = importlib.util.spec_from_file_location("bench_gen", BENCH_GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    g = parse_graph(gen.graph_f4s(gen.belief_graph(random.Random(12))))
+    engine = esparql.algebra._FourEngine
+    real_init, real_extract = FourGraph.__init__, engine._extract
+    graphs, keys = [0], [0]
+
+    def init(self, *args, **kwargs):
+        graphs[0] += 1
+        real_init(self, *args, **kwargs)
+
+    def extract(self, *args, **kwargs):
+        keys[0] += 1
+        return real_extract(self, *args, **kwargs)
+
+    monkeypatch.setattr(FourGraph, "__init__", init)
+    monkeypatch.setattr(engine, "_extract", extract)
+    for text in (
+        "SELECT INFO ?x FROM BELIEF <h071> ?x WHERE { ?s ?p ?o }",
+        "SELECT INFO ?x ?d FROM BELIEF ?x WHERE { ?d a <FullDeity> . ?d ?p ?o }",
+        "SELECT INFO ?x ?d ?e FROM BELIEF ?x WHERE { ?d a <FullDeity> . ?e a <FullDeity> }",
+        "SELECT INFO ?x ?d FROM BELIEF ?x WHERE { { ?d a <FullDeity> } UNION { ?d a <Christian> }"
+        " FILTER (!(?d = <Zeus>)) . MAP IF (STATE IS TRUE) TO CONFLICTED ELSE FALSE }",
+    ):
+        graphs[0] = keys[0] = 0
+        assert evaluate(parse_and_desugar(text), g, cap=10**10).table
+        assert graphs[0] == 1 and keys[0] > 20, text
+
+
 def _belief_of_a_belief():
     inner = Belief(all_states_shorthand(X, OPLUS), Pattern(term_to_pattern(ZEUS_DEITY)))
     return Belief(all_states_shorthand(Y, OPLUS), inner)
@@ -549,19 +766,24 @@ def _belief_of_a_belief():
 
 def test_each_node_is_evaluated_once_per_run(monkeypatch, g1):
     # a run enters eval once per node it lists and runs _eval once per
-    # distinct key and graph, equal patterns sharing one key; a Belief
-    # runs its body once per extracted graph, the all-fresh one included
+    # distinct key and graph, equal patterns sharing one key.  A Belief
+    # whose body holds a Belief runs the body once per extracted graph, the
+    # all-fresh one included; any other runs it once, over the all-fresh
+    # extraction, and recomputes a body node's changed rows at most once
+    # per holder key.  Every graph and key's triples are held, so no two
+    # share an id
     engine = esparql.algebra._FourEngine
-    listed, entered, evaluated, runs = [], [], [], []
+    listed, entered, evaluated, runs, changed, held = [], [], [], [], [], []
     real_run, real_eval, real_inner = engine.run, engine.eval, engine._eval
 
     def key(q, g):
+        held.append(g)
         return (q.pattern if isinstance(q, Pattern) else id(q), id(g))
 
-    def run(self, q, g):
+    def run(self, q, g, *rest):
         listed.extend(map(id, self._order(q)))
         runs.append(key(q, g))
-        return real_run(self, q, g)
+        return real_run(self, q, g, *rest)
 
     def eval_(self, q, g, *rest):
         entered.append(id(q))
@@ -574,20 +796,32 @@ def test_each_node_is_evaluated_once_per_run(monkeypatch, g1):
     monkeypatch.setattr(engine, "run", run)
     monkeypatch.setattr(engine, "eval", eval_)
     monkeypatch.setattr(engine, "_eval", inner)
+    _on_change_steps(monkeypatch, lambda q, triples: changed.append(key(q, triples)))
     patterns = ("?s <a> ?o", "?s <a> <Christian>", "?s ?p ?o")
     chain = parse_and_desugar(
         "SELECT ?s WHERE { " + " . ".join(patterns[i % 3] for i in range(9)) + " }")
-    belief = _belief_of_a_belief()
-    for q, mode in [(chain, mode) for mode in EvalMode] + [(belief, EvalMode.ACTIVE_DOMAIN)]:
-        for log in (listed, entered, evaluated, runs):
+    nested = _belief_of_a_belief()
+    flat = parse_and_desugar(
+        "SELECT INFO ?h ?s FROM BELIEF ?h WHERE { ?s ?p ?o . ?s ?p <FullDeity> }")
+    cases = [(chain, mode) for mode in EvalMode] + [(nested, EvalMode.ACTIVE_DOMAIN),
+                                                    (flat, EvalMode.ACTIVE_DOMAIN)]
+    for q, mode in cases:
+        for log in (listed, entered, evaluated, runs, changed):
             log.clear()
         assert evaluate(q, g1, mode=mode).table
         assert sorted(entered) == sorted(listed)
         assert len(evaluated) == len(set(evaluated))
         assert len(listed) - len(evaluated) == (6 if q is chain else 0)  # the repeated patterns
         assert len(runs) == len(set(runs))
-    assert len(runs) > 3  # the belief's bodies ran over several extractions
-    for q in (chain, belief):
+        assert len(changed) == len(set(changed))
+        if q is nested:
+            assert len(runs) > 3  # the outer body ran over several extractions
+        if q is flat:
+            assert len(runs) == 2  # the query, and the body over the fresh extraction
+            assert len(changed) > 3  # the body's changed rows under several keys
+        if q is chain:
+            assert not changed
+    for q in (chain, nested, flat):
         assert diff(evaluate(q, g1), oracle_eval(q, g1)) == []
 
 
