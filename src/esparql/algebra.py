@@ -1032,28 +1032,28 @@ class _FourEngine:
         return steps
 
     def _changes_step(self, q: Query, done: dict, at: dict) -> tuple:
-        """(q, its children's positions in the plan ``at`` indexes, or None
-        for a pattern, q's relation in ``done``, and the function of the
-        plan's changed rows so far and the graph's changed triples that
-        recomputes the rows of q's relation they reach)."""
+        """(q's children's positions in the plan ``at`` indexes, or None for
+        a pattern, q's relation in ``done``, and the function of the plan's
+        changed rows so far and the graph's changed triples that recomputes
+        the rows of q's relation they reach)."""
         out = done[_key(q)]
         if isinstance(q, Pattern):
             matcher = _scan_plan(q.pattern, self._plans)[1]
-            return q, None, out, lambda changes, triples: {
+            return None, out, lambda changes, triples: {
                 row: v for t, v in triples.items() if (row := matcher(t)) is not None}
         if isinstance(q, (Join, Union)):
             i, j = at[_key(q.left)], at[_key(q.right)]
             r1, r2 = done[_key(q.left)], done[_key(q.right)]
             both = (_union_changes(r1, r2, self._ops(q.op, True)[0]) if isinstance(q, Union)
                     else _join_changes(r1, r2, self._ops(q.op, False)[0], out))
-            return q, (i, j), out, lambda changes, triples: both(changes[i], changes[j])
+            return (i, j), out, lambda changes, triples: both(changes[i], changes[j])
         i, r = at[_key(q.query)], done[_key(q.query)]
         if isinstance(q, Project):
             add, zero, _ = self._ops(q.op, True)
             one = _project_changes(r, out, add, zero)
-            return q, (i,), out, lambda changes, triples: one(changes[i])
+            return (i,), out, lambda changes, triples: one(changes[i])
         schema, f, value_for = r.schema, q.formula, self._value_for(q)
-        return q, (i,), out, lambda changes, triples: {
+        return (i,), out, lambda changes, triples: {
             k: value_for(_formula_value(f, dict(zip(schema, k)).get, v), v)
             for k, v in changes[i].items()}
 
@@ -1065,7 +1065,7 @@ class _FourEngine:
         ``_changes_plan``, in order.  A step runs only when its input
         changed, and keeps only the rows whose value did."""
         changes: list[dict] = []
-        for _, kids, out, step in steps:
+        for kids, out, step in steps:
             rows = {}
             if triples if kids is None else any(changes[i] for i in kids):
                 table, d = out.table, out.default

@@ -141,8 +141,9 @@ def extraction(g: FourGraph, e: BeliefQuery, vocab: BeliefVocabulary) -> "Extrac
 def _compiled(e: BeliefQuery, vocab: BeliefVocabulary) -> tuple[list, dict[int, FourValue]]:
     """e's atoms as (holder, belief predicate, bit), and the memo of e's
     values by set of believers that ``Extraction._value`` fills: made once
-    per expression object and vocabulary and kept on e, since the engine
-    extracts a nested Belief's expression from one graph per outer key."""
+    per expression object and vocabulary and kept on e, as ``_cached_hash``
+    keeps e's hash, since a nested Belief's expression is extracted from
+    one graph per outer holder key."""
     made = e.__dict__.setdefault("_compiled", {})
     if vocab not in made:
         made[vocab] = ([(atom.holder, vocab.predicate_for(atom.state), 1 << bit)

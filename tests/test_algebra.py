@@ -440,13 +440,13 @@ def _on_change_steps(monkeypatch, seen):
     real = engine._changes_step
 
     def changes_step(self, q, *rest):
-        node, kids, out, step = real(self, q, *rest)
+        kids, out, step = real(self, q, *rest)
 
         def counted(changes, triples):
-            seen(node, triples)
+            seen(q, triples)
             return step(changes, triples)
 
-        return node, kids, out, counted
+        return kids, out, counted
 
     monkeypatch.setattr(engine, "_changes_step", changes_step)
 
@@ -676,7 +676,7 @@ def test_each_key_slice_equals_a_full_evaluation_of_its_extraction(monkeypatch):
 
     def slice_changes(steps, triples):
         q, g = beliefs[-1]
-        r0 = steps[-1][2]  # the body's relation over the fresh extraction
+        r0 = steps[-1][1]  # the body's relation over the fresh extraction
         universe = r0.universe
         graph = belief_mod.extract(g, q.expr, VOCAB, bindings[-1])
         try:
