@@ -947,6 +947,7 @@ class _FourEngine:
         self.semiring = semiring
         self._plans: dict = {}
         self._orders: dict = {}
+        self._bases: dict = {}
 
     # -- helpers -----------------------------------------------------------
 
@@ -1018,29 +1019,33 @@ class _FourEngine:
         multiply, one, zero = self._ops(q.op, False)
         return lambda outcome, v: multiply(v, one if outcome is _TRUE3 else zero)
 
-    def _changes_plan(self, body: Query, done: dict) -> list[tuple]:
+    def _changes_plan(self, body: Query, g: FourGraph, done: dict) -> list[tuple]:
         """body's nodes in post-order, equal patterns once, each as its
         ``_changes_step``: made once per Belief node and graph from the
-        relations in ``done``, and run per key by ``_slice_changes``."""
+        relations in ``done``, body's over g, and run per key by
+        ``_slice_changes``."""
         steps: list[tuple] = []
         at: dict = {}
         for node in self._order(body):
             key = _key(node)
             if key not in at:
-                steps.append(self._changes_step(node, done, at))
+                steps.append(self._changes_step(node, g, done, at))
                 at[key] = len(steps) - 1
         return steps
 
-    def _changes_step(self, q: Query, done: dict, at: dict) -> tuple:
+    def _changes_step(self, q: Query, g: FourGraph, done: dict, at: dict) -> tuple:
         """(q's children's positions in the plan ``at`` indexes, or None for
-        a pattern, q's relation in ``done``, and the function of the plan's
-        changed rows so far and the graph's changed triples that recomputes
-        the rows of q's relation they reach)."""
+        a pattern or a Belief, which read the graph; q's relation over g in
+        ``done``; and the function of the plan's changed rows so far and
+        g's changed triples that recomputes the rows of q's relation they
+        reach)."""
         out = done[_key(q)]
         if isinstance(q, Pattern):
             matcher = _scan_plan(q.pattern, self._plans)[1]
             return None, out, lambda changes, triples: {
                 row: v for t, v in triples.items() if (row := matcher(t)) is not None}
+        if isinstance(q, Belief):
+            return None, out, lambda changes, triples: self._belief_changes(q, g, triples)
         if isinstance(q, (Join, Union)):
             i, j = at[_key(q.left)], at[_key(q.right)]
             r1, r2 = done[_key(q.left)], done[_key(q.right)]
@@ -1073,41 +1078,59 @@ class _FourEngine:
             changes.append(rows)
         return changes[-1]
 
-    def _eval_belief(self, q: Belief, g: FourGraph) -> Relation:
-        ext = belief_mod.extraction(g, q.expr, self.vocab)
-        if not q._holders:
-            return self.run(q.query, self._extract(ext, None))
+    def _belief_base(self, q: Belief, g: FourGraph) -> "_BeliefBase":
+        """q over g up to its holder keys (see ``_BeliefBase``), made once
+        per node and graph."""
+        b = self._bases.get((id(q), id(g)))
+        if b is not None:
+            return b
+        b = _BeliefBase()
+        b.g, b.ext = g, belief_mod.extraction(g, q.expr, self.vocab)
+        b.evars, b.relevant, b.reads, b.fresh, b.steps, b.slices = (), [], None, None, None, {}
+        binding = None
+        if q._holders:
+            b.evars = _schema(q._holders)
+            b.reads, relevant = self._relevant_holders(q.query, g)
+            b.relevant = sorted(relevant, key=attrgetter("text"))
+            b.fresh = _fresh_holder(b.ext)
+            binding = dict.fromkeys(b.evars, b.fresh)
+        b.graph, b.done = self._extract(b.ext, binding), {}
+        b.r0 = self.run(q.query, b.graph, b.done)
+        if q._holders and self.universe is None and (b.r0.table or b.r0.default != UNKNOWN):
+            raise NonFinitelySupported(
+                "belief over a quantified holder is not constantly unknown off-support"
+            )
+        b.schema = _schema(b.r0.vars.union(b.evars))
+        b.extend = _plan(b.schema, b.r0.schema + b.evars)
+        self._bases[id(q), id(g)] = b
+        return b
 
-        evars = _schema(q._holders)
-        universe = self.universe or ()
-        index = belief_mod.holder_index(g, self.vocab)
-        taken = {h for h, _ in index}
-        relevant = self._relevant_holders(q.query, index)
-        fresh = next(i for i in (Iri(f"urn:esparql:fresh{n}") for n in itertools.count())
-                     if i not in taken)
+    def _key_changes(self, q: Belief, b: "_BeliefBase", ext: belief_mod.Extraction,
+                     key: tuple) -> dict:
+        """The rows where the body's relation over ``ext`` under the holder
+        key differs from ``b.r0``, with their new values."""
+        if b.steps is None:
+            b.steps = self._changes_plan(q.query, b.graph, b.done)
+        binding = dict(zip(b.evars, key)) if key else None
+        return self._slice_changes(b.steps, self._extract(ext, binding, whole=False))
+
+    def _eval_belief(self, q: Belief, g: FourGraph) -> Relation:
+        b = self._belief_base(q, g)
+        if not q._holders:
+            return b.r0
 
         # every slice has r0's default and schema: an extraction's default,
         # the expression's value where no atom believes, is the same under
         # every binding, and so is each operator's given its inputs'
-        all_fresh = (fresh,) * len(evars)
-        done: dict = {}
-        r0 = self.run(q.query, self._extract(ext, dict(zip(evars, all_fresh))), done)
-        if self.universe is None and (r0.table or r0.default != UNKNOWN):
-            raise NonFinitelySupported(
-                "belief over a quantified holder is not constantly unknown off-support"
-            )
-        default = r0.default
-        nested = any(isinstance(node, Belief) for node in self._order(q.query))
-        steps = None if nested else self._changes_plan(q.query, done)
+        r0, fresh, universe = b.r0, b.fresh, self.universe or ()
+        default, relevant = r0.default, set(b.relevant)
+        all_fresh = (fresh,) * len(b.evars)
+        b.slices[all_fresh] = {}
 
         def slice_at(key: tuple[Iri, ...]) -> dict[tuple, Any]:
             """The key's slice: r0's rows with those that the key's changed
-            triples reach recomputed, or a whole run of the body over the
-            key's extraction when the body holds a Belief."""
-            binding = dict(zip(evars, key))
-            if nested:
-                return self.run(q.query, self._extract(ext, binding)).table
-            changed = self._slice_changes(steps, self._extract(ext, binding, whole=False))
+            triples reach recomputed, which are kept by key."""
+            changed = b.slices[key] = self._key_changes(q, b, b.ext, key)
             if not changed:
                 return r0.table
             table = {**r0.table, **changed}
@@ -1124,11 +1147,8 @@ class _FourEngine:
         }
         quoted = [] if default == UNKNOWN else [
             (tuple(t for _, t in m.bindings), UNKNOWN) for m in mappings_over(r0.vars, universe)]
-        schema = _schema(r0.vars.union(evars))
-        extend = _plan(schema, r0.schema + evars)
         table: dict[tuple, Any] = {}
-        keys = sorted(relevant, key=lambda i: i.text) + list(stands_for)
-        for key in itertools.product(keys, repeat=len(evars)):
+        for key in itertools.product(b.relevant + list(stands_for), repeat=len(b.evars)):
             rows = quoted if None in key else (
                 r0.table if key == all_fresh else slice_at(key)).items()
             if not rows:
@@ -1139,24 +1159,123 @@ class _FourEngine:
                 )
             for combo in itertools.product(*(stands_for.get(t, (t,)) for t in key)):
                 for k, v in rows:
-                    table[extend(k + combo)] = v
-        return Relation._of(schema, default, table, self.universe)
+                    table[b.extend(k + combo)] = v
+        return Relation._of(b.schema, default, table, self.universe)
 
-    def _relevant_holders(self, body: Query, index: dict) -> set[Iri]:
-        """The holders in ``index`` with a stance on a triple that some
-        pattern of ``body`` matches.  A pattern with a variable predicate or
-        a nested belief could match anything, and makes every holder
-        relevant.  An irrelevant holder's extraction differs from that of
-        an IRI without stances only on triples no pattern reads, so the
-        body evaluates alike over both."""
-        matchers = []
+    def _belief_changes(self, q: Belief, g: FourGraph, triples: dict) -> dict:
+        """The rows where q's relation over g with ``triples`` set to their
+        values differs from its relation over g, with their new values,
+        built from q's evaluation over g (``_belief_base``) without that
+        graph.  q reads its graph only through the belief statements and
+        the default, which is the same under every key of an enclosing
+        Belief; so only the holders whose stances ``triples`` changes
+        (``Extraction.after``) change a key, or every key when a ground
+        atom's do.  A key's slice is found by its difference from r0 over
+        g, in the order ``_eval_belief`` visits keys, so a refusal is the
+        one a whole run would make."""
+        b = self._belief_base(q, g)
+        ext, changed = b.ext.after(triples)
+        if not changed:
+            return {}
+        if not q._holders:
+            return self._key_changes(q, b, ext, ())
+        r0t, d = b.r0.table, b.r0.default
+        was = set(b.relevant)
+        now = was.difference(changed)
+        now.update(h for h in changed
+                   if any(b.reads is None or b.reads(t) for t in ext.believed(h)))
+        fresh = b.fresh if b.fresh not in changed else _fresh_holder(ext)
+        # a position is a holder relevant before or after, or None for
+        # every other IRI; a key over them changes only if it holds a
+        # changed holder
+        hot, listed = changed & (was | now), sorted(was | now, key=attrgetter("text"))
+        keys = [key for key in itertools.product(listed + [None], repeat=len(b.evars))
+                if ext.moved or not hot.isdisjoint(key)]
+        # the key a whole run would visit in its place now, and did over g
+        now_key = {key: tuple(h if h in now else fresh for h in key) for key in keys}
+        rank = {h: i for i, h in enumerate(sorted(now, key=attrgetter("text")))}
+        rank[fresh] = len(rank)
+        all_fresh = (fresh,) * len(b.evars)
+        slices = {}
+        for key in sorted(set(now_key.values()),
+                          key=lambda key: (key != all_fresh, [rank[h] for h in key])):
+            slices[key] = changes = self._key_changes(q, b, ext, key)
+            if changes and self.universe is None and fresh in key:  # r0 lists no rows here
+                raise NonFinitelySupported(
+                    "belief over a quantified holder is not constantly unknown off-support"
+                    if key == all_fresh else
+                    "belief naming a holder and a quantified non-holder is not constantly unknown"
+                )
+        universe = self.universe or ()
+        other = [t for t in universe if isinstance(t, Iri) and t not in was and t not in now]
+        out: dict[tuple, Any] = {}
+        for key in keys:
+            new = slices[now_key[key]]
+            old = b.slices[tuple(h if h in was else b.fresh for h in key)]
+            rows = {}
+            for k in new.keys() | old.keys():
+                v = new[k] if k in new else r0t.get(k, d)
+                if v != (old[k] if k in old else r0t.get(k, d)):
+                    rows[k] = v
+            if not rows:
+                continue
+            for combo in itertools.product(*(other if t is None else (t,) for t in key)):
+                for k, v in rows.items():
+                    out[b.extend(k + combo)] = v
+        return out
+
+    def _relevant_holders(self, body: Query, g: FourGraph
+                          ) -> tuple[Callable[[StarTriple], bool] | None, set[Iri]]:
+        """The test on a triple of whether ``body`` reads it, or None when
+        it reads every triple; and the holders of g with a stance on a
+        triple it reads, each distinct believed triple tested once
+        (``belief.believers``).  A pattern reads the triples it matches,
+        every triple if its predicate is a variable; a nested Belief reads
+        the belief statements.  An irrelevant holder's extraction differs
+        from that of an IRI without stances only on triples the body does
+        not read, so the body evaluates alike over both."""
+        matchers, nested = [], False
         for node in self._order(body):
-            if isinstance(node, Pattern) and isinstance(node.pattern.predicate, Iri):
+            if isinstance(node, Belief):
+                nested = True
+            elif isinstance(node, Pattern):
+                if not isinstance(node.pattern.predicate, Iri):
+                    return None, {h for h, _ in belief_mod.holder_index(g, self.vocab)}
                 matchers.append(_scan_plan(node.pattern, self._plans)[1])
-            elif isinstance(node, (Pattern, Belief)):
-                return {h for h, _ in index}
-        return {h for (h, _), believed in index.items()
-                if any(m(t) is not None for m in matchers for t in believed)}
+        predicates = self.vocab.predicates()
+
+        def reads(t: StarTriple) -> bool:
+            return (nested and belief_mod.is_statement(t, predicates)) \
+                or any(m(t) is not None for m in matchers)
+
+        relevant: set[Iri] = set()
+        for t, holders in belief_mod.believers(g, self.vocab).items():
+            if reads(t):
+                relevant.update(holders)
+        return reads, relevant
+
+
+class _BeliefBase:
+    """A Belief node's evaluation over a graph ``g`` (held, so that its id
+    stays its own), up to its holder keys: its extraction ``ext``; for
+    holder variables ``evars``, the holders
+    ``relevant`` to the body, sorted, the body's test on a triple
+    (``reads``, see ``_relevant_holders``) and an IRI ``fresh`` without
+    stances; the graph of the fresh extraction, the body's relations over
+    it in ``done`` with the body's among them, ``r0``; the body's change
+    plan ``steps``, made on first use; each key's changed rows from r0,
+    kept by key in ``slices``; and the schema of the node's relation with
+    the plan ``extend`` of a body row and key onto it."""
+
+    __slots__ = ("g", "ext", "evars", "relevant", "reads", "fresh", "graph", "done", "r0",
+                 "steps", "slices", "schema", "extend")
+
+
+def _fresh_holder(ext: belief_mod.Extraction) -> Iri:
+    """The first of the IRIs ``urn:esparql:fresh0``, ``fresh1``, ... without
+    stances in ``ext``."""
+    return next(i for i in (Iri(f"urn:esparql:fresh{n}") for n in itertools.count())
+                if not any(ext.believed(i)))
 
 
 def _universe(q: Query, g: FourGraph, mode: EvalMode, cap: int,
@@ -1188,7 +1307,11 @@ def evaluate(
     open mode may raise NonFinitelySupported.
     """
     widest = _scope(q, {})[1]
-    return _FourEngine(vocab, _universe(q, g, mode, cap, widest)).run(q, g)
+    engine = _FourEngine(vocab, _universe(q, g, mode, cap, widest))
+    try:
+        return engine.run(q, g)
+    finally:
+        engine._bases.clear()  # a nested Belief's change step refers to the engine
 
 
 def evaluate_k(

@@ -7,11 +7,14 @@ belief predicate, asserted true or conflicted) gets the probed state;
 every other triple gets the fallback.  Compound queries combine
 extractions pointwise with a lattice operator.  ``extract`` returns an
 extraction as a graph; the engine reads a variable holder's extraction as
-its difference from the one of a holder without stances (``Extraction``).
+its difference from the one of a holder without stances, and an
+extraction from a graph that differs from another on a few triples as
+its difference from the other's (``Extraction``).
 """
 
 from __future__ import annotations
 
+from collections import ChainMap
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -87,6 +90,14 @@ def belief_variables(e: BeliefQuery) -> frozenset[Variable]:
     return frozenset(a.holder for a in atoms(e) if isinstance(a.holder, Variable))
 
 
+def is_statement(t: StarTriple, predicates: frozenset[Iri]) -> bool:
+    """Whether t could be a belief statement: an IRI subject, a belief
+    predicate and a quoted object.  Only these count for extraction, and
+    only when valued true or conflicted."""
+    return t.predicate in predicates and isinstance(t.subject, Iri) \
+        and isinstance(t.object, StarTriple)
+
+
 def holder_index(g: FourGraph,
                  vocab: BeliefVocabulary) -> dict[tuple[Iri, Iri], list[StarTriple]]:
     """(holder IRI, belief predicate) -> the quoted triples so believed, from
@@ -106,6 +117,20 @@ def holder_index(g: FourGraph,
                 index.setdefault((key.subject, key.predicate), []).append(key.object)
         return index
     return g.derived(("holders", vocab), build)
+
+
+def believers(g: FourGraph, vocab: BeliefVocabulary) -> dict[StarTriple, list[Iri]]:
+    """Each believed triple -> the holders with a stance on it, under any
+    belief predicate: ``holder_index`` read the other way, so that a test
+    on believed triples runs once per triple, not once per stance.  Built
+    once per graph and vocabulary, and cached on the graph."""
+    def build() -> dict[StarTriple, list[Iri]]:
+        index: dict[StarTriple, list[Iri]] = {}
+        for (holder, _), believed in holder_index(g, vocab).items():
+            for t in believed:
+                index.setdefault(t, []).append(holder)
+        return index
+    return g.derived(("believers", vocab), build)
 
 
 def extract(g: FourGraph, e: BeliefQuery, vocab: BeliefVocabulary,
@@ -159,14 +184,21 @@ class Extraction:
     taking every variable to an IRI without stances.  A binding changes
     only the triples its holders have stances on, which ``delta`` lists;
     ``graph`` builds the whole extraction.  Atom i is bit i of a triple's
-    set of believers.
+    set of believers.  ``after`` gives the extraction from g changed on
+    some triples, without a graph.
     """
 
-    __slots__ = ("default", "fresh", "_index", "_ground", "_variables", "_stances",
-                 "_values", "_e")
+    __slots__ = ("default", "fresh", "moved", "_index", "_predicates", "_ground",
+                 "_variables", "_stances", "_deltas", "_values", "_e", "_vocab", "_statement")
 
     def __init__(self, g: FourGraph, e: BeliefQuery, vocab: BeliefVocabulary):
-        self._index = index = holder_index(g, vocab)
+        self._read(holder_index(g, vocab), e, vocab)
+        self._statement = g.exceptions.get  # a belief statement's value, for ``after``
+        self.moved: list[StarTriple] = []
+
+    def _read(self, index, e: BeliefQuery, vocab: BeliefVocabulary) -> None:
+        self._index = index
+        self._predicates = vocab.predicates()
         self._ground = ground = {}
         # each holder variable's atoms, as (predicate, bit), variables in
         # the order of their first atom
@@ -179,7 +211,8 @@ class Extraction:
                 for t in index.get((holder, predicate), ()):
                     ground[t] = ground.get(t, 0) | bit
         self._stances: dict[tuple[Variable, Iri], dict[StarTriple, int]] = {}
-        self._e = e
+        self._deltas: dict[tuple[Iri, ...], dict[StarTriple, FourValue]] = {}
+        self._e, self._vocab = e, vocab
         self.default = self._value(0)
         self.fresh = {t: self._value(b) for t, b in ground.items()}
 
@@ -188,6 +221,38 @@ class Extraction:
         if v is None:
             v = self._values[believers] = _value_at(self._e, believers, 0)[0]
         return v
+
+    def after(self, triples: dict[StarTriple, FourValue]) -> tuple["Extraction", set[Iri]]:
+        """The extraction from g with ``triples`` set to their values, and
+        the holders whose stances that changes.  Only the belief statements
+        among the triples reach it, so no graph is built, and without one
+        this extraction itself is returned.  The new extraction's ``delta``
+        lists the triples whose believers differ from those of g's fresh
+        binding: ``moved`` holds the ground atoms' ones."""
+        changed: dict[tuple[Iri, Iri], list[StarTriple]] = {}
+        for t, v in triples.items():
+            if is_statement(t, self._predicates) and \
+                    (v in (TRUE, CONFLICTED)) != (self._statement(t) in (TRUE, CONFLICTED)):
+                key = (t.subject, t.predicate)
+                if key not in changed:
+                    changed[key] = list(self._index.get(key, ()))
+                if v in (TRUE, CONFLICTED):
+                    changed[key].append(t.object)
+                else:
+                    changed[key].remove(t.object)
+        if not changed:
+            return self, set()
+        out = Extraction.__new__(Extraction)
+        out._read(ChainMap(changed, self._index), self._e, self._vocab)
+        out._statement = None
+        ground, now = self._ground, out._ground
+        out.moved = [t for t in ground.keys() | now.keys() if ground.get(t) != now.get(t)]
+        return out, {holder for holder, _ in changed}
+
+    def believed(self, holder: Iri) -> Iterator[StarTriple]:
+        """The triples ``holder`` has a stance on, under any belief predicate."""
+        for predicate in self._predicates:
+            yield from self._index.get((holder, predicate), ())
 
     def _believed(self, var: Variable, holder: Iri) -> dict[StarTriple, int]:
         """The triples ``holder`` has a stance on that var's atoms read,
@@ -203,18 +268,27 @@ class Extraction:
 
     def delta(self, binding: dict[Variable, Term] | None) -> dict[StarTriple, FourValue]:
         """The triples whose set of believers under ``binding`` differs from
-        the fresh binding's, with their values (the default included)."""
-        believers: dict[StarTriple, int] = {}
+        the fresh binding's, with their values (the default included).
+        Made once per key of holders and kept, so callers only read it."""
+        holders = []
         for var in self._variables:
             if binding is None or var not in binding:
                 raise UnboundBeliefVariable(f"belief variable {var!r} is unbound")
             holder = binding[var]
             if not isinstance(holder, Iri):
                 raise NonIriHolder(f"belief variable {var!r} bound to {holder!r}")
-            for t, bits in self._believed(var, holder).items():
-                believers[t] = believers.get(t, 0) | bits
-        ground, value = self._ground, self._value
-        return {t: value(ground.get(t, 0) | b) for t, b in believers.items()}
+            holders.append(holder)
+        key = tuple(holders)
+        found = self._deltas.get(key)
+        if found is None:
+            believers: dict[StarTriple, int] = dict.fromkeys(self.moved, 0)
+            for var, holder in zip(self._variables, key):
+                for t, bits in self._believed(var, holder).items():
+                    believers[t] = believers.get(t, 0) | bits
+            ground, value = self._ground, self._value
+            found = self._deltas[key] = {t: value(ground.get(t, 0) | b)
+                                         for t, b in believers.items()}
+        return found
 
     def graph(self, binding: dict[Variable, Term] | None) -> FourGraph:
         """The extraction under ``binding`` as a graph of its own."""

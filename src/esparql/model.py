@@ -105,6 +105,8 @@ class StarTriple(_Term):
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
+        if self.subject is other.subject and self.object is other.object:
+            return self.predicate is other.predicate
         # IRIs are interned, so only quoted parts are looked into; they wait
         # on a stack, so deep quoting cannot overflow it
         todo = [(self, other)]

@@ -1,5 +1,6 @@
 """Algebra: mappings, relations, scoping rules and the four-valued engine."""
 
+import gc
 import importlib.util
 import random
 from pathlib import Path
@@ -652,16 +653,19 @@ def restance(rng, g):
     return g.set_value(stance, rng.choice((T, C)))
 
 
-def test_each_key_slice_equals_a_full_evaluation_of_its_extraction(monkeypatch):
-    # each holder key's slice, r0's table with the rows its changed triples
-    # reach recomputed, equals the body run whole over that key's
-    # belief.extract graph, refusals included, in both modes and after
-    # set_value adds or removes a stance
+def _compare_key_slices(monkeypatch, cases):
+    """Evaluate each (graph, query) case in both modes, asserting that each
+    holder key's slice, r0's table with the rows its changed triples reach
+    recomputed, equals the body run whole over that key's belief.extract
+    graph, refusals included.  The keys of a Belief nested in a body under
+    an outer key are left out, as no graph of theirs is built: each outer
+    key's slice holds their rows.  Returns the slices compared per mode and
+    the kinds of body node whose changed rows were recomputed."""
     engine = esparql.algebra._FourEngine
     real_belief, real_extract = engine._eval_belief, engine._extract
-    real_slice = engine._slice_changes
+    real_slice, real_step = engine._slice_changes, engine._changes_step
     beliefs, bindings, compared = [], [], {mode: 0 for mode in EvalMode}
-    kinds = set()
+    kinds, nested = set(), [0]
 
     def eval_belief(self, q, g):
         beliefs.append((q, g))
@@ -674,7 +678,22 @@ def test_each_key_slice_equals_a_full_evaluation_of_its_extraction(monkeypatch):
         bindings.append(binding)
         return real_extract(self, ext, binding, whole)
 
+    def changes_step(self, q, *rest):
+        kids, out, step = real_step(self, q, *rest)
+
+        def counted(changes, triples):
+            kinds.add(type(q))
+            nested[0] += isinstance(q, Belief)
+            try:
+                return step(changes, triples)
+            finally:
+                nested[0] -= isinstance(q, Belief)
+
+        return kids, out, counted
+
     def slice_changes(steps, triples):
+        if nested[0]:
+            return real_slice(steps, triples)
         q, g = beliefs[-1]
         r0 = steps[-1][1]  # the body's relation over the fresh extraction
         universe = r0.universe
@@ -699,7 +718,22 @@ def test_each_key_slice_equals_a_full_evaluation_of_its_extraction(monkeypatch):
     monkeypatch.setattr(engine, "_eval_belief", eval_belief)
     monkeypatch.setattr(engine, "_extract", extract)
     monkeypatch.setattr(engine, "_slice_changes", staticmethod(slice_changes))
-    _on_change_steps(monkeypatch, lambda q, triples: kinds.add(type(q)))
+    monkeypatch.setattr(engine, "_changes_step", changes_step)
+    for graph, q in cases:
+        for mode in EvalMode:
+            try:
+                evaluate(q, graph, mode=mode, cap=10**5)
+            except (NonFinitelySupported, UniverseTooLarge):
+                pass
+    monkeypatch.undo()
+    return compared, kinds
+
+
+def test_each_key_slice_equals_a_full_evaluation_of_its_extraction(monkeypatch):
+    # each holder key's slice, r0's table with the rows its changed triples
+    # reach recomputed, equals the body run whole over that key's
+    # belief.extract graph, refusals included, in both modes and after
+    # set_value adds or removes a stance
     # a case the random ones miss: the ground holder's false makes a
     # one-sided join row differ from the default on every extension, and
     # holder 1's true takes it back
@@ -710,19 +744,145 @@ def test_each_key_slice_equals_a_full_evaluation_of_its_extraction(monkeypatch):
                             StarTriple(HOLDERS[2], VOCAB.to_be_true, other): T})
     expr = CompoundBelief(AtomicBelief(HOLDERS[0], F, U), OR, AtomicBelief(HOLDER, T, F))
     body = Join(AND, Pattern(TriplePattern(X, c0, c0)), Pattern(TriplePattern(Y, c1, c1)))
+    # and a belief about holder 1's belief in the claim, held by holder 3
+    about = FourGraph(U, {**cooling.exceptions, StarTriple(
+        HOLDERS[3], VOCAB.to_be_true, StarTriple(HOLDERS[1], VOCAB.to_be_true, claim)): T})
     rng = random.Random(25)
-    cases = [(cooling, Belief(expr, body))]
+    cases = [(cooling, Belief(expr, body)),
+             (about, Belief(all_states_shorthand(HOLDER2, OPLUS), Belief(expr, body)))]
     for _ in range(100):
         g, q = holder_graph(rng), random_holder_query(rng)
         cases += [(g, q), (restance(rng, g), q)]
-    for graph, q in cases:
-        for mode in EvalMode:
-            try:
-                evaluate(q, graph, mode=mode, cap=10**5)
-            except (NonFinitelySupported, UniverseTooLarge):
-                pass
+    compared, kinds = _compare_key_slices(monkeypatch, cases)
     assert compared[EvalMode.ACTIVE_DOMAIN] > 900 and compared[EvalMode.OPEN] > 300
-    assert kinds == {Pattern, Join, Union, Filter, MapState, Project}
+    assert kinds == {Pattern, Join, Union, Filter, MapState, Project, Belief}
+
+
+HOLDER3 = Variable("j")
+
+
+def believing_graph(rng, claims):
+    """A ``holder_graph`` whose holders also have stances, mostly true, on
+    the four holders' stances on ``claims`` (or on random claims), some of
+    those stances asserted too."""
+    exceptions = dict(holder_graph(rng).exceptions)
+    for _ in range(rng.randint(4, 12)):
+        claim = rng.choice(claims) if claims and rng.random() < 0.7 else random_claim(rng)
+        stance = StarTriple(rng.choice(HOLDERS), VOCAB.predicate_for(rng.choice(STATES)), claim)
+        about = StarTriple(rng.choice(HOLDERS), VOCAB.predicate_for(rng.choice((T, T, C, F))),
+                           stance)
+        exceptions[about] = rng.choice((T, T, C, F))
+        if rng.random() < 0.3:
+            exceptions[stance] = rng.choice((T, C))
+    return FourGraph(rng.choice((U, F)), exceptions)
+
+
+def claims_read(rng, body):
+    """For each pattern of ``body``, a triple of its shape whose variables
+    take claim terms, each occurrence its own: mostly triples it reads."""
+    def ground(p):
+        if isinstance(p, Variable):
+            return rng.choice(CLAIM_TERMS)
+        if isinstance(p, Iri):
+            return p
+        return StarTriple(ground(p.subject), ground(p.predicate), ground(p.object))
+    return [ground(node.pattern) for node in esparql.algebra._postorder(body)
+            if isinstance(node, Pattern)]
+
+
+def random_nested_expr(rng, holder, ground):
+    """A belief expression over ``holder``: its full picture or one of
+    ``randgen``'s, beside a ground holder with probability ``ground``."""
+    if rng.random() < 0.5:
+        expr = all_states_shorthand(holder, rng.choice((OR, OPLUS)))
+    else:
+        expr = randgen.random_belief_expr(rng, HOLDERS, holder)
+    if rng.random() < ground:
+        expr = CompoundBelief(randgen.random_belief_expr(rng, HOLDERS, rng.choice(HOLDERS)),
+                              rng.choice(list(FourOperator)), expr)
+    return expr
+
+
+def random_nested_query(rng):
+    """A Belief over ``HOLDER2`` whose body holds a Belief over ``HOLDER``
+    (sometimes also ``HOLDER3``), each at times beside a ground holder: the
+    inner Belief alone, projected, joined with a pattern or state-mapped."""
+    inner_expr = random_nested_expr(rng, HOLDER, 0.5)
+    if rng.random() < 0.3:
+        inner_expr = CompoundBelief(inner_expr, rng.choice((OR, OPLUS)),
+                                    all_states_shorthand(HOLDER3, rng.choice((OR, OPLUS))))
+    inner = Belief(inner_expr, random_body(rng, frozenset({rng.choice(randgen.VARS)}), 1))
+    scope = sorted(in_scope(inner), key=lambda v: v.name)
+    kind = rng.choice(("belief", "project", "join", "map"))
+    if kind == "project":
+        body = Project(rng.choice(list(FourOperator)),
+                       frozenset(rng.sample(scope, rng.randint(1, len(scope)))), inner)
+    elif kind == "join":
+        shared = frozenset({rng.choice([v for v in scope if v in randgen.VARS])})
+        body = Join(rng.choice((AND, OTIMES)), inner, random_body(rng, shared, 0))
+    elif kind == "map":
+        body = MapState(inner, randgen.random_formula(rng, CLAIM_TERMS + HOLDERS, set(scope)),
+                        rng.choice(STATES), rng.choice(STATES))
+    else:
+        body = inner
+    return Belief(random_nested_expr(rng, HOLDER2, 0.3), body)
+
+
+def test_nested_belief_slices_equal_full_evaluations(monkeypatch):
+    # beliefs about beliefs, holders variables at both levels: each outer
+    # key's slice, the fresh slice with its changed rows (a nested Belief's
+    # found from its own fresh slice, without its graph), equals the body
+    # run whole over that key's extraction, refusals included, in both
+    # modes and after set_value adds or removes a stance; and the engine
+    # agrees with the oracle
+    # cases the random ones seldom draw: under an outer key, the inner
+    # ground holder gains a stance, which moves every inner key, and an
+    # outer ground holder's belief in a stance is outvoted, so that holder
+    # 1 leaves the inner holders; with one inner holder variable and two
+    c0, _ = CLAIM_TERMS
+    stance = StarTriple(HOLDERS[1], VOCAB.to_be_true, StarTriple(c0, c0, c0))
+    graph = FourGraph(U, {
+        StarTriple(HOLDERS[0], VOCAB.to_be_true, stance): T,
+        StarTriple(HOLDERS[2], VOCAB.to_be_false, stance): T,
+        StarTriple(HOLDERS[3], VOCAB.to_be_true,
+                   StarTriple(HOLDERS[2], VOCAB.to_be_true, StarTriple(c0, c0, c0))): T})
+    body = Pattern(TriplePattern(X, c0, c0))
+    inner = [CompoundBelief(AtomicBelief(HOLDERS[1], T, F), OR, all_states_shorthand(HOLDER, OR)),
+             CompoundBelief(all_states_shorthand(HOLDER, OR), OPLUS,
+                            all_states_shorthand(HOLDER3, OR))]
+    outer = [all_states_shorthand(HOLDER2, OPLUS),
+             CompoundBelief(AtomicBelief(HOLDERS[0], T, F), AND, AtomicBelief(HOLDER2, F, T))]
+    cases = [(graph, Belief(o, Belief(i, body))) for o in outer for i in inner]
+    rng = random.Random(26)
+    for _ in range(60):
+        q = random_nested_query(rng)
+        g = believing_graph(rng, claims_read(rng, q.query))
+        cases += [(g, q), (restance(rng, g), q)]
+    compared, kinds = _compare_key_slices(monkeypatch, cases)
+    assert compared[EvalMode.ACTIVE_DOMAIN] > 400 and compared[EvalMode.OPEN] > 150
+    assert Belief in kinds
+    agreed = 0
+    for g, q in cases:  # over a universe small enough for the dense oracle
+        if _dense_rows(q, len(active_domain(g, esparql.algebra.query_constants(q)))) <= 5 * 10**4:
+            assert diff(evaluate(q, g), oracle_eval(q, g)) == [], q
+            agreed += 1
+    assert agreed > 40
+
+
+def _dense_rows(q, size):
+    """The rows of the oracle's dense tables for q over ``size`` terms:
+    |U|^|scope| for each node and belief context."""
+    total, stack = 0, [(q, 1)]
+    while stack:
+        node, contexts = stack.pop()
+        total += contexts * size ** len(in_scope(node))
+        if isinstance(node, (Join, Union)):
+            stack += [(node.left, contexts), (node.right, contexts)]
+        elif isinstance(node, Belief):
+            stack.append((node.query, contexts * size ** len(node._holders)))
+        elif not isinstance(node, Pattern):
+            stack.append((node.query, contexts))
+    return total
 
 
 def test_belief_slices_build_no_graph_per_key(monkeypatch):
@@ -759,6 +919,67 @@ def test_belief_slices_build_no_graph_per_key(monkeypatch):
         assert graphs[0] == 1 and keys[0] > 20, text
 
 
+def test_a_belief_of_a_belief_builds_no_graph_per_outer_key(monkeypatch):
+    # u4, a belief about a belief, on the seed-12 belief_holders graph: the
+    # nested Belief's changed rows under an outer key come from its slices
+    # over the fresh extraction, so the graphs and extractions built do not
+    # grow with the outer keys, and each graph's believed-triple index is
+    # built once per vocabulary
+    spec = importlib.util.spec_from_file_location("bench_gen", BENCH_GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    g = parse_graph(gen.graph_f4s(gen.belief_graph(random.Random(12))))
+    q = parse_and_desugar(gen.belief_queries(random.Random(12))[0]["u4"])
+    engine = esparql.algebra._FourEngine
+    real_graph, real_extraction = FourGraph.__init__, belief_mod.Extraction.__init__
+    real_derived, real_extract = FourGraph.derived, engine._extract
+    graphs, extractions, keys, indexes = [0], [0], [0], []
+
+    def graph(self, *args, **kwargs):
+        graphs[0] += 1
+        real_graph(self, *args, **kwargs)
+
+    def extraction(self, *args, **kwargs):
+        extractions[0] += 1
+        real_extraction(self, *args, **kwargs)
+
+    def derived(self, key, build):
+        def counted():
+            indexes.append((id(self), key))
+            return build()
+        return real_derived(self, key, counted if key[0] == "believers" else build)
+
+    def extract(self, *args, **kwargs):
+        keys[0] += 1
+        return real_extract(self, *args, **kwargs)
+
+    monkeypatch.setattr(FourGraph, "__init__", graph)
+    monkeypatch.setattr(belief_mod.Extraction, "__init__", extraction)
+    monkeypatch.setattr(FourGraph, "derived", derived)
+    monkeypatch.setattr(engine, "_extract", extract)
+    runs = []
+    for mode in (EvalMode.OPEN, EvalMode.OPEN, EvalMode.ACTIVE_DOMAIN):
+        graphs[0] = extractions[0] = keys[0] = 0
+        assert evaluate(q, g, mode=mode).table
+        runs.append((graphs[0], extractions[0], keys[0]))
+    monkeypatch.undo()
+    # each Belief's fresh extraction as a graph, and each Belief's
+    # extraction from its graph: the outer one's is kept with g
+    assert [built for *built, _ in runs] == [[2, 2], [2, 1], [2, 1]], runs
+    assert all(visited > 30 for *_, visited in runs), runs
+    # g's index once, and that of each evaluation's outer fresh extraction
+    assert len(indexes) == len(set(indexes)) == 1 + len(runs)
+    # and, the nested change steps referring to the engine, nothing is
+    # left for the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        evaluate(q, g, mode=EvalMode.OPEN)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def _belief_of_a_belief():
     inner = Belief(all_states_shorthand(X, OPLUS), Pattern(term_to_pattern(ZEUS_DEITY)))
     return Belief(all_states_shorthand(Y, OPLUS), inner)
@@ -767,10 +988,9 @@ def _belief_of_a_belief():
 def test_each_node_is_evaluated_once_per_run(monkeypatch, g1):
     # a run enters eval once per node it lists and runs _eval once per
     # distinct key and graph, equal patterns sharing one key.  A Belief
-    # whose body holds a Belief runs the body once per extracted graph, the
-    # all-fresh one included; any other runs it once, over the all-fresh
-    # extraction, and recomputes a body node's changed rows at most once
-    # per holder key.  Every graph and key's triples are held, so no two
+    # runs its body once, over the all-fresh extraction, and recomputes a
+    # body node's changed rows at most once per holder key, a nested
+    # Belief included.  Every graph and key's triples are held, so no two
     # share an id
     engine = esparql.algebra._FourEngine
     listed, entered, evaluated, runs, changed, held = [], [], [], [], [], []
@@ -803,26 +1023,35 @@ def test_each_node_is_evaluated_once_per_run(monkeypatch, g1):
     nested = _belief_of_a_belief()
     flat = parse_and_desugar(
         "SELECT INFO ?h ?s FROM BELIEF ?h WHERE { ?s ?p ?o . ?s ?p <FullDeity> }")
-    cases = [(chain, mode) for mode in EvalMode] + [(nested, EvalMode.ACTIVE_DOMAIN),
-                                                    (flat, EvalMode.ACTIVE_DOMAIN)]
-    for q, mode in cases:
+    # four holders with beliefs about a belief on Zeus's divinity, so that
+    # the nested case has several outer keys whose slices change
+    about_zeus = g1
+    for outer, inner, state in ((ARIUS, POPE, F), (CHRISTIANITY, ARIUS, T), (POPE, RUSSELL, F)):
+        about_zeus = about_zeus.set_value(StarTriple(
+            outer, VOCAB.to_be_true, StarTriple(inner, VOCAB.predicate_for(state), ZEUS_DEITY)), T)
+    cases = [(chain, mode, g1) for mode in EvalMode] + [
+        (nested, EvalMode.ACTIVE_DOMAIN, about_zeus), (flat, EvalMode.ACTIVE_DOMAIN, g1)]
+    for q, mode, g in cases:
         for log in (listed, entered, evaluated, runs, changed):
             log.clear()
-        assert evaluate(q, g1, mode=mode).table
+        assert evaluate(q, g, mode=mode).table
         assert sorted(entered) == sorted(listed)
         assert len(evaluated) == len(set(evaluated))
         assert len(listed) - len(evaluated) == (6 if q is chain else 0)  # the repeated patterns
         assert len(runs) == len(set(runs))
         assert len(changed) == len(set(changed))
         if q is nested:
-            assert len(runs) > 3  # the outer body ran over several extractions
+            assert sum(r[0] == id(nested.query) for r in runs) == 1  # over the fresh extraction
+            assert len({triples for _, triples in changed}) > 3  # changed rows under several keys
         if q is flat:
             assert len(runs) == 2  # the query, and the body over the fresh extraction
             assert len(changed) > 3  # the body's changed rows under several keys
         if q is chain:
             assert not changed
-    for q in (chain, nested, flat):
-        assert diff(evaluate(q, g1), oracle_eval(q, g1)) == []
+    for q, mode, g in cases:
+        if mode is EvalMode.ACTIVE_DOMAIN:
+            assert diff(evaluate(q, g), oracle_eval(q, g)) == []
+    assert diff(evaluate(nested, g1), oracle_eval(nested, g1)) == []
 
 
 def test_holder_variables_are_read_once_per_belief_node(monkeypatch, g1):
