@@ -128,6 +128,8 @@ def _schema(vars: Iterable[Variable]) -> tuple[Variable, ...]:
 def _plan(target: tuple[Variable, ...], source: tuple[Variable, ...]) -> Callable[[tuple], tuple]:
     """The function taking a row over ``source`` to the row over ``target``,
     each variable read at its first position in ``source``."""
+    if target == source:
+        return lambda row: row
     first: dict[Variable, int] = {}
     for i, v in enumerate(source):
         first.setdefault(v, i)
@@ -629,45 +631,75 @@ def _class_members(rep: dict[Variable, Any], schema: tuple[Variable, ...],
 # ---------------------------------------------------------------------------
 # Combinators, each parameterised by the node's operator
 # ---------------------------------------------------------------------------
+#
+# Join, union and projection are each planned once from their inputs'
+# schemas, defaults and universe, as (schema, default, run, key): ``run``
+# takes the inputs' tables to the output's, and an output row's value
+# depends only on the input rows that agree with it on the variables
+# ``key``.  ``_combine_join`` and the others run a plan on whole tables, a
+# change step on the rows of a few keys (``_keyed_changes``).
+
+
+def _plan_join(r1: Relation, r2: Relation, op2: Callable[[Any, Any], Any]) -> tuple:
+    s1, s2 = r1.schema, r2.schema
+    schema, shared = _schema(r1.vars | r2.vars), _schema(r1.vars & r2.vars)
+    d, universe = op2(r1.default, r2.default), r1.universe
+    # one side's exception against the other side's default, over every
+    # extension to the variables only the other side binds (op2 commutes)
+    sides = []
+    for left, right in ((r1, r2), (r2, r1)):
+        extra = _schema(right.vars - left.vars)
+        sides.append((right.default, extra, extra and _plan(schema, left.schema + extra)))
+    # pairs of exceptions that agree on the shared variables, hashed on them
+    key1, key2, merge = _plan(shared, s1), _plan(shared, s2), _plan(schema, s1 + s2)
+
+    def run(t1: dict, t2: dict) -> dict:
+        table: dict[tuple, Any] = {}
+        for t, (other, extra, extend) in zip((t1, t2), sides):
+            hot = [(k, x) for k, v in t.items() if (x := op2(v, other)) != d]
+            if not extra:
+                table.update(hot)
+                continue
+            if hot and universe is None:
+                raise NonFinitelySupported(
+                    "join of relations with disjoint variables whose defaults do not absorb"
+                )
+            for k, x in hot:
+                for combo in itertools.product(universe, repeat=len(extra)):
+                    table[extend(k + combo)] = x
+        index = _index(t2, key2)
+        for k1, v1 in t1.items():
+            for k2, v2 in index.get(key1(k1), ()):
+                table[merge(k1 + k2)] = op2(v1, v2)
+        return table
+
+    return schema, d, run, shared
 
 
 def _combine_join(r1: Relation, r2: Relation, op2: Callable[[Any, Any], Any]) -> Relation:
-    s1, s2 = r1.schema, r2.schema
-    schema = _schema(r1.vars | r2.vars)
-    d = op2(r1.default, r2.default)
-    table: dict[tuple, Any] = {}
-    # one side's exception against the other side's default, over every
-    # extension to the variables only the other side binds (op2 commutes)
-    for left, right in ((r1, r2), (r2, r1)):
-        hot = [(k, x) for k, v in left.table.items() if (x := op2(v, right.default)) != d]
-        extra = _schema(right.vars - left.vars)
-        if not extra:
-            table.update(hot)
-            continue
-        if hot and r1.universe is None:
-            raise NonFinitelySupported(
-                "join of relations with disjoint variables whose defaults do not absorb"
-            )
-        extend = _plan(schema, left.schema + extra)
-        for k, x in hot:
-            for combo in itertools.product(r1.universe, repeat=len(extra)):
-                table[extend(k + combo)] = x
-    # pairs of exceptions that agree on the shared variables, hashed on them
-    shared = _schema(r1.vars & r2.vars)
-    key1, key2, merge = _plan(shared, s1), _plan(shared, s2), _plan(schema, s1 + s2)
-    index: dict[tuple, list] = {}
-    for k2, v2 in r2.table.items():
-        index.setdefault(key2(k2), []).append((k2, v2))
-    for k1, v1 in r1.table.items():
-        for k2, v2 in index.get(key1(k1), ()):
-            table[merge(k1 + k2)] = op2(v1, v2)
-    return Relation._of(schema, d, table, r1.universe)
+    schema, d, run, _ = _plan_join(r1, r2, op2)
+    return Relation._of(schema, d, run(r1.table, r2.table), r1.universe)
+
+
+def _plan_union(r1: Relation, r2: Relation, op2: Callable[[Any, Any], Any]) -> tuple:
+    d1, d2 = r1.default, r2.default
+
+    def run(t1: dict, t2: dict) -> dict:
+        return {k: op2(t1.get(k, d1), t2.get(k, d2)) for k in t1.keys() | t2.keys()}
+
+    return r1.schema, op2(d1, d2), run, r1.schema
 
 
 def _combine_union(r1: Relation, r2: Relation, op2: Callable[[Any, Any], Any]) -> Relation:
-    t1, t2, d1, d2 = r1.table, r2.table, r1.default, r2.default
-    table = {k: op2(t1.get(k, d1), t2.get(k, d2)) for k in t1.keys() | t2.keys()}
-    return Relation._of(r1.schema, op2(d1, d2), table, r1.universe)
+    schema, d, run, _ = _plan_union(r1, r2, op2)
+    return Relation._of(schema, d, run(r1.table, r2.table), r1.universe)
+
+
+def _by_row(rows: Iterable[tuple[tuple, Any]], schema: tuple[Variable, ...], f: FilterFormula,
+            value_for: Callable[[ThreeValued, Any], Any]) -> dict:
+    """Each row over ``schema`` with its value, filtered or state-mapped
+    (see ``_transform_by_formula``) by itself alone."""
+    return {k: value_for(_formula_value(f, dict(zip(schema, k)).get, v), v) for k, v in rows}
 
 
 def _transform_by_formula(
@@ -702,159 +734,93 @@ def _transform_by_formula(
             )
         for k in _class_members(rep, schema, pool, r.universe or ()):
             table[k] = value
-    for k, v in r.table.items():
-        table[k] = value_for(_formula_value(f, dict(zip(schema, k)).get, v), v)
+    table.update(_by_row(r.table.items(), schema, f, value_for))
     return Relation._of(schema, default, table, r.universe)
 
 
-def _project_four(
-    r: Relation,
-    keep: frozenset[Variable],
-    add: Callable[[Any, Any], Any],
-    zero: Any,
-) -> Relation:
-    """Sum r over the variables outside ``keep`` with ``add``, whose identity
-    is ``zero``: each group of exceptions that agree on ``keep`` adds up
-    its values (see ``_group_sum``)."""
-    dropped = r.vars - keep
-    if not dropped:
-        return r
-    total = _group_sum(r, len(dropped), add, zero)
-    schema = tuple(v for v in r.schema if v in keep)
-    restrict = _plan(schema, r.schema)
-    groups: dict[tuple, list] = {}
-    for k, v in r.table.items():
-        groups.setdefault(restrict(k), []).append(v)
-    table = {k: total(vals) for k, vals in groups.items()}
-    return Relation._of(schema, total([]), table, r.universe)
-
-
-def _group_sum(r: Relation, dropped: int, add: Callable[[Any, Any], Any],
-               zero: Any) -> Callable[[list], Any]:
-    """The sum of a group of r's rows projected onto all but ``dropped``
-    variables, from the group's listed values: r's default is added once
-    for each missing extension.  A default ``d`` with ``add(d, d) == d``
-    stands for any positive number of copies, which is exact in every
-    semiring; any other default is added copy by copy, so open mode, with
-    infinitely many extensions, refuses it."""
-    d = r.default
+def _plan_project(r: Relation, keep: frozenset[Variable], add: Callable[[Any, Any], Any],
+                  zero: Any) -> tuple:
+    """The plan of r summed over the variables outside ``keep`` with ``add``,
+    whose identity is ``zero``: each group of exceptions that agree on
+    ``keep`` adds up its values, and r's default once for each missing
+    extension.  A default ``d`` with ``add(d, d) == d`` stands for any
+    positive number of copies, which is exact in every semiring; any other
+    default is added copy by copy, so open mode, with infinitely many
+    extensions, refuses it."""
+    schema, d = tuple(v for v in r.schema if v in keep), r.default
+    if schema == r.schema:
+        return schema, d, lambda t: t, schema
     idempotent = add(d, d) == d
     if r.universe is None and not idempotent:
         raise NonFinitelySupported(
             "projection over an infinite domain needs a zero or idempotent default"
         )
-    total = None if r.universe is None else len(r.universe) ** dropped
+    # a group's extensions; None stands for infinitely many
+    n = None if r.universe is None else len(r.universe) ** (len(r.schema) - len(schema))
+    restrict = _plan(schema, r.schema)
 
-    def copies(n: int | None):
-        """d added n times; None stands for infinitely many."""
+    def total(vals: list):
         if idempotent:
-            return zero if n == 0 else d
-        return functools.reduce(add, itertools.repeat(d, n), zero)
+            start = zero if n == len(vals) else d
+        else:
+            start = functools.reduce(add, itertools.repeat(d, n - len(vals)), zero)
+        return functools.reduce(add, vals, start)
 
-    return lambda vals: functools.reduce(
-        add, vals, copies(None if total is None else total - len(vals)))
+    def run(t: dict) -> dict:
+        groups: dict[tuple, list] = {}
+        for k, v in t.items():
+            groups.setdefault(restrict(k), []).append(v)
+        return {k: total(vals) for k, vals in groups.items()}
 
-
-# ---------------------------------------------------------------------------
-# Changed rows: an operator's output rows that changed inputs reach
-# ---------------------------------------------------------------------------
-#
-# Each function takes an operator's input relations and its output over
-# them, and returns the function from the input rows that changed (row ->
-# new value, the default for a row that left the table) to the output rows
-# those rows reach, recomputed from the inputs' current values.  The
-# four-valued operators have no inverse, so nothing is subtracted.
+    return schema, total([]), run, schema
 
 
-def _current(r: Relation, changed: dict) -> Callable[[tuple], Any]:
-    """A row's value in r with ``changed`` applied."""
-    table, d = r.table, r.default
-    return lambda k: changed[k] if k in changed else table.get(k, d)
+def _project_four(r: Relation, keep: frozenset[Variable], add: Callable[[Any, Any], Any],
+                  zero: Any) -> Relation:
+    if r.vars <= keep:
+        return r
+    schema, d, run, _ = _plan_project(r, keep, add, zero)
+    return Relation._of(schema, d, run(r.table), r.universe)
 
 
-def _join_changes(r1: Relation, r2: Relation, op2: Callable[[Any, Any], Any],
-                  out: Relation) -> Callable[[dict, dict], dict]:
-    """For ``out``, r1 joined with r2: a changed row meets the other side's
-    rows that agree with it on the shared variables, or, where its value
-    against the other side's default differs from out's default before or
-    after the change, every extension to the variables only the other
-    side binds.  Each side's rows are hashed on the shared variables here,
-    once."""
-    schema, d = out.schema, out.default
-    shared = _schema(r1.vars & r2.vars)
-    sides = []
-    for a, b in ((r1, r2), (r2, r1)):
-        extra = _schema(b.vars - a.vars)
-        key_b, index = _plan(shared, b.schema), {}
-        for k in b.table if extra else ():
-            index.setdefault(key_b(k), []).append(k)
-        sides.append((a, b, extra, _plan(shared, a.schema), key_b, index,
-                      _plan(schema, a.schema + extra), _plan(schema, a.schema + b.schema)))
-    at1, at2 = _plan(r1.schema, schema), _plan(r2.schema, schema)
+def _keyed_changes(plan: tuple, ins: list[Relation], out: Relation,
+                   at_ins: tuple[int, ...]) -> Callable[[list[dict], dict], dict]:
+    """The change step of ``plan``'s operator over ``ins``, whose output is
+    ``out``: from a change plan's changed rows, the inputs' at ``at_ins``
+    (row -> new value, the default for a row that left the table), it runs
+    the operator on each input's rows under the keys the changed rows hold,
+    with the changes applied, and gives the default to every row that
+    ``out`` lists under those keys and the run does not.  A row listed at
+    its input's default reads as an absent one, as change plans are
+    four-valued, where every default is idempotent.  The inputs and
+    ``out`` are indexed by key here, once."""
+    _, d, run, key = plan
+    keys = [_plan(key, r.schema) for r in ins]
+    indexes = [_index(r.table, at) for r, at in zip(ins, keys)]
+    listed = _index(out.table, _plan(key, out.schema))
 
-    def changes(c1: dict, c2: dict) -> dict:
-        rows: set[tuple] = set()
-        for (a, b, extra, key_a, key_b, index, extend, merge), ca, cb in zip(
-                sides, (c1, c2), (c2, c1)):
-            if not ca:
-                continue
-            if not extra:  # out's schema is a's
-                rows.update(ca)
-                continue
-            moved: dict[tuple, list] = {}
-            for k in cb:
-                moved.setdefault(key_b(k), []).append(k)
-            for k, v in ca.items():
-                hot = op2(v, b.default) != d
-                if hot or op2(a.table.get(k, a.default), b.default) != d:
-                    if hot and out.universe is None:
-                        raise NonFinitelySupported(
-                            "join of relations with disjoint variables whose defaults do not absorb"
-                        )
-                    rows.update(extend(k + combo)
-                                for combo in itertools.product(out.universe, repeat=len(extra)))
-                else:
-                    s = key_a(k)
-                    rows.update(merge(k + kb)
-                                for kb in itertools.chain(index.get(s, ()), moved.get(s, ())))
-        cur1, cur2 = _current(r1, c1), _current(r2, c2)
-        return {row: op2(cur1(at1(row)), cur2(at2(row))) for row in rows}
+    def changes(plan_changes: list[dict], triples: dict) -> dict:
+        changed = [plan_changes[i] for i in at_ins]
+        hit = {at(k) for c, at in zip(changed, keys) for k in c}
+        tables = []
+        for index, c in zip(indexes, changed):
+            tables.append({k: v for s in hit for k, v in index.get(s, ())})
+            tables[-1].update(c)
+        rows = run(*tables)
+        for s in hit:
+            for k, _ in listed.get(s, ()):
+                rows.setdefault(k, d)
+        return rows
 
     return changes
 
 
-def _union_changes(r1: Relation, r2: Relation,
-                   op2: Callable[[Any, Any], Any]) -> Callable[[dict, dict], dict]:
-    def changes(c1: dict, c2: dict) -> dict:
-        cur1, cur2 = _current(r1, c1), _current(r2, c2)
-        return {k: op2(cur1(k), cur2(k)) for k in c1.keys() | c2.keys()}
-
-    return changes
-
-
-def _project_changes(r: Relation, out: Relation, add: Callable[[Any, Any], Any],
-                     zero: Any) -> Callable[[dict], dict]:
-    """For ``out``, r projected: the groups that a changed row falls in,
-    each added up again from all its current rows.  r's rows are grouped
-    here, once."""
-    if out is r:  # the projection dropped nothing
-        return lambda c: c
-    restrict, d = _plan(out.schema, r.schema), r.default
-    total = _group_sum(r, len(r.vars) - len(out.vars), add, zero)
-    groups: dict[tuple, list] = {}
-    for k in r.table:
-        groups.setdefault(restrict(k), []).append(k)
-
-    def changes(c: dict) -> dict:
-        cur = _current(r, c)
-        touched: dict[tuple, set] = {}
-        for k in c:
-            touched.setdefault(restrict(k), set()).add(k)
-        return {group: total([v for k in members.union(groups.get(group, ()))
-                              if (v := cur(k)) != d])
-                for group, members in touched.items()}
-
-    return changes
+def _index(table: dict, at: Callable[[tuple], tuple]) -> dict[tuple, list]:
+    """The (row, value) pairs of ``table`` by the row's key ``at``."""
+    index: dict[tuple, list] = {}
+    for k, v in table.items():
+        index.setdefault(at(k), []).append((k, v))
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -997,12 +963,10 @@ class _FourEngine:
     def _eval(self, q: Query, g: FourGraph, done: dict) -> Relation:
         if isinstance(q, Pattern):
             return _eval_pattern(q.pattern, g, self.universe, self._plans)
-        if isinstance(q, Join):
-            multiply = self._ops(q.op, False)[0]
-            return _combine_join(done[_key(q.left)], done[_key(q.right)], multiply)
-        if isinstance(q, Union):
-            add = self._ops(q.op, True)[0]
-            return _combine_union(done[_key(q.left)], done[_key(q.right)], add)
+        if isinstance(q, (Join, Union)):
+            union = isinstance(q, Union)
+            return (_combine_union if union else _combine_join)(
+                done[_key(q.left)], done[_key(q.right)], self._ops(q.op, union)[0])
         if isinstance(q, Belief):
             return self._eval_belief(q, g)
         r1 = done[_key(q.query)]
@@ -1046,21 +1010,20 @@ class _FourEngine:
                 row: v for t, v in triples.items() if (row := matcher(t)) is not None}
         if isinstance(q, Belief):
             return None, out, lambda changes, triples: self._belief_changes(q, g, triples)
-        if isinstance(q, (Join, Union)):
-            i, j = at[_key(q.left)], at[_key(q.right)]
-            r1, r2 = done[_key(q.left)], done[_key(q.right)]
-            both = (_union_changes(r1, r2, self._ops(q.op, True)[0]) if isinstance(q, Union)
-                    else _join_changes(r1, r2, self._ops(q.op, False)[0], out))
-            return (i, j), out, lambda changes, triples: both(changes[i], changes[j])
-        i, r = at[_key(q.query)], done[_key(q.query)]
+        if isinstance(q, (Filter, MapState)):
+            i, schema, f = at[_key(q.query)], done[_key(q.query)].schema, q.formula
+            value_for = self._value_for(q)
+            return (i,), out, lambda changes, triples: _by_row(
+                changes[i].items(), schema, f, value_for)
+        kids = (q.left, q.right) if isinstance(q, (Join, Union)) else (q.query,)
+        ins, at_ins = [done[_key(kid)] for kid in kids], tuple(at[_key(kid)] for kid in kids)
         if isinstance(q, Project):
             add, zero, _ = self._ops(q.op, True)
-            one = _project_changes(r, out, add, zero)
-            return (i,), out, lambda changes, triples: one(changes[i])
-        schema, f, value_for = r.schema, q.formula, self._value_for(q)
-        return (i,), out, lambda changes, triples: {
-            k: value_for(_formula_value(f, dict(zip(schema, k)).get, v), v)
-            for k, v in changes[i].items()}
+            plan = _plan_project(ins[0], frozenset(q.vars), add, zero)
+        else:
+            union = isinstance(q, Union)
+            plan = (_plan_union if union else _plan_join)(*ins, self._ops(q.op, union)[0])
+        return at_ins, out, _keyed_changes(plan, ins, out, at_ins)
 
     @staticmethod
     def _slice_changes(steps: list[tuple], triples: dict) -> dict:

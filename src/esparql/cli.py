@@ -128,7 +128,7 @@ def main() -> None:
 @click.option("--show-default", is_flag=True, help="Append the wildcard row.")
 @_base_option
 @_vocab_option
-@click.option("--cap", type=int, default=DEFAULT_CAP, show_default=True,
+@click.option("--cap", type=click.IntRange(min=1), default=DEFAULT_CAP, show_default=True,
               help="Largest allowed enumeration size.")
 def cmd_query(graph_path, query_path, inline, mode, fmt, show_default,
               base_iri, vocab_ns, cap) -> None:
@@ -172,8 +172,8 @@ def cmd_check(graph_path, query_path, inline, base_iri) -> None:
 
 @main.command("diff")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--cases", type=int, default=100, show_default=True)
-@click.option("--cap", type=int, default=DEFAULT_ORACLE_CAP, show_default=True)
+@click.option("--cases", type=click.IntRange(min=0), default=100, show_default=True)
+@click.option("--cap", type=click.IntRange(min=1), default=DEFAULT_ORACLE_CAP, show_default=True)
 @_vocab_option
 def cmd_diff(seed, cases, cap, vocab_ns) -> None:
     """Run seeded random cases through the engine and the brute-force oracle."""
@@ -209,7 +209,7 @@ def cmd_diff(seed, cases, cap, vocab_ns) -> None:
 @click.option("--show-default", is_flag=True)
 @_base_option
 @_vocab_option
-@click.option("--cap", type=int, default=DEFAULT_CAP, show_default=True)
+@click.option("--cap", type=click.IntRange(min=1), default=DEFAULT_CAP, show_default=True)
 def cmd_repl(graph_path, mode, fmt, show_default, base_iri, vocab_ns, cap) -> None:
     """Interactive session: queries end with a blank line, ':quit' leaves."""
     state = {"graph": FourGraph(FourValue.UNKNOWN), "mode": mode, "format": fmt}

@@ -919,6 +919,66 @@ def test_belief_slices_build_no_graph_per_key(monkeypatch):
         assert graphs[0] == 1 and keys[0] > 20, text
 
 
+def test_a_join_change_step_runs_on_the_rows_its_changed_keys_select(monkeypatch):
+    # under each holder key, the change step of a join on ?deity hands the
+    # join only its inputs' rows, with the key's changes applied, whose
+    # ?deity is one that the key's changed rows hold: <h0> believes ten
+    # deities and their realms, so the fresh slice lists 10 rows on each
+    # side, and each other holder changes the rows of two deities
+    true, false = (f"<https://esparql.dev/vocab#believesTo{s}>" for s in ("BeTrue", "BeFalse"))
+    text = ["@default unknown ."]
+    for i in range(10):
+        text += [f"<h0> {true} << <d{i}> <a> <FullDeity> >> .",
+                 f"<h0> {true} << <d{i}> <rules> <realm{i}> >> ."]
+    for k in range(1, 7):
+        text += [f"<h{k}> {false} << <d{k}> <a> <FullDeity> >> .",
+                 f"<h{k}> {true} << <d{k + 2}> <rules> <realm{k}> >> ."]
+    g = parse_graph("\n".join(text) + "\n")
+    q = parse_and_desugar(
+        "SELECT INFO * FROM BELIEF <h0> ?x WHERE { ?deity a <FullDeity> . ?deity <rules> ?r }")
+    algebra = esparql.algebra
+    real_plan, real_step = algebra._plan_join, algebra._FourEngine._changes_step
+    handed, checked = [], []
+
+    def plan_join(r1, r2, op2):
+        schema, d, run, key = real_plan(r1, r2, op2)
+
+        def counted(t1, t2):
+            handed.append((t1, t2))
+            return run(t1, t2)
+
+        return schema, d, counted, key
+
+    def changes_step(self, node, g, done, at):
+        kids, out, step = real_step(self, node, g, done, at)
+        if not isinstance(node, Join):
+            return kids, out, step
+        ins = [done[algebra._key(kid)] for kid in (node.left, node.right)]
+
+        def counted(changes, triples):
+            handed.clear()
+            rows = step(changes, triples)
+            changed = [changes[i] for i in kids]
+            deities = {k[r.schema.index(DEITY)] for r, c in zip(ins, changed) for k in c}
+            want = tuple({k: v for k, v in {**r.table, **c}.items()
+                          if k[r.schema.index(DEITY)] in deities and v != r.default}
+                         for r, c in zip(ins, changed))
+            assert handed == [want]
+            checked.append((len(deities), [len(r.table) for r in ins]))
+            return rows
+
+        return kids, out, counted
+
+    monkeypatch.setattr(algebra, "_plan_join", plan_join)
+    monkeypatch.setattr(algebra._FourEngine, "_changes_step", changes_step)
+    r = evaluate(q, g)
+    monkeypatch.undo()
+    assert not diff(r, oracle_eval(q, g))
+    # one step per holder with stances but h0; each of them changes two of
+    # the ten deities
+    assert checked == [(2, [10, 10])] * 6
+
+
 def test_a_belief_of_a_belief_builds_no_graph_per_outer_key(monkeypatch):
     # u4, a belief about a belief, on the seed-12 belief_holders graph: the
     # nested Belief's changed rows under an outer key come from its slices
@@ -933,7 +993,7 @@ def test_a_belief_of_a_belief_builds_no_graph_per_outer_key(monkeypatch):
     engine = esparql.algebra._FourEngine
     real_graph, real_extraction = FourGraph.__init__, belief_mod.Extraction.__init__
     real_derived, real_extract = FourGraph.derived, engine._extract
-    graphs, extractions, keys, indexes = [0], [0], [0], []
+    graphs, extractions, keys, indexes, held = [0], [0], [0], [], []
 
     def graph(self, *args, **kwargs):
         graphs[0] += 1
@@ -946,6 +1006,7 @@ def test_a_belief_of_a_belief_builds_no_graph_per_outer_key(monkeypatch):
     def derived(self, key, build):
         def counted():
             indexes.append((id(self), key))
+            held.append(self)  # so no later graph takes its id
             return build()
         return real_derived(self, key, counted if key[0] == "believers" else build)
 

@@ -292,6 +292,36 @@ def test_cap_refusal_reports_the_widest_scope(runner):
     assert result.stderr == "error: |universe| ** |vars| = 19**4 exceeds cap 17\n"
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_query_cap_below_one_is_a_usage_error(runner, cap):
+    result = runner.invoke(main, ["query", "--graph", GRAPH, "--eval",
+                                  "SELECT ?x WHERE { ?x a <Christian> }", "--cap", cap])
+    assert result.exit_code == 2
+    assert "Invalid value for '--cap'" in result.stderr
+
+
+def test_repl_cap_below_one_is_a_usage_error(runner):
+    result = runner.invoke(main, ["repl", "--graph", GRAPH, "--cap", "0"], input=":quit\n")
+    assert result.exit_code == 2
+    assert "Invalid value for '--cap'" in result.stderr
+    assert "loaded" not in result.output
+
+
+def test_diff_cap_below_one_is_a_usage_error(runner):
+    result = runner.invoke(main, ["diff", "--cases", "1", "--cap", "0"])
+    assert result.exit_code == 2
+    assert "Invalid value for '--cap'" in result.stderr
+
+
+def test_diff_cases_below_zero_is_a_usage_error(runner):
+    result = runner.invoke(main, ["diff", "--cases", "-3"])
+    assert result.exit_code == 2
+    assert "Invalid value for '--cases'" in result.stderr
+    assert "cases agree" not in result.output
+    # no cases is a run that checks nothing
+    assert runner.invoke(main, ["diff", "--cases", "0"]).output == "0 cases agree, 0 skipped\n"
+
+
 def test_answers_do_not_depend_on_hash_order():
     # operators iterate the universe as a set, in hash order; the printed
     # answer of a densifying join and an equality filter must not show it.
