@@ -1049,12 +1049,12 @@ class _FourEngine:
             return b
         b = _BeliefBase()
         b.g, b.ext = g, belief_mod.extraction(g, q.expr, self.vocab)
-        b.evars, b.relevant, b.reads, b.fresh, b.steps, b.slices = (), [], None, None, None, {}
-        binding = None
+        b.evars, b.relevant, b.reads, b.fresh, b.steps, b.slices = (), set(), None, None, None, {}
+        binding, b.iris = None, frozenset()
         if q._holders:
             b.evars = _schema(q._holders)
-            b.reads, relevant = self._relevant_holders(q.query, g)
-            b.relevant = sorted(relevant, key=attrgetter("text"))
+            b.iris = frozenset(t for t in self.universe or () if isinstance(t, Iri))
+            b.reads, b.relevant = self._relevant_holders(q.query, g)
             b.fresh = _fresh_holder(b.ext)
             binding = dict.fromkeys(b.evars, b.fresh)
         b.graph, b.done = self._extract(b.ext, binding), {}
@@ -1068,62 +1068,31 @@ class _FourEngine:
         self._bases[id(q), id(g)] = b
         return b
 
-    def _key_changes(self, q: Belief, b: "_BeliefBase", ext: belief_mod.Extraction,
-                     key: tuple) -> dict:
-        """The rows where the body's relation over ``ext`` under the holder
-        key differs from ``b.r0``, with their new values."""
-        if b.steps is None:
-            b.steps = self._changes_plan(q.query, b.graph, b.done)
-        binding = dict(zip(b.evars, key)) if key else None
-        return self._slice_changes(b.steps, self._extract(ext, binding, whole=False))
-
     def _eval_belief(self, q: Belief, g: FourGraph) -> Relation:
+        """q's relation over g, as its change from the relation in which no
+        holder has stances: ``_changed_rows`` from no relevant holder to
+        all of them."""
         b = self._belief_base(q, g)
         if not q._holders:
             return b.r0
-
         # every slice has r0's default and schema: an extraction's default,
         # the expression's value where no atom believes, is the same under
-        # every binding, and so is each operator's given its inputs'
-        r0, fresh, universe = b.r0, b.fresh, self.universe or ()
-        default, relevant = r0.default, set(b.relevant)
-        all_fresh = (fresh,) * len(b.evars)
-        b.slices[all_fresh] = {}
-
-        def slice_at(key: tuple[Iri, ...]) -> dict[tuple, Any]:
-            """The key's slice: r0's rows with those that the key's changed
-            triples reach recomputed, which are kept by key."""
-            changed = b.slices[key] = self._key_changes(q, b, b.ext, key)
-            if not changed:
-                return r0.table
-            table = {**r0.table, **changed}
-            return {k: v for k, v in table.items() if v != default}
-
-        # a key position is a relevant holder; or fresh, standing for every
-        # other IRI (the body cannot tell their extractions apart); or None,
-        # standing for the quoted triples, whose slices are constantly
-        # unknown.  In open mode both are infinitely many and stand for no
-        # listed term, so a key holding one must have no rows
-        stands_for = {
-            fresh: [t for t in universe if isinstance(t, Iri) and t not in relevant],
-            None: [t for t in universe if not isinstance(t, Iri)],
-        }
-        quoted = [] if default == UNKNOWN else [
+        # every binding, and so is each operator's given its inputs'.  With
+        # no stances, r0 stands under every key of IRIs; a quoted triple
+        # holds no beliefs, so under a key holding one the body is
+        # constantly unknown.  Open mode lists none of them: its r0 is
+        # constantly unknown (``_belief_base``)
+        r0, universe, extend = b.r0, self.universe or (), b.extend
+        quoted = [] if r0.default == UNKNOWN else [
             (tuple(t for _, t in m.bindings), UNKNOWN) for m in mappings_over(r0.vars, universe)]
         table: dict[tuple, Any] = {}
-        for key in itertools.product(b.relevant + list(stands_for), repeat=len(b.evars)):
-            rows = quoted if None in key else (
-                r0.table if key == all_fresh else slice_at(key)).items()
-            if not rows:
-                continue
-            if self.universe is None and fresh in key:
-                raise NonFinitelySupported(
-                    "belief naming a holder and a quantified non-holder is not constantly unknown"
-                )
-            for combo in itertools.product(*(stands_for.get(t, (t,)) for t in key)):
-                for k, v in rows:
-                    table[b.extend(k + combo)] = v
-        return Relation._of(b.schema, default, table, self.universe)
+        if r0.table or quoted:
+            for combo in itertools.product(universe, repeat=len(b.evars)):
+                for k, v in (r0.table.items() if b.iris.issuperset(combo) else quoted):
+                    table[extend(k + combo)] = v
+        b.slices, rows = self._changed_rows(q, b, b.ext, set(), b.relevant, b.relevant, b.fresh)
+        table.update(rows)
+        return Relation._of(b.schema, r0.default, table, self.universe)
 
     def _belief_changes(self, q: Belief, g: FourGraph, triples: dict) -> dict:
         """The rows where q's relation over g with ``triples`` set to their
@@ -1132,60 +1101,75 @@ class _FourEngine:
         graph.  q reads its graph only through the belief statements and
         the default, which is the same under every key of an enclosing
         Belief; so only the holders whose stances ``triples`` changes
-        (``Extraction.after``) change a key, or every key when a ground
-        atom's do.  A key's slice is found by its difference from r0 over
-        g, in the order ``_eval_belief`` visits keys, so a refusal is the
-        one a whole run would make."""
+        (``Extraction.after``) change a key."""
         b = self._belief_base(q, g)
         ext, changed = b.ext.after(triples)
         if not changed:
             return {}
-        if not q._holders:
-            return self._key_changes(q, b, ext, ())
-        r0t, d = b.r0.table, b.r0.default
-        was = set(b.relevant)
+        was = b.relevant
         now = was.difference(changed)
         now.update(h for h in changed
                    if any(b.reads is None or b.reads(t) for t in ext.believed(h)))
         fresh = b.fresh if b.fresh not in changed else _fresh_holder(ext)
-        # a position is a holder relevant before or after, or None for
-        # every other IRI; a key over them changes only if it holds a
-        # changed holder
-        hot, listed = changed & (was | now), sorted(was | now, key=attrgetter("text"))
-        keys = [key for key in itertools.product(listed + [None], repeat=len(b.evars))
+        return self._changed_rows(q, b, ext, was, now, changed & (was | now), fresh)[1]
+
+    def _changed_rows(self, q: Belief, b: "_BeliefBase", ext: belief_mod.Extraction,
+                      was: set[Iri], now: set[Iri], hot: set[Iri], fresh: Iri | None
+                      ) -> tuple[dict, dict]:
+        """The rows of q's relation under ``ext``, whose holders relevant to
+        the body are ``now``, that differ from q's relation over ``b.g``,
+        whose relevant holders were ``was`` (none: the relation in which no
+        holder has stances), with their new values; and the changed rows
+        from r0 of each key visited, by key.  Only the keys holding a
+        holder of ``hot`` change, or every key when a ground atom's
+        believers do (``ext.moved``); without holder variables that is the
+        empty key.  A key is visited as the key of ``now`` and ``fresh``
+        that a whole run over ``ext`` visits in its place, in a whole run's
+        order, so a refusal is the one a whole run would make."""
+        # a key position is a holder relevant now, one relevant before only,
+        # or None for every other IRI.  Listed in this order, the keys map
+        # through ``to_now`` onto a whole run's keys over ``ext`` in that
+        # run's order; but a whole run refuses its r0 first
+        # (``_belief_base``), so the all-fresh key moves to the front
+        by_text = attrgetter("text")
+        listed = sorted(now, key=by_text) + sorted(was - now, key=by_text) + [None]
+        to_now = {h: h if h in now else fresh for h in listed}
+        keys = [key for key in itertools.product(listed, repeat=len(b.evars))
                 if ext.moved or not hot.isdisjoint(key)]
-        # the key a whole run would visit in its place now, and did over g
-        now_key = {key: tuple(h if h in now else fresh for h in key) for key in keys}
-        rank = {h: i for i, h in enumerate(sorted(now, key=attrgetter("text")))}
-        rank[fresh] = len(rank)
+        now_keys = [tuple(map(to_now.__getitem__, key)) for key in keys]
+        visits = list(dict.fromkeys(now_keys))
         all_fresh = (fresh,) * len(b.evars)
-        slices = {}
-        for key in sorted(set(now_key.values()),
-                          key=lambda key: (key != all_fresh, [rank[h] for h in key])):
-            slices[key] = changes = self._key_changes(q, b, ext, key)
+        if visits and visits[-1] == all_fresh:
+            visits.insert(0, visits.pop())
+        slices: dict[tuple, dict] = {all_fresh: {}}  # r0 is its slice, unless visited
+        for key in visits:
+            if b.steps is None:
+                b.steps = self._changes_plan(q.query, b.graph, b.done)
+            triples = self._extract(ext, dict(zip(b.evars, key)), whole=False)
+            slices[key] = changes = self._slice_changes(b.steps, triples)
             if changes and self.universe is None and fresh in key:  # r0 lists no rows here
                 raise NonFinitelySupported(
                     "belief over a quantified holder is not constantly unknown off-support"
                     if key == all_fresh else
                     "belief naming a holder and a quantified non-holder is not constantly unknown"
                 )
-        universe = self.universe or ()
-        other = [t for t in universe if isinstance(t, Iri) and t not in was and t not in now]
+        r0t, d = b.r0.table, b.r0.default
+        to_was = {h: h if h in was else b.fresh for h in listed}
+        spread = {h: (h,) for h in listed}
+        spread[None] = b.iris.difference(was, now)
         out: dict[tuple, Any] = {}
-        for key in keys:
-            new = slices[now_key[key]]
-            old = b.slices[tuple(h if h in was else b.fresh for h in key)]
-            rows = {}
-            for k in new.keys() | old.keys():
-                v = new[k] if k in new else r0t.get(k, d)
-                if v != (old[k] if k in old else r0t.get(k, d)):
-                    rows[k] = v
+        for key, now_key in zip(keys, now_keys):
+            rows = new = slices[now_key]
+            if was:  # else the old slice is r0's
+                old = b.slices[tuple(map(to_was.__getitem__, key))]
+                rows = {k: v for k in new.keys() | old.keys()
+                        if (v := new.get(k, r0t.get(k, d))) != old.get(k, r0t.get(k, d))}
             if not rows:
                 continue
-            for combo in itertools.product(*(other if t is None else (t,) for t in key)):
+            for combo in itertools.product(*map(spread.__getitem__, key)):
                 for k, v in rows.items():
                     out[b.extend(k + combo)] = v
-        return out
+        return slices, out
 
     def _relevant_holders(self, body: Query, g: FourGraph
                           ) -> tuple[Callable[[StarTriple], bool] | None, set[Iri]]:
@@ -1221,17 +1205,19 @@ class _FourEngine:
 class _BeliefBase:
     """A Belief node's evaluation over a graph ``g`` (held, so that its id
     stays its own), up to its holder keys: its extraction ``ext``; for
-    holder variables ``evars``, the holders
-    ``relevant`` to the body, sorted, the body's test on a triple
-    (``reads``, see ``_relevant_holders``) and an IRI ``fresh`` without
-    stances; the graph of the fresh extraction, the body's relations over
-    it in ``done`` with the body's among them, ``r0``; the body's change
-    plan ``steps``, made on first use; each key's changed rows from r0,
-    kept by key in ``slices``; and the schema of the node's relation with
-    the plan ``extend`` of a body row and key onto it."""
+    holder variables ``evars``, the set of holders ``relevant`` to the
+    body, the body's test on a triple (``reads``, see
+    ``_relevant_holders``), an IRI ``fresh`` without stances and the
+    universe's IRIs ``iris``; the graph of the fresh extraction, the body's
+    relations over it in ``done`` with the body's among them, ``r0``; the
+    body's change plan ``steps``, made on first use; the changed rows from
+    r0 of each key a whole run visits, and of the fresh key, which
+    ``_eval_belief`` keeps in ``slices`` for the change steps; and the
+    schema of the node's relation with the plan ``extend`` of a body row
+    and key onto it."""
 
-    __slots__ = ("g", "ext", "evars", "relevant", "reads", "fresh", "graph", "done", "r0",
-                 "steps", "slices", "schema", "extend")
+    __slots__ = ("g", "ext", "evars", "relevant", "reads", "fresh", "iris", "graph", "done",
+                 "r0", "steps", "slices", "schema", "extend")
 
 
 def _fresh_holder(ext: belief_mod.Extraction) -> Iri:

@@ -108,12 +108,7 @@ def holder_index(g: FourGraph,
         predicates = vocab.predicates()
         index: dict[tuple[Iri, Iri], list[StarTriple]] = {}
         for key, value in g.exceptions.items():
-            if (
-                key.predicate in predicates
-                and isinstance(key.subject, Iri)
-                and isinstance(key.object, StarTriple)
-                and value in (TRUE, CONFLICTED)
-            ):
+            if is_statement(key, predicates) and value in (TRUE, CONFLICTED):
                 index.setdefault((key.subject, key.predicate), []).append(key.object)
         return index
     return g.derived(("holders", vocab), build)
