@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import ChainMap
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Union
 
 from .errors import NonFiniteBeliefExtraction, NonIriHolder, UnboundBeliefVariable
@@ -98,6 +99,41 @@ def is_statement(t: StarTriple, predicates: frozenset[Iri]) -> bool:
         and isinstance(t.object, StarTriple)
 
 
+def _restated(index: dict, triples: dict, was, predicates: frozenset[Iri],
+              by_triple: bool = False) -> dict:
+    """The lists of ``index`` (keyed by holder and belief predicate, or
+    ``by_triple`` by believed triple) that setting ``triples`` to their
+    values from ``was(t)`` changes, with their new contents: a belief
+    statement changes them when it starts or stops counting as a stance.
+    The one test of which holders an update touches."""
+    changed: dict = {}
+    for t, v in triples.items():
+        if is_statement(t, predicates) and \
+                (v in (TRUE, CONFLICTED)) != (was(t) in (TRUE, CONFLICTED)):
+            key, item = (t.object, t.subject) if by_triple else ((t.subject, t.predicate), t.object)
+            if key not in changed:
+                changed[key] = list(index.get(key, ()))
+            if v in (TRUE, CONFLICTED):
+                changed[key].append(item)
+            else:
+                changed[key].remove(item)
+    return changed
+
+
+def _carry_index(vocab: BeliefVocabulary, by_triple: bool, index: dict, child: FourGraph,
+                 t: StarTriple, old, new) -> dict:
+    """The ``carry`` of ``holder_index`` or ``believers``: the same index
+    when t's stance does not change, else a copy with its list patched."""
+    changed = _restated(index, {t: new}, {t: old}.get, vocab.predicates(), by_triple)
+    if not changed:
+        return index
+    out = {**index, **changed}
+    for key, items in changed.items():
+        if not items:
+            del out[key]
+    return out
+
+
 def holder_index(g: FourGraph,
                  vocab: BeliefVocabulary) -> dict[tuple[Iri, Iri], list[StarTriple]]:
     """(holder IRI, belief predicate) -> the quoted triples so believed, from
@@ -111,7 +147,7 @@ def holder_index(g: FourGraph,
             if is_statement(key, predicates) and value in (TRUE, CONFLICTED):
                 index.setdefault((key.subject, key.predicate), []).append(key.object)
         return index
-    return g.derived(("holders", vocab), build)
+    return g.derived(("holders", vocab), build, partial(_carry_index, vocab, False))
 
 
 def believers(g: FourGraph, vocab: BeliefVocabulary) -> dict[StarTriple, list[Iri]]:
@@ -125,7 +161,7 @@ def believers(g: FourGraph, vocab: BeliefVocabulary) -> dict[StarTriple, list[Ir
             for t in believed:
                 index.setdefault(t, []).append(holder)
         return index
-    return g.derived(("believers", vocab), build)
+    return g.derived(("believers", vocab), build, partial(_carry_index, vocab, True))
 
 
 def extract(g: FourGraph, e: BeliefQuery, vocab: BeliefVocabulary,
@@ -155,7 +191,7 @@ def extraction(g: FourGraph, e: BeliefQuery, vocab: BeliefVocabulary) -> "Extrac
         raise NonFiniteBeliefExtraction(
             f"graph default {g.default.label} asserts belief triples everywhere"
         )
-    return g.derived(("extraction", vocab, e), lambda: Extraction(g, e, vocab))
+    return g.derived(("extraction", vocab, e), lambda: Extraction(g, e, vocab), Extraction.carry)
 
 
 def _compiled(e: BeliefQuery, vocab: BeliefVocabulary) -> tuple[list, dict[int, FourValue]]:
@@ -180,7 +216,8 @@ class Extraction:
     only the triples its holders have stances on, which ``delta`` lists;
     ``graph`` builds the whole extraction.  Atom i is bit i of a triple's
     set of believers.  ``after`` gives the extraction from g changed on
-    some triples, without a graph.
+    some triples, without a graph, and ``carry`` the extraction from a
+    graph ``set_value`` made from g.
     """
 
     __slots__ = ("default", "fresh", "moved", "_index", "_predicates", "_ground",
@@ -224,17 +261,7 @@ class Extraction:
         this extraction itself is returned.  The new extraction's ``delta``
         lists the triples whose believers differ from those of g's fresh
         binding: ``moved`` holds the ground atoms' ones."""
-        changed: dict[tuple[Iri, Iri], list[StarTriple]] = {}
-        for t, v in triples.items():
-            if is_statement(t, self._predicates) and \
-                    (v in (TRUE, CONFLICTED)) != (self._statement(t) in (TRUE, CONFLICTED)):
-                key = (t.subject, t.predicate)
-                if key not in changed:
-                    changed[key] = list(self._index.get(key, ()))
-                if v in (TRUE, CONFLICTED):
-                    changed[key].append(t.object)
-                else:
-                    changed[key].remove(t.object)
+        changed = _restated(self._index, triples, self._statement, self._predicates)
         if not changed:
             return self, set()
         out = Extraction.__new__(Extraction)
@@ -243,6 +270,23 @@ class Extraction:
         ground, now = self._ground, out._ground
         out.moved = [t for t in ground.keys() | now.keys() if ground.get(t) != now.get(t)]
         return out, {holder for holder, _ in changed}
+
+    def carry(self, child: FourGraph, t: StarTriple, old, new) -> "Extraction":
+        """The extraction from ``child``, g with t set from ``old`` to
+        ``new`` (``FourGraph.derived``'s carry): this one when that changes
+        no stance, as its statements then count alike in both graphs.
+        Else one over child's index that, when the ground atoms' believers
+        stay, keeps what was looked up for every other holder."""
+        if not _restated(self._index, {t: new}, {t: old}.get, self._predicates):
+            return self
+        out = Extraction.__new__(Extraction)
+        out._read(holder_index(child, self._vocab), self._e, self._vocab)
+        out._statement, out.moved = child.exceptions.get, []
+        if out._ground == self._ground:
+            holder = t.subject
+            out._stances = {k: s for k, s in self._stances.items() if k[1] is not holder}
+            out._deltas = {k: d for k, d in self._deltas.items() if holder not in k}
+        return out
 
     def believed(self, holder: Iri) -> Iterator[StarTriple]:
         """The triples ``holder`` has a stance on, under any belief predicate."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Hashable, Iterable, Sequence, Union
 
 from .errors import IllFormedQuery
@@ -260,10 +261,12 @@ class FourGraph:
     it (triples bucketed by subject, predicate and object, the active
     domain, and per vocabulary the belief holder index and each belief
     expression's extraction) are built on first use and then cached on
-    that invariant by ``derived``.
+    that invariant by ``derived``.  ``set_value`` hands each structure the
+    graph has built to the child, patched for the one changed triple;
+    a structure that cannot be patched is built again on first use.
     """
 
-    __slots__ = ("default", "exceptions", "_derived")
+    __slots__ = ("default", "exceptions", "_derived", "_carries")
 
     def __init__(self, default, exceptions: dict[StarTriple, object] | None = None):
         self.default = default
@@ -276,36 +279,59 @@ class FourGraph:
                     exc[t] = v
         self.exceptions = exc
         self._derived: dict = {}
+        self._carries: dict = {}
 
     def lookup(self, t: StarTriple):
         return self.exceptions.get(t, self.default)
 
     def set_value(self, t: StarTriple, v) -> "FourGraph":
-        """Functional update; keeps the representation canonical."""
-        exc = dict(self.exceptions)
+        """Functional update; keeps the representation canonical.  The new
+        graph gets each structure this one has built through its ``carry``
+        (see ``derived``), and holds no reference to this graph; an update
+        that changes nothing returns this graph."""
+        if not isinstance(t, StarTriple):
+            raise TypeError(f"exception key must be a triple, got {t!r}")
+        old = self.exceptions.get(t, self.default)
+        if v == old:
+            return self
+        child = FourGraph.__new__(FourGraph)
+        child.default, child.exceptions = self.default, dict(self.exceptions)
         if v == self.default:
-            exc.pop(t, None)
+            del child.exceptions[t]
         else:
-            exc[t] = v
-        return FourGraph(self.default, exc)
+            child.exceptions[t] = v
+        child._derived, child._carries = {}, {}
+        # in the order built, so a structure is carried after those it reads
+        for key, structure in self._derived.items():
+            carry = self._carries.get(key)
+            if carry is not None and (made := carry(structure, child, t, old, v)) is not None:
+                child._derived[key], child._carries[key] = made, carry
+        return child
 
-    def derived(self, key: Hashable, build: Callable[[], Any]) -> Any:
+    def derived(self, key: Hashable, build: Callable[[], Any],
+                carry: Callable[..., Any] | None = None) -> Any:
         """The structure cached under ``key``, made by ``build`` from the
-        exceptions on first use."""
+        exceptions on first use.  ``carry(structure, child, t, old, new)``
+        gives the structure of ``child``, this graph with triple ``t`` set
+        from ``old`` to ``new``, or None to build it there on first use;
+        ``set_value`` calls it at once, so it must not hold this graph."""
         hit = self._derived.get(key)
         if hit is None:
             hit = self._derived[key] = build()
+            if carry is not None:
+                self._carries[key] = carry
         return hit
 
     def bucket(self, position: str, term: Term) -> Sequence[tuple[StarTriple, Any]]:
         """(triple, value) pairs of the exceptions whose ``position``
-        ('subject', 'predicate' or 'object') holds ``term``."""
+        ('subject', 'predicate' or 'object') holds ``term``, in the
+        exceptions' order."""
         def build() -> dict[Term, list[tuple[StarTriple, Any]]]:
             index: dict[Term, list[tuple[StarTriple, Any]]] = {}
             for tv in self.exceptions.items():
                 index.setdefault(getattr(tv[0], position), []).append(tv)
             return index
-        return self.derived(position, build).get(term, ())
+        return self.derived(position, build, _BUCKET_CARRIES[position]).get(term, ())
 
     def domain(self) -> frozenset[Term]:
         """The active domain of the exceptions (see ``active_domain``)."""
@@ -316,7 +342,7 @@ class FourGraph:
                 _collect_term(t.predicate, acc)
                 _collect_term(t.object, acc)
             return frozenset(acc)
-        return self.derived("domain", build)
+        return self.derived("domain", build, _carry_domain)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FourGraph):
@@ -331,6 +357,45 @@ class FourGraph:
             for t, v in sorted(self.exceptions.items(), key=lambda kv: term_text(kv[0]))
         )
         return f"FourGraph(default={self.default!r}, {{{rows}}})"
+
+
+def _carry_bucket(position: str, index: dict, child: FourGraph, t: StarTriple, old, new) -> dict:
+    """The bucket index with t's pair replaced in place, appended when t is
+    new or removed when it goes to the default: the exceptions' order."""
+    term = getattr(t, position)
+    pairs = list(index.get(term, ()))
+    if old == child.default:
+        pairs.append((t, new))
+    else:
+        at = [u for u, _ in pairs].index(t)
+        if new == child.default:
+            del pairs[at]
+        else:
+            pairs[at] = (pairs[at][0], new)  # the key the exceptions keep
+    out = dict(index)
+    if pairs:
+        out[term] = pairs
+    else:
+        del out[term]
+    return out
+
+
+_BUCKET_CARRIES = {position: partial(_carry_bucket, position)
+                   for position in ("subject", "predicate", "object")}
+
+
+def _carry_domain(domain: frozenset, child: FourGraph, t: StarTriple, old, new) -> frozenset | None:
+    """The same domain while t stays an exception, widened by t's terms
+    when it is added; unknown when t is removed, since its terms may occur
+    elsewhere."""
+    if new == child.default:
+        return None
+    if old != child.default:
+        return domain
+    acc: set[Term] = set()
+    for part in (t.subject, t.predicate, t.object):
+        _collect_term(part, acc)
+    return domain if acc <= domain else domain | acc
 
 
 def _collect_term(t: Term, acc: set[Term]) -> None:

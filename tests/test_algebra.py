@@ -920,6 +920,49 @@ def test_belief_slices_build_no_graph_per_key(monkeypatch):
         assert graphs[0] == 1 and keys[0] > 20, text
 
 
+def test_a_stance_update_recomputes_only_the_changed_holders_keys(monkeypatch):
+    # u1_var on the seed-12 belief_holders graph, evaluated once, then again
+    # after set_value flips one stance: the updated graph is handed the
+    # domain, the holder index and the extraction, so it builds none of
+    # them, and only the keys holding the flipped holder get a new delta
+    spec = importlib.util.spec_from_file_location("bench_gen", BENCH_GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    g = parse_graph(gen.graph_f4s(gen.belief_graph(random.Random(12))))
+    q = parse_and_desugar(gen.belief_queries(random.Random(12))[0]["u1_var"])
+    evaluate(q, g)
+    stance = min((t for t, v in g.exceptions.items() if v == T and t.predicate in VOCAB.predicates()
+                  and isinstance(t.object, StarTriple) and t.object.predicate == A), key=repr)
+    updated = g.set_value(stance, F)
+    extraction = belief_mod.Extraction
+    real_derived, real_init, real_delta = FourGraph.derived, extraction.__init__, extraction.delta
+    built, inits, computed = [], [0], []
+
+    def derived(self, key, build, carry=None):
+        if self is updated and key not in self._derived:
+            built.append(key)
+        return real_derived(self, key, build, carry)
+
+    def init(self, *args):
+        inits[0] += 1
+        real_init(self, *args)
+
+    def delta(self, binding):
+        known = set(self._deltas)
+        out = real_delta(self, binding)
+        computed.extend(self._deltas.keys() - known)
+        return out
+
+    monkeypatch.setattr(FourGraph, "derived", derived)
+    monkeypatch.setattr(extraction, "__init__", init)
+    monkeypatch.setattr(extraction, "delta", delta)
+    r = evaluate(q, updated)
+    monkeypatch.undo()
+    assert built == [] and inits == [0]
+    assert computed == [(stance.subject,)]
+    assert r == evaluate(q, FourGraph(updated.default, dict(updated.exceptions)))
+
+
 def test_a_join_change_step_runs_on_the_rows_its_changed_keys_select(monkeypatch):
     # under each holder key, the change step of a join on ?deity hands the
     # join only its inputs' rows, with the key's changes applied, whose
@@ -1004,12 +1047,12 @@ def test_a_belief_of_a_belief_builds_no_graph_per_outer_key(monkeypatch):
         extractions[0] += 1
         real_extraction(self, *args, **kwargs)
 
-    def derived(self, key, build):
+    def derived(self, key, build, carry=None):
         def counted():
             indexes.append((id(self), key))
             held.append(self)  # so no later graph takes its id
             return build()
-        return real_derived(self, key, counted if key[0] == "believers" else build)
+        return real_derived(self, key, counted if key[0] == "believers" else build, carry)
 
     def extract(self, *args, **kwargs):
         keys[0] += 1

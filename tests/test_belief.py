@@ -1,6 +1,8 @@
 """Belief extraction: single holders, shorthands and pointwise combination."""
 
 import itertools
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -28,11 +30,14 @@ from esparql import (
     identity_of,
     parse_and_desugar,
 )
-from esparql.belief import holder_index
+from esparql.belief import believers, extraction, holder_index
+from esparql.model import term_text
 
 from conftest import (
+    A,
     ARIUS,
     CHRISTIANITY,
+    FULL_DEITY,
     JESUS_DEITY,
     POPE,
     POPE_AFFIRMS,
@@ -229,8 +234,87 @@ def test_holder_index_is_built_once_per_graph_and_vocabulary(g1):
     assert holder_index(g1, other) == {}
     assert holder_index(g1, other) is holder_index(g1, other)
     assert holder_index(g1, VOCAB) is index
-    # a graph that set_value returns builds its own
+    # a graph that set_value returns gets its own, with the new stance
     updated = g1.set_value(StarTriple(ARIUS, VOCAB.to_be_true, ZEUS_DEITY), T)
     assert holder_index(updated, VOCAB) is not index
     assert holder_index(updated, VOCAB)[(ARIUS, VOCAB.to_be_true)] == [ZEUS_DEITY]
     assert (ARIUS, VOCAB.to_be_true) not in index
+
+
+# ---------------------------------------------------------------------------
+# set_value hands a graph's structures on
+# ---------------------------------------------------------------------------
+
+
+def _by_key(index):
+    return {k: Counter(items) for k, items in index.items()}
+
+
+def test_set_value_carries_what_a_rebuild_makes():
+    # a seeded chain of updates adds belief statements, flips them between
+    # believed and not, removes them, and adds and removes plain triples.
+    # After each, every structure the new graph was handed equals the one
+    # a graph built from its exceptions makes: buckets list for list, the
+    # domain, the holder indexes as multisets per key, and each extraction
+    # under every holder and an IRI without stances
+    rng = random.Random(2929)
+    holders = [Iri(f"urn:h{i}") for i in range(4)]
+    nobody = Iri("urn:nobody")
+    claims = [StarTriple(Iri(f"urn:d{i}"), A, FULL_DEITY) for i in range(4)]
+    predicates = sorted(VOCAB.predicates(), key=term_text)
+    plain = [StarTriple(Iri(f"urn:d{i}"), Iri("urn:rules"), Iri(f"urn:realm{i % 3}"))
+             for i in range(4)] + [StarTriple(claims[0], Iri("urn:says"), holders[1])]
+    x, y = Variable("x"), Variable("y")
+    join, meet = FourOperator.INFO_JOIN, FourOperator.TRUTH_MEET
+    expressions = {
+        all_states_shorthand(x, join): [(h,) for h in holders + [nobody]],
+        all_states_shorthand(holders[0], join): [()],
+        CompoundBelief(all_states_shorthand(holders[1], join), join,
+                       all_states_shorthand(x, join)): [(h,) for h in holders + [nobody]],
+        CompoundBelief(AtomicBelief(x, T, F), meet, AtomicBelief(y, C, F)):
+            list(itertools.product(holders + [nobody], repeat=2)),
+    }
+    positions = ("subject", "predicate", "object")
+    carried = Counter()
+    for default in (U, F):
+        g = FourGraph(default)
+        for _ in range(60):
+            for position in positions:
+                g.bucket(position, A)
+            g.domain()
+            holder_index(g, VOCAB)
+            believers(g, VOCAB)
+            for e, keys in expressions.items():
+                ext = extraction(g, e, VOCAB)
+                for key in keys:
+                    ext.delta(dict(zip(sorted(belief_variables(e), key=repr), key)))
+            if rng.random() < 0.7:
+                t = StarTriple(rng.choice(holders), rng.choice(predicates), rng.choice(claims))
+            else:
+                t = rng.choice(plain)
+            child = g.set_value(t, rng.choice(STATES))
+            scratch = FourGraph(child.default, dict(child.exceptions))
+            assert set(child._derived) >= set(g._derived) - {"domain"}
+            for key, made in child._derived.items():
+                carried[key if isinstance(key, str) else key[0]] += made is not g._derived[key]
+                if key in positions:
+                    scratch.bucket(key, A)
+                    assert made == scratch._derived[key], key
+                elif key == "domain":
+                    assert made == scratch.domain()
+                elif key[0] == "holders":
+                    assert _by_key(made) == _by_key(holder_index(scratch, VOCAB))
+                elif key[0] == "believers":
+                    assert _by_key(made) == _by_key(believers(scratch, VOCAB))
+                else:
+                    e = key[2]
+                    want = extraction(scratch, e, VOCAB)
+                    assert (made.default, made.fresh, made.moved) == \
+                        (want.default, want.fresh, want.moved)
+                    for holder_key in expressions[e]:
+                        binding = dict(zip(sorted(belief_variables(e), key=repr), holder_key))
+                        assert made.delta(binding) == want.delta(binding), (e, holder_key)
+            g = child
+    # every kind of structure was patched, not only kept
+    assert set(carried) == {*positions, "domain", "holders", "believers", "extraction"}
+    assert all(carried.values()), carried

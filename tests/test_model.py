@@ -334,6 +334,21 @@ def test_graph_set_value_stays_canonical():
     assert g3 == g
 
 
+def test_an_update_that_changes_nothing_keeps_the_graph():
+    g = example_graph()
+    built = (g.domain(), g.bucket("subject", POPE), g.bucket("object", JESUS_DEITY))
+    for t in (POPE_AFFIRMS, ZEUS_DEITY):  # an exception, and a triple at the default
+        same = g.set_value(t, g.lookup(t))
+        assert same is g
+        assert (same.domain(), same.bucket("subject", POPE),
+                same.bucket("object", JESUS_DEITY)) == built
+    # only the key is checked, and that before the value
+    for key in (POPE, "triple", None):
+        for value in (g.default, FourValue.TRUE):
+            with pytest.raises(TypeError, match="exception key must be a triple"):
+                g.set_value(key, value)
+
+
 def test_graph_equality():
     g = FourGraph(FourValue.UNKNOWN, {JESUS_DEITY: FourValue.TRUE, POPE_AFFIRMS: FourValue.TRUE})
     assert g.default == FourValue.UNKNOWN
