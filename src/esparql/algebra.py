@@ -927,12 +927,11 @@ class _FourEngine:
             return (lambda a, b: apply(op, a, b)), identity_of(op), absorbing_of(op)
         return (s.add, s.zero, None) if additive else (s.multiply, s.one, s.zero)
 
-    def _extract(self, ext: belief_mod.Extraction, binding: dict[Variable, Term] | None,
-                 whole: bool = True) -> FourGraph | dict:
-        """``ext`` under ``binding``: the graph, or unless ``whole`` only the
-        triples that differ from the fresh binding's; one call per holder
-        key, where the bench tracer counts holder assignments."""
-        return ext.graph(binding) if whole else ext.delta(binding)
+    def _extract(self, ext: belief_mod.Extraction, key: tuple[Iri | None, ...]) -> dict:
+        """``ext``'s delta under the holder ``key`` (``Extraction.delta``);
+        one call per holder key, where the bench tracer counts holder
+        assignments."""
+        return ext.delta(key)
 
     def run(self, q: Query, g: FourGraph, done: dict | None = None) -> Relation:
         """q's relation over g: each node of q's post-order through ``eval``
@@ -1049,15 +1048,12 @@ class _FourEngine:
             return b
         b = _BeliefBase()
         b.g, b.ext = g, belief_mod.extraction(g, q.expr, self.vocab)
-        b.evars, b.relevant, b.reads, b.fresh, b.steps, b.slices = (), set(), None, None, None, {}
-        binding, b.iris = None, frozenset()
+        b.evars, b.relevant, b.reads, b.iris = (), set(), None, frozenset()
         if q._holders:
             b.evars = _schema(q._holders)
             b.iris = frozenset(t for t in self.universe or () if isinstance(t, Iri))
             b.reads, b.relevant = self._relevant_holders(q.query, g)
-            b.fresh = _fresh_holder(b.ext)
-            binding = dict.fromkeys(b.evars, b.fresh)
-        b.graph, b.done = self._extract(b.ext, binding), {}
+        b.graph, b.done, b.steps, b.slices = FourGraph(b.ext.default, b.ext.fresh), {}, None, {}
         b.r0 = self.run(q.query, b.graph, b.done)
         if q._holders and self.universe is None and (b.r0.table or b.r0.default != UNKNOWN):
             raise NonFinitelySupported(
@@ -1090,7 +1086,7 @@ class _FourEngine:
             for combo in itertools.product(universe, repeat=len(b.evars)):
                 for k, v in (r0.table.items() if b.iris.issuperset(combo) else quoted):
                     table[extend(k + combo)] = v
-        b.slices, rows = self._changed_rows(q, b, b.ext, set(), b.relevant, b.relevant, b.fresh)
+        b.slices, rows = self._changed_rows(q, b, b.ext, set(), b.relevant, b.relevant)
         table.update(rows)
         return Relation._of(b.schema, r0.default, table, self.universe)
 
@@ -1110,12 +1106,10 @@ class _FourEngine:
         now = was.difference(changed)
         now.update(h for h in changed
                    if any(b.reads is None or b.reads(t) for t in ext.believed(h)))
-        fresh = b.fresh if b.fresh not in changed else _fresh_holder(ext)
-        return self._changed_rows(q, b, ext, was, now, changed & (was | now), fresh)[1]
+        return self._changed_rows(q, b, ext, was, now, changed & (was | now))[1]
 
     def _changed_rows(self, q: Belief, b: "_BeliefBase", ext: belief_mod.Extraction,
-                      was: set[Iri], now: set[Iri], hot: set[Iri], fresh: Iri | None
-                      ) -> tuple[dict, dict]:
+                      was: set[Iri], now: set[Iri], hot: set[Iri]) -> tuple[dict, dict]:
         """The rows of q's relation under ``ext``, whose holders relevant to
         the body are ``now``, that differ from q's relation over ``b.g``,
         whose relevant holders were ``was`` (none: the relation in which no
@@ -1123,38 +1117,38 @@ class _FourEngine:
         from r0 of each key visited, by key.  Only the keys holding a
         holder of ``hot`` change, or every key when a ground atom's
         believers do (``ext.moved``); without holder variables that is the
-        empty key.  A key is visited as the key of ``now`` and ``fresh``
-        that a whole run over ``ext`` visits in its place, in a whole run's
-        order, so a refusal is the one a whole run would make."""
+        empty key.  A key is visited as the key of ``now`` and None (an
+        IRI without stances) that a whole run over ``ext`` visits in its
+        place, in a whole run's order, so a refusal is the one a whole run
+        would make."""
         # a key position is a holder relevant now, one relevant before only,
         # or None for every other IRI.  Listed in this order, the keys map
         # through ``to_now`` onto a whole run's keys over ``ext`` in that
         # run's order; but a whole run refuses its r0 first
-        # (``_belief_base``), so the all-fresh key moves to the front
+        # (``_belief_base``), so the all-None key moves to the front
         by_text = attrgetter("text")
         listed = sorted(now, key=by_text) + sorted(was - now, key=by_text) + [None]
-        to_now = {h: h if h in now else fresh for h in listed}
+        to_now = {h: h if h in now else None for h in listed}
         keys = [key for key in itertools.product(listed, repeat=len(b.evars))
                 if ext.moved or not hot.isdisjoint(key)]
         now_keys = [tuple(map(to_now.__getitem__, key)) for key in keys]
         visits = list(dict.fromkeys(now_keys))
-        all_fresh = (fresh,) * len(b.evars)
-        if visits and visits[-1] == all_fresh:
+        all_none = (None,) * len(b.evars)
+        if visits and visits[-1] == all_none:
             visits.insert(0, visits.pop())
-        slices: dict[tuple, dict] = {all_fresh: {}}  # r0 is its slice, unless visited
+        slices: dict[tuple, dict] = {all_none: {}}  # r0 is its slice, unless visited
         for key in visits:
             if b.steps is None:
                 b.steps = self._changes_plan(q.query, b.graph, b.done)
-            triples = self._extract(ext, dict(zip(b.evars, key)), whole=False)
-            slices[key] = changes = self._slice_changes(b.steps, triples)
-            if changes and self.universe is None and fresh in key:  # r0 lists no rows here
+            slices[key] = changes = self._slice_changes(b.steps, self._extract(ext, key))
+            if changes and self.universe is None and None in key:  # r0 lists no rows here
                 raise NonFinitelySupported(
                     "belief over a quantified holder is not constantly unknown off-support"
-                    if key == all_fresh else
+                    if key == all_none else
                     "belief naming a holder and a quantified non-holder is not constantly unknown"
                 )
         r0t, d = b.r0.table, b.r0.default
-        to_was = {h: h if h in was else b.fresh for h in listed}
+        to_was = {h: h if h in was else None for h in listed}
         spread = {h: (h,) for h in listed}
         spread[None] = b.iris.difference(was, now)
         out: dict[tuple, Any] = {}
@@ -1207,24 +1201,19 @@ class _BeliefBase:
     stays its own), up to its holder keys: its extraction ``ext``; for
     holder variables ``evars``, the set of holders ``relevant`` to the
     body, the body's test on a triple (``reads``, see
-    ``_relevant_holders``), an IRI ``fresh`` without stances and the
-    universe's IRIs ``iris``; the graph of the fresh extraction, the body's
-    relations over it in ``done`` with the body's among them, ``r0``; the
-    body's change plan ``steps``, made on first use; the changed rows from
-    r0 of each key a whole run visits, and of the fresh key, which
-    ``_eval_belief`` keeps in ``slices`` for the change steps; and the
-    schema of the node's relation with the plan ``extend`` of a body row
-    and key onto it."""
+    ``_relevant_holders``) and the universe's IRIs ``iris``; the graph of
+    the extraction in which no variable holder has stances
+    (``Extraction.fresh``), the body's relations over it in ``done`` with
+    the body's among them, ``r0``; the body's change plan ``steps``, made
+    on first use; the changed rows from r0 of each key a whole run visits,
+    and of the all-None key, which ``_eval_belief`` keeps in ``slices``
+    for the change steps; and the schema of the node's relation with the
+    plan ``extend`` of a body row and key onto it.  A key holds one holder
+    per variable of ``evars``, None standing for every IRI without
+    stances."""
 
-    __slots__ = ("g", "ext", "evars", "relevant", "reads", "fresh", "iris", "graph", "done",
+    __slots__ = ("g", "ext", "evars", "relevant", "reads", "iris", "graph", "done",
                  "r0", "steps", "slices", "schema", "extend")
-
-
-def _fresh_holder(ext: belief_mod.Extraction) -> Iri:
-    """The first of the IRIs ``urn:esparql:fresh0``, ``fresh1``, ... without
-    stances in ``ext``."""
-    return next(i for i in (Iri(f"urn:esparql:fresh{n}") for n in itertools.count())
-                if not any(ext.believed(i)))
 
 
 def _universe(q: Query, g: FourGraph, mode: EvalMode, cap: int,

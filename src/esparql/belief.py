@@ -6,10 +6,10 @@ recorded as believing-to-be-in the probed state (via the corresponding
 belief predicate, asserted true or conflicted) gets the probed state;
 every other triple gets the fallback.  Compound queries combine
 extractions pointwise with a lattice operator.  ``extract`` returns an
-extraction as a graph; the engine reads a variable holder's extraction as
-its difference from the one of a holder without stances, and an
-extraction from a graph that differs from another on a few triples as
-its difference from the other's (``Extraction``).
+extraction as a graph; the engine reads the extraction under a key of
+holders as its difference from the one in which no variable holder has
+stances, and an extraction from a graph that differs from another on a
+few triples as its difference from the other's (``Extraction``).
 """
 
 from __future__ import annotations
@@ -174,14 +174,22 @@ def extract(g: FourGraph, e: BeliefQuery, vocab: BeliefVocabulary,
     ``extraction``, mostly as differences from one graph.
 
     Raises UnboundBeliefVariable if the binding misses a holder variable
-    and NonIriHolder if it binds one to a quoted triple; only IRIs hold
-    beliefs.  Only the exception table is consulted: a belief triple
-    sitting at the graph default would contribute exactly when the default
-    is true or conflicted, and then *every* absent belief triple
-    contributes, so no finite exception table can represent the
-    extraction; that case raises NonFiniteBeliefExtraction.
+    and NonIriHolder if it binds one to a quoted triple, checking the
+    variables in the order of their first atom; only IRIs hold beliefs.
+    Only the exception table is consulted: a belief triple sitting at the
+    graph default would contribute exactly when the default is true or
+    conflicted, and then *every* absent belief triple contributes, so no
+    finite exception table can represent the extraction; that case raises
+    NonFiniteBeliefExtraction.
     """
-    return extraction(g, e, vocab).graph(binding)
+    ext, binding = extraction(g, e, vocab), binding or {}
+    for var in (a.holder for a in atoms(e) if isinstance(a.holder, Variable)):
+        if var not in binding:
+            raise UnboundBeliefVariable(f"belief variable {var!r} is unbound")
+        if not isinstance(binding[var], Iri):
+            raise NonIriHolder(f"belief variable {var!r} bound to {binding[var]!r}")
+    key = tuple(map(binding.__getitem__, ext._variables))
+    return FourGraph(ext.default, {**ext.fresh, **ext.delta(key)})
 
 
 def extraction(g: FourGraph, e: BeliefQuery, vocab: BeliefVocabulary) -> "Extraction":
@@ -194,16 +202,24 @@ def extraction(g: FourGraph, e: BeliefQuery, vocab: BeliefVocabulary) -> "Extrac
     return g.derived(("extraction", vocab, e), lambda: Extraction(g, e, vocab), Extraction.carry)
 
 
-def _compiled(e: BeliefQuery, vocab: BeliefVocabulary) -> tuple[list, dict[int, FourValue]]:
-    """e's atoms as (holder, belief predicate, bit), and the memo of e's
-    values by set of believers that ``Extraction._value`` fills: made once
-    per expression object and vocabulary and kept on e, as ``_cached_hash``
-    keeps e's hash, since a nested Belief's expression is extracted from
-    one graph per outer holder key."""
+def _compiled(e: BeliefQuery, vocab: BeliefVocabulary) -> tuple[list, dict, dict]:
+    """e's ground atoms as (holder, belief predicate, bit); each holder
+    variable's atoms as (predicate, bit), variables by name, a holder
+    key's order; and the memo of e's values by set of believers that
+    ``Extraction._value`` fills: made once per expression object and
+    vocabulary and kept on e, as ``_cached_hash`` keeps e's hash, since a
+    nested Belief's expression is extracted from one graph per outer
+    holder key."""
     made = e.__dict__.setdefault("_compiled", {})
     if vocab not in made:
-        made[vocab] = ([(atom.holder, vocab.predicate_for(atom.state), 1 << bit)
-                        for bit, atom in enumerate(atoms(e))], {})
+        ground, variables = [], {}
+        for bit, atom in enumerate(atoms(e)):
+            predicate = vocab.predicate_for(atom.state)
+            if isinstance(atom.holder, Variable):
+                variables.setdefault(atom.holder, []).append((predicate, 1 << bit))
+            else:
+                ground.append((atom.holder, predicate, 1 << bit))
+        made[vocab] = ground, dict(sorted(variables.items(), key=lambda kv: kv[0].name)), {}
     return made[vocab]
 
 
@@ -211,13 +227,13 @@ class Extraction:
     """e's extraction from g under any binding of its holder variables.
 
     The ground atoms are looked up once, here.  ``fresh`` holds the values
-    of the triples they believe: the extraction under a fresh binding, one
-    taking every variable to an IRI without stances.  A binding changes
-    only the triples its holders have stances on, which ``delta`` lists;
-    ``graph`` builds the whole extraction.  Atom i is bit i of a triple's
-    set of believers.  ``after`` gives the extraction from g changed on
-    some triples, without a graph, and ``carry`` the extraction from a
-    graph ``set_value`` made from g.
+    of the triples they believe: the extraction in which no variable holder
+    has stances.  A key of holders, one per holder variable in name order
+    with None for an IRI without stances, changes only the triples its
+    holders have stances on, which ``delta`` lists.  Atom i is bit i of a
+    triple's set of believers.  ``after`` gives the extraction from g
+    changed on some triples, without a graph, and ``carry`` the extraction
+    from a graph ``set_value`` made from g.
     """
 
     __slots__ = ("default", "fresh", "moved", "_index", "_predicates", "_ground",
@@ -232,18 +248,12 @@ class Extraction:
         self._index = index
         self._predicates = vocab.predicates()
         self._ground = ground = {}
-        # each holder variable's atoms, as (predicate, bit), variables in
-        # the order of their first atom
-        self._variables: dict[Variable, list[tuple[Iri, int]]] = {}
-        read, self._values = _compiled(e, vocab)
+        read, self._variables, self._values = _compiled(e, vocab)
         for holder, predicate, bit in read:
-            if isinstance(holder, Variable):
-                self._variables.setdefault(holder, []).append((predicate, bit))
-            else:
-                for t in index.get((holder, predicate), ()):
-                    ground[t] = ground.get(t, 0) | bit
-        self._stances: dict[tuple[Variable, Iri], dict[StarTriple, int]] = {}
-        self._deltas: dict[tuple[Iri, ...], dict[StarTriple, FourValue]] = {}
+            for t in index.get((holder, predicate), ()):
+                ground[t] = ground.get(t, 0) | bit
+        self._stances: dict[tuple[Variable, Iri | None], dict[StarTriple, int]] = {}
+        self._deltas: dict[tuple[Iri | None, ...], dict[StarTriple, FourValue]] = {}
         self._e, self._vocab = e, vocab
         self.default = self._value(0)
         self.fresh = {t: self._value(b) for t, b in ground.items()}
@@ -259,8 +269,9 @@ class Extraction:
         the holders whose stances that changes.  Only the belief statements
         among the triples reach it, so no graph is built, and without one
         this extraction itself is returned.  The new extraction's ``delta``
-        lists the triples whose believers differ from those of g's fresh
-        binding: ``moved`` holds the ground atoms' ones."""
+        lists the triples whose believers differ from those in g's
+        extraction where no variable holder has stances: ``moved`` holds
+        the ground atoms' ones."""
         changed = _restated(self._index, triples, self._statement, self._predicates)
         if not changed:
             return self, set()
@@ -273,19 +284,17 @@ class Extraction:
 
     def carry(self, child: FourGraph, t: StarTriple, old, new) -> "Extraction":
         """The extraction from ``child``, g with t set from ``old`` to
-        ``new`` (``FourGraph.derived``'s carry): this one when that changes
-        no stance, as its statements then count alike in both graphs.
-        Else one over child's index that, when the ground atoms' believers
-        stay, keeps what was looked up for every other holder."""
-        if not _restated(self._index, {t: new}, {t: old}.get, self._predicates):
+        ``new`` (``FourGraph.derived``'s carry): ``after`` read over
+        child's index.  When the ground atoms' believers stay, it keeps
+        what was looked up for every holder whose stances stay."""
+        out, changed = self.after({t: new})
+        if out is self:
             return self
-        out = Extraction.__new__(Extraction)
-        out._read(holder_index(child, self._vocab), self._e, self._vocab)
-        out._statement, out.moved = child.exceptions.get, []
-        if out._ground == self._ground:
-            holder = t.subject
-            out._stances = {k: s for k, s in self._stances.items() if k[1] is not holder}
-            out._deltas = {k: d for k, d in self._deltas.items() if holder not in k}
+        out._index, out._statement = holder_index(child, self._vocab), child.exceptions.get
+        if not out.moved:
+            out._stances = {k: s for k, s in self._stances.items() if k[1] not in changed}
+            out._deltas = {k: d for k, d in self._deltas.items() if changed.isdisjoint(k)}
+        out.moved = []
         return out
 
     def believed(self, holder: Iri) -> Iterator[StarTriple]:
@@ -293,10 +302,10 @@ class Extraction:
         for predicate in self._predicates:
             yield from self._index.get((holder, predicate), ())
 
-    def _believed(self, var: Variable, holder: Iri) -> dict[StarTriple, int]:
-        """The triples ``holder`` has a stance on that var's atoms read,
-        each with the bits of the atoms that believe it; looked up once per
-        variable and holder."""
+    def _believed(self, var: Variable, holder: Iri | None) -> dict[StarTriple, int]:
+        """The triples ``holder`` (None: none) has a stance on that var's
+        atoms read, each with the bits of the atoms that believe it; looked
+        up once per variable and holder."""
         bits = self._stances.get((var, holder))
         if bits is None:
             bits = self._stances[var, holder] = {}
@@ -305,19 +314,11 @@ class Extraction:
                     bits[t] = bits.get(t, 0) | bit
         return bits
 
-    def delta(self, binding: dict[Variable, Term] | None) -> dict[StarTriple, FourValue]:
-        """The triples whose set of believers under ``binding`` differs from
-        the fresh binding's, with their values (the default included).
-        Made once per key of holders and kept, so callers only read it."""
-        holders = []
-        for var in self._variables:
-            if binding is None or var not in binding:
-                raise UnboundBeliefVariable(f"belief variable {var!r} is unbound")
-            holder = binding[var]
-            if not isinstance(holder, Iri):
-                raise NonIriHolder(f"belief variable {var!r} bound to {holder!r}")
-            holders.append(holder)
-        key = tuple(holders)
+    def delta(self, key: tuple[Iri | None, ...]) -> dict[StarTriple, FourValue]:
+        """The triples whose set of believers under the holders of ``key``
+        differs from the one in which no variable holder has stances, with
+        their values (the default included).  Made once per key and kept,
+        so callers only read it."""
         found = self._deltas.get(key)
         if found is None:
             believers: dict[StarTriple, int] = dict.fromkeys(self.moved, 0)
@@ -328,10 +329,6 @@ class Extraction:
             found = self._deltas[key] = {t: value(ground.get(t, 0) | b)
                                          for t, b in believers.items()}
         return found
-
-    def graph(self, binding: dict[Variable, Term] | None) -> FourGraph:
-        """The extraction under ``binding`` as a graph of its own."""
-        return FourGraph(self.default, {**self.fresh, **self.delta(binding)})
 
 
 def _value_at(e: BeliefQuery, believers: int, bit: int) -> tuple[FourValue, int]:

@@ -658,14 +658,15 @@ def _compare_key_slices(monkeypatch, cases):
     """Evaluate each (graph, query) case in both modes, asserting that each
     holder key's slice, r0's table with the rows its changed triples reach
     recomputed, equals the body run whole over that key's belief.extract
-    graph, refusals included.  The keys of a Belief nested in a body under
-    an outer key are left out, as no graph of theirs is built: each outer
-    key's slice holds their rows.  Returns the slices compared per mode and
+    graph (a key's None read as an IRI without stances), refusals
+    included.  The keys of a Belief nested in a body under an outer key
+    are left out, as no graph of theirs is built: each outer key's slice
+    holds their rows.  Returns the slices compared per mode and
     the kinds of body node whose changed rows were recomputed."""
     engine = esparql.algebra._FourEngine
     real_belief, real_extract = engine._eval_belief, engine._extract
     real_slice, real_step = engine._slice_changes, engine._changes_step
-    beliefs, bindings, compared = [], [], {mode: 0 for mode in EvalMode}
+    beliefs, keys, compared = [], [], {mode: 0 for mode in EvalMode}
     kinds, nested = set(), [0]
 
     def eval_belief(self, q, g):
@@ -675,9 +676,9 @@ def _compare_key_slices(monkeypatch, cases):
         finally:
             beliefs.pop()
 
-    def extract(self, ext, binding, whole=True):
-        bindings.append(binding)
-        return real_extract(self, ext, binding, whole)
+    def extract(self, ext, key):
+        keys.append(key)
+        return real_extract(self, ext, key)
 
     def changes_step(self, q, *rest):
         kids, out, step = real_step(self, q, *rest)
@@ -698,7 +699,9 @@ def _compare_key_slices(monkeypatch, cases):
         q, g = beliefs[-1]
         r0 = steps[-1][1]  # the body's relation over the fresh extraction
         universe = r0.universe
-        graph = belief_mod.extract(g, q.expr, VOCAB, bindings[-1])
+        holders = [h or Iri("urn:no-stances") for h in keys[-1]]
+        binding = dict(zip(esparql.algebra._schema(q._holders), holders))
+        graph = belief_mod.extract(g, q.expr, VOCAB, binding)
         try:
             want = engine(VOCAB, universe).run(q.query, graph)
         except NonFinitelySupported as e:
@@ -710,7 +713,7 @@ def _compare_key_slices(monkeypatch, cases):
         else:
             table = {k: v for k, v in {**r0.table, **changed}.items() if v != r0.default}
             got = Relation._of(r0.schema, r0.default, table, universe)
-        assert got == want, (q, bindings[-1])
+        assert got == want, (q, keys[-1])
         compared[EvalMode.OPEN if universe is None else EvalMode.ACTIVE_DOMAIN] += 1
         if isinstance(got, str):
             raise NonFinitelySupported(got)

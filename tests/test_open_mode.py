@@ -310,6 +310,25 @@ def test_open_belief_mixing_a_holder_and_a_non_holder_raises(tmp_path):
     )
 
 
+def test_open_belief_refuses_at_the_first_refusing_key_of_a_whole_run():
+    # two holder keys refuse with different texts, and the one a whole run
+    # meets first is reported.  After the key of no stances, keys run with
+    # holders in text order, IRIs without stances last: under (h1, h1) the
+    # join pairs h1's false ?a = s1 with every ?b, which no finite table
+    # lists; under (an IRI without stances, h2) h2's true row holds, for
+    # every such IRI
+    g = parse_graph("""@default unknown .
+<h1> <https://esparql.dev/vocab#believesToBeFalse> << <s1> <p> <o> >> .
+<h2> <https://esparql.dev/vocab#believesToBeTrue> << <s2> <p> <o> >> .
+<h2> <https://esparql.dev/vocab#believesToBeTrue> << <s3> <q> <o> >> .
+""")
+    q = parse_and_desugar("SELECT * FROM BELIEF ?x ?y WHERE { ?a <p> <o> . ?b <q> <o> }")
+    with pytest.raises(NonFinitelySupported) as refused:
+        open_eval(q, g)
+    assert str(refused.value) == (
+        "join of relations with disjoint variables whose defaults do not absorb")
+
+
 def test_truth_implying_extraction_default_refused(g1):
     # a true fallback would assert beliefs for every absent triple, so a
     # nested extraction over that context must refuse
