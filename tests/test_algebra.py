@@ -1,5 +1,6 @@
 """Algebra: mappings, relations, scoping rules and the four-valued engine."""
 
+import copy
 import gc
 import importlib.util
 import random
@@ -871,6 +872,65 @@ def test_nested_belief_slices_equal_full_evaluations(monkeypatch):
             assert diff(evaluate(q, g), oracle_eval(q, g)) == [], q
             agreed += 1
     assert agreed > 40
+
+
+def _outcome(q, g, mode):
+    """q's relation over g in ``mode``, or the type and text of its refusal."""
+    try:
+        return evaluate(q, g, mode=mode, cap=10**5)
+    except (NonFinitelySupported, UniverseTooLarge) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def updated(rng, g, holders, terms):
+    """g after one random update: an exception set to another state than
+    its own and the default, one reset to the default, a stance of one of
+    ``holders`` on an exception, or a new triple over ``terms``."""
+    existing = sorted(g.exceptions, key=repr)
+    kind = rng.choice(("change", "reset", "believe", "plain")) if existing else "plain"
+    if kind == "change":
+        t = rng.choice(existing)
+        return g.set_value(t, rng.choice([s for s in STATES if s not in (g.lookup(t), g.default)]))
+    if kind == "reset":
+        return g.set_value(rng.choice(existing), g.default)
+    if kind == "believe":
+        stance = StarTriple(rng.choice(holders), VOCAB.predicate_for(rng.choice(STATES)),
+                            rng.choice(existing))
+        return g.set_value(stance, rng.choice((T, T, C, F)))
+    t = StarTriple(rng.choice(terms), rng.choice(terms), rng.choice(terms))
+    return g.set_value(t, rng.choice([s for s in STATES if s != g.default]))
+
+
+def test_an_update_stream_answers_as_a_fresh_graph_does():
+    # randgen's graphs and queries and the holder cases above, each query
+    # evaluated over its graph in both modes and then again after each of
+    # a chain of set_value steps (now and then two between evaluations),
+    # alternately as a copy of the query made before any evaluation: the
+    # relation or refusal equals the one over a graph built afresh from
+    # the updated exceptions
+    rng = random.Random(31)
+    streams = [(randgen.random_graph(rng), randgen.random_query(rng),
+                randgen.iri_pool(), randgen.iri_pool()) for _ in range(120)]
+    for _ in range(60):
+        streams.append((holder_graph(rng), random_holder_query(rng), HOLDERS, CLAIM_TERMS))
+    for _ in range(30):
+        q = random_nested_query(rng)
+        streams.append((believing_graph(rng, claims_read(rng, q.query)), q, HOLDERS,
+                        CLAIM_TERMS + HOLDERS))
+    outcomes = {"relation": 0, "refusal": 0}
+    for g, q, holders, terms in streams:
+        twin = copy.deepcopy(q)
+        for mode in EvalMode:
+            _outcome(q, g, mode)
+        for step in range(4):
+            for _ in range(rng.choice((1, 1, 2))):
+                g = updated(rng, g, holders, terms)
+            fresh = FourGraph(g.default, dict(g.exceptions))
+            for mode in EvalMode:
+                got = _outcome(twin if step % 2 else q, g, mode)
+                assert got == _outcome(q, fresh, mode), (q, g, mode)
+                outcomes["refusal" if isinstance(got, str) else "relation"] += 1
+    assert outcomes["relation"] > 1000 and outcomes["refusal"] > 100, outcomes
 
 
 def _dense_rows(q, size):
