@@ -28,6 +28,7 @@ operators).
 
 from __future__ import annotations
 
+import copy
 import enum
 import functools
 import itertools
@@ -67,6 +68,7 @@ from .model import (
     pattern_to_term,
     pattern_variables,
     term_text,
+    terms_of,
 )
 
 DEFAULT_CAP = 10**6
@@ -398,12 +400,26 @@ class Belief:
     def _holders(self) -> frozenset[Variable]:  # read once per node
         return belief_mod.belief_variables(self.expr)
 
+    @functools.cached_property
+    def _value(self) -> tuple:
+        """The node by value, a key that an equal node of another parse
+        shares: each node of its post-order as its type and fields, a child
+        by its position there.  Flat, so that a deep body hashes and
+        compares without recursion; made once per node."""
+        order, key = _postorder(self), []
+        at = {id(node): i for i, node in enumerate(order)}
+        for node in order:
+            fields = [(name, getattr(node, name)) for name in node.__dataclass_fields__]
+            key.append((type(node), *(at[id(v)] if name in _CHILDREN else v for name, v in fields)))
+        return tuple(key)
+
 
 Query = Pattern | Join | Union | Filter | Project | MapState | Belief
 
 
 _LEAVE = object()  # on _postorder's stack: the node below has its children listed
 _UNARY = (Filter, Project, MapState, Belief)
+_CHILDREN = frozenset(("left", "right", "query"))  # the fields that hold a node
 
 
 def _postorder(q: Query, skip=(), bodies: bool = True,
@@ -913,7 +929,6 @@ class _FourEngine:
         self.semiring = semiring
         self._plans: dict = {}
         self._orders: dict = {}
-        self._bases: dict = {}
 
     # -- helpers -----------------------------------------------------------
 
@@ -984,9 +999,8 @@ class _FourEngine:
 
     def _changes_plan(self, body: Query, g: FourGraph, done: dict) -> list[tuple]:
         """body's nodes in post-order, equal patterns once, each as its
-        ``_changes_step``: made once per Belief node and graph from the
-        relations in ``done``, body's over g, and run per key by
-        ``_slice_changes``."""
+        ``_changes_step``: made once per Belief base from the relations in
+        ``done``, body's over g, and run per key by ``_slice_changes``."""
         steps: list[tuple] = []
         at: dict = {}
         for node in self._order(body):
@@ -1001,14 +1015,17 @@ class _FourEngine:
         a pattern or a Belief, which read the graph; q's relation over g in
         ``done``; and the function of the plan's changed rows so far and
         g's changed triples that recomputes the rows of q's relation they
-        reach)."""
+        reach).  A plan is kept with its Belief base, so a step holds no
+        engine: a nested Belief's runs in one of its own."""
         out = done[_key(q)]
         if isinstance(q, Pattern):
             matcher = _scan_plan(q.pattern, self._plans)[1]
             return None, out, lambda changes, triples: {
                 row: v for t, v in triples.items() if (row := matcher(t)) is not None}
         if isinstance(q, Belief):
-            return None, out, lambda changes, triples: self._belief_changes(q, g, triples)
+            b = self._belief_base(q, g)
+            return None, out, lambda changes, triples: _FourEngine(
+                b.vocab, b.universe)._belief_changes(b, triples)
         if isinstance(q, (Filter, MapState)):
             i, schema, f = at[_key(q.query)], done[_key(q.query)].schema, q.formula
             value_for = self._value_for(q)
@@ -1041,44 +1058,46 @@ class _FourEngine:
         return changes[-1]
 
     def _belief_base(self, q: Belief, g: FourGraph) -> "_BeliefBase":
-        """q over g up to its holder keys (see ``_BeliefBase``), made once
-        per node and graph."""
-        b = self._bases.get((id(q), id(g)))
-        if b is not None:
-            return b
+        """q's base over g (see ``_BeliefBase``), kept on g under q's value,
+        so that an equal node of another parse finds it: built on first
+        use, and caught up here when updates have left it behind."""
+        b = g.derived(("belief", self.vocab, self.universe, q._value),
+                      lambda: self._build_base(q, g), _BeliefBase.carry)
+        if b.since:
+            self._catch_up(b)
+        return b
+
+    def _build_base(self, q: Belief, g: FourGraph) -> "_BeliefBase":
+        """q's base over g: its body run once, over the extraction in which
+        no variable holder has stances, and q's relation as that run's
+        change from no relevant holder to all of them (``_changed_rows``)."""
         b = _BeliefBase()
-        b.g, b.ext = g, belief_mod.extraction(g, q.expr, self.vocab)
+        b.node, b.vocab, b.universe, b.since = q, self.vocab, self.universe, frozenset()
+        b.ext = belief_mod.extraction(g, q.expr, self.vocab)
         b.evars, b.relevant, b.reads, b.iris = (), set(), None, frozenset()
         if q._holders:
             b.evars = _schema(q._holders)
             b.iris = frozenset(t for t in self.universe or () if isinstance(t, Iri))
             b.reads, b.relevant = self._relevant_holders(q.query, g)
         b.graph, b.done, b.steps, b.slices = FourGraph(b.ext.default, b.ext.fresh), {}, None, {}
-        b.r0 = self.run(q.query, b.graph, b.done)
-        if q._holders and self.universe is None and (b.r0.table or b.r0.default != UNKNOWN):
+        b.r0 = r0 = self.run(q.query, b.graph, b.done)
+        if q._holders and self.universe is None and (r0.table or r0.default != UNKNOWN):
             raise NonFinitelySupported(
                 "belief over a quantified holder is not constantly unknown off-support"
             )
-        b.schema = _schema(b.r0.vars.union(b.evars))
-        b.extend = _plan(b.schema, b.r0.schema + b.evars)
-        self._bases[id(q), id(g)] = b
-        return b
-
-    def _eval_belief(self, q: Belief, g: FourGraph) -> Relation:
-        """q's relation over g, as its change from the relation in which no
-        holder has stances: ``_changed_rows`` from no relevant holder to
-        all of them."""
-        b = self._belief_base(q, g)
+        b.schema = _schema(r0.vars.union(b.evars))
+        b.extend = _plan(b.schema, r0.schema + b.evars)
+        b.relation = r0
         if not q._holders:
-            return b.r0
+            return b
         # every slice has r0's default and schema: an extraction's default,
         # the expression's value where no atom believes, is the same under
         # every binding, and so is each operator's given its inputs'.  With
         # no stances, r0 stands under every key of IRIs; a quoted triple
         # holds no beliefs, so under a key holding one the body is
         # constantly unknown.  Open mode lists none of them: its r0 is
-        # constantly unknown (``_belief_base``)
-        r0, universe, extend = b.r0, self.universe or (), b.extend
+        # constantly unknown (checked above)
+        universe, extend = self.universe or (), b.extend
         quoted = [] if r0.default == UNKNOWN else [
             (tuple(t for _, t in m.bindings), UNKNOWN) for m in mappings_over(r0.vars, universe)]
         table: dict[tuple, Any] = {}
@@ -1086,32 +1105,52 @@ class _FourEngine:
             for combo in itertools.product(universe, repeat=len(b.evars)):
                 for k, v in (r0.table.items() if b.iris.issuperset(combo) else quoted):
                     table[extend(k + combo)] = v
-        b.slices, rows = self._changed_rows(q, b, b.ext, set(), b.relevant, b.relevant)
+        b.slices, rows = self._changed_rows(b, b.ext, set(), b.relevant, b.relevant)
         table.update(rows)
-        return Relation._of(b.schema, r0.default, table, self.universe)
+        b.relation = Relation._of(b.schema, r0.default, table, self.universe)
+        return b
 
-    def _belief_changes(self, q: Belief, g: FourGraph, triples: dict) -> dict:
-        """The rows where q's relation over g with ``triples`` set to their
-        values differs from its relation over g, with their new values,
-        built from q's evaluation over g (``_belief_base``) without that
-        graph.  q reads its graph only through the belief statements and
-        the default, which is the same under every key of an enclosing
-        Belief; so only the holders whose stances ``triples`` changes
-        (``Extraction.after``) change a key."""
-        b = self._belief_base(q, g)
+    def _eval_belief(self, q: Belief, g: FourGraph) -> Relation:
+        """q's relation over g, kept with its base."""
+        return self._belief_base(q, g).relation
+
+    def _catch_up(self, b: "_BeliefBase") -> None:
+        """Bring b up to its extraction, after updates that changed the
+        stances of the holders ``b.since`` (``_BeliefBase.carry``)."""
+        now, slices, rows = self._stance_changes(b, b.ext, b.since)
+        # an old key holding a changed holder was visited again, or its
+        # holder is no longer relevant and the key is gone
+        b.slices = {**{k: s for k, s in b.slices.items() if b.since.isdisjoint(k)}, **slices}
+        b.relation = Relation._of(b.schema, b.relation.default, {**b.relation.table, **rows},
+                                  b.universe)
+        b.relevant, b.since = now, frozenset()
+
+    def _belief_changes(self, b: "_BeliefBase", triples: dict) -> dict:
+        """The rows where b's node's relation over b's graph with
+        ``triples`` set to their values differs from ``b.relation``, with
+        their new values, found without that graph.  The node reads its
+        graph only through the belief statements and the default, which is
+        the same under every key of an enclosing Belief; so only the
+        holders whose stances ``triples`` changes (``Extraction.after``)
+        change a key."""
         ext, changed = b.ext.after(triples)
-        if not changed:
-            return {}
-        was = b.relevant
-        now = was.difference(changed)
+        return self._stance_changes(b, ext, changed)[2] if changed else {}
+
+    def _stance_changes(self, b: "_BeliefBase", ext: belief_mod.Extraction,
+                        changed) -> tuple[set[Iri], dict, dict]:
+        """The holders relevant to b's body under ``ext``, in which only
+        the holders ``changed`` may have other stances than under
+        ``b.ext``; and ``_changed_rows`` from b's relevant holders to
+        those, which visits only the keys holding a changed holder."""
+        now = b.relevant.difference(changed)
         now.update(h for h in changed
                    if any(b.reads is None or b.reads(t) for t in ext.believed(h)))
-        return self._changed_rows(q, b, ext, was, now, changed & (was | now))[1]
+        return now, *self._changed_rows(b, ext, b.relevant, now, changed & (b.relevant | now))
 
-    def _changed_rows(self, q: Belief, b: "_BeliefBase", ext: belief_mod.Extraction,
+    def _changed_rows(self, b: "_BeliefBase", ext: belief_mod.Extraction,
                       was: set[Iri], now: set[Iri], hot: set[Iri]) -> tuple[dict, dict]:
-        """The rows of q's relation under ``ext``, whose holders relevant to
-        the body are ``now``, that differ from q's relation over ``b.g``,
+        """The rows of b's node's relation under ``ext``, whose holders
+        relevant to the body are ``now``, that differ from ``b.relation``,
         whose relevant holders were ``was`` (none: the relation in which no
         holder has stances), with their new values; and the changed rows
         from r0 of each key visited, by key.  Only the keys holding a
@@ -1125,7 +1164,7 @@ class _FourEngine:
         # or None for every other IRI.  Listed in this order, the keys map
         # through ``to_now`` onto a whole run's keys over ``ext`` in that
         # run's order; but a whole run refuses its r0 first
-        # (``_belief_base``), so the all-None key moves to the front
+        # (``_build_base``), so the all-None key moves to the front
         by_text = attrgetter("text")
         listed = sorted(now, key=by_text) + sorted(was - now, key=by_text) + [None]
         to_now = {h: h if h in now else None for h in listed}
@@ -1139,7 +1178,7 @@ class _FourEngine:
         slices: dict[tuple, dict] = {all_none: {}}  # r0 is its slice, unless visited
         for key in visits:
             if b.steps is None:
-                b.steps = self._changes_plan(q.query, b.graph, b.done)
+                b.steps = self._changes_plan(b.node.query, b.graph, b.done)
             slices[key] = changes = self._slice_changes(b.steps, self._extract(ext, key))
             if changes and self.universe is None and None in key:  # r0 lists no rows here
                 raise NonFinitelySupported(
@@ -1197,23 +1236,53 @@ class _FourEngine:
 
 
 class _BeliefBase:
-    """A Belief node's evaluation over a graph ``g`` (held, so that its id
-    stays its own), up to its holder keys: its extraction ``ext``; for
-    holder variables ``evars``, the set of holders ``relevant`` to the
-    body, the body's test on a triple (``reads``, see
+    """A Belief node's evaluation over a graph, up to its holder keys, kept
+    on that graph (``FourGraph.derived``) under the vocabulary, the
+    universe and the node's value, so that it lives as long as the graph.
+    It holds no engine and not that graph.  ``node`` is the node that built
+    it, whose ids key ``done``, with ``vocab`` and ``universe``; ``ext``
+    its extraction; for holder variables ``evars``, the set of holders
+    ``relevant`` to the body, the body's test on a triple (``reads``, see
     ``_relevant_holders``) and the universe's IRIs ``iris``; the graph of
     the extraction in which no variable holder has stances
     (``Extraction.fresh``), the body's relations over it in ``done`` with
     the body's among them, ``r0``; the body's change plan ``steps``, made
     on first use; the changed rows from r0 of each key a whole run visits,
-    and of the all-None key, which ``_eval_belief`` keeps in ``slices``
-    for the change steps; and the schema of the node's relation with the
-    plan ``extend`` of a body row and key onto it.  A key holds one holder
-    per variable of ``evars``, None standing for every IRI without
-    stances."""
+    and of the all-None key, in ``slices``; the schema of the node's
+    relation with the plan ``extend`` of a body row and key onto it; and
+    that relation, ``relation``.  A key holds one holder per variable of
+    ``evars``, None standing for every IRI without stances.  ``since``
+    holds the holders whose stances updates changed after ``relevant``,
+    ``slices`` and ``relation`` were made, which the next use catches up
+    (``_FourEngine._catch_up``)."""
 
-    __slots__ = ("g", "ext", "evars", "relevant", "reads", "iris", "graph", "done",
-                 "r0", "steps", "slices", "schema", "extend")
+    __slots__ = ("node", "vocab", "universe", "ext", "evars", "relevant", "reads", "iris",
+                 "graph", "done", "r0", "steps", "slices", "schema", "extend", "relation",
+                 "since")
+
+    def carry(self, child: FourGraph, t: StarTriple, old, new) -> "_BeliefBase | None":
+        """The base over ``child``, this one's graph with t set from ``old``
+        to ``new`` (``FourGraph.derived``'s carry): this base when no stance
+        changed; else a copy over child's extraction, carried before it as
+        built before it, whose ``since`` adds t's holder.  None, to build
+        it again on first use, when the ground atoms' believers move, which
+        changes the fresh extraction and so every key; and when child's
+        universe may no longer be ``universe`` (t takes a term out of the
+        active domain, or brings one from outside it in), as an evaluation
+        keyed by another universe would not find the base."""
+        if self.universe is not None and not terms_of(t) <= (
+                child.domain() if new == child.default else self.universe):
+            return None
+        ext = belief_mod.extraction(child, self.node.expr, self.vocab)
+        if ext is self.ext:
+            return self
+        if not ext.same_ground(self.ext):
+            return None
+        out = copy.copy(self)
+        out.ext = ext
+        if self.evars:
+            out.since = self.since | {t.subject}
+        return out
 
 
 def _universe(q: Query, g: FourGraph, mode: EvalMode, cap: int,
@@ -1245,11 +1314,7 @@ def evaluate(
     open mode may raise NonFinitelySupported.
     """
     widest = _scope(q, {})[1]
-    engine = _FourEngine(vocab, _universe(q, g, mode, cap, widest))
-    try:
-        return engine.run(q, g)
-    finally:
-        engine._bases.clear()  # a nested Belief's change step refers to the engine
+    return _FourEngine(vocab, _universe(q, g, mode, cap, widest)).run(q, g)
 
 
 def evaluate_k(

@@ -297,6 +297,12 @@ class Extraction:
         out.moved = []
         return out
 
+    def same_ground(self, other: "Extraction") -> bool:
+        """Whether the ground atoms believe the same triples here as in
+        ``other``: then every key's ``delta`` differs between the two only
+        on the triples its holders' stances changed."""
+        return self._ground == other._ground
+
     def believed(self, holder: Iri) -> Iterator[StarTriple]:
         """The triples ``holder`` has a stance on, under any belief predicate."""
         for predicate in self._predicates:

@@ -259,11 +259,14 @@ class FourGraph:
     Invariant: ``exceptions`` is never mutated after construction (updates
     such as ``set_value`` return a new graph).  The structures derived from
     it (triples bucketed by subject, predicate and object, the active
-    domain, and per vocabulary the belief holder index and each belief
-    expression's extraction) are built on first use and then cached on
-    that invariant by ``derived``.  ``set_value`` hands each structure the
-    graph has built to the child, patched for the one changed triple;
-    a structure that cannot be patched is built again on first use.
+    domain, per vocabulary the belief holder index and each belief
+    expression's extraction, and the evaluation of each ``FROM BELIEF``
+    node run over the graph, by vocabulary, universe and the node's
+    value) are built on first use and then cached on that invariant by
+    ``derived``, for the life of the graph.  ``set_value`` hands each
+    structure the graph has built to the child, patched for the one
+    changed triple; a structure that cannot be patched is built again on
+    first use.
     """
 
     __slots__ = ("default", "exceptions", "_derived", "_carries")
@@ -392,10 +395,16 @@ def _carry_domain(domain: frozenset, child: FourGraph, t: StarTriple, old, new) 
         return None
     if old != child.default:
         return domain
+    acc = terms_of(t)
+    return domain if acc <= domain else domain | acc
+
+
+def terms_of(t: StarTriple) -> set[Term]:
+    """The terms t adds to the active domain: its parts, recursively."""
     acc: set[Term] = set()
     for part in (t.subject, t.predicate, t.object):
         _collect_term(part, acc)
-    return domain if acc <= domain else domain | acc
+    return acc
 
 
 def _collect_term(t: Term, acc: set[Term]) -> None:

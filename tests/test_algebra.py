@@ -882,7 +882,7 @@ def _outcome(q, g, mode):
         return f"{type(e).__name__}: {e}"
 
 
-def updated(rng, g, holders, terms):
+def random_update(rng, g, holders, terms):
     """g after one random update: an exception set to another state than
     its own and the default, one reset to the default, a stance of one of
     ``holders`` on an exception, or a new triple over ``terms``."""
@@ -924,7 +924,7 @@ def test_an_update_stream_answers_as_a_fresh_graph_does():
             _outcome(q, g, mode)
         for step in range(4):
             for _ in range(rng.choice((1, 1, 2))):
-                g = updated(rng, g, holders, terms)
+                g = random_update(rng, g, holders, terms)
             fresh = FourGraph(g.default, dict(g.exceptions))
             for mode in EvalMode:
                 got = _outcome(twin if step % 2 else q, g, mode)
@@ -1132,13 +1132,14 @@ def test_a_belief_of_a_belief_builds_no_graph_per_outer_key(monkeypatch):
         runs.append((graphs[0], extractions[0], keys[0]))
     monkeypatch.undo()
     # each Belief's fresh extraction as a graph, and each Belief's
-    # extraction from its graph: the outer one's is kept with g
-    assert [built for *built, _ in runs] == [[2, 2], [2, 1], [2, 1]], runs
-    assert all(visited > 30 for *_, visited in runs), runs
-    # g's index once, and that of each evaluation's outer fresh extraction
-    assert len(indexes) == len(set(indexes)) == 1 + len(runs)
-    # and, the nested change steps referring to the engine, nothing is
-    # left for the cyclic collector
+    # extraction from its graph: the outer one's is kept with g.  The
+    # repeat run finds the outer Belief's base kept with g and builds and
+    # visits nothing; the active-domain run's bases are its universe's own
+    assert [built for *built, _ in runs] == [[2, 2], [0, 0], [2, 1]], runs
+    assert runs[0][2] > 30 and runs[1][2] == 0 and runs[2][2] > 30, runs
+    # g's index once, and that of each outer base's fresh extraction
+    assert len(indexes) == len(set(indexes)) == 1 + 2
+    # and nothing is left for the cyclic collector
     gc.collect()
     gc.disable()
     try:
