@@ -1069,16 +1069,15 @@ class _FourEngine:
 
     def _build_base(self, q: Belief, g: FourGraph) -> "_BeliefBase":
         """q's base over g: its body run once, over the extraction in which
-        no variable holder has stances, and q's relation as that run's
-        change from no relevant holder to all of them (``_changed_rows``)."""
+        no variable holder has stances, and q's relation there caught up
+        to g, as if updates had given every holder its stances."""
         b = _BeliefBase()
         b.node, b.vocab, b.universe, b.since = q, self.vocab, self.universe, frozenset()
         b.ext = belief_mod.extraction(g, q.expr, self.vocab)
-        b.evars, b.relevant, b.reads, b.iris = (), set(), None, frozenset()
+        b.evars, b.relevant, b.reads, b.iris = (), set(), self._reads(q.query), frozenset()
         if q._holders:
             b.evars = _schema(q._holders)
             b.iris = frozenset(t for t in self.universe or () if isinstance(t, Iri))
-            b.reads, b.relevant = self._relevant_holders(q.query, g)
         b.graph, b.done, b.steps, b.slices = FourGraph(b.ext.default, b.ext.fresh), {}, None, {}
         b.r0 = r0 = self.run(q.query, b.graph, b.done)
         if q._holders and self.universe is None and (r0.table or r0.default != UNKNOWN):
@@ -1105,9 +1104,9 @@ class _FourEngine:
             for combo in itertools.product(universe, repeat=len(b.evars)):
                 for k, v in (r0.table.items() if b.iris.issuperset(combo) else quoted):
                     table[extend(k + combo)] = v
-        b.slices, rows = self._changed_rows(b, b.ext, set(), b.relevant, b.relevant)
-        table.update(rows)
         b.relation = Relation._of(b.schema, r0.default, table, self.universe)
+        b.since = frozenset(h for h, _ in belief_mod.holder_index(g, self.vocab))
+        self._catch_up(b)
         return b
 
     def _eval_belief(self, q: Belief, g: FourGraph) -> Relation:
@@ -1115,8 +1114,8 @@ class _FourEngine:
         return self._belief_base(q, g).relation
 
     def _catch_up(self, b: "_BeliefBase") -> None:
-        """Bring b up to its extraction, after updates that changed the
-        stances of the holders ``b.since`` (``_BeliefBase.carry``)."""
+        """Bring b up to its extraction, whose holders ``b.since`` updates
+        (``_BeliefBase.carry``) or a build gave their stances."""
         now, slices, rows = self._stance_changes(b, b.ext, b.since)
         # an old key holding a changed holder was visited again, or its
         # holder is no longer relevant and the key is gone
@@ -1140,11 +1139,11 @@ class _FourEngine:
                         changed) -> tuple[set[Iri], dict, dict]:
         """The holders relevant to b's body under ``ext``, in which only
         the holders ``changed`` may have other stances than under
-        ``b.ext``; and ``_changed_rows`` from b's relevant holders to
-        those, which visits only the keys holding a changed holder."""
+        ``b.ext``: those with a stance on a triple the body reads; and
+        ``_changed_rows`` from b's relevant holders to those, which visits
+        only the keys holding a changed holder."""
         now = b.relevant.difference(changed)
-        now.update(h for h in changed
-                   if any(b.reads is None or b.reads(t) for t in ext.believed(h)))
+        now.update(h for h in changed if any(map(b.reads, ext.believed(h))))
         return now, *self._changed_rows(b, ext, b.relevant, now, changed & (b.relevant | now))
 
     def _changed_rows(self, b: "_BeliefBase", ext: belief_mod.Extraction,
@@ -1204,35 +1203,20 @@ class _FourEngine:
                     out[b.extend(k + combo)] = v
         return slices, out
 
-    def _relevant_holders(self, body: Query, g: FourGraph
-                          ) -> tuple[Callable[[StarTriple], bool] | None, set[Iri]]:
-        """The test on a triple of whether ``body`` reads it, or None when
-        it reads every triple; and the holders of g with a stance on a
-        triple it reads, each distinct believed triple tested once
-        (``belief.believers``).  A pattern reads the triples it matches,
-        every triple if its predicate is a variable; a nested Belief reads
-        the belief statements.  An irrelevant holder's extraction differs
-        from that of an IRI without stances only on triples the body does
-        not read, so the body evaluates alike over both."""
-        matchers, nested = [], False
-        for node in self._order(body):
-            if isinstance(node, Belief):
-                nested = True
-            elif isinstance(node, Pattern):
-                if not isinstance(node.pattern.predicate, Iri):
-                    return None, {h for h, _ in belief_mod.holder_index(g, self.vocab)}
-                matchers.append(_scan_plan(node.pattern, self._plans)[1])
-        predicates = self.vocab.predicates()
-
-        def reads(t: StarTriple) -> bool:
-            return (nested and belief_mod.is_statement(t, predicates)) \
-                or any(m(t) is not None for m in matchers)
-
-        relevant: set[Iri] = set()
-        for t, holders in belief_mod.believers(g, self.vocab).items():
-            if reads(t):
-                relevant.update(holders)
-        return reads, relevant
+    def _reads(self, body: Query) -> Callable[[StarTriple], bool]:
+        """Whether ``body`` reads a triple: a pattern reads the triples it
+        matches, every triple if its predicate is a variable; a nested
+        Belief reads the belief statements.  A holder without a stance on
+        a triple the body reads extracts, as far as the body can see, like
+        an IRI without stances, so it is not relevant (``_stance_changes``)."""
+        nodes = self._order(body)
+        if any(isinstance(n, Pattern) and not isinstance(n.pattern.predicate, Iri)
+               for n in nodes):
+            return lambda t: True
+        matchers = [_scan_plan(n.pattern, self._plans)[1] for n in nodes if isinstance(n, Pattern)]
+        nested, predicates = any(isinstance(n, Belief) for n in nodes), self.vocab.predicates()
+        return lambda t: (nested and belief_mod.is_statement(t, predicates)) \
+            or any(m(t) is not None for m in matchers)
 
 
 class _BeliefBase:
@@ -1241,9 +1225,9 @@ class _BeliefBase:
     universe and the node's value, so that it lives as long as the graph.
     It holds no engine and not that graph.  ``node`` is the node that built
     it, whose ids key ``done``, with ``vocab`` and ``universe``; ``ext``
-    its extraction; for holder variables ``evars``, the set of holders
-    ``relevant`` to the body, the body's test on a triple (``reads``, see
-    ``_relevant_holders``) and the universe's IRIs ``iris``; the graph of
+    its extraction; the body's test on a triple (``reads``); for holder
+    variables ``evars``, the set of holders ``relevant`` to the body and
+    the universe's IRIs ``iris``; the graph of
     the extraction in which no variable holder has stances
     (``Extraction.fresh``), the body's relations over it in ``done`` with
     the body's among them, ``r0``; the body's change plan ``steps``, made
@@ -1254,7 +1238,7 @@ class _BeliefBase:
     ``evars``, None standing for every IRI without stances.  ``since``
     holds the holders whose stances updates changed after ``relevant``,
     ``slices`` and ``relation`` were made, which the next use catches up
-    (``_FourEngine._catch_up``)."""
+    (``_FourEngine._catch_up``), as a build catches up every holder."""
 
     __slots__ = ("node", "vocab", "universe", "ext", "evars", "relevant", "reads", "iris",
                  "graph", "done", "r0", "steps", "slices", "schema", "extend", "relation",

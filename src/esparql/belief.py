@@ -99,32 +99,31 @@ def is_statement(t: StarTriple, predicates: frozenset[Iri]) -> bool:
         and isinstance(t.object, StarTriple)
 
 
-def _restated(index: dict, triples: dict, was, predicates: frozenset[Iri],
-              by_triple: bool = False) -> dict:
-    """The lists of ``index`` (keyed by holder and belief predicate, or
-    ``by_triple`` by believed triple) that setting ``triples`` to their
-    values from ``was(t)`` changes, with their new contents: a belief
-    statement changes them when it starts or stops counting as a stance.
-    The one test of which holders an update touches."""
+def _restated(index: dict, triples: dict, was, predicates: frozenset[Iri]) -> dict:
+    """The lists of ``index`` (keyed by holder and belief predicate) that
+    setting ``triples`` to their values from ``was(t)`` changes, with their
+    new contents: a belief statement changes them when it starts or stops
+    counting as a stance.  The one test of which holders an update
+    touches."""
     changed: dict = {}
     for t, v in triples.items():
         if is_statement(t, predicates) and \
                 (v in (TRUE, CONFLICTED)) != (was(t) in (TRUE, CONFLICTED)):
-            key, item = (t.object, t.subject) if by_triple else ((t.subject, t.predicate), t.object)
+            key = t.subject, t.predicate
             if key not in changed:
                 changed[key] = list(index.get(key, ()))
             if v in (TRUE, CONFLICTED):
-                changed[key].append(item)
+                changed[key].append(t.object)
             else:
-                changed[key].remove(item)
+                changed[key].remove(t.object)
     return changed
 
 
-def _carry_index(vocab: BeliefVocabulary, by_triple: bool, index: dict, child: FourGraph,
+def _carry_index(vocab: BeliefVocabulary, index: dict, child: FourGraph,
                  t: StarTriple, old, new) -> dict:
-    """The ``carry`` of ``holder_index`` or ``believers``: the same index
-    when t's stance does not change, else a copy with its list patched."""
-    changed = _restated(index, {t: new}, {t: old}.get, vocab.predicates(), by_triple)
+    """The ``carry`` of ``holder_index``: the same index when t's stance
+    does not change, else a copy with its list patched."""
+    changed = _restated(index, {t: new}, {t: old}.get, vocab.predicates())
     if not changed:
         return index
     out = {**index, **changed}
@@ -147,21 +146,7 @@ def holder_index(g: FourGraph,
             if is_statement(key, predicates) and value in (TRUE, CONFLICTED):
                 index.setdefault((key.subject, key.predicate), []).append(key.object)
         return index
-    return g.derived(("holders", vocab), build, partial(_carry_index, vocab, False))
-
-
-def believers(g: FourGraph, vocab: BeliefVocabulary) -> dict[StarTriple, list[Iri]]:
-    """Each believed triple -> the holders with a stance on it, under any
-    belief predicate: ``holder_index`` read the other way, so that a test
-    on believed triples runs once per triple, not once per stance.  Built
-    once per graph and vocabulary, and cached on the graph."""
-    def build() -> dict[StarTriple, list[Iri]]:
-        index: dict[StarTriple, list[Iri]] = {}
-        for (holder, _), believed in holder_index(g, vocab).items():
-            for t in believed:
-                index.setdefault(t, []).append(holder)
-        return index
-    return g.derived(("believers", vocab), build, partial(_carry_index, vocab, True))
+    return g.derived(("holders", vocab), build, partial(_carry_index, vocab))
 
 
 def extract(g: FourGraph, e: BeliefQuery, vocab: BeliefVocabulary,

@@ -306,13 +306,13 @@ class FourGraph:
         child._derived, child._carries = {}, {}
         # in the order built, so a structure is carried after those it reads
         for key, structure in self._derived.items():
-            carry = self._carries.get(key)
-            if carry is not None and (made := carry(structure, child, t, old, v)) is not None:
+            carry = self._carries[key]
+            if (made := carry(structure, child, t, old, v)) is not None:
                 child._derived[key], child._carries[key] = made, carry
         return child
 
     def derived(self, key: Hashable, build: Callable[[], Any],
-                carry: Callable[..., Any] | None = None) -> Any:
+                carry: Callable[..., Any]) -> Any:
         """The structure cached under ``key``, made by ``build`` from the
         exceptions on first use.  ``carry(structure, child, t, old, new)``
         gives the structure of ``child``, this graph with triple ``t`` set
@@ -321,8 +321,7 @@ class FourGraph:
         hit = self._derived.get(key)
         if hit is None:
             hit = self._derived[key] = build()
-            if carry is not None:
-                self._carries[key] = carry
+            self._carries[key] = carry
         return hit
 
     def bucket(self, position: str, term: Term) -> Sequence[tuple[StarTriple, Any]]:

@@ -30,7 +30,7 @@ from esparql import (
     identity_of,
     parse_and_desugar,
 )
-from esparql.belief import believers, extraction, holder_index
+from esparql.belief import extraction, holder_index
 from esparql.model import term_text
 
 from conftest import (
@@ -298,7 +298,6 @@ def test_set_value_carries_what_a_rebuild_makes():
                 g.bucket(position, A)
             g.domain()
             holder_index(g, VOCAB)
-            believers(g, VOCAB)
             for e, keys in expressions.items():
                 ext = extraction(g, e, VOCAB)
                 for key in keys:
@@ -319,8 +318,6 @@ def test_set_value_carries_what_a_rebuild_makes():
                     assert made == scratch.domain()
                 elif key[0] == "holders":
                     assert _by_key(made) == _by_key(holder_index(scratch, VOCAB))
-                elif key[0] == "believers":
-                    assert _by_key(made) == _by_key(believers(scratch, VOCAB))
                 else:
                     e = key[2]
                     want = extraction(scratch, e, VOCAB)
@@ -330,5 +327,5 @@ def test_set_value_carries_what_a_rebuild_makes():
                         assert made.delta(holder_key) == want.delta(holder_key), (e, holder_key)
             g = child
     # every kind of structure was patched, not only kept
-    assert set(carried) == {*positions, "domain", "holders", "believers", "extraction"}
+    assert set(carried) == {*positions, "domain", "holders", "extraction"}
     assert all(carried.values()), carried

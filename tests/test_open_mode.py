@@ -310,6 +310,22 @@ def test_open_belief_mixing_a_holder_and_a_non_holder_raises(tmp_path):
     )
 
 
+def test_a_refused_belief_keeps_no_base_and_refuses_again_alike():
+    # the refusal comes from a holder key, found while the base is built:
+    # no base is kept on the graph, and a second evaluation refuses with
+    # the same text
+    g = parse_graph(MIXED_HOLDERS_GRAPH)
+    q = parse_and_desugar(MIXED_HOLDERS_QUERY)
+    texts = []
+    for _ in range(2):
+        with pytest.raises(NonFinitelySupported) as refused:
+            open_eval(q, g)
+        assert not any(isinstance(key, tuple) and key[0] == "belief" for key in g._derived)
+        texts.append(str(refused.value))
+    assert texts == ["belief naming a holder and a quantified non-holder is not "
+                     "constantly unknown"] * 2
+
+
 def test_open_belief_refuses_at_the_first_refusing_key_of_a_whole_run():
     # two holder keys refuse with different texts, and the one a whole run
     # meets first is reported.  After the key of no stances, keys run with
