@@ -192,9 +192,8 @@ def _compiled(e: BeliefQuery, vocab: BeliefVocabulary) -> tuple[list, dict, dict
     variable's atoms as (predicate, bit), variables by name, a holder
     key's order; and the memo of e's values by set of believers that
     ``Extraction._value`` fills: made once per expression object and
-    vocabulary and kept on e, as ``_cached_hash`` keeps e's hash, since a
-    nested Belief's expression is extracted from one graph per outer
-    holder key."""
+    vocabulary and kept on e, as ``_cached_hash`` keeps e's hash, since
+    ``after`` reads it once per outer holder key of a nested Belief."""
     made = e.__dict__.setdefault("_compiled", {})
     if vocab not in made:
         ground, variables = [], {}
@@ -211,18 +210,19 @@ def _compiled(e: BeliefQuery, vocab: BeliefVocabulary) -> tuple[list, dict, dict
 class Extraction:
     """e's extraction from g under any binding of its holder variables.
 
-    The ground atoms are looked up once, here.  ``fresh`` holds the values
-    of the triples they believe: the extraction in which no variable holder
-    has stances.  A key of holders, one per holder variable in name order
-    with None for an IRI without stances, changes only the triples its
-    holders have stances on, which ``delta`` lists.  Atom i is bit i of a
-    triple's set of believers.  ``after`` gives the extraction from g
+    It holds only what every key shares.  The ground atoms are looked up
+    once, here.  ``fresh`` holds the values of the triples they believe:
+    the extraction in which no variable holder has stances.  A key of
+    holders, one per holder variable in name order with None for an IRI
+    without stances, changes only the triples its holders have stances
+    on, which ``delta`` lists.  Atom i is bit i of a triple's set of
+    believers.  ``after`` gives the extraction from g
     changed on some triples, without a graph, and ``carry`` the extraction
-    from a graph ``set_value`` made from g.
+    from a graph ``set_value`` made from g: this one, or one read again.
     """
 
     __slots__ = ("default", "fresh", "moved", "_index", "_predicates", "_ground",
-                 "_variables", "_stances", "_deltas", "_values", "_e", "_vocab", "_statement")
+                 "_variables", "_values", "_e", "_vocab", "_statement")
 
     def __init__(self, g: FourGraph, e: BeliefQuery, vocab: BeliefVocabulary):
         self._read(holder_index(g, vocab), e, vocab)
@@ -237,8 +237,6 @@ class Extraction:
         for holder, predicate, bit in read:
             for t in index.get((holder, predicate), ()):
                 ground[t] = ground.get(t, 0) | bit
-        self._stances: dict[tuple[Variable, Iri | None], dict[StarTriple, int]] = {}
-        self._deltas: dict[tuple[Iri | None, ...], dict[StarTriple, FourValue]] = {}
         self._e, self._vocab = e, vocab
         self.default = self._value(0)
         self.fresh = {t: self._value(b) for t, b in ground.items()}
@@ -269,18 +267,12 @@ class Extraction:
 
     def carry(self, child: FourGraph, t: StarTriple, old, new) -> "Extraction":
         """The extraction from ``child``, g with t set from ``old`` to
-        ``new`` (``FourGraph.derived``'s carry): ``after`` read over
-        child's index.  When the ground atoms' believers stay, it keeps
-        what was looked up for every holder whose stances stay."""
-        out, changed = self.after({t: new})
-        if out is self:
+        ``new`` (``FourGraph.derived``'s carry): this one when child's
+        ``holder_index``, carried before it, is this one's, so no stance
+        changed; else child's, read again."""
+        if holder_index(child, self._vocab) is self._index:
             return self
-        out._index, out._statement = holder_index(child, self._vocab), child.exceptions.get
-        if not out.moved:
-            out._stances = {k: s for k, s in self._stances.items() if k[1] not in changed}
-            out._deltas = {k: d for k, d in self._deltas.items() if changed.isdisjoint(k)}
-        out.moved = []
-        return out
+        return Extraction(child, self._e, self._vocab)
 
     def same_ground(self, other: "Extraction") -> bool:
         """Whether the ground atoms believe the same triples here as in
@@ -293,33 +285,18 @@ class Extraction:
         for predicate in self._predicates:
             yield from self._index.get((holder, predicate), ())
 
-    def _believed(self, var: Variable, holder: Iri | None) -> dict[StarTriple, int]:
-        """The triples ``holder`` (None: none) has a stance on that var's
-        atoms read, each with the bits of the atoms that believe it; looked
-        up once per variable and holder."""
-        bits = self._stances.get((var, holder))
-        if bits is None:
-            bits = self._stances[var, holder] = {}
-            for predicate, bit in self._variables[var]:
-                for t in self._index.get((holder, predicate), ()):
-                    bits[t] = bits.get(t, 0) | bit
-        return bits
-
     def delta(self, key: tuple[Iri | None, ...]) -> dict[StarTriple, FourValue]:
         """The triples whose set of believers under the holders of ``key``
         differs from the one in which no variable holder has stances, with
-        their values (the default included).  Made once per key and kept,
-        so callers only read it."""
-        found = self._deltas.get(key)
-        if found is None:
-            believers: dict[StarTriple, int] = dict.fromkeys(self.moved, 0)
-            for var, holder in zip(self._variables, key):
-                for t, bits in self._believed(var, holder).items():
-                    believers[t] = believers.get(t, 0) | bits
-            ground, value = self._ground, self._value
-            found = self._deltas[key] = {t: value(ground.get(t, 0) | b)
-                                         for t, b in believers.items()}
-        return found
+        their values (the default included).  Made on each call: a
+        ``FROM BELIEF`` base keeps what it needs of each key's."""
+        believers: dict[StarTriple, int] = dict.fromkeys(self.moved, 0)
+        for atoms_of, holder in zip(self._variables.values(), key):
+            for predicate, bit in atoms_of:
+                for t in self._index.get((holder, predicate), ()):
+                    believers[t] = believers.get(t, 0) | bit
+        ground, value = self._ground, self._value
+        return {t: value(ground.get(t, 0) | b) for t, b in believers.items()}
 
 
 def _value_at(e: BeliefQuery, believers: int, bit: int) -> tuple[FourValue, int]:

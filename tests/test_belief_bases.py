@@ -10,20 +10,23 @@ import weakref
 from pathlib import Path
 
 import esparql.algebra
+from esparql import belief as belief_mod
 from esparql import (
     EvalMode,
     FourGraph,
     FourValue,
     Mapping,
+    StarTriple,
     Variable,
     evaluate,
     parse_and_desugar,
     parse_graph,
 )
+from esparql.oracle import diff, oracle_eval
 
-from conftest import CHRISTIAN, VOCAB, ZEUS_DEITY, data
+from conftest import A, CHRISTIAN, FULL_DEITY, VOCAB, ZEUS_DEITY, data
 
-T, F = FourValue.TRUE, FourValue.FALSE
+T, F, C = FourValue.TRUE, FourValue.FALSE, FourValue.CONFLICTED
 BENCH_GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
 ZEUS_PAIRS = "SELECT INFO ?x ?y FROM BELIEF ?x ?y WHERE { <Zeus> a <FullDeity> }"
 
@@ -68,6 +71,11 @@ def _counting(monkeypatch):
 
 def _rebuilt(g):
     return FourGraph(g.default, dict(g.exceptions))
+
+
+def _bases(g):
+    """The FROM BELIEF bases kept on g."""
+    return [b for key, b in g._derived.items() if isinstance(key, tuple) and key[0] == "belief"]
 
 
 def test_a_repeat_run_and_updates_redo_only_what_changed(monkeypatch):
@@ -159,3 +167,97 @@ def test_an_update_chain_frees_each_graph_it_drops_by_reference_counting():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_two_bases_share_one_extraction_and_extract_only_changed_keys(monkeypatch):
+    # two FROM BELIEF ?x nodes, one expression, different bodies, over the
+    # seed-12 belief_holders graph's holders h000-h011 with their stances
+    # and facts (beliefs about beliefs and noise dropped, so the dense
+    # oracle's tables stay small): in both modes all four bases read their
+    # keys from one extraction.  After each update, a stance flip that
+    # leaves its holder relevant, a stance that makes a holder relevant to
+    # the rules body and a flip of a plain fact, each key extracted holds
+    # the changed holder, and the answers equal a rebuilt graph's and the
+    # oracle's
+    text, _ = _bench_inputs()
+    full, predicates = parse_graph(text), VOCAB.predicates()
+    kept = {data(f"h{i:03d}") for i in range(12)}
+    g = FourGraph(full.default, {
+        t: v for t, v in full.exceptions.items() if t.subject in kept
+        and not (isinstance(t.object, StarTriple) and t.object.predicate in predicates)})
+    queries = [parse_and_desugar(q) for q in (
+        "SELECT INFO ?x ?deity FROM BELIEF ?x WHERE { ?deity a <FullDeity> }",
+        "SELECT INFO ?x ?deity ?r FROM BELIEF ?x WHERE { ?deity <rules> ?r }")]
+    bodies = (lambda c: c.predicate == A and c.object == FULL_DEITY,
+              lambda c: c.predicate == data("rules"))
+
+    def relevant(g, h):
+        claims = [t.object for t, v in g.exceptions.items()
+                  if t.subject == h and t.predicate in predicates and v in (T, C)]
+        return [any(map(reads, claims)) for reads in bodies]
+
+    def keeps_relevance(t):
+        before, after = relevant(g, t.subject), relevant(g.set_value(t, F), t.subject)
+        return any(before) and all(b or not a for a, b in zip(before, after))
+
+    for mode in EvalMode:
+        for q in queries:
+            evaluate(q, g, mode=mode)
+    flip = min((t for t, v in g.exceptions.items() if v == T and t.predicate in predicates
+                and keeps_relevance(t)), key=repr)
+    claim = min((t.object for t in g.exceptions
+                 if t.predicate in predicates and bodies[1](t.object)), key=repr)
+    fact = min((t for t in g.exceptions if t.object == CHRISTIAN), key=repr)
+    real_delta, calls = belief_mod.Extraction.delta, []
+
+    def delta(self, key):
+        calls.append(key)
+        return real_delta(self, key)
+
+    for step in ("flip", "new holder", "fact"):
+        if step == "flip":
+            t, v = flip, F
+        elif step == "new holder":
+            h = min((h for h in kept if not relevant(g, h)[1]), key=repr)
+            t, v = StarTriple(h, VOCAB.to_be_true, claim), T
+        else:
+            t, v = fact, F if g.lookup(fact) == T else T
+        g = g.set_value(t, v)
+        calls.clear()
+        monkeypatch.setattr(belief_mod.Extraction, "delta", delta)
+        got = {(q, mode): evaluate(q, g, mode=mode) for q in queries for mode in EvalMode}
+        monkeypatch.undo()
+        bases = _bases(g)
+        assert len(bases) == 4 and all(b.ext is bases[0].ext for b in bases), step
+        if step == "fact":
+            assert calls == []
+        else:
+            assert calls and all(t.subject in key for key in calls), (step, calls)
+        fresh = _rebuilt(g)
+        for q in queries:
+            # no holder key lists a row off the support, so both modes
+            # list the same rows, and the oracle checks both
+            active, open_ = got[q, EvalMode.ACTIVE_DOMAIN], got[q, EvalMode.OPEN]
+            assert (open_.default, open_.table) == (active.default, active.table)
+            assert diff(active, oracle_eval(q, fresh)) == [], step
+            for mode in EvalMode:
+                assert got[q, mode] == evaluate(q, fresh, mode=mode), (step, mode)
+
+
+def test_a_removal_that_shrinks_the_universe_drops_the_active_domain_base():
+    # <n1> is mentioned by one plain triple only: resetting it to the
+    # default takes <n1> out of the active domain, so the base kept under
+    # the old universe is not carried to the child, and the child's first
+    # evaluation builds the one base it keeps
+    g = parse_graph(f"<h> <{VOCAB.to_be_true.text}> << <Zeus> <a> <FullDeity> >> .\n"
+                    "<Zeus> <a> <FullDeity> @false .\n<n1> <rel> <n2> .\n<n2> <rel> <Zeus> .\n")
+    q = parse_and_desugar("SELECT INFO ?deity ?x FROM BELIEF ?x WHERE { ?deity a <FullDeity> }")
+    evaluate(q, g)
+    assert len(_bases(g)) == 1
+    child = g.set_value(StarTriple(data("n1"), data("rel"), data("n2")), FourValue.UNKNOWN)
+    assert _bases(child) == []
+    r = evaluate(q, child)
+    assert len(_bases(child)) == 1
+    assert r == evaluate(q, _rebuilt(child))
+    assert r.exceptions == {Mapping.of({Variable("deity"): data("Zeus"),
+                                        Variable("x"): data("h")}): T}

@@ -251,3 +251,25 @@ def test_a_shared_subquery_node_evaluates_like_its_tree_copy(g1):
         # the Pope's Jesus, and the two Christians of the graph itself
         assert r.exceptions == {Mapping.of({x: t}): FourValue.TRUE
                                 for x in in_scope(dag) for t in (JESUS, POPE, ARIUS)}
+
+
+def test_from_belief_nested_to_the_depth_limit_answers(tmp_path):
+    # each level quantifies its own holder; <h>'s one stance makes the
+    # innermost body true on <a> <p> <b>, but no level's extraction holds
+    # a belief statement for the level inside it, so the answer is empty
+    text = "?s <p> ?o"
+    for i in reversed(range(DEPTH_LIMIT)):
+        text = f"SELECT INFO * FROM BELIEF ?h{i} WHERE {{ {text} }}"
+    lines = f"<h> <{VOCAB.to_be_true.text}> << <a> <p> <b> >> .\n"
+    q, g = parse_and_desugar(text), parse_graph(lines)
+    for mode in EvalMode:
+        # the active-domain guard counts every holder variable
+        r = evaluate(q, g, mode=mode, cap=6 ** (DEPTH_LIMIT + 2))
+        assert r.exceptions == {} and r.default == FourValue.UNKNOWN
+        assert len(r.vars) == DEPTH_LIMIT + 2
+    query, graph = tmp_path / "nested.esq", tmp_path / "stance.f4s"
+    query.write_text(text + "\n")
+    graph.write_text(lines)
+    result = CliRunner().invoke(main, ["query", "--graph", str(graph), "--query", str(query),
+                                       "--mode", "open"])
+    assert result.exit_code == 0, result.stderr
