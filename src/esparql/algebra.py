@@ -28,6 +28,7 @@ operators).
 
 from __future__ import annotations
 
+import collections
 import copy
 import enum
 import functools
@@ -656,7 +657,10 @@ def _class_members(rep: dict[Variable, Any], schema: tuple[Variable, ...],
 # change step on the rows of a few keys (``_keyed_changes``).
 
 
-def _plan_join(r1: Relation, r2: Relation, op2: Callable[[Any, Any], Any]) -> tuple:
+def _plan_join(r1: Relation, r2: Relation, op2: Callable[[Any, Any], Any],
+               absorbed: frozenset = frozenset()) -> tuple:
+    """The join plan; a one-sided row valued in ``absorbed`` is not
+    repeated over the other side's variables (see ``_absorbed``)."""
     s1, s2 = r1.schema, r2.schema
     schema, shared = _schema(r1.vars | r2.vars), _schema(r1.vars & r2.vars)
     d, universe = op2(r1.default, r2.default), r1.universe
@@ -677,12 +681,13 @@ def _plan_join(r1: Relation, r2: Relation, op2: Callable[[Any, Any], Any]) -> tu
                 table.update(hot)
                 continue
             if hot and universe is None:
+                names = ", ".join(f"?{v.name}" for v in extra)
                 raise NonFinitelySupported(
-                    "join of relations with disjoint variables whose defaults do not absorb"
-                )
+                    f"join would repeat a one-sided row over every term of {names}")
             for k, x in hot:
-                for combo in itertools.product(universe, repeat=len(extra)):
-                    table[extend(k + combo)] = x
+                if x not in absorbed:
+                    for combo in itertools.product(universe, repeat=len(extra)):
+                        table[extend(k + combo)] = x
         index = _index(t2, key2)
         for k1, v1 in t1.items():
             for k2, v2 in index.get(key1(k1), ()):
@@ -692,9 +697,42 @@ def _plan_join(r1: Relation, r2: Relation, op2: Callable[[Any, Any], Any]) -> tu
     return schema, d, run, shared
 
 
-def _combine_join(r1: Relation, r2: Relation, op2: Callable[[Any, Any], Any]) -> Relation:
-    schema, d, run, _ = _plan_join(r1, r2, op2)
+def _combine_join(r1: Relation, r2: Relation, op2: Callable[[Any, Any], Any],
+                  absorbed: frozenset = frozenset()) -> Relation:
+    schema, d, run, _ = _plan_join(r1, r2, op2, absorbed)
     return Relation._of(schema, d, run(r1.table, r2.table), r1.universe)
+
+
+def _absorbed(r1: Relation, r2: Relation, op2: Callable[[Any, Any], Any],
+              keep: frozenset[Variable], add: Callable[[Any, Any], Any]) -> frozenset:
+    """The values of the one-sided rows of r1's join with r2 that its
+    projection onto ``keep`` with ``add`` folds into the join's default d:
+    each x != d with add(x, d) == d, for d idempotent under add.  A group
+    that lists fewer than all its extensions adds d, which absorbs x, so
+    the join may leave such rows out while no group can list them all
+    (``_below_full``); else, and in open mode, none."""
+    d = op2(r1.default, r2.default)
+    if r1.universe is None or r1.vars | r2.vars <= keep or add(d, d) != d:
+        return frozenset()
+    xs = {op2(v, r2.default) for v in set(r1.table.values())}
+    xs.update(op2(v, r1.default) for v in set(r2.table.values()))
+    absorbed = frozenset(x for x in xs if x != d and add(x, d) == d)
+    return absorbed if absorbed and _below_full(r1, r2, keep) else frozenset()
+
+
+def _below_full(r1: Relation, r2: Relation, keep: frozenset[Variable]) -> bool:
+    """Whether no group of the projection onto ``keep`` of r1's join with
+    r2 can list all its n = |U|^|dropped| extensions: every listed row
+    extends a row of one side over the dropped variables that only the
+    other side binds, so a group lists at most each side's most rows that
+    agree on its kept variables, times |U| to the power of those."""
+    size, dropped = len(r1.universe), (r1.vars | r2.vars) - keep
+    listed = 0
+    for side, other in ((r1, r2), (r2, r1)):
+        group = _plan(_schema(side.vars & keep), side.schema)
+        most = max(collections.Counter(map(group, side.table)).values(), default=0)
+        listed += most * size ** len(dropped & (other.vars - side.vars))
+    return listed < size ** len(dropped)
 
 
 def _plan_union(r1: Relation, r2: Relation, op2: Callable[[Any, Any], Any]) -> tuple:
@@ -959,10 +997,17 @@ class _FourEngine:
         return r
 
     def _order(self, q: Query) -> list[Query]:
-        """q's post-order up to Belief bodies, listed once per evaluation."""
-        if id(q) not in self._orders:
-            self._orders[id(q)] = _postorder(q, bodies=False)
-        return self._orders[id(q)]
+        """q's post-order up to Belief bodies, listed once per evaluation,
+        without a Join that only a Project reads: that Project joins its
+        children itself, leaving out the rows it absorbs (``_absorbed``)."""
+        order = self._orders.get(id(q))
+        if order is None:
+            again: dict[int, int] = {}
+            order = _postorder(q, bodies=False, again=again)
+            fused = {id(n.query) for n in order
+                     if type(n) is Project and type(n.query) is Join and id(n.query) not in again}
+            order = self._orders[id(q)] = [n for n in order if id(n) not in fused]
+        return order
 
     def eval(self, q: Query, g: FourGraph, done: dict) -> Relation:
         """q's relation over g, recorded in ``done`` under ``_key(q)``."""
@@ -983,10 +1028,15 @@ class _FourEngine:
                 done[_key(q.left)], done[_key(q.right)], self._ops(q.op, union)[0])
         if isinstance(q, Belief):
             return self._eval_belief(q, g)
-        r1 = done[_key(q.query)]
+        r1 = done.get(_key(q.query))
         if isinstance(q, Project):
             add, zero, _ = self._ops(q.op, True)
-            return _project_four(r1, frozenset(q.vars), add, zero)
+            keep = frozenset(q.vars)
+            if r1 is None:  # a Join left out of the run's order (``_order``)
+                j = q.query
+                left, right, op2 = done[_key(j.left)], done[_key(j.right)], self._ops(j.op, False)[0]
+                r1 = _combine_join(left, right, op2, _absorbed(left, right, op2, keep, add))
+            return _project_four(r1, keep, add, zero)
         return _transform_by_formula(r1, q.formula, self._value_for(q))
 
     def _value_for(self, q: Filter | MapState) -> Callable[[ThreeValued, Any], Any]:
@@ -1000,10 +1050,11 @@ class _FourEngine:
     def _changes_plan(self, body: Query, g: FourGraph, done: dict) -> list[tuple]:
         """body's nodes in post-order, equal patterns once, each as its
         ``_changes_step``: made once per Belief base from the relations in
-        ``done``, body's over g, and run per key by ``_slice_changes``."""
+        ``done``, body's over g, and run per key by ``_slice_changes``.  A
+        Join that the run left out is joined in full here."""
         steps: list[tuple] = []
         at: dict = {}
-        for node in self._order(body):
+        for node in _postorder(body, bodies=False):
             key = _key(node)
             if key not in at:
                 steps.append(self._changes_step(node, g, done, at))
@@ -1017,7 +1068,7 @@ class _FourEngine:
         g's changed triples that recomputes the rows of q's relation they
         reach).  A plan is kept with its Belief base, so a step holds no
         engine: a nested Belief's runs in one of its own."""
-        out = done[_key(q)]
+        out = self.eval(q, g, done)
         if isinstance(q, Pattern):
             matcher = _scan_plan(q.pattern, self._plans)[1]
             return None, out, lambda changes, triples: {
@@ -1105,24 +1156,31 @@ class _FourEngine:
             for combo in itertools.product(universe, repeat=len(b.evars)):
                 for k, v in (r0.table.items() if b.iris.issuperset(combo) else quoted):
                     table[extend(k + combo)] = v
-        b.relation = Relation._of(b.schema, r0.default, table, self.universe)
         b.since = frozenset(h for h, _ in belief_mod.holder_index(g, self.vocab))
-        self._catch_up(b)
+        self._catch_up(b, table)
         return b
 
     def _eval_belief(self, q: Belief, g: FourGraph) -> Relation:
         """q's relation over g, kept with its base."""
         return self._belief_base(q, g).relation
 
-    def _catch_up(self, b: "_BeliefBase") -> None:
+    def _catch_up(self, b: "_BeliefBase", table: dict | None = None) -> None:
         """Bring b up to its extraction, whose holders ``b.since`` updates
-        (``_BeliefBase.carry``) or a build gave their stances."""
+        (``_BeliefBase.carry``) or a build gave their stances.  A build
+        passes the table it spread r0 into, which is changed in place; a
+        carried base's relation is its parent graph's base's too, so it is
+        copied."""
         now, slices, rows = self._stance_changes(b, b.ext, b.since)
         # an old key holding a changed holder was visited again, or its
         # holder is no longer relevant and the key is gone
         b.slices = {**{k: s for k, s in b.slices.items() if b.since.isdisjoint(k)}, **slices}
-        b.relation = Relation._of(b.schema, b.relation.default, {**b.relation.table, **rows},
-                                  b.universe)
+        table, d = dict(b.relation.table) if table is None else table, b.r0.default
+        for k, v in rows.items():
+            if v == d:
+                table.pop(k, None)
+            else:
+                table[k] = v
+        b.relation = Relation._of(b.schema, d, table, b.universe)
         b.relevant, b.since = now, frozenset()
 
     def _belief_changes(self, b: "_BeliefBase", triples: dict) -> dict:

@@ -1091,8 +1091,8 @@ def test_a_join_change_step_runs_on_the_rows_its_changed_keys_select(monkeypatch
     real_plan, real_step = algebra._plan_join, algebra._FourEngine._changes_step
     handed, checked = [], []
 
-    def plan_join(r1, r2, op2):
-        schema, d, run, key = real_plan(r1, r2, op2)
+    def plan_join(r1, r2, op2, *absorbed):
+        schema, d, run, key = real_plan(r1, r2, op2, *absorbed)
 
         def counted(t1, t2):
             handed.append((t1, t2))
@@ -1198,16 +1198,34 @@ def _belief_of_a_belief():
     return Belief(all_states_shorthand(Y, OPLUS), inner)
 
 
+def _joins_only_a_project_reads(q):
+    """The ids of q's Joins, bodies included, whose one parent is a Project."""
+    parents, projected = {}, set()
+    for node in esparql.algebra._postorder(q):
+        kids = (node.left, node.right) if isinstance(node, (Join, Union)) else (
+            () if isinstance(node, Pattern) else (node.query,))
+        for kid in kids:
+            parents[id(kid)] = parents.get(id(kid), 0) + 1
+        if isinstance(node, Project) and isinstance(node.query, Join):
+            projected.add(id(node.query))
+    return {j for j in projected if parents[j] == 1}
+
+
 def test_each_node_is_evaluated_once_per_run(monkeypatch, g1):
-    # a run enters eval once per node it lists and runs _eval once per
-    # distinct key and graph, equal patterns sharing one key.  A Belief
+    # a run lists every node but a Join that only its Project reads, which
+    # that Project joins itself; it enters eval once per node it lists and
+    # runs _eval once per distinct key and graph, equal patterns sharing
+    # one key.  A change plan enters each body node through eval, and so
+    # such a Join, once per base, only when the plan needs it.  A Belief
     # runs its body once, over the all-fresh extraction, and recomputes a
     # body node's changed rows at most once per holder key, a nested
     # Belief included.  Every graph and key's triples are held, so no two
     # share an id
     engine = esparql.algebra._FourEngine
-    listed, entered, evaluated, runs, changed, held = [], [], [], [], [], []
+    listed, entered, planned, evaluated, runs, changed, held = [], [], [], [], [], [], []
+    planning = [0]
     real_run, real_eval, real_inner = engine.run, engine.eval, engine._eval
+    real_plan = engine._changes_plan
 
     def key(q, g):
         held.append(g)
@@ -1219,16 +1237,24 @@ def test_each_node_is_evaluated_once_per_run(monkeypatch, g1):
         return real_run(self, q, g, *rest)
 
     def eval_(self, q, g, *rest):
-        entered.append(id(q))
+        (planned if planning[0] else entered).append(id(q))
         return real_eval(self, q, g, *rest)
 
     def inner(self, q, g, *rest):
         evaluated.append(key(q, g))
         return real_inner(self, q, g, *rest)
 
+    def changes_plan(self, *args):
+        planning[0] += 1
+        try:
+            return real_plan(self, *args)
+        finally:
+            planning[0] -= 1
+
     monkeypatch.setattr(engine, "run", run)
     monkeypatch.setattr(engine, "eval", eval_)
     monkeypatch.setattr(engine, "_eval", inner)
+    monkeypatch.setattr(engine, "_changes_plan", changes_plan)
     _on_change_steps(monkeypatch, lambda q, triples: changed.append(key(q, triples)))
     patterns = ("?s <a> ?o", "?s <a> <Christian>", "?s ?p ?o")
     chain = parse_and_desugar(
@@ -1236,6 +1262,8 @@ def test_each_node_is_evaluated_once_per_run(monkeypatch, g1):
     nested = _belief_of_a_belief()
     flat = parse_and_desugar(
         "SELECT INFO ?h ?s FROM BELIEF ?h WHERE { ?s ?p ?o . ?s ?p <FullDeity> }")
+    projected = parse_and_desugar(
+        "SELECT INFO * FROM BELIEF ?h WHERE { SELECT ?s WHERE { ?s ?p ?o . ?s ?p <FullDeity> } }")
     # four holders with beliefs about a belief on Zeus's divinity, so that
     # the nested case has several outer keys whose slices change
     about_zeus = g1
@@ -1243,24 +1271,29 @@ def test_each_node_is_evaluated_once_per_run(monkeypatch, g1):
         about_zeus = about_zeus.set_value(StarTriple(
             outer, VOCAB.to_be_true, StarTriple(inner, VOCAB.predicate_for(state), ZEUS_DEITY)), T)
     cases = [(chain, mode, g1) for mode in EvalMode] + [
-        (nested, EvalMode.ACTIVE_DOMAIN, about_zeus), (flat, EvalMode.ACTIVE_DOMAIN, g1)]
+        (nested, EvalMode.ACTIVE_DOMAIN, about_zeus), (flat, EvalMode.ACTIVE_DOMAIN, g1),
+        (projected, EvalMode.ACTIVE_DOMAIN, g1)]
     for q, mode, g in cases:
-        for log in (listed, entered, evaluated, runs, changed):
+        for log in (listed, entered, planned, evaluated, runs, changed):
             log.clear()
         assert evaluate(q, g, mode=mode).table
+        fused = _joins_only_a_project_reads(q)
+        assert set(listed) == {id(n) for n in esparql.algebra._postorder(q)} - fused
         assert sorted(entered) == sorted(listed)
+        assert set(planned) - set(listed) == (fused if q is projected else set())
         assert len(evaluated) == len(set(evaluated))
-        assert len(listed) - len(evaluated) == (6 if q is chain else 0)  # the repeated patterns
+        assert len(listed) + len(fused & set(planned)) - len(evaluated) == (
+            6 if q is chain else 0)  # the repeated patterns
         assert len(runs) == len(set(runs))
         assert len(changed) == len(set(changed))
         if q is nested:
             assert sum(r[0] == id(nested.query) for r in runs) == 1  # over the fresh extraction
             assert len({triples for _, triples in changed}) > 3  # changed rows under several keys
-        if q is flat:
+        if q in (flat, projected):
             assert len(runs) == 2  # the query, and the body over the fresh extraction
             assert len(changed) > 3  # the body's changed rows under several keys
         if q is chain:
-            assert not changed
+            assert len(fused) == 1 and not changed
     for q, mode, g in cases:
         if mode is EvalMode.ACTIVE_DOMAIN:
             assert diff(evaluate(q, g), oracle_eval(q, g)) == []

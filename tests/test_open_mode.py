@@ -341,8 +341,7 @@ def test_open_belief_refuses_at_the_first_refusing_key_of_a_whole_run():
     q = parse_and_desugar("SELECT * FROM BELIEF ?x ?y WHERE { ?a <p> <o> . ?b <q> <o> }")
     with pytest.raises(NonFinitelySupported) as refused:
         open_eval(q, g)
-    assert str(refused.value) == (
-        "join of relations with disjoint variables whose defaults do not absorb")
+    assert str(refused.value) == "join would repeat a one-sided row over every term of ?b"
 
 
 def test_truth_implying_extraction_default_refused(g1):
