@@ -946,8 +946,8 @@ def _eval_pattern(p: TriplePattern, g: FourGraph, universe: frozenset[Term] | No
     p's plan from ``plans`` (see ``_scan_plan``)."""
     probes, matcher, schema = _scan_plan(p, plans)
     candidates = min((g.bucket(position, term) for position, term in probes),
-                     key=len, default=g.exceptions.items())
-    table = {row: v for t, v in candidates if (row := matcher(t)) is not None}
+                     key=len, default=g.exceptions)
+    table = {row: v for t, v in candidates.items() if (row := matcher(t)) is not None}
     return Relation._of(schema, g.default, table, universe)
 
 
@@ -966,7 +966,6 @@ class _FourEngine:
         self.universe = universe
         self.semiring = semiring
         self._plans: dict = {}
-        self._orders: dict = {}
 
     # -- helpers -----------------------------------------------------------
 
@@ -997,17 +996,14 @@ class _FourEngine:
         return r
 
     def _order(self, q: Query) -> list[Query]:
-        """q's post-order up to Belief bodies, listed once per evaluation,
+        """q's post-order up to Belief bodies, made once per ``run``,
         without a Join that only a Project reads: that Project joins its
         children itself, leaving out the rows it absorbs (``_absorbed``)."""
-        order = self._orders.get(id(q))
-        if order is None:
-            again: dict[int, int] = {}
-            order = _postorder(q, bodies=False, again=again)
-            fused = {id(n.query) for n in order
-                     if type(n) is Project and type(n.query) is Join and id(n.query) not in again}
-            order = self._orders[id(q)] = [n for n in order if id(n) not in fused]
-        return order
+        again: dict[int, int] = {}
+        order = _postorder(q, bodies=False, again=again)
+        fused = {id(n.query) for n in order
+                 if type(n) is Project and type(n.query) is Join and id(n.query) not in again}
+        return [n for n in order if id(n) not in fused]
 
     def eval(self, q: Query, g: FourGraph, done: dict) -> Relation:
         """q's relation over g, recorded in ``done`` under ``_key(q)``."""
@@ -1268,7 +1264,7 @@ class _FourEngine:
         Belief reads the belief statements.  A holder without a stance on
         a triple the body reads extracts, as far as the body can see, like
         an IRI without stances, so it is not relevant (``_stance_changes``)."""
-        nodes = self._order(body)
+        nodes = _postorder(body, bodies=False)
         if any(isinstance(n, Pattern) and not isinstance(n.pattern.predicate, Iri)
                for n in nodes):
             return lambda t: True

@@ -14,14 +14,13 @@ few triples as its difference from the other's (``Extraction``).
 
 from __future__ import annotations
 
-from collections import ChainMap
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterator, Union
 
 from .errors import NonFiniteBeliefExtraction, NonIriHolder, UnboundBeliefVariable
 from .four import CONFLICTED, FALSE, TRUE, UNKNOWN, FourOperator, FourValue, apply, identity_of
-from .model import BeliefVocabulary, FourGraph, Iri, StarTriple, Term, Variable, _nest
+from .model import (BeliefVocabulary, FourGraph, Iri, REMOVED, StarTriple, Term, Variable, _nest,
+                    patched)
 
 
 def _cached_hash(node, fields: tuple) -> int:
@@ -99,54 +98,38 @@ def is_statement(t: StarTriple, predicates: frozenset[Iri]) -> bool:
         and isinstance(t.object, StarTriple)
 
 
-def _restated(index: dict, triples: dict, was, predicates: frozenset[Iri]) -> dict:
-    """The lists of ``index`` (keyed by holder and belief predicate) that
-    setting ``triples`` to their values from ``was(t)`` changes, with their
-    new contents: a belief statement changes them when it starts or stops
-    counting as a stance.  The one test of which holders an update
-    touches."""
-    changed: dict = {}
+def _restated(index: dict, triples: dict,
+              predicates: frozenset[Iri]) -> tuple[dict, set[Iri]]:
+    """``index`` (see ``holder_index``) with ``triples`` set to their
+    values (``patched``, so ``index`` itself when none changes it), and
+    the holders whose stances they change: a belief statement changes
+    them when it starts or stops counting as a stance, which it did when
+    ``index`` lists it.  The one test of which holders an update touches."""
+    edits: dict = {}
     for t, v in triples.items():
-        if is_statement(t, predicates) and \
-                (v in (TRUE, CONFLICTED)) != (was(t) in (TRUE, CONFLICTED)):
-            key = t.subject, t.predicate
-            if key not in changed:
-                changed[key] = list(index.get(key, ()))
-            if v in (TRUE, CONFLICTED):
-                changed[key].append(t.object)
-            else:
-                changed[key].remove(t.object)
-    return changed
-
-
-def _carry_index(vocab: BeliefVocabulary, index: dict, child: FourGraph,
-                 t: StarTriple, old, new) -> dict:
-    """The ``carry`` of ``holder_index``: the same index when t's stance
-    does not change, else a copy with its list patched."""
-    changed = _restated(index, {t: new}, {t: old}.get, vocab.predicates())
-    if not changed:
-        return index
-    out = {**index, **changed}
-    for key, items in changed.items():
-        if not items:
-            del out[key]
-    return out
+        if is_statement(t, predicates):
+            key, counts = (t.subject, t.predicate), v in (TRUE, CONFLICTED)
+            if counts != (t.object in index.get(key, ())):
+                edits.setdefault(key, {})[t.object] = True if counts else REMOVED
+    return patched(index, edits), {holder for holder, _ in edits}
 
 
 def holder_index(g: FourGraph,
-                 vocab: BeliefVocabulary) -> dict[tuple[Iri, Iri], list[StarTriple]]:
-    """(holder IRI, belief predicate) -> the quoted triples so believed, from
-    the belief statements valued true or conflicted: only those count for
-    extraction, so an IRI without entries extracts like any non-holder.
-    Built once per graph and vocabulary, and cached on the graph."""
-    def build() -> dict[tuple[Iri, Iri], list[StarTriple]]:
+                 vocab: BeliefVocabulary) -> dict[tuple[Iri, Iri], dict[StarTriple, bool]]:
+    """(holder IRI, belief predicate) -> {quoted triple so believed: True},
+    from the belief statements valued true or conflicted: only those count
+    for extraction, so an IRI without entries extracts like any
+    non-holder.  Built once per graph and vocabulary, cached on the graph
+    and carried through ``set_value`` by ``_restated``."""
+    def build() -> dict[tuple[Iri, Iri], dict[StarTriple, bool]]:
         predicates = vocab.predicates()
-        index: dict[tuple[Iri, Iri], list[StarTriple]] = {}
+        index: dict[tuple[Iri, Iri], dict[StarTriple, bool]] = {}
         for key, value in g.exceptions.items():
             if is_statement(key, predicates) and value in (TRUE, CONFLICTED):
-                index.setdefault((key.subject, key.predicate), []).append(key.object)
+                index.setdefault((key.subject, key.predicate), {})[key.object] = True
         return index
-    return g.derived(("holders", vocab), build, partial(_carry_index, vocab))
+    return g.derived(("holders", vocab), build, lambda index, child, t, old, new:
+                     _restated(index, {t: new}, vocab.predicates())[0])
 
 
 def extract(g: FourGraph, e: BeliefQuery, vocab: BeliefVocabulary,
@@ -210,23 +193,23 @@ def _compiled(e: BeliefQuery, vocab: BeliefVocabulary) -> tuple[list, dict, dict
 class Extraction:
     """e's extraction from g under any binding of its holder variables.
 
-    It holds only what every key shares.  The ground atoms are looked up
-    once, here.  ``fresh`` holds the values of the triples they believe:
-    the extraction in which no variable holder has stances.  A key of
-    holders, one per holder variable in name order with None for an IRI
-    without stances, changes only the triples its holders have stances
-    on, which ``delta`` lists.  Atom i is bit i of a triple's set of
-    believers.  ``after`` gives the extraction from g
-    changed on some triples, without a graph, and ``carry`` the extraction
-    from a graph ``set_value`` made from g: this one, or one read again.
+    It holds only what every key shares: g's ``holder_index``, from which
+    the ground atoms are looked up once, here.  ``fresh`` holds the values
+    of the triples they believe: the extraction in which no variable
+    holder has stances.  A key of holders, one per holder variable in
+    name order with None for an IRI without stances, changes only the
+    triples its holders have stances on, which ``delta`` lists.  Atom i
+    is bit i of a triple's set of believers.  ``after`` gives the
+    extraction from g changed on some triples, from the index patched and
+    without a graph, and ``carry`` the extraction from a graph
+    ``set_value`` made from g: this one, or one read again.
     """
 
     __slots__ = ("default", "fresh", "moved", "_index", "_predicates", "_ground",
-                 "_variables", "_values", "_e", "_vocab", "_statement")
+                 "_variables", "_values", "_e", "_vocab")
 
     def __init__(self, g: FourGraph, e: BeliefQuery, vocab: BeliefVocabulary):
         self._read(holder_index(g, vocab), e, vocab)
-        self._statement = g.exceptions.get  # a belief statement's value, for ``after``
         self.moved: list[StarTriple] = []
 
     def _read(self, index, e: BeliefQuery, vocab: BeliefVocabulary) -> None:
@@ -249,21 +232,19 @@ class Extraction:
 
     def after(self, triples: dict[StarTriple, FourValue]) -> tuple["Extraction", set[Iri]]:
         """The extraction from g with ``triples`` set to their values, and
-        the holders whose stances that changes.  Only the belief statements
-        among the triples reach it, so no graph is built, and without one
-        this extraction itself is returned.  The new extraction's ``delta``
-        lists the triples whose believers differ from those in g's
-        extraction where no variable holder has stances: ``moved`` holds
-        the ground atoms' ones."""
-        changed = _restated(self._index, triples, self._statement, self._predicates)
+        the holders whose stances that changes: read from g's holder index
+        patched (``_restated``), with no graph, or this one when no stance
+        changes.  Its ``delta`` lists the triples whose believers differ
+        from those in this one's ``fresh``, ``moved`` the ground atoms'
+        ones; it is an extraction like any other, so ``after`` composes."""
+        index, changed = _restated(self._index, triples, self._predicates)
         if not changed:
-            return self, set()
+            return self, changed
         out = Extraction.__new__(Extraction)
-        out._read(ChainMap(changed, self._index), self._e, self._vocab)
-        out._statement = None
+        out._read(index, self._e, self._vocab)
         ground, now = self._ground, out._ground
         out.moved = [t for t in ground.keys() | now.keys() if ground.get(t) != now.get(t)]
-        return out, {holder for holder, _ in changed}
+        return out, changed
 
     def carry(self, child: FourGraph, t: StarTriple, old, new) -> "Extraction":
         """The extraction from ``child``, g with t set from ``old`` to

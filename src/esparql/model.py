@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Hashable, Iterable, Sequence, Union
+from typing import Any, Callable, Hashable, Iterable, Union
 
 from .errors import IllFormedQuery
 from .four import FourValue, STATES
@@ -324,16 +324,16 @@ class FourGraph:
             self._carries[key] = carry
         return hit
 
-    def bucket(self, position: str, term: Term) -> Sequence[tuple[StarTriple, Any]]:
-        """(triple, value) pairs of the exceptions whose ``position``
-        ('subject', 'predicate' or 'object') holds ``term``, in the
-        exceptions' order."""
-        def build() -> dict[Term, list[tuple[StarTriple, Any]]]:
-            index: dict[Term, list[tuple[StarTriple, Any]]] = {}
-            for tv in self.exceptions.items():
-                index.setdefault(getattr(tv[0], position), []).append(tv)
+    def bucket(self, position: str, term: Term) -> dict[StarTriple, Any]:
+        """The exceptions whose ``position`` ('subject', 'predicate' or
+        'object') holds ``term``, as the exceptions map them: triple to
+        value.  Read only."""
+        def build() -> dict[Term, dict[StarTriple, Any]]:
+            index: dict[Term, dict[StarTriple, Any]] = {}
+            for t, v in self.exceptions.items():
+                index.setdefault(getattr(t, position), {})[t] = v
             return index
-        return self.derived(position, build, _BUCKET_CARRIES[position]).get(term, ())
+        return self.derived(position, build, _BUCKET_CARRIES[position]).get(term, {})
 
     def domain(self) -> frozenset[Term]:
         """The active domain of the exceptions (see ``active_domain``)."""
@@ -361,25 +361,27 @@ class FourGraph:
         return f"FourGraph(default={self.default!r}, {{{rows}}})"
 
 
-def _carry_bucket(position: str, index: dict, child: FourGraph, t: StarTriple, old, new) -> dict:
-    """The bucket index with t's pair replaced in place, appended when t is
-    new or removed when it goes to the default: the exceptions' order."""
-    term = getattr(t, position)
-    pairs = list(index.get(term, ()))
-    if old == child.default:
-        pairs.append((t, new))
-    else:
-        at = [u for u, _ in pairs].index(t)
-        if new == child.default:
-            del pairs[at]
-        else:
-            pairs[at] = (pairs[at][0], new)  # the key the exceptions keep
-    out = dict(index)
-    if pairs:
-        out[term] = pairs
-    else:
-        del out[term]
+REMOVED = object()  # not None, which a graph may hold as a value
+
+
+def patched(index: dict, edits: dict) -> dict:
+    """``index``, a dict of dicts, with ``edits`` (outer key -> {inner key:
+    new value, or ``REMOVED`` to take it out}) made in a copy that shares
+    every inner dict not edited and drops one left empty; ``index``
+    itself without edits."""
+    out = dict(index) if edits else index
+    for key, changes in edits.items():
+        inner = out[key] = {**out.get(key, {}), **changes}
+        for k in [k for k, v in changes.items() if v is REMOVED]:
+            del inner[k]
+        if not inner:
+            del out[key]
     return out
+
+
+def _carry_bucket(position: str, index: dict, child: FourGraph, t: StarTriple, old, new) -> dict:
+    """The bucket index with t set to ``new``, removed at the default."""
+    return patched(index, {getattr(t, position): {t: REMOVED if new == child.default else new}})
 
 
 _BUCKET_CARRIES = {position: partial(_carry_bucket, position)

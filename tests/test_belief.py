@@ -237,7 +237,7 @@ def test_extract_names_the_variable_of_the_first_atom_it_cannot_read(g1):
 
 def test_holder_index_is_built_once_per_graph_and_vocabulary(g1):
     index = holder_index(g1, VOCAB)
-    assert index[(POPE, VOCAB.to_be_true)] == [JESUS_DEITY]
+    assert index[(POPE, VOCAB.to_be_true)] == {JESUS_DEITY: True}
     assert holder_index(g1, VOCAB) is index
     q = parse_and_desugar("SELECT ?h ?x FROM BELIEF ?h WHERE { ?x a <FullDeity> }")
     first = evaluate(q, g1)
@@ -252,7 +252,7 @@ def test_holder_index_is_built_once_per_graph_and_vocabulary(g1):
     # a graph that set_value returns gets its own, with the new stance
     updated = g1.set_value(StarTriple(ARIUS, VOCAB.to_be_true, ZEUS_DEITY), T)
     assert holder_index(updated, VOCAB) is not index
-    assert holder_index(updated, VOCAB)[(ARIUS, VOCAB.to_be_true)] == [ZEUS_DEITY]
+    assert holder_index(updated, VOCAB)[(ARIUS, VOCAB.to_be_true)] == {ZEUS_DEITY: True}
     assert (ARIUS, VOCAB.to_be_true) not in index
 
 
@@ -329,3 +329,64 @@ def test_set_value_carries_what_a_rebuild_makes():
     # every kind of structure was patched, not only kept
     assert set(carried) == {*positions, "domain", "holders", "extraction"}
     assert all(carried.values()), carried
+
+
+def test_an_update_copies_only_the_inner_dicts_it_touches():
+    # buckets and the holder index are dicts of dicts: set_value copies
+    # the inner dicts under t's subject, predicate and object (and t's
+    # holder and belief predicate) and shares every other one
+    h1, h2 = Iri("urn:h1"), Iri("urn:h2")
+    claims = [StarTriple(Iri(f"urn:d{i}"), A, FULL_DEITY) for i in range(3)]
+    rules = Iri("urn:rules")
+    g = FourGraph(U, {
+        StarTriple(h1, VOCAB.to_be_true, claims[0]): T,
+        StarTriple(h1, VOCAB.to_be_false, claims[1]): T,
+        StarTriple(h2, VOCAB.to_be_true, claims[1]): C,
+        StarTriple(claims[0].subject, rules, Iri("urn:realm")): T,
+        claims[2]: F,
+    })
+    positions = ("subject", "predicate", "object")
+    for t, v in ((StarTriple(h1, VOCAB.to_be_true, claims[2]), T),  # a new stance for h1
+                 (StarTriple(claims[1].subject, rules, Iri("urn:realm")), F)):  # a plain triple
+        for position in positions:
+            g.bucket(position, A)
+        index = holder_index(g, VOCAB)
+        child = g.set_value(t, v)
+        scratch = FourGraph(child.default, dict(child.exceptions))
+        for position in positions:
+            before, after = g._derived[position], child._derived[position]
+            scratch.bucket(position, A)
+            assert after == scratch._derived[position]
+            touched = getattr(t, position)
+            assert after[touched] is not before.get(touched)
+            assert all(after[k] is inner for k, inner in before.items() if k != touched)
+        carried = holder_index(child, VOCAB)
+        assert carried == holder_index(scratch, VOCAB)
+        if carried is not index:  # the stance changed
+            touched = (t.subject, t.predicate)
+            assert t.predicate in VOCAB.predicates()
+            assert carried[touched] is not index[touched]
+            assert all(carried[k] is inner for k, inner in index.items() if k != touched)
+        else:
+            assert t.predicate not in VOCAB.predicates()
+        g = child
+
+
+def test_after_composes():
+    # an extraction that ``after`` returns takes ``after`` again, and
+    # answers as the extraction from the graph with both updates does
+    h1, h2, nobody = Iri("urn:h1"), Iri("urn:h2"), Iri("urn:nobody")
+    claims = [StarTriple(Iri(f"urn:d{i}"), A, FULL_DEITY) for i in range(3)]
+    e = CompoundBelief(shorthand(h1), INFO_JOIN, shorthand(X))
+    g = FourGraph(U, {StarTriple(h1, VOCAB.to_be_true, claims[0]): T})
+    t1 = StarTriple(h2, VOCAB.to_be_false, claims[1])
+    t2 = StarTriple(h1, VOCAB.to_be_false, claims[2])
+    once, changed = extraction(g, e, VOCAB).after({t1: T})
+    assert changed == {h2}
+    twice, changed = once.after({t2: T})
+    assert changed == {h1}
+    both = g.set_value(t1, T).set_value(t2, T)
+    for key, holder in (((h1,), h1), ((h2,), h2), ((None,), nobody)):
+        want = extract(both, e, VOCAB, {X: holder})
+        got = {t: v for t, v in {**twice.fresh, **twice.delta(key)}.items() if v != twice.default}
+        assert (twice.default, got) == (want.default, want.exceptions), key

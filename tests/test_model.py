@@ -488,3 +488,15 @@ def test_vocabulary_custom_namespace():
     assert v.to_be_true == Iri("urn:b#believesToBeTrue")
     assert v.predicate_for(FourValue.CONFLICTED) == Iri("urn:b#believesToBeConflicted")
     assert v.predicates().isdisjoint(VOCAB.predicates())
+
+
+def test_a_carried_bucket_keeps_a_triple_valued_none():
+    # a graph holds any value, None too; a carried bucket must not read a
+    # None value as the triple's removal
+    a, p = Iri("urn:a"), Iri("urn:p")
+    kept, added = StarTriple(a, p, Iri("urn:b")), StarTriple(a, p, Iri("urn:c"))
+    g = FourGraph(FourValue.UNKNOWN, {kept: None})
+    assert g.bucket("subject", a) == {kept: None}
+    child = g.set_value(added, None)
+    assert child.bucket("subject", a) == {kept: None, added: None}
+    assert child.set_value(added, FourValue.UNKNOWN).bucket("subject", a) == {kept: None}
