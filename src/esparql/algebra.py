@@ -649,18 +649,18 @@ def _class_members(rep: dict[Variable, Any], schema: tuple[Variable, ...],
 # Combinators, each parameterised by the node's operator
 # ---------------------------------------------------------------------------
 #
-# Join, union and projection are each planned once from their inputs'
+# A run plans each join, union and projection once from its inputs'
 # schemas, defaults and universe, as (schema, default, run, key): ``run``
 # takes the inputs' tables to the output's, and an output row's value
 # depends only on the input rows that agree with it on the variables
-# ``key``.  ``_combine_join`` and the others run a plan on whole tables, a
-# change step on the rows of a few keys (``_keyed_changes``).
+# ``key``.  ``_combine_join`` and the others run a plan on whole tables; a
+# FROM BELIEF change step runs the same plan on the rows of a few keys
+# (``_keyed_changes``).
 
 
-def _plan_join(r1: Relation, r2: Relation, op2: Callable[[Any, Any], Any],
-               absorbed: frozenset = frozenset()) -> tuple:
-    """The join plan; a one-sided row valued in ``absorbed`` is not
-    repeated over the other side's variables (see ``_absorbed``)."""
+def _plan_join(r1: Relation, r2: Relation, op2: Callable[[Any, Any], Any]) -> tuple:
+    """The join plan; its run repeats no one-sided row valued in its
+    ``absorbed`` over the other side's variables (see ``_absorbed``)."""
     s1, s2 = r1.schema, r2.schema
     schema, shared = _schema(r1.vars | r2.vars), _schema(r1.vars & r2.vars)
     d, universe = op2(r1.default, r2.default), r1.universe
@@ -673,7 +673,7 @@ def _plan_join(r1: Relation, r2: Relation, op2: Callable[[Any, Any], Any],
     # pairs of exceptions that agree on the shared variables, hashed on them
     key1, key2, merge = _plan(shared, s1), _plan(shared, s2), _plan(schema, s1 + s2)
 
-    def run(t1: dict, t2: dict) -> dict:
+    def run(t1: dict, t2: dict, absorbed: frozenset = frozenset()) -> dict:
         table: dict[tuple, Any] = {}
         for t, (other, extra, extend) in zip((t1, t2), sides):
             hot = [(k, x) for k, v in t.items() if (x := op2(v, other)) != d]
@@ -697,40 +697,39 @@ def _plan_join(r1: Relation, r2: Relation, op2: Callable[[Any, Any], Any],
     return schema, d, run, shared
 
 
-def _combine_join(r1: Relation, r2: Relation, op2: Callable[[Any, Any], Any],
+def _combine_join(r1: Relation, r2: Relation, plan: tuple,
                   absorbed: frozenset = frozenset()) -> Relation:
-    schema, d, run, _ = _plan_join(r1, r2, op2, absorbed)
-    return Relation._of(schema, d, run(r1.table, r2.table), r1.universe)
+    schema, d, run, _ = plan
+    return Relation._of(schema, d, run(r1.table, r2.table, absorbed), r1.universe)
 
 
-def _absorbed(r1: Relation, r2: Relation, op2: Callable[[Any, Any], Any],
+def _absorbed(r1: Relation, r2: Relation, t1: dict, t2: dict, op2: Callable[[Any, Any], Any],
               keep: frozenset[Variable], add: Callable[[Any, Any], Any]) -> frozenset:
-    """The values of the one-sided rows of r1's join with r2 that its
-    projection onto ``keep`` with ``add`` folds into the join's default d:
-    each x != d with add(x, d) == d, for d idempotent under add.  A group
-    that lists fewer than all its extensions adds d, which absorbs x, so
-    the join may leave such rows out while no group can list them all
-    (``_below_full``); else, and in open mode, none."""
+    """The values of the one-sided rows of the join of r1's rows t1 with r2's
+    rows t2 that its projection onto ``keep`` with ``add`` folds into its
+    default d: each x != d with add(x, d) == d, d idempotent under add.  A
+    group listing fewer than all its extensions adds d, which absorbs x, so
+    the join may skip them while no group can list all (``_below_full``)."""
     d = op2(r1.default, r2.default)
     if r1.universe is None or r1.vars | r2.vars <= keep or add(d, d) != d:
         return frozenset()
-    xs = {op2(v, r2.default) for v in set(r1.table.values())}
-    xs.update(op2(v, r1.default) for v in set(r2.table.values()))
+    xs = {op2(v, r2.default) for v in set(t1.values())}
+    xs.update(op2(v, r1.default) for v in set(t2.values()))
     absorbed = frozenset(x for x in xs if x != d and add(x, d) == d)
-    return absorbed if absorbed and _below_full(r1, r2, keep) else frozenset()
+    return absorbed if absorbed and _below_full(r1, r2, t1, t2, keep) else frozenset()
 
 
-def _below_full(r1: Relation, r2: Relation, keep: frozenset[Variable]) -> bool:
-    """Whether no group of the projection onto ``keep`` of r1's join with
-    r2 can list all its n = |U|^|dropped| extensions: every listed row
-    extends a row of one side over the dropped variables that only the
-    other side binds, so a group lists at most each side's most rows that
-    agree on its kept variables, times |U| to the power of those."""
+def _below_full(r1: Relation, r2: Relation, t1: dict, t2: dict, keep: frozenset[Variable]) -> bool:
+    """Whether no group of the projection onto ``keep`` of the join of r1's
+    rows t1 with r2's rows t2 can list all its |U|^|dropped| extensions: a
+    listed row extends a row of one side over the dropped variables only
+    the other side binds, so a group lists at most each side's most rows
+    that agree on its kept variables, times |U| to the power of those."""
     size, dropped = len(r1.universe), (r1.vars | r2.vars) - keep
     listed = 0
-    for side, other in ((r1, r2), (r2, r1)):
+    for side, t, other in ((r1, t1, r2), (r2, t2, r1)):
         group = _plan(_schema(side.vars & keep), side.schema)
-        most = max(collections.Counter(map(group, side.table)).values(), default=0)
+        most = max(collections.Counter(map(group, t)).values(), default=0)
         listed += most * size ** len(dropped & (other.vars - side.vars))
     return listed < size ** len(dropped)
 
@@ -744,8 +743,8 @@ def _plan_union(r1: Relation, r2: Relation, op2: Callable[[Any, Any], Any]) -> t
     return r1.schema, op2(d1, d2), run, r1.schema
 
 
-def _combine_union(r1: Relation, r2: Relation, op2: Callable[[Any, Any], Any]) -> Relation:
-    schema, d, run, _ = _plan_union(r1, r2, op2)
+def _combine_union(r1: Relation, r2: Relation, plan: tuple) -> Relation:
+    schema, d, run, _ = plan
     return Relation._of(schema, d, run(r1.table, r2.table), r1.universe)
 
 
@@ -829,11 +828,10 @@ def _plan_project(r: Relation, keep: frozenset[Variable], add: Callable[[Any, An
     return schema, total([]), run, schema
 
 
-def _project_four(r: Relation, keep: frozenset[Variable], add: Callable[[Any, Any], Any],
-                  zero: Any) -> Relation:
-    if r.vars <= keep:
+def _project_four(r: Relation, plan: tuple | None) -> Relation:
+    if plan is None or plan[0] == r.schema:  # every variable kept
         return r
-    schema, d, run, _ = _plan_project(r, keep, add, zero)
+    schema, d, run, _ = plan
     return Relation._of(schema, d, run(r.table), r.universe)
 
 
@@ -842,12 +840,11 @@ def _keyed_changes(plan: tuple, ins: list[Relation], out: Relation,
     """The change step of ``plan``'s operator over ``ins``, whose output is
     ``out``: from a change plan's changed rows, the inputs' at ``at_ins``
     (row -> new value, the default for a row that left the table), it runs
-    the operator on each input's rows under the keys the changed rows hold,
+    the plan on each input's rows under the keys the changed rows hold,
     with the changes applied, and gives the default to every row that
-    ``out`` lists under those keys and the run does not.  A row listed at
-    its input's default reads as an absent one, as change plans are
-    four-valued, where every default is idempotent.  The inputs and
-    ``out`` are indexed by key here, once."""
+    ``out`` lists under those keys and the run does not.  A row at its
+    input's default reads as absent: change plans are four-valued, where
+    every default is idempotent.  Inputs and ``out`` are indexed here, once."""
     _, d, run, key = plan
     keys = [_plan(key, r.schema) for r in ins]
     indexes = [_index(r.table, at) for r, at in zip(ins, keys)]
@@ -856,11 +853,8 @@ def _keyed_changes(plan: tuple, ins: list[Relation], out: Relation,
     def changes(plan_changes: list[dict], triples: dict) -> dict:
         changed = [plan_changes[i] for i in at_ins]
         hit = {at(k) for c, at in zip(changed, keys) for k in c}
-        tables = []
-        for index, c in zip(indexes, changed):
-            tables.append({k: v for s in hit for k, v in index.get(s, ())})
-            tables[-1].update(c)
-        rows = run(*tables)
+        rows = run(*({k: v for s in hit for k, v in index.get(s, ())} | c
+                     for index, c in zip(indexes, changed)))
         for s in hit:
             for k, _ in listed.get(s, ()):
                 rows.setdefault(k, d)
@@ -957,6 +951,13 @@ def _key(q: Query):
     return q.pattern if isinstance(q, Pattern) else id(q)
 
 
+def _inputs(q: Join | Union | Filter | Project | MapState, done: dict) -> tuple:
+    """The nodes whose relations in ``done`` q reads: a Project whose Join
+    a run left out (``_FourEngine._order``) reads that Join's children."""
+    j = q if isinstance(q, (Join, Union)) else q.query
+    return (j.left, j.right) if j is q or type(j) is Join and _key(j) not in done else (j,)
+
+
 class _FourEngine:
     """One evaluation, four-valued or, given a semiring, over its carrier."""
 
@@ -986,13 +987,13 @@ class _FourEngine:
         return ext.delta(key)
 
     def run(self, q: Query, g: FourGraph, done: dict | None = None) -> Relation:
-        """q's relation over g: each node of q's post-order through ``eval``
-        once, so each ``_eval`` finds its children's relations in ``done``,
-        which the caller may pass to keep them.  A Belief body is left to
-        ``_eval_belief``."""
-        done = {} if done is None else done
+        """q's relation over g: each node of ``_order(q)``, up to Belief
+        bodies, through ``eval`` once, recorded with its relation in ``done``,
+        in that order.  A caller that passes ``done``, a Belief base, keeps
+        each plan there too: held in every run, plans keep the collector busy."""
+        keep, done = done is not None, {} if done is None else done
         for node in self._order(q):
-            r = self.eval(node, g, done)
+            r = self.eval(node, g, done, keep)
         return r
 
     def _order(self, q: Query) -> list[Query]:
@@ -1005,35 +1006,47 @@ class _FourEngine:
                  if type(n) is Project and type(n.query) is Join and id(n.query) not in again}
         return [n for n in order if id(n) not in fused]
 
-    def eval(self, q: Query, g: FourGraph, done: dict) -> Relation:
-        """q's relation over g, recorded in ``done`` under ``_key(q)``."""
+    def eval(self, q: Query, g: FourGraph, done: dict, keep: bool) -> Relation:
+        """q's relation over g, recorded in ``done`` under ``_key(q)`` as
+        (q, its relation, its plan if ``keep``, else None)."""
         key = _key(q)
-        r = done.get(key)
-        if r is None:
-            r = done[key] = self._eval(q, g, done)
-        return r
+        entry = done.get(key)  # a pattern's key hashes its three parts
+        if entry is None:
+            r, plan = self._eval(q, g, done)
+            entry = done[key] = (q, r, plan if keep else None)
+        return entry[1]
 
     # -- node cases ---------------------------------------------------------
 
-    def _eval(self, q: Query, g: FourGraph, done: dict) -> Relation:
+    def _eval(self, q: Query, g: FourGraph, done: dict) -> tuple[Relation, Any]:
+        """q's relation over g and its plan, which its ``_changes_step`` runs
+        too: a join's, union's or projection's, a Belief's base, or None."""
         if isinstance(q, Pattern):
-            return _eval_pattern(q.pattern, g, self.universe, self._plans)
+            return _eval_pattern(q.pattern, g, self.universe, self._plans), None
         if isinstance(q, (Join, Union)):
-            union = isinstance(q, Union)
-            return (_combine_union if union else _combine_join)(
-                done[_key(q.left)], done[_key(q.right)], self._ops(q.op, union)[0])
+            union, ins = isinstance(q, Union), (done[_key(q.left)][1], done[_key(q.right)][1])
+            plan = (_plan_union if union else _plan_join)(*ins, self._ops(q.op, union)[0])
+            return (_combine_union if union else _combine_join)(*ins, plan), plan
         if isinstance(q, Belief):
             return self._eval_belief(q, g)
-        r1 = done.get(_key(q.query))
-        if isinstance(q, Project):
-            add, zero, _ = self._ops(q.op, True)
-            keep = frozenset(q.vars)
-            if r1 is None:  # a Join left out of the run's order (``_order``)
-                j = q.query
-                left, right, op2 = done[_key(j.left)], done[_key(j.right)], self._ops(j.op, False)[0]
-                r1 = _combine_join(left, right, op2, _absorbed(left, right, op2, keep, add))
-            return _project_four(r1, keep, add, zero)
-        return _transform_by_formula(r1, q.formula, self._value_for(q))
+        ins = [done[_key(kid)][1] for kid in _inputs(q, done)]
+        if isinstance(q, (Filter, MapState)):
+            return _transform_by_formula(ins[0], q.formula, self._value_for(q)), None
+        (add, zero, _), keep = self._ops(q.op, True), frozenset(q.vars)
+        if len(ins) == 1:
+            plan = None if ins[0].vars <= keep else _plan_project(ins[0], keep, add, zero)
+            return _project_four(ins[0], plan), plan
+        (left, right), op2 = ins, self._ops(q.query.op, False)[0]
+        join = _plan_join(left, right, op2)
+        r1 = _combine_join(left, right, join,
+                           _absorbed(left, right, left.table, right.table, op2, keep, add))
+        plan = _plan_project(r1, keep, add, zero)
+        # one step keyed on the kept shared variables: a group, its join rows and
+        # their input rows share a key, so it decides what to skip on whole groups
+        def run(t1: dict, t2: dict) -> dict:
+            return plan[2](join[2](t1, t2, _absorbed(left, right, t1, t2, op2, keep, add)))
+
+        return _project_four(r1, plan), (*plan[:2], run, tuple(v for v in join[3] if v in keep))
 
     def _value_for(self, q: Filter | MapState) -> Callable[[ThreeValued, Any], Any]:
         """A Filter's or MapState's value of a row from its formula's outcome
@@ -1043,49 +1056,34 @@ class _FourEngine:
         multiply, one, zero = self._ops(q.op, False)
         return lambda outcome, v: multiply(v, one if outcome is _TRUE3 else zero)
 
-    def _changes_plan(self, body: Query, g: FourGraph, done: dict) -> list[tuple]:
-        """body's nodes in post-order, equal patterns once, each as its
-        ``_changes_step``: made once per Belief base from the relations in
-        ``done``, body's over g, and run per key by ``_slice_changes``.  A
-        Join that the run left out is joined in full here."""
-        steps: list[tuple] = []
-        at: dict = {}
-        for node in _postorder(body, bodies=False):
-            key = _key(node)
-            if key not in at:
-                steps.append(self._changes_step(node, g, done, at))
-                at[key] = len(steps) - 1
-        return steps
+    def _changes_plan(self, done: dict) -> list[tuple]:
+        """The nodes of the run that filled ``done``, in its order, each as its
+        ``_changes_step``: made once per base, run per key (``_slice_changes``)."""
+        at = {key: i for i, key in enumerate(done)}
+        return [self._changes_step(node, done, at) for node, _, _ in done.values()]
 
-    def _changes_step(self, q: Query, g: FourGraph, done: dict, at: dict) -> tuple:
-        """(q's children's positions in the plan ``at`` indexes, or None for
-        a pattern or a Belief, which read the graph; q's relation over g in
-        ``done``; and the function of the plan's changed rows so far and
-        g's changed triples that recomputes the rows of q's relation they
-        reach).  A plan is kept with its Belief base, so a step holds no
-        engine: a nested Belief's runs in one of its own."""
-        out = self.eval(q, g, done)
+    def _changes_step(self, q: Query, done: dict, at: dict) -> tuple:
+        """(the positions of q's inputs in the plan ``at`` indexes, or None
+        for a pattern or a Belief, which read the graph; q's relation in
+        ``done``; and the function, holding no engine, of the plan's changed
+        rows so far and the graph's changed triples that recomputes, by q's
+        plan in ``done``, the rows of q's relation they reach)."""
+        _, out, plan = done[_key(q)]
         if isinstance(q, Pattern):
             matcher = _scan_plan(q.pattern, self._plans)[1]
             return None, out, lambda changes, triples: {
                 row: v for t, v in triples.items() if (row := matcher(t)) is not None}
         if isinstance(q, Belief):
-            b = self._belief_base(q, g)
             return None, out, lambda changes, triples: _FourEngine(
-                b.vocab, b.universe)._belief_changes(b, triples)
+                plan.vocab, plan.universe)._belief_changes(plan, triples)
+        kids = _inputs(q, done)
+        ins, at_ins = [done[_key(kid)][1] for kid in kids], tuple(at[_key(kid)] for kid in kids)
         if isinstance(q, (Filter, MapState)):
-            i, schema, f = at[_key(q.query)], done[_key(q.query)].schema, q.formula
-            value_for = self._value_for(q)
-            return (i,), out, lambda changes, triples: _by_row(
+            (i,), schema, f, value_for = at_ins, ins[0].schema, q.formula, self._value_for(q)
+            return at_ins, out, lambda changes, triples: _by_row(
                 changes[i].items(), schema, f, value_for)
-        kids = (q.left, q.right) if isinstance(q, (Join, Union)) else (q.query,)
-        ins, at_ins = [done[_key(kid)] for kid in kids], tuple(at[_key(kid)] for kid in kids)
-        if isinstance(q, Project):
-            add, zero, _ = self._ops(q.op, True)
-            plan = _plan_project(ins[0], frozenset(q.vars), add, zero)
-        else:
-            union = isinstance(q, Union)
-            plan = (_plan_union if union else _plan_join)(*ins, self._ops(q.op, union)[0])
+        if plan is None:  # a projection that keeps every variable
+            return at_ins, out, lambda changes, triples: changes[at_ins[0]]
         return at_ins, out, _keyed_changes(plan, ins, out, at_ins)
 
     @staticmethod
@@ -1122,19 +1120,19 @@ class _FourEngine:
         b = _BeliefBase()
         b.node, b.vocab, b.universe, b.since = q, self.vocab, self.universe, frozenset()
         b.ext = belief_mod.extraction(g, q.expr, self.vocab)
-        b.evars, b.relevant, b.reads, b.iris = (), set(), self._reads(q.query), frozenset()
+        b.evars, b.relevant, b.iris = (), set(), frozenset()
         if q._holders:
             b.evars = _schema(q._holders)
             b.iris = frozenset(t for t in self.universe or () if isinstance(t, Iri))
-        b.graph, b.done, b.steps, b.slices = FourGraph(b.ext.default, b.ext.fresh), {}, None, {}
-        b.r0 = r0 = self.run(q.query, b.graph, b.done)
+        b.done, b.steps, b.slices = {}, None, {}
+        b.r0 = r0 = self.run(q.query, FourGraph(b.ext.default, b.ext.fresh), b.done)
+        b.reads = self._reads(b.done)
         if q._holders and self.universe is None and (r0.table or r0.default != UNKNOWN):
             raise NonFinitelySupported(
                 "belief over a quantified holder is not constantly unknown off-support"
             )
-        b.schema = _schema(r0.vars.union(b.evars))
+        b.schema, b.relation = _schema(r0.vars.union(b.evars)), r0
         b.extend = _plan(b.schema, r0.schema + b.evars)
-        b.relation = r0
         if not q._holders:
             return b
         # every slice has r0's default and schema: an extraction's default,
@@ -1156,9 +1154,10 @@ class _FourEngine:
         self._catch_up(b, table)
         return b
 
-    def _eval_belief(self, q: Belief, g: FourGraph) -> Relation:
-        """q's relation over g, kept with its base."""
-        return self._belief_base(q, g).relation
+    def _eval_belief(self, q: Belief, g: FourGraph) -> tuple[Relation, "_BeliefBase"]:
+        """q's relation over g, and the base it is kept with."""
+        b = self._belief_base(q, g)
+        return b.relation, b
 
     def _catch_up(self, b: "_BeliefBase", table: dict | None = None) -> None:
         """Bring b up to its extraction, whose holders ``b.since`` updates
@@ -1232,7 +1231,7 @@ class _FourEngine:
         slices: dict[tuple, dict] = {all_none: {}}  # r0 is its slice, unless visited
         for key in visits:
             if b.steps is None:
-                b.steps = self._changes_plan(b.node.query, b.graph, b.done)
+                b.steps = self._changes_plan(b.done)
             slices[key] = changes = self._slice_changes(b.steps, self._extract(ext, key))
             if changes and self.universe is None and None in key:  # r0 lists no rows here
                 raise NonFinitelySupported(
@@ -1258,17 +1257,17 @@ class _FourEngine:
                     out[b.extend(k + combo)] = v
         return slices, out
 
-    def _reads(self, body: Query) -> Callable[[StarTriple], bool]:
-        """Whether ``body`` reads a triple: a pattern reads the triples it
-        matches, every triple if its predicate is a variable; a nested
-        Belief reads the belief statements.  A holder without a stance on
-        a triple the body reads extracts, as far as the body can see, like
-        an IRI without stances, so it is not relevant (``_stance_changes``)."""
-        nodes = _postorder(body, bodies=False)
-        if any(isinstance(n, Pattern) and not isinstance(n.pattern.predicate, Iri)
-               for n in nodes):
+    def _reads(self, done: dict) -> Callable[[StarTriple], bool]:
+        """Whether the body run into ``done`` reads a triple: a pattern reads
+        the triples it matches, all if its predicate is a variable; a nested
+        Belief reads the belief statements.  A holder without a stance on a
+        triple the body reads extracts, as far as the body can see, like an
+        IRI without stances, so it is not relevant (``_stance_changes``)."""
+        nodes = [node for node, _, _ in done.values()]
+        patterns = [n.pattern for n in nodes if isinstance(n, Pattern)]
+        if any(not isinstance(p.predicate, Iri) for p in patterns):
             return lambda t: True
-        matchers = [_scan_plan(n.pattern, self._plans)[1] for n in nodes if isinstance(n, Pattern)]
+        matchers = [_scan_plan(p, self._plans)[1] for p in patterns]
         nested, predicates = any(isinstance(n, Belief) for n in nodes), self.vocab.predicates()
         return lambda t: (nested and belief_mod.is_statement(t, predicates)) \
             or any(m(t) is not None for m in matchers)
@@ -1277,26 +1276,26 @@ class _FourEngine:
 class _BeliefBase:
     """A Belief node's evaluation over a graph, up to its holder keys, kept
     on that graph (``FourGraph.derived``) under the vocabulary, the
-    universe and the node's value, so that it lives as long as the graph.
-    It holds no engine and not that graph.  ``node`` is the node that built
-    it, whose ids key ``done``, with ``vocab`` and ``universe``; ``ext``
-    its extraction; the body's test on a triple (``reads``); for holder
-    variables ``evars``, the set of holders ``relevant`` to the body and
-    the universe's IRIs ``iris``; the graph of
-    the extraction in which no variable holder has stances
-    (``Extraction.fresh``), the body's relations over it in ``done`` with
-    the body's among them, ``r0``; the body's change plan ``steps``, made
-    on first use; the changed rows from r0 of each key a whole run visits,
-    and of the all-None key, in ``slices``; the schema of the node's
-    relation with the plan ``extend`` of a body row and key onto it; and
-    that relation, ``relation``.  A key holds one holder per variable of
-    ``evars``, None standing for every IRI without stances.  ``since``
-    holds the holders whose stances updates changed after ``relevant``,
-    ``slices`` and ``relation`` were made, which the next use catches up
-    (``_FourEngine._catch_up``), as a build catches up every holder."""
+    universe and the node's value, so that it lives as long as the graph;
+    it holds no engine and no graph.  ``node`` built it, and its ids key
+    ``done``; then ``vocab``, ``universe`` and the extraction ``ext``; for
+    holder variables ``evars``, the holders ``relevant`` to the body and
+    the universe's IRIs ``iris``.  The body's one run, over the extraction
+    in which no variable holder has stances (``Extraction.fresh``), keeps
+    each node with its relation and plan in ``done``, in its order, which
+    the body's test on a triple (``reads``) and its change plan ``steps``,
+    made on first use, read; ``r0`` is the body's relation there.  ``slices``
+    holds the changed rows from r0 of each key a whole run visits and of the
+    all-None key; ``relation`` the node's relation, with its ``schema`` and
+    the plan ``extend`` of a body row and key onto it.
+    A key holds one holder per variable of ``evars``, None standing for
+    every IRI without stances.  ``since`` holds the holders whose stances
+    updates changed after ``relevant``, ``slices`` and ``relation`` were
+    made, which the next use catches up (``_FourEngine._catch_up``), as a
+    build catches up every holder."""
 
     __slots__ = ("node", "vocab", "universe", "ext", "evars", "relevant", "reads", "iris",
-                 "graph", "done", "r0", "steps", "slices", "schema", "extend", "relation",
+                 "done", "r0", "steps", "slices", "schema", "extend", "relation",
                  "since")
 
     def carry(self, child: FourGraph, t: StarTriple, old, new) -> "_BeliefBase | None":

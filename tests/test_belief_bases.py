@@ -140,6 +140,31 @@ def test_a_deep_body_is_found_by_value_without_recursion(monkeypatch):
     assert runs == [(1, 1), (0, 0)]
 
 
+def test_a_body_is_planned_once_per_node(monkeypatch):
+    # the 800-pattern chain's base plans each of its 799 joins once, in the
+    # body's run, and its change step under the one holder key runs those
+    # plans (planning them again made 1,598 calls); a fresh parse of the
+    # text finds the base and plans nothing
+    g = parse_graph("<h> <https://esparql.dev/vocab#believesToBeTrue> << <a> <p> <a> >> .\n"
+                    "<a> <p> <a> @false .\n")
+    text = "SELECT INFO * FROM BELIEF ?x WHERE { " + " . ".join(
+        f"?x{i} <p> ?x{i + 1}" for i in range(800)) + " }"
+    algebra, calls = esparql.algebra, []
+    for name in ("_plan_join", "_plan_union", "_plan_project"):
+        def planner(*args, real=getattr(algebra, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(algebra, name, planner)
+    seen, reset = _counting(monkeypatch)
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        reset()
+        evaluate(parse_and_desugar(text), g, mode=EvalMode.OPEN)
+        runs.append((len(calls), calls.count("_plan_join"), seen["slices"]))
+    assert runs == [(799, 799, 1), (0, 0, 0)]
+
+
 class _Probe:
     """Something to keep on a graph and watch die with it."""
 
