@@ -1024,9 +1024,9 @@ class _FourEngine:
         if isinstance(q, Pattern):
             return _eval_pattern(q.pattern, g, self.universe, self._plans), None
         if isinstance(q, (Join, Union)):
-            union, ins = isinstance(q, Union), (done[_key(q.left)][1], done[_key(q.right)][1])
-            plan = (_plan_union if union else _plan_join)(*ins, self._ops(q.op, union)[0])
-            return (_combine_union if union else _combine_join)(*ins, plan), plan
+            union, r1, r2 = isinstance(q, Union), done[_key(q.left)][1], done[_key(q.right)][1]
+            plan = (_plan_union if union else _plan_join)(r1, r2, self._ops(q.op, union)[0])
+            return (_combine_union if union else _combine_join)(r1, r2, plan), plan
         if isinstance(q, Belief):
             return self._eval_belief(q, g)
         ins = [done[_key(kid)][1] for kid in _inputs(q, done)]
