@@ -401,19 +401,6 @@ class Belief:
     def _holders(self) -> frozenset[Variable]:  # read once per node
         return belief_mod.belief_variables(self.expr)
 
-    @functools.cached_property
-    def _value(self) -> tuple:
-        """The node by value, a key that an equal node of another parse
-        shares: each node of its post-order as its type and fields, a child
-        by its position there.  Flat, so that a deep body hashes and
-        compares without recursion; made once per node."""
-        order, key = _postorder(self), []
-        at = {id(node): i for i, node in enumerate(order)}
-        for node in order:
-            fields = [(name, getattr(node, name)) for name in node.__dataclass_fields__]
-            key.append((type(node), *(at[id(v)] if name in _CHILDREN else v for name, v in fields)))
-        return tuple(key)
-
 
 Query = Pattern | Join | Union | Filter | Project | MapState | Belief
 
@@ -453,6 +440,23 @@ def _postorder(q: Query, skip=(), bodies: bool = True,
             elif kind is not Pattern:
                 raise TypeError(f"not a query: {node!r}")
     return order
+
+
+def _value(q: Query) -> tuple:
+    """q by value, a key that an equal query of another parse shares: each
+    node of its post-order as its type and fields, a child by its position
+    there.  Flat, so that a deep query hashes and compares without
+    recursion; made once per node and kept on it."""
+    key = q.__dict__.get("_value")
+    if key is None:
+        order, key = _postorder(q), []
+        at = {id(node): i for i, node in enumerate(order)}
+        for node in order:
+            fields = [(name, getattr(node, name)) for name in node.__dataclass_fields__]
+            key.append((type(node), *(at[id(v)] if name in _CHILDREN else v for name, v in fields)))
+        key = tuple(key)
+        object.__setattr__(q, "_value", key)
+    return key
 
 
 def _scope(q: Query, table: dict[int, frozenset[Variable]],
@@ -974,7 +978,9 @@ class _FourEngine:
         """A node's (operator, identity, absorbing element): its own
         FourOperator's, or the semiring's add (Union, Project) or multiply
         (Join, Filter) in its place.  ``apply`` is looked up at each call,
-        so a replaced module global reaches the engine."""
+        so a replaced module global reaches every operator run after it is
+        replaced, change steps included, but not a relation already kept
+        on a graph (``_KeptRun``): that keeps the values it was made with."""
         s = self.semiring
         if s is None:
             return (lambda a, b: apply(op, a, b)), identity_of(op), absorbing_of(op)
@@ -988,12 +994,11 @@ class _FourEngine:
 
     def run(self, q: Query, g: FourGraph, done: dict | None = None) -> Relation:
         """q's relation over g: each node of ``_order(q)``, up to Belief
-        bodies, through ``eval`` once, recorded with its relation in ``done``,
-        in that order.  A caller that passes ``done``, a Belief base, keeps
-        each plan there too: held in every run, plans keep the collector busy."""
-        keep, done = done is not None, {} if done is None else done
+        bodies, through ``eval`` once, recorded with its relation and plan in
+        ``done``, in that order, which a kept run keeps (``_kept``)."""
+        done = {} if done is None else done
         for node in self._order(q):
-            r = self.eval(node, g, done, keep)
+            r = self.eval(node, g, done)
         return r
 
     def _order(self, q: Query) -> list[Query]:
@@ -1006,14 +1011,14 @@ class _FourEngine:
                  if type(n) is Project and type(n.query) is Join and id(n.query) not in again}
         return [n for n in order if id(n) not in fused]
 
-    def eval(self, q: Query, g: FourGraph, done: dict, keep: bool) -> Relation:
+    def eval(self, q: Query, g: FourGraph, done: dict) -> Relation:
         """q's relation over g, recorded in ``done`` under ``_key(q)`` as
-        (q, its relation, its plan if ``keep``, else None)."""
+        (q, its relation, its plan)."""
         key = _key(q)
-        entry = done.get(key)  # a pattern's key hashes its three parts
+        entry = done.get(key)
         if entry is None:
             r, plan = self._eval(q, g, done)
-            entry = done[key] = (q, r, plan if keep else None)
+            entry = done[key] = (q, r, plan)
         return entry[1]
 
     # -- node cases ---------------------------------------------------------
@@ -1058,7 +1063,8 @@ class _FourEngine:
 
     def _changes_plan(self, done: dict) -> list[tuple]:
         """The nodes of the run that filled ``done``, in its order, each as its
-        ``_changes_step``: made once per base, run per key (``_slice_changes``)."""
+        ``_changes_step``: made once per kept run, and run per holder key of a
+        Belief base or per catch-up of a query base (``_slice_changes``)."""
         at = {key: i for i, key in enumerate(done)}
         return [self._changes_step(node, done, at) for node, _, _ in done.values()]
 
@@ -1088,11 +1094,12 @@ class _FourEngine:
 
     @staticmethod
     def _slice_changes(steps: list[tuple], triples: dict) -> dict:
-        """The rows where the body's relation over an extraction that
-        differs from the fresh one on ``triples`` differs from its relation
-        over the fresh one, with their new values: ``steps``, the body's
-        ``_changes_plan``, in order.  A step runs only when its input
-        changed, and keeps only the rows whose value did."""
+        """The rows where a run's relation over a graph that differs from
+        the run's own on ``triples`` (a Belief body's: an extraction that
+        differs from the fresh one) differs from its relation there, with
+        their new values: ``steps``, the run's ``_changes_plan``, in order.
+        A step runs only when its input changed, and keeps only the rows
+        whose value did."""
         changes: list[dict] = []
         for kids, out, step in steps:
             rows = {}
@@ -1102,31 +1109,30 @@ class _FourEngine:
             changes.append(rows)
         return changes[-1]
 
-    def _belief_base(self, q: Belief, g: FourGraph) -> "_BeliefBase":
-        """q's base over g (see ``_BeliefBase``), kept on g under q's value,
-        so that an equal node of another parse finds it: built on first
-        use, and caught up here when updates have left it behind."""
+    def _eval_belief(self, q: Belief, g: FourGraph) -> tuple[Relation, "_BeliefBase"]:
+        """q's relation over g, and its base (see ``_BeliefBase``), kept on
+        g under q's value, so that an equal node of another parse finds it:
+        built on first use, and caught up here when updates have left it
+        behind."""
         # a partial, not a lambda: one frame less per nested FROM BELIEF
-        b = g.derived(("belief", self.vocab, self.universe, q._value),
+        b = g.derived(("belief", self.vocab, self.universe, _value(q)),
                       functools.partial(self._build_base, q, g), _BeliefBase.carry)
         if b.since:
             self._catch_up(b)
-        return b
+        return b.relation, b
 
     def _build_base(self, q: Belief, g: FourGraph) -> "_BeliefBase":
         """q's base over g: its body run once, over the extraction in which
         no variable holder has stances, and q's relation there caught up
         to g, as if updates had given every holder its stances."""
         b = _BeliefBase()
-        b.node, b.vocab, b.universe, b.since = q, self.vocab, self.universe, frozenset()
+        b.node, b.since, b.slices = q, frozenset(), {}
         b.ext = belief_mod.extraction(g, q.expr, self.vocab)
         b.evars, b.relevant, b.iris = (), set(), frozenset()
         if q._holders:
             b.evars = _schema(q._holders)
             b.iris = frozenset(t for t in self.universe or () if isinstance(t, Iri))
-        b.done, b.steps, b.slices = {}, None, {}
-        b.r0 = r0 = self.run(q.query, FourGraph(b.ext.default, b.ext.fresh), b.done)
-        b.reads = self._reads(b.done)
+        r0 = self._kept(b, q.query, FourGraph(b.ext.default, b.ext.fresh))
         if q._holders and self.universe is None and (r0.table or r0.default != UNKNOWN):
             raise NonFinitelySupported(
                 "belief over a quantified holder is not constantly unknown off-support"
@@ -1154,11 +1160,6 @@ class _FourEngine:
         self._catch_up(b, table)
         return b
 
-    def _eval_belief(self, q: Belief, g: FourGraph) -> tuple[Relation, "_BeliefBase"]:
-        """q's relation over g, and the base it is kept with."""
-        b = self._belief_base(q, g)
-        return b.relation, b
-
     def _catch_up(self, b: "_BeliefBase", table: dict | None = None) -> None:
         """Bring b up to its extraction, whose holders ``b.since`` updates
         (``_BeliefBase.carry``) or a build gave their stances.  A build
@@ -1170,12 +1171,7 @@ class _FourEngine:
         # holder is no longer relevant and the key is gone
         b.slices = {**{k: s for k, s in b.slices.items() if b.since.isdisjoint(k)}, **slices}
         table, d = dict(b.relation.table) if table is None else table, b.r0.default
-        for k, v in rows.items():
-            if v == d:
-                table.pop(k, None)
-            else:
-                table[k] = v
-        b.relation = Relation._of(b.schema, d, table, b.universe)
+        b.relation = Relation._of(b.schema, d, _patch(table, rows, d), b.universe)
         b.relevant, b.since = now, frozenset()
 
     def _belief_changes(self, b: "_BeliefBase", triples: dict) -> dict:
@@ -1230,9 +1226,7 @@ class _FourEngine:
             visits.insert(0, visits.pop())
         slices: dict[tuple, dict] = {all_none: {}}  # r0 is its slice, unless visited
         for key in visits:
-            if b.steps is None:
-                b.steps = self._changes_plan(b.done)
-            slices[key] = changes = self._slice_changes(b.steps, self._extract(ext, key))
+            slices[key] = changes = b.changes(self._extract(ext, key))
             if changes and self.universe is None and None in key:  # r0 lists no rows here
                 raise NonFinitelySupported(
                     "belief over a quantified holder is not constantly unknown off-support"
@@ -1257,12 +1251,23 @@ class _FourEngine:
                     out[b.extend(k + combo)] = v
         return slices, out
 
+    def _kept(self, b: "_KeptRun", q: Query, g: FourGraph) -> Relation:
+        """q's relation over g, its run kept in b (see ``_KeptRun``); a run
+        that refuses leaves b as it was."""
+        done = {}
+        b.r0 = self.run(q, g, done)
+        b.vocab, b.universe, b.done, b.steps = self.vocab, self.universe, done, None
+        b.reads = self._reads(done)
+        return b.r0
+
     def _reads(self, done: dict) -> Callable[[StarTriple], bool]:
-        """Whether the body run into ``done`` reads a triple: a pattern reads
-        the triples it matches, all if its predicate is a variable; a nested
-        Belief reads the belief statements.  A holder without a stance on a
-        triple the body reads extracts, as far as the body can see, like an
-        IRI without stances, so it is not relevant (``_stance_changes``)."""
+        """Whether the run into ``done`` reads a triple: a pattern reads the
+        triples it matches, all if its predicate is a variable; a nested
+        Belief reads the belief statements.  A triple no node reads changes
+        no relation of the run.  In a Belief body, a holder without a stance
+        on a triple the body reads extracts, as far as the body can see,
+        like an IRI without stances, so it is not relevant
+        (``_stance_changes``)."""
         nodes = [node for node, _, _ in done.values()]
         patterns = [n.pattern for n in nodes if isinstance(n, Pattern)]
         if any(not isinstance(p.predicate, Iri) for p in patterns):
@@ -1273,29 +1278,62 @@ class _FourEngine:
             or any(m(t) is not None for m in matchers)
 
 
-class _BeliefBase:
+class _KeptRun:
+    """A run kept on a graph (``FourGraph.derived``), so that it lives as
+    long as the graph; it holds no engine and no graph.  ``vocab`` and
+    ``universe`` it ran with; ``done``, each node of its order with its
+    relation and plan (``_FourEngine.run``), from which its change plan
+    ``steps`` is made on first use, or None where only the answer is
+    kept; ``reads``, its test on a triple; ``r0``, its relation;
+    ``relation``, its owner's relation over the graph it is kept on."""
+
+    __slots__ = ("vocab", "universe", "done", "reads", "steps", "r0", "relation")
+
+    def same_universe(self, child: FourGraph, t: StarTriple, new) -> bool:
+        """Whether ``child``, the graph kept on with t set to ``new``, has
+        the same universe: always in open mode; over the active domain,
+        when t's terms are in it and, if t is removed, occur in ``child``
+        still, so that t neither brings a term in nor takes one out."""
+        return self.universe is None or terms_of(t) <= (
+            child.domain() if new == child.default else self.universe)
+
+    def changes(self, triples: dict) -> dict:
+        """The rows where the run's relation over its graph with ``triples``
+        set to their values differs from ``r0``, with their new values:
+        ``steps`` run once over the triples (``_slice_changes``)."""
+        if self.steps is None:
+            self.steps = _FourEngine(self.vocab, self.universe)._changes_plan(self.done)
+        return _FourEngine._slice_changes(self.steps, triples)
+
+
+def _patch(table: dict, rows: dict, d) -> dict:
+    """``table`` with ``rows`` set in place, a row at the default ``d`` taken out."""
+    for k, v in rows.items():
+        if v == d:
+            table.pop(k, None)
+        else:
+            table[k] = v
+    return table
+
+
+class _BeliefBase(_KeptRun):
     """A Belief node's evaluation over a graph, up to its holder keys, kept
-    on that graph (``FourGraph.derived``) under the vocabulary, the
-    universe and the node's value, so that it lives as long as the graph;
-    it holds no engine and no graph.  ``node`` built it, and its ids key
-    ``done``; then ``vocab``, ``universe`` and the extraction ``ext``; for
-    holder variables ``evars``, the holders ``relevant`` to the body and
-    the universe's IRIs ``iris``.  The body's one run, over the extraction
-    in which no variable holder has stances (``Extraction.fresh``), keeps
-    each node with its relation and plan in ``done``, in its order, which
-    the body's test on a triple (``reads``) and its change plan ``steps``,
-    made on first use, read; ``r0`` is the body's relation there.  ``slices``
-    holds the changed rows from r0 of each key a whole run visits and of the
-    all-None key; ``relation`` the node's relation, with its ``schema`` and
-    the plan ``extend`` of a body row and key onto it.
+    under the vocabulary, the universe and the node's value (``_value``).
+    ``node`` built it, and its ids key ``done``; then the extraction
+    ``ext``; for holder variables ``evars``, the holders ``relevant`` to
+    the body and the universe's IRIs ``iris``.  The kept run is the body's,
+    over the extraction in which no variable holder has stances
+    (``Extraction.fresh``), and ``r0`` the body's relation there.
+    ``slices`` holds the changed rows from r0 of each key a whole run
+    visits and of the all-None key; ``relation`` the node's relation, with
+    its ``schema`` and the plan ``extend`` of a body row and key onto it.
     A key holds one holder per variable of ``evars``, None standing for
     every IRI without stances.  ``since`` holds the holders whose stances
     updates changed after ``relevant``, ``slices`` and ``relation`` were
     made, which the next use catches up (``_FourEngine._catch_up``), as a
     build catches up every holder."""
 
-    __slots__ = ("node", "vocab", "universe", "ext", "evars", "relevant", "reads", "iris",
-                 "done", "r0", "steps", "slices", "schema", "extend", "relation",
+    __slots__ = ("node", "ext", "evars", "relevant", "iris", "slices", "schema", "extend",
                  "since")
 
     def carry(self, child: FourGraph, t: StarTriple, old, new) -> "_BeliefBase | None":
@@ -1305,11 +1343,9 @@ class _BeliefBase:
         built before it, whose ``since`` adds t's holder.  None, to build
         it again on first use, when the ground atoms' believers move, which
         changes the fresh extraction and so every key; and when child's
-        universe may no longer be ``universe`` (t takes a term out of the
-        active domain, or brings one from outside it in), as an evaluation
-        keyed by another universe would not find the base."""
-        if self.universe is not None and not terms_of(t) <= (
-                child.domain() if new == child.default else self.universe):
+        universe may not be ``universe`` (``same_universe``), as an
+        evaluation keyed by another universe would not find the base."""
+        if not self.same_universe(child, t, new):
             return None
         ext = belief_mod.extraction(child, self.node.expr, self.vocab)
         if ext is self.ext:
@@ -1323,6 +1359,64 @@ class _BeliefBase:
         return out
 
 
+class _QueryBase(_KeptRun):
+    """A query's evaluation over a graph, kept under the vocabulary, the
+    mode and the query's value (``_value``), so that the query of another
+    parse finds it.  The run is the query's, over the graph it was made
+    on; ``widest`` is its widest node scope, from which with |U| an
+    evaluation checks its cap again.  A first run keeps only its relation
+    and ``reads``, its ``done`` None: a graph that is never updated reads
+    nothing else.  Once an update reaches it, the query runs again and
+    keeps its run, whose change plan later updates run.  ``changed``
+    holds each triple that updates since set to another value than the
+    run's graph had, as (that value, the value here); ``relation`` is the
+    query's relation here, r0 with the changed rows ``changed`` makes, or
+    None until an evaluation runs or catches it up."""
+
+    __slots__ = ("widest", "changed")
+
+    def carry(self, child: FourGraph, t: StarTriple, old, new) -> "_QueryBase | None":
+        """The base over ``child``, this one's graph with t set from ``old``
+        to ``new`` (``FourGraph.derived``'s carry): None, to build it again
+        on first use, when child's universe may not be ``universe``
+        (``same_universe``); this base when the run reads no t; else a copy
+        to run again if the run is not kept, or whose ``changed`` adds t,
+        or drops it when t is back at its value in the run's graph."""
+        if not self.same_universe(child, t, new):
+            return None
+        if not self.reads(t):
+            return self
+        out = copy.copy(self)
+        out.changed = dict(self.changed)
+        was = out.changed.pop(t, (old,))[0]
+        if new != was:
+            out.changed[t] = (was, new)
+        out.relation = None if out.changed or self.done is None else self.r0
+        return out
+
+    def answer(self, q: Query, g: FourGraph, cap: int) -> Relation:
+        """q's relation over g, this base's graph, refused as a fresh
+        evaluation with ``cap`` would refuse it up front (``_universe``);
+        run again, keeping its run, or caught up, if updates have left it
+        behind."""
+        if self.universe is not None:
+            _check_cap(len(self.universe), self.widest, cap)
+        if self.relation is None and self.done is None:
+            self.relation = _FourEngine(self.vocab, self.universe)._kept(self, q, g)
+            self.changed = {}
+        elif self.relation is None:
+            r0 = self.r0
+            rows = self.changes({t: new for t, (_, new) in self.changed.items()})
+            self.relation = r0 if not rows else Relation._of(
+                r0.schema, r0.default, _patch(dict(r0.table), rows, r0.default), r0.universe)
+        return self.relation
+
+
+def _check_cap(size: int, widest: int, cap: int) -> None:
+    if size ** widest > cap:
+        raise UniverseTooLarge(f"|universe| ** |vars| = {size}**{widest} exceeds cap {cap}")
+
+
 def _universe(q: Query, g: FourGraph, mode: EvalMode, cap: int,
               widest: int) -> frozenset[Term] | None:
     """The active-domain universe of q over g, or None in open mode.
@@ -1331,10 +1425,19 @@ def _universe(q: Query, g: FourGraph, mode: EvalMode, cap: int,
     if mode is EvalMode.OPEN:
         return None
     universe = active_domain(g, query_constants(q))
-    size = len(universe)
-    if size ** widest > cap:
-        raise UniverseTooLarge(f"|universe| ** |vars| = {size}**{widest} exceeds cap {cap}")
+    _check_cap(len(universe), widest, cap)
     return universe
+
+
+def _build_query_base(q: Query, g: FourGraph, vocab: BeliefVocabulary, mode: EvalMode,
+                      cap: int) -> _QueryBase:
+    """q's base over g (see ``_QueryBase``): scopes checked, the universe
+    fixed and q run, each once, its run not kept; a refusal keeps no base."""
+    b = _QueryBase()
+    b.widest, b.changed = _scope(q, {})[1], {}
+    b.relation = _FourEngine(vocab, _universe(q, g, mode, cap, b.widest))._kept(b, q, g)
+    b.done = None
+    return b
 
 
 def evaluate(
@@ -1349,10 +1452,16 @@ def evaluate(
 
     Validates scoping first (IllFormedQuery).  In active-domain mode the
     universe is fixed once from the graph and the query's constant terms;
-    open mode may raise NonFinitelySupported.
+    open mode may raise NonFinitelySupported.  The answer is kept on g,
+    and the run too once an update reaches it (``_QueryBase``): an equal
+    query over g, or over a graph that ``set_value`` made from g, answers
+    from them, caught up to the triples the updates changed.  The relation
+    returned is shared with g and with later evaluations, and must not be
+    changed.
     """
-    widest = _scope(q, {})[1]
-    return _FourEngine(vocab, _universe(q, g, mode, cap, widest)).run(q, g)
+    b = g.derived(("query", vocab, mode, _value(q)),
+                  functools.partial(_build_query_base, q, g, vocab, mode, cap), _QueryBase.carry)
+    return b.answer(q, g, cap)
 
 
 def evaluate_k(
@@ -1369,7 +1478,10 @@ def evaluate_k(
     multiply and add take their place (filters multiply by one or zero, so
     a failed condition annihilates).  Graph annotations must live in the
     semiring's carrier.  Open-mode projection needs a zero or idempotent
-    default, else NonFinitelySupported.
+    default, else NonFinitelySupported.  Nothing is kept on g: change steps
+    read a row at its input's default as absent, which holds only where
+    every default is idempotent, as in the four-valued operators, so each
+    call runs q whole.
     """
     widest = _scope(q, {}, plain=True)[1]
     return _FourEngine(DEFAULT_VOCABULARY, _universe(q, g, mode, cap, widest), s).run(q, g)

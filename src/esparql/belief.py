@@ -19,16 +19,8 @@ from typing import Iterator, Union
 
 from .errors import NonFiniteBeliefExtraction, NonIriHolder, UnboundBeliefVariable
 from .four import CONFLICTED, FALSE, TRUE, UNKNOWN, FourOperator, FourValue, apply, identity_of
-from .model import (BeliefVocabulary, FourGraph, Iri, REMOVED, StarTriple, Term, Variable, _nest,
-                    patched)
-
-
-def _cached_hash(node, fields: tuple) -> int:
-    """hash(fields), stored on the node: memos key on expressions, whose
-    generated hash would walk the whole tree on every lookup."""
-    if "_hash" not in node.__dict__:
-        object.__setattr__(node, "_hash", hash(fields))
-    return node.__dict__["_hash"]
+from .model import (BeliefVocabulary, FourGraph, Iri, REMOVED, StarTriple, Term, Variable,
+                    _cached_hash, _nest, patched)
 
 
 @dataclass(frozen=True)

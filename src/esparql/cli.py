@@ -30,7 +30,8 @@ from .model import (
     term_text,
 )
 from .oracle import DEFAULT_ORACLE_CAP, diff as diff_relations, oracle_eval
-from .parser import FORMATS, desugar, parse_graph, parse_query, serialize_relation
+from .parser import (FORMATS, desugar, parse_graph, parse_query, parse_statement,
+                     serialize_relation)
 from . import randgen
 
 # The exit code of each error class a command reports; a subclass takes its
@@ -211,7 +212,11 @@ def cmd_diff(seed, cases, cap, vocab_ns) -> None:
 @_vocab_option
 @click.option("--cap", type=click.IntRange(min=1), default=DEFAULT_CAP, show_default=True)
 def cmd_repl(graph_path, mode, fmt, show_default, base_iri, vocab_ns, cap) -> None:
-    """Interactive session: queries end with a blank line, ':quit' leaves."""
+    """Interactive session: queries end with a blank line, ':quit' leaves.
+
+    ':set <statement>' sets one triple of the graph as a line of a graph
+    file would, '@default' resetting it; ':load <path>' reads a graph, and
+    ':mode' and ':format' show or set those options."""
     state = {"graph": FourGraph(FourValue.UNKNOWN), "mode": mode, "format": fmt}
     vocab = BeliefVocabulary.from_namespace(vocab_ns)
     if graph_path is not None:
@@ -241,6 +246,18 @@ def cmd_repl(graph_path, mode, fmt, show_default, base_iri, vocab_ns, cap) -> No
                 click.echo(f"loaded {arg}")
             except (OSError, *_REPORTED) as e:
                 click.echo(f"error: {e}")
+            return True
+        if name == ":set":
+            if not arg:
+                click.echo("usage: :set <statement>")
+                return True
+            try:
+                t, value = parse_statement(arg, base_iri=base_iri)
+            except _REPORTED as e:
+                click.echo(f"error: {e}")
+                return True
+            g = state["graph"]
+            state["graph"] = g.set_value(t, g.default if value is None else value)
             return True
         if name in (":mode", ":format"):
             key = name[1:]

@@ -167,6 +167,15 @@ def _nest(node, what: str, parts: tuple) -> None:
     object.__setattr__(node, "_depth", depth)
 
 
+def _cached_hash(node, fields: tuple) -> int:
+    """hash(fields), stored on the frozen node: memos key on patterns and
+    expressions, whose generated hash would walk the whole tree on every
+    lookup."""
+    if "_hash" not in node.__dict__:
+        object.__setattr__(node, "_hash", hash(fields))
+    return node.__dict__["_hash"]
+
+
 @dataclass(frozen=True)
 class TriplePattern:
     """A triple with variables allowed anywhere, including inside quoting.
@@ -188,6 +197,9 @@ class TriplePattern:
             _nest(self, "quoting", (self.subject, self.object))
         object.__setattr__(self, "_vars", pattern_variables(self.subject)  # see pattern_variables
                            | pattern_variables(self.predicate) | pattern_variables(self.object))
+
+    def __hash__(self) -> int:
+        return _cached_hash(self, (self.subject, self.predicate, self.object))
 
     def __repr__(self) -> str:
         return f"<< {self.subject!r} {self.predicate!r} {self.object!r} >>"
@@ -258,14 +270,16 @@ class FourGraph:
 
     Invariant: ``exceptions`` is never mutated after construction (updates
     such as ``set_value`` return a new graph).  The structures derived from
-    it (triples bucketed by subject, predicate and object, the active
-    domain, per vocabulary the belief holder index and each belief
-    expression's extraction, and the evaluation of each ``FROM BELIEF``
-    node run over the graph, by vocabulary, universe and the node's
-    value) are built on first use and then cached on that invariant by
-    ``derived``, for the life of the graph.  ``set_value`` hands each
-    structure the graph has built to the child, patched for the one
-    changed triple; a structure that cannot be patched is built again on
+    it are built on first use and then cached on that invariant by
+    ``derived``, for the life of the graph: triples bucketed by subject,
+    predicate and object; the active domain; per vocabulary the belief
+    holder index and each belief expression's extraction; the evaluation
+    of each ``FROM BELIEF`` node run over the graph, by vocabulary,
+    universe and the node's value; and the run of each query evaluated
+    over it, by vocabulary, mode and the query's value, with its answer.
+    ``set_value`` hands each structure the graph has built to the child,
+    patched for the one changed triple or left to catch up with it on
+    first use; a structure that cannot be carried is built again on
     first use.
     """
 

@@ -206,10 +206,11 @@ def _ground_term(text: str, tokens: list, i: int, iris: _Iris, depth: int):
     return StarTriple(subject, iris[predicate], obj), i + 1
 
 
-def _read_statement(text: str, pos: int, iris: _Iris):
+def _read_statement(text: str, pos: int, iris: _Iris, states: dict = _STATE_WORDS):
     """The statement at text[pos] read from its own tokens: its triple (None
-    for the '@default' header), its value, its first token's offset and the
-    offset after its '.'; None at the end of input."""
+    for the '@default' header), its value (``states`` names them), its
+    first token's offset and the offset after its '.'; None at the end of
+    input."""
     tokens = _statement_tokens(text, pos)
     kind, spelling, start = tokens[0]
     if kind == "EOF":
@@ -231,9 +232,9 @@ def _read_statement(text: str, pos: int, iris: _Iris):
         kind, spelling, offset = tokens[i]
         value = TRUE
         if kind == "ANNOT":
-            value = _STATE_WORDS.get(spelling[1:])
-            if value is None:
+            if spelling[1:] not in states:
                 raise ParseError(f"unknown state {spelling[1:]!r}", *_position(text, offset))
+            value = states[spelling[1:]]
             i += 1
     if tokens[i][1] != ".":
         raise _expected(text, "expected '.'", tokens[i])
@@ -275,6 +276,26 @@ def parse_graph(text: str, *, base_iri: str = DEFAULT_BASE_IRI) -> FourGraph:
         _tokenize(text)  # raises the first token error, wherever it is
         raise
     return FourGraph(default, entries)
+
+
+def parse_statement(text: str, *,
+                    base_iri: str = DEFAULT_BASE_IRI) -> tuple[StarTriple, Optional[FourValue]]:
+    """The one statement of a graph file that ``text`` holds, read by the
+    graph reader's rule: its triple and value, None for the annotation
+    '@default', which stands for the graph's default."""
+    iris = _Iris(base_iri)
+    try:
+        first = _statement_tokens(text, 0)[0]
+        if first[0] == "EOF" or first[1] == "@default":
+            raise _expected(text, "expected a statement", first)
+        triple, value, _, end = _read_statement(text, 0, iris, {**_STATE_WORDS, "default": None})
+        rest = _statement_tokens(text, end)[0]
+        if rest[0] != "EOF":
+            raise _expected(text, "expected one statement", rest)
+    except ParseError:
+        _tokenize(text)  # raises the first token error, wherever it is
+        raise
+    return triple, value
 
 
 def render_graph(g: FourGraph) -> str:

@@ -73,9 +73,9 @@ def _rebuilt(g):
     return FourGraph(g.default, dict(g.exceptions))
 
 
-def _bases(g):
-    """The FROM BELIEF bases kept on g."""
-    return [b for key, b in g._derived.items() if isinstance(key, tuple) and key[0] == "belief"]
+def _bases(g, kind="belief"):
+    """The FROM BELIEF bases kept on g, or its query bases for "query"."""
+    return [b for key, b in g._derived.items() if isinstance(key, tuple) and key[0] == kind]
 
 
 def test_a_repeat_run_and_updates_redo_only_what_changed(monkeypatch):
@@ -286,3 +286,57 @@ def test_a_removal_that_shrinks_the_universe_drops_the_active_domain_base():
     assert r == evaluate(q, _rebuilt(child))
     assert r.exceptions == {Mapping.of({Variable("deity"): data("Zeus"),
                                         Variable("x"): data("h")}): T}
+
+
+
+def test_a_kept_query_catches_up_only_the_flipped_holders_groups(monkeypatch):
+    # u3 groups its Belief node's rows by holder.  A first run keeps only
+    # its answer; the first update that reaches it runs it again, keeping
+    # the run.  After one variable holder's stance is then flipped, the
+    # next u3 catches up the projection group of that holder only, and
+    # equals a fresh graph's; a repeat runs no operator, no scope walk and
+    # no planner
+    text, queries = _bench_inputs()
+    g = parse_graph(text)
+    algebra, calls, groups = esparql.algebra, [], []
+    real_project = algebra._plan_project
+
+    def plan_project(r, keep, add, zero):
+        schema, d, run, key = real_project(r, keep, add, zero)
+        restrict = algebra._plan(schema, r.schema)
+
+        def spied(t):
+            groups.append({restrict(k) for k in t})
+            return run(t)
+
+        return schema, d, spied, key
+
+    def u3(graph):
+        calls.clear(), groups.clear()
+        return evaluate(parse_and_desugar(queries["u3"]), graph, cap=10**15)
+
+    monkeypatch.setattr(algebra, "_plan_project", plan_project)
+    for name in ("_scope", "_universe", "_plan_join", "_plan_union", "_eval_pattern",
+                 "_combine_join", "_combine_union", "_transform_by_formula", "_by_row",
+                 "_project_four"):
+        def spy(*args, real=getattr(algebra, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(algebra, name, spy)
+    stances = sorted((t for t, v in g.exceptions.items()
+                      if v == T and t.predicate in VOCAB.predicates()
+                      and t.subject.text not in queries["u3"]), key=repr)
+    u3(g)
+    assert {"_scope", "_project_four"} <= set(calls) and len(groups) == 1 and len(groups[0]) > 1
+    assert [b.done for b in _bases(g, "query")] == [None]
+    g = g.set_value(stances[0], F)
+    u3(g)
+    assert "_scope" not in calls and "_project_four" in calls and len(groups[0]) > 1
+    flip = next(t for t in stances if t.subject is not stances[0].subject)
+    updated = g.set_value(flip, F)
+    r = u3(updated)
+    # the catch-up: one projection group, the flipped holder's, and the
+    # rows the map reads from it; no scan, join, scope walk or planner
+    assert groups == [{(flip.subject,)}] and set(calls) <= {"_by_row"}, calls
+    assert u3(updated) is r and calls == [] and groups == []
+    assert r == evaluate(parse_and_desugar(queries["u3"]), _rebuilt(updated), cap=10**15)

@@ -1,5 +1,6 @@
 """End-to-end checks of the command line front end via click's test runner."""
 
+import importlib.util
 import os
 import random
 import subprocess
@@ -653,3 +654,73 @@ def test_repl_directives_answer_bad_or_missing_arguments(runner):
         "formats: table, json-lines, csv\n"
         "usage: :load <path>\n"
     )
+
+
+def _bench_gen():
+    """bench/gen.py, which writes the benchmark's graphs and queries."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def test_repl_set_takes_one_statement_line_and_reports_a_bad_one(runner):
+    session = (":set <Arius> <a> <Christian> @false .\n"
+               "SELECT ?x WHERE { ?x a <Christian> }\n\n"
+               ":set <Arius> <a> <Christian>\n"
+               ":set <Arius> <a> <Christian> @true . <PopeDI> <a> <Christian> .\n"
+               ":set <PopeDI> <a> <Christian> @default .\n"
+               ":set\n"
+               "SELECT ?x WHERE { ?x a <Christian> }\n\n")
+    result = runner.invoke(main, ["repl", "--graph", GRAPH], input=session)
+    assert result.exit_code == 0
+    assert result.output == (
+        f"loaded {GRAPH}\n"
+        "x | state\nArius | false\nPopeDI | true\n"
+        "error: 1:24: expected '.', found 'end of input'\n"
+        "error: 1:33: expected one statement, found 'PopeDI'\n"
+        "usage: :set <statement>\n"
+        "x | state\nArius | false\n"
+    )
+
+
+def test_a_repl_update_stream_answers_as_query_does_on_the_rendered_graph(runner, tmp_path):
+    # the seed-12 belief_holders graph and queries; a seeded stream of
+    # :set lines (another state, a reset to the default, or an earlier
+    # change taken back), each followed by a query in its mode: every
+    # answer the session prints equals `esparql query` on the updated
+    # graph, rendered to a file
+    gen = _bench_gen()
+    rng = random.Random(37)
+    graph = esparql.parse_graph(gen.graph_f4s(gen.belief_graph(random.Random(12))))
+    queries = gen.belief_queries(random.Random(12))[0]
+    modes = {name: "open" if name == "u4" else "active-domain" for name in queries}
+    cap = ["--cap", str(10**15)]
+    triples, session, want, undo = sorted(graph.exceptions, key=repr), [], [], []
+    for step in range(14):
+        kind = rng.choice(("state", "state", "default", "undo"))
+        if kind == "undo" and undo:
+            t, v = undo.pop(rng.randrange(len(undo)))
+        else:
+            t = rng.choice(triples)
+            v = graph.default if kind == "default" else rng.choice(
+                [s for s in FourValue if s not in (graph.lookup(t), graph.default)])
+            undo.append((t, graph.lookup(t)))
+        word = "default" if v == graph.default else v.label
+        session.append(f":set {esparql.term_text(t)[3:-3]} @{word} .")
+        graph = graph.set_value(t, v)
+        path = tmp_path / f"step{step}.f4s"
+        path.write_text(esparql.render_graph(graph))
+        for name in rng.sample(sorted(queries), 2):
+            session += [f":mode {modes[name]}", queries[name]]
+            query = runner.invoke(main, ["query", "--graph", str(path), "--eval", queries[name],
+                                         "--mode", modes[name], *cap])
+            assert query.exit_code == 0, query.output
+            want.append(query.output)
+    path = tmp_path / "start.f4s"
+    path.write_text(gen.graph_f4s(gen.belief_graph(random.Random(12))))
+    result = runner.invoke(main, ["repl", "--graph", str(path), *cap],
+                           input="\n".join(session) + "\n")
+    assert result.exit_code == 0
+    assert result.output == f"loaded {path}\n" + "".join(want)

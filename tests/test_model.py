@@ -261,6 +261,20 @@ def test_deep_triples_print_pickle_and_evaluate_without_recursion():
             term_text(deep.subject)]
 
 
+def test_a_pattern_hashes_its_parts_once(monkeypatch):
+    # runs and memos key on patterns: a pattern keeps the hash it computed,
+    # so however often it is hashed, each quoted part is hashed once for it
+    inner, other = TriplePattern(X, A, Y), TriplePattern(Y, A, X)
+    outer, twin = TriplePattern(inner, A, other), TriplePattern(inner, A, other)
+    real, calls, want = TriplePattern.__hash__, [], hash((inner, A, other))
+    monkeypatch.setattr(TriplePattern, "__hash__", lambda p: calls.append(p) or real(p))
+    for _ in range(100):
+        assert {outer: 1}[twin] == 1 and hash(outer) == want
+    # once for outer and once for its equal twin, in 300 hashes of the two
+    assert len(calls) == 300 + 4
+    assert [sum(p is part for p in calls) for part in (inner, other)] == [2, 2]
+
+
 def test_triple_pattern_validation():
     TriplePattern(X, A, Y)
     TriplePattern(X, Y, TriplePattern(X, A, Y))
