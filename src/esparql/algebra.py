@@ -442,19 +442,41 @@ def _postorder(q: Query, skip=(), bodies: bool = True,
     return order
 
 
-def _value(q: Query) -> tuple:
+class _Value:
+    """A query by value (``_value``): a flat tuple, hashed once."""
+
+    __slots__ = ("items", "hash")
+
+    def __init__(self, items: tuple) -> None:
+        self.items, self.hash = items, hash(items)
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other) -> bool:
+        return self is other or (type(other) is _Value and self.hash == other.hash
+                                 and self.items == other.items)
+
+
+def _value(q: Query) -> _Value:
     """q by value, a key that an equal query of another parse shares: each
     node of its post-order as its type and fields, a child by its position
     there.  Flat, so that a deep query hashes and compares without
-    recursion; made once per node and kept on it."""
+    recursion; made and hashed once per node and kept on it."""
     key = q.__dict__.get("_value")
     if key is None:
         order, key = _postorder(q), []
         at = {id(node): i for i, node in enumerate(order)}
         for node in order:
-            fields = [(name, getattr(node, name)) for name in node.__dataclass_fields__]
-            key.append((type(node), *(at[id(v)] if name in _CHILDREN else v for name, v in fields)))
-        key = tuple(key)
+            kind = type(node)
+            if kind is Pattern:  # the most common nodes, spelled out
+                key.append((kind, node.pattern))
+            elif kind is Join or kind is Union:
+                key.append((kind, node.op, at[id(node.left)], at[id(node.right)]))
+            else:
+                fields = [(name, getattr(node, name)) for name in node.__dataclass_fields__]
+                key.append((kind, *(at[id(v)] if name in _CHILDREN else v for name, v in fields)))
+        key = _Value(tuple(key))
         object.__setattr__(q, "_value", key)
     return key
 
@@ -848,13 +870,17 @@ def _keyed_changes(plan: tuple, ins: list[Relation], out: Relation,
     with the changes applied, and gives the default to every row that
     ``out`` lists under those keys and the run does not.  A row at its
     input's default reads as absent: change plans are four-valued, where
-    every default is idempotent.  Inputs and ``out`` are indexed here, once."""
+    every default is idempotent.  Inputs and ``out`` are indexed once, on
+    the first call, so a step made again that never runs indexes nothing."""
     _, d, run, key = plan
     keys = [_plan(key, r.schema) for r in ins]
-    indexes = [_index(r.table, at) for r, at in zip(ins, keys)]
-    listed = _index(out.table, _plan(key, out.schema))
+    indexed: list[dict] = []
 
     def changes(plan_changes: list[dict], triples: dict) -> dict:
+        if not indexed:
+            indexed.extend(_index(r.table, at) for r, at in zip(ins, keys))
+            indexed.append(_index(out.table, _plan(key, out.schema)))
+        *indexes, listed = indexed
         changed = [plan_changes[i] for i in at_ins]
         hit = {at(k) for c, at in zip(changed, keys) for k in c}
         rows = run(*({k: v for s in hit for k, v in index.get(s, ())} | c
@@ -994,11 +1020,13 @@ class _FourEngine:
 
     def run(self, q: Query, g: FourGraph, done: dict | None = None) -> Relation:
         """q's relation over g: each node of ``_order(q)``, up to Belief
-        bodies, through ``eval`` once, recorded with its relation and plan in
-        ``done``, in that order, which a kept run keeps (``_kept``)."""
-        done = {} if done is None else done
+        bodies, through ``eval`` once, recorded with its relation in ``done``,
+        in that order.  A caller that passes ``done``, a kept run (``_kept``),
+        keeps each plan there too: held in every run, plans keep the
+        collector busy."""
+        keep, done = done is not None, {} if done is None else done
         for node in self._order(q):
-            r = self.eval(node, g, done)
+            r = self.eval(node, g, done, keep)
         return r
 
     def _order(self, q: Query) -> list[Query]:
@@ -1011,14 +1039,14 @@ class _FourEngine:
                  if type(n) is Project and type(n.query) is Join and id(n.query) not in again}
         return [n for n in order if id(n) not in fused]
 
-    def eval(self, q: Query, g: FourGraph, done: dict) -> Relation:
+    def eval(self, q: Query, g: FourGraph, done: dict, keep: bool) -> Relation:
         """q's relation over g, recorded in ``done`` under ``_key(q)`` as
-        (q, its relation, its plan)."""
+        (q, its relation, its plan if ``keep``, else None)."""
         key = _key(q)
         entry = done.get(key)
         if entry is None:
             r, plan = self._eval(q, g, done)
-            entry = done[key] = (q, r, plan)
+            entry = done[key] = (q, r, plan if keep else None)
         return entry[1]
 
     # -- node cases ---------------------------------------------------------
@@ -1094,20 +1122,31 @@ class _FourEngine:
 
     @staticmethod
     def _slice_changes(steps: list[tuple], triples: dict) -> dict:
-        """The rows where a run's relation over a graph that differs from
-        the run's own on ``triples`` (a Belief body's: an extraction that
-        differs from the fresh one) differs from its relation there, with
-        their new values: ``steps``, the run's ``_changes_plan``, in order.
-        A step runs only when its input changed, and keeps only the rows
+        """The rows where a Belief body's relation over an extraction that
+        differs from the fresh one on ``triples`` differs from its relation
+        over the fresh one, with their new values: the body's last node's
+        ``_step_changes``."""
+        return _FourEngine._step_changes(steps, triples)[-1]
+
+    @staticmethod
+    def _step_changes(steps: list[tuple], triples: dict,
+                      given: dict[int, dict] | None = None) -> list[dict]:
+        """For each node of a run, the rows where its relation over a graph
+        that differs from the run's own on ``triples`` differs from its
+        relation there, with their new values: ``steps``, the run's
+        ``_changes_plan``, in order, or the rows ``given`` by position.  A
+        step runs only when its input changed, and keeps only the rows
         whose value did."""
         changes: list[dict] = []
-        for kids, out, step in steps:
+        for at, (kids, out, step) in enumerate(steps):
             rows = {}
-            if triples if kids is None else any(changes[i] for i in kids):
+            if given and at in given:
+                rows = given[at]
+            elif triples if kids is None else any(changes[i] for i in kids):
                 table, d = out.table, out.default
                 rows = {k: v for k, v in step(changes, triples).items() if v != table.get(k, d)}
             changes.append(rows)
-        return changes[-1]
+        return changes
 
     def _eval_belief(self, q: Belief, g: FourGraph) -> tuple[Relation, "_BeliefBase"]:
         """q's relation over g, and its base (see ``_BeliefBase``), kept on
@@ -1126,7 +1165,7 @@ class _FourEngine:
         no variable holder has stances, and q's relation there caught up
         to g, as if updates had given every holder its stances."""
         b = _BeliefBase()
-        b.node, b.since, b.slices = q, frozenset(), {}
+        b.node, b.since, b.slices, b.came = q, frozenset(), {}, None
         b.ext = belief_mod.extraction(g, q.expr, self.vocab)
         b.evars, b.relevant, b.iris = (), set(), frozenset()
         if q._holders:
@@ -1170,8 +1209,10 @@ class _FourEngine:
         # an old key holding a changed holder was visited again, or its
         # holder is no longer relevant and the key is gone
         b.slices = {**{k: s for k, s in b.slices.items() if b.since.isdisjoint(k)}, **slices}
-        table, d = dict(b.relation.table) if table is None else table, b.r0.default
-        b.relation = Relation._of(b.schema, d, _patch(table, rows, d), b.universe)
+        b.came = None if table is not None else (b.relation, rows)
+        if rows or table is not None:
+            table, d = dict(b.relation.table) if table is None else table, b.r0.default
+            b.relation = Relation._of(b.schema, d, _patch(table, rows, d), b.universe)
         b.relevant, b.since = now, frozenset()
 
     def _belief_changes(self, b: "_BeliefBase", triples: dict) -> dict:
@@ -1226,7 +1267,9 @@ class _FourEngine:
             visits.insert(0, visits.pop())
         slices: dict[tuple, dict] = {all_none: {}}  # r0 is its slice, unless visited
         for key in visits:
-            slices[key] = changes = b.changes(self._extract(ext, key))
+            if b.steps is None:
+                b.steps = self._changes_plan(b.done)
+            slices[key] = changes = self._slice_changes(b.steps, self._extract(ext, key))
             if changes and self.universe is None and None in key:  # r0 lists no rows here
                 raise NonFinitelySupported(
                     "belief over a quantified holder is not constantly unknown off-support"
@@ -1257,18 +1300,51 @@ class _FourEngine:
         done = {}
         b.r0 = self.run(q, g, done)
         b.vocab, b.universe, b.done, b.steps = self.vocab, self.universe, done, None
-        b.reads = self._reads(done)
+        b.reads = self._reads([node for node, _, _ in done.values()])
         return b.r0
 
-    def _reads(self, done: dict) -> Callable[[StarTriple], bool]:
-        """Whether the run into ``done`` reads a triple: a pattern reads the
+    def _forward(self, b: "_QueryBase", g: FourGraph) -> None:
+        """Move b's kept run to g, b's graph, which differs from the run's
+        on the triples ``b.changed``: the change plan runs once over them,
+        each node's relation takes its changed rows, a Belief node takes
+        the base g keeps for it (``_eval_belief``), and the step of each
+        node whose relation, base or input moved is made again.  A refusal
+        leaves b's run as it was."""
+        if b.steps is None:
+            b.steps = self._changes_plan(b.done)
+        bases, given = {}, {}
+        for i, (node, _, plan) in enumerate(b.done.values()):
+            if isinstance(node, Belief):  # its rows are its catch-up's if that started at plan
+                bases[i] = base = self._eval_belief(node, g)[1]
+                if base is plan or base.came is not None and base.came[0] is plan.relation:
+                    given[i] = {} if base is plan else base.came[1]
+        changes = self._step_changes(
+            b.steps, {t: value for t, (_, value) in b.changed.items()}, given)
+        done, stale = {}, []
+        for i, ((key, (node, r, plan)), rows, (kids, _, _)) in enumerate(
+                zip(b.done.items(), changes, b.steps)):
+            base = bases.get(i, plan)
+            if base is not plan:
+                r = base.relation
+            elif rows:
+                r = Relation._of(r.schema, r.default, _patch(dict(r.table), rows, r.default),
+                                 r.universe)
+            done[key] = (node, r, base)
+            stale.append(base is not plan or bool(rows)
+                         or kids is not None and any(changes[j] for j in kids))
+        at = {key: i for i, key in enumerate(done)}
+        b.steps = [self._changes_step(node, done, at) if again else step
+                   for (node, _, _), step, again in zip(done.values(), b.steps, stale)]
+        b.done, b.r0 = done, r
+
+    def _reads(self, nodes: list[Query]) -> Callable[[StarTriple], bool]:
+        """Whether a run of ``nodes`` reads a triple: a pattern reads the
         triples it matches, all if its predicate is a variable; a nested
         Belief reads the belief statements.  A triple no node reads changes
         no relation of the run.  In a Belief body, a holder without a stance
         on a triple the body reads extracts, as far as the body can see,
         like an IRI without stances, so it is not relevant
         (``_stance_changes``)."""
-        nodes = [node for node, _, _ in done.values()]
         patterns = [n.pattern for n in nodes if isinstance(n, Pattern)]
         if any(not isinstance(p.predicate, Iri) for p in patterns):
             return lambda t: True
@@ -1284,8 +1360,9 @@ class _KeptRun:
     ``universe`` it ran with; ``done``, each node of its order with its
     relation and plan (``_FourEngine.run``), from which its change plan
     ``steps`` is made on first use, or None where only the answer is
-    kept; ``reads``, its test on a triple; ``r0``, its relation;
-    ``relation``, its owner's relation over the graph it is kept on."""
+    kept; ``reads``, its test on a triple (a query base's is made on the
+    first update); ``r0``, its relation; ``relation``, its owner's
+    relation over the graph it is kept on."""
 
     __slots__ = ("vocab", "universe", "done", "reads", "steps", "r0", "relation")
 
@@ -1296,14 +1373,6 @@ class _KeptRun:
         still, so that t neither brings a term in nor takes one out."""
         return self.universe is None or terms_of(t) <= (
             child.domain() if new == child.default else self.universe)
-
-    def changes(self, triples: dict) -> dict:
-        """The rows where the run's relation over its graph with ``triples``
-        set to their values differs from ``r0``, with their new values:
-        ``steps`` run once over the triples (``_slice_changes``)."""
-        if self.steps is None:
-            self.steps = _FourEngine(self.vocab, self.universe)._changes_plan(self.done)
-        return _FourEngine._slice_changes(self.steps, triples)
 
 
 def _patch(table: dict, rows: dict, d) -> dict:
@@ -1331,10 +1400,13 @@ class _BeliefBase(_KeptRun):
     every IRI without stances.  ``since`` holds the holders whose stances
     updates changed after ``relevant``, ``slices`` and ``relation`` were
     made, which the next use catches up (``_FourEngine._catch_up``), as a
-    build catches up every holder."""
+    build catches up every holder; ``came`` is the relation that catch-up
+    started from, with the rows it changed, or None after a build, so that
+    a kept query run reading the node from that relation takes those rows
+    (``_FourEngine._forward``)."""
 
     __slots__ = ("node", "ext", "evars", "relevant", "iris", "slices", "schema", "extend",
-                 "since")
+                 "since", "came")
 
     def carry(self, child: FourGraph, t: StarTriple, old, new) -> "_BeliefBase | None":
         """The base over ``child``, this one's graph with t set from ``old``
@@ -1363,17 +1435,17 @@ class _QueryBase(_KeptRun):
     """A query's evaluation over a graph, kept under the vocabulary, the
     mode and the query's value (``_value``), so that the query of another
     parse finds it.  The run is the query's, over the graph it was made
-    on; ``widest`` is its widest node scope, from which with |U| an
-    evaluation checks its cap again.  A first run keeps only its relation
-    and ``reads``, its ``done`` None: a graph that is never updated reads
-    nothing else.  Once an update reaches it, the query runs again and
-    keeps its run, whose change plan later updates run.  ``changed``
-    holds each triple that updates since set to another value than the
-    run's graph had, as (that value, the value here); ``relation`` is the
-    query's relation here, r0 with the changed rows ``changed`` makes, or
-    None until an evaluation runs or catches it up."""
+    on or last caught up to; ``widest`` is its widest node scope, from
+    which with |U| an evaluation checks its cap again.  A first run keeps
+    only its relation ``r0`` and ``reads``, its ``done`` None: a graph
+    that is never updated reads nothing else.  Once an update reaches it,
+    the query runs again and keeps its run, which each later catch-up
+    moves forward (``_FourEngine._forward``).  ``changed`` holds each
+    triple that updates since set to another value than the run's graph
+    had, as (that value, the value here); ``relation`` is the query's
+    relation here, or None until an evaluation runs or catches it up."""
 
-    __slots__ = ("widest", "changed")
+    __slots__ = ("query", "widest", "changed")
 
     def carry(self, child: FourGraph, t: StarTriple, old, new) -> "_QueryBase | None":
         """The base over ``child``, this one's graph with t set from ``old``
@@ -1384,6 +1456,10 @@ class _QueryBase(_KeptRun):
         or drops it when t is back at its value in the run's graph."""
         if not self.same_universe(child, t, new):
             return None
+        if self.reads is None:  # made on the first update, from the query
+            self.reads = _FourEngine(self.vocab, self.universe)._reads(
+                _postorder(self.query, bodies=False))
+            self.query = None
         if not self.reads(t):
             return self
         out = copy.copy(self)
@@ -1391,7 +1467,7 @@ class _QueryBase(_KeptRun):
         was = out.changed.pop(t, (old,))[0]
         if new != was:
             out.changed[t] = (was, new)
-        out.relation = None if out.changed or self.done is None else self.r0
+        out.relation = None if out.changed else self.r0
         return out
 
     def answer(self, q: Query, g: FourGraph, cap: int) -> Relation:
@@ -1401,14 +1477,13 @@ class _QueryBase(_KeptRun):
         behind."""
         if self.universe is not None:
             _check_cap(len(self.universe), self.widest, cap)
-        if self.relation is None and self.done is None:
-            self.relation = _FourEngine(self.vocab, self.universe)._kept(self, q, g)
-            self.changed = {}
-        elif self.relation is None:
-            r0 = self.r0
-            rows = self.changes({t: new for t, (_, new) in self.changed.items()})
-            self.relation = r0 if not rows else Relation._of(
-                r0.schema, r0.default, _patch(dict(r0.table), rows, r0.default), r0.universe)
+        if self.relation is None:
+            engine = _FourEngine(self.vocab, self.universe)
+            if self.done is None:
+                engine._kept(self, q, g)
+            else:
+                engine._forward(self, g)
+            self.relation, self.changed = self.r0, {}
         return self.relation
 
 
@@ -1432,11 +1507,13 @@ def _universe(q: Query, g: FourGraph, mode: EvalMode, cap: int,
 def _build_query_base(q: Query, g: FourGraph, vocab: BeliefVocabulary, mode: EvalMode,
                       cap: int) -> _QueryBase:
     """q's base over g (see ``_QueryBase``): scopes checked, the universe
-    fixed and q run, each once, its run not kept; a refusal keeps no base."""
+    fixed and q run, each once, its run not kept and its reader test left
+    to the first update; a refusal keeps no base."""
     b = _QueryBase()
-    b.widest, b.changed = _scope(q, {})[1], {}
-    b.relation = _FourEngine(vocab, _universe(q, g, mode, cap, b.widest))._kept(b, q, g)
-    b.done = None
+    b.query, b.widest, b.changed = q, _scope(q, {})[1], {}
+    engine = _FourEngine(vocab, _universe(q, g, mode, cap, b.widest))
+    b.relation = b.r0 = engine.run(q, g)
+    b.vocab, b.universe, b.done, b.steps, b.reads = vocab, engine.universe, None, None, None
     return b
 
 

@@ -198,8 +198,9 @@ class TriplePattern:
         object.__setattr__(self, "_vars", pattern_variables(self.subject)  # see pattern_variables
                            | pattern_variables(self.predicate) | pattern_variables(self.object))
 
-    def __hash__(self) -> int:
-        return _cached_hash(self, (self.subject, self.predicate, self.object))
+    def __hash__(self) -> int:  # one frame once the hash is kept
+        h = self.__dict__.get("_hash")
+        return _cached_hash(self, (self.subject, self.predicate, self.object)) if h is None else h
 
     def __repr__(self) -> str:
         return f"<< {self.subject!r} {self.predicate!r} {self.object!r} >>"
@@ -275,8 +276,9 @@ class FourGraph:
     predicate and object; the active domain; per vocabulary the belief
     holder index and each belief expression's extraction; the evaluation
     of each ``FROM BELIEF`` node run over the graph, by vocabulary,
-    universe and the node's value; and the run of each query evaluated
-    over it, by vocabulary, mode and the query's value, with its answer.
+    universe and the node's value; and the answer of each query evaluated
+    over it, by vocabulary, mode and the query's value, with its run once
+    an update reaches it.
     ``set_value`` hands each structure the graph has built to the child,
     patched for the one changed triple or left to catch up with it on
     first use; a structure that cannot be carried is built again on

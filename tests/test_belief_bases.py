@@ -165,6 +165,68 @@ def test_a_body_is_planned_once_per_node(monkeypatch):
     assert runs == [(799, 799, 1), (0, 0, 0)]
 
 
+def test_two_queries_meet_at_the_base_of_their_one_belief_node(monkeypatch):
+    # two different queries over one FROM BELIEF node, the second mapping the
+    # first's answer: each keeps its own query base, and the second's Belief
+    # node finds the first's base by value, so it slices no key, builds no
+    # graph and plans nothing (the body's join was planned once, by the first)
+    text, _ = _bench_inputs()
+    g = parse_graph(text)
+    inner = "SELECT INFO * FROM BELIEF ?x WHERE { ?d a <FullDeity> . ?d <rules> ?r }"
+    outer = f"SELECT INFO * WHERE {{ {{ {inner} }} MAP IF (STATE IS TRUE) TO CONFLICTED ELSE UNKNOWN }}"
+    algebra, calls = esparql.algebra, []
+    for name in ("_plan_join", "_plan_union", "_plan_project"):
+        def planner(*args, real=getattr(algebra, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(algebra, name, planner)
+    seen, reset = _counting(monkeypatch)
+    runs = []
+    for query in (inner, outer):
+        calls.clear()
+        reset()
+        evaluate(parse_and_desugar(query), g, mode=EvalMode.OPEN)
+        runs.append((calls[:], seen["slices"], seen["graphs"]))
+    assert runs[0][0] == ["_plan_join"] and runs[0][1] > 0 and runs[0][2] == 1
+    assert runs[1] == ([], 0, 0)
+    assert len(_bases(g)) == 1 and len(_bases(g, "query")) == 2
+    monkeypatch.undo()
+    for query in (inner, outer):
+        assert evaluate(parse_and_desugar(query), g, mode=EvalMode.OPEN) \
+            == evaluate(parse_and_desugar(query), _rebuilt(g), mode=EvalMode.OPEN)
+
+
+def test_a_kept_run_moves_forward_at_each_catch_up(monkeypatch):
+    # u2 over a stream of 30 distinct stance and fact flips, none reverted,
+    # each followed by an evaluation: the first update runs the query again
+    # and keeps its run; each later one leaves one changed triple on the
+    # carried base, and its catch-up runs the change plan over that triple
+    # alone, not over every triple changed since the run was made
+    text, queries = _bench_inputs()
+    g = parse_graph(text)
+    predicates = VOCAB.predicates()
+    stances = sorted((t for t, v in g.exceptions.items()
+                      if v == T and t.predicate in predicates), key=repr)[:20]
+    facts = sorted((t for t in g.exceptions if t.object is CHRISTIAN), key=repr)[:10]
+    engine, sizes = esparql.algebra._FourEngine, []
+    real = engine._forward
+
+    def forward(self, b, g):
+        sizes.append(len(b.changed))
+        return real(self, b, g)
+
+    monkeypatch.setattr(engine, "_forward", forward)
+    q = parse_and_desugar(queries["u2"])
+    evaluate(q, g)
+    for i, t in enumerate(stances + facts):
+        g = g.set_value(t, F if g.lookup(t) == T else T)
+        (base,) = _bases(g, "query")
+        assert len(base.changed) == 1, i
+        assert evaluate(q, g) == evaluate(parse_and_desugar(queries["u2"]), _rebuilt(g)), i
+        assert base.changed == {} and base.done is not None, i
+    assert sizes == [1] * 29
+
+
 class _Probe:
     """Something to keep on a graph and watch die with it."""
 
