@@ -13,18 +13,20 @@ terms at positions d1 .. dk has index d1 * n**(k-1) + ... + dk (n =
 |universe|), the order of ``itertools.product``.  A parent reads a child's
 rows through a restriction index map, which holds for each parent row the
 sum of its digits times the child's strides (0 for a variable the child
-does not bind).  Mappings are built only for the rows ``diff`` reports.
-Rows are substituted a column at a time: a pattern looks up one flat
-(subject, predicate, object) key per row, zipped from a column per
-position, so only quoted parts and belief probes build triples; formulas
-and belief expressions are compiled once per node.
+does not bind).  No row is kept as a tuple: the rows over k variables are
+k columns of terms (``_columns_over``), and a pattern zips a flat (subject,
+predicate, object) key per row from a column per position, afresh in each
+context, so an evaluation keeps long lists, not a tuple per row, for the
+cyclic collector to walk, and only quoted parts and belief probes build
+triples.  Formulas (which read the columns) and belief expressions are
+compiled once per node.  Mappings are built only for the rows ``diff`` reports.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from operator import eq, getitem, itemgetter
+from operator import eq, getitem
 from typing import Callable, Iterable
 
 from .algebra import (
@@ -157,29 +159,31 @@ _KLEENE = {decides: {(a, b): decides if decides in (a, b) else None if None in (
 
 
 def _compile_formula(f, pos: dict[Variable, int]
-                     ) -> Callable[[list[tuple], list[FourValue]], list]:
-    """f as a function of a node's rows and their states to each row's outcome."""
+                     ) -> Callable[[list[list], list[FourValue]], list]:
+    """f as a function of a node's columns and its rows' states to each row's
+    outcome; a node over no variables has one state and no column."""
     if isinstance(f, Eq):
         # a variable the row does not bind stays a variable: unbound
         if any(isinstance(s, Variable) and s not in pos for s in (f.left, f.right)):
-            return lambda rows, states: [None] * len(rows)
+            return lambda cols, states: [None] * len(states)
 
-        def side(s, rows: list[tuple]) -> Iterable:
-            return map(itemgetter(pos[s]), rows) if s in pos else itertools.repeat(s, len(rows))
-        return lambda rows, states: list(map(eq, side(f.left, rows), side(f.right, rows)))
+        def side(s, cols: list[list], states: list) -> Iterable:
+            return cols[pos[s]] if s in pos else itertools.repeat(s, len(states))
+        return lambda cols, states: list(map(eq, side(f.left, cols, states),
+                                             side(f.right, cols, states)))
     if isinstance(f, Bound):
         bound = f.var in pos
-        return lambda rows, states: [bound] * len(rows)
+        return lambda cols, states: [bound] * len(states)
     if isinstance(f, StateIs):
-        return lambda rows, states: list(map(eq, states, itertools.repeat(f.state, len(states))))
+        return lambda cols, states: list(map(eq, states, itertools.repeat(f.state, len(states))))
     if isinstance(f, Not):
         inner = _compile_formula(f.inner, pos)
-        return lambda rows, states: list(map(_NOT.__getitem__, inner(rows, states)))
+        return lambda cols, states: list(map(_NOT.__getitem__, inner(cols, states)))
     if isinstance(f, (And, Or)):
         tbl = _KLEENE[isinstance(f, Or)]
         left, right = _compile_formula(f.left, pos), _compile_formula(f.right, pos)
-        return lambda rows, states: list(map(
-            tbl.__getitem__, zip(left(rows, states), right(rows, states))))
+        return lambda cols, states: list(map(
+            tbl.__getitem__, zip(left(cols, states), right(cols, states))))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -205,25 +209,34 @@ def _compile_belief(e: BeliefQuery, vocab: BeliefVocabulary, atoms: list[Iri | V
     return lambda t, base, terms: tbl[(left(t, base, terms), right(t, base, terms))]
 
 
-def _columns(p: TriplePattern, w: tuple, rows_over, index_map, quoted: dict) -> list[Iterable]:
+def _columns_over(uni: list[Term], k: int) -> list[list[Term]]:
+    """The rows over k variables as k columns in table order: column j lists each
+    term n ** (k-1-j) times in a row, n ** j times over (n = len(uni))."""
+    n = len(uni)
+    return [list(itertools.chain.from_iterable(map(
+        itertools.repeat, uni, itertools.repeat(n ** (k - 1 - j))))) * n ** j for j in range(k)]
+
+
+def _columns(p: TriplePattern, w: tuple, size: int, columns_over, index_map,
+             quoted: dict) -> list[Iterable]:
     """The substitution of p's subject, predicate and object by each row
     over w; a quoted part's triples come from ``quoted`` (see ``_quoted``)."""
-    rows = rows_over(len(w))
     # a constant's column is bounded, or a ground pattern's one row would zip forever
-    return [map(itemgetter(w.index(x)), rows) if isinstance(x, Variable)
-            else itertools.repeat(x, len(rows)) if isinstance(x, Iri)
-            else map(_quoted(x, rows_over, index_map, quoted).__getitem__,
+    return [columns_over(len(w))[w.index(x)] if isinstance(x, Variable)
+            else itertools.repeat(x, size ** len(w)) if isinstance(x, Iri)
+            else map(_quoted(x, size, columns_over, index_map, quoted).__getitem__,
                      index_map(w, _by_name(pattern_variables(x))))
             for x in (p.subject, p.predicate, p.object)]
 
 
-def _quoted(p: TriplePattern, rows_over, index_map, memo: dict) -> list[StarTriple | None]:
+def _quoted(p: TriplePattern, size: int, columns_over, index_map,
+            memo: dict) -> list[StarTriple | None]:
     """A quoted part's triple per row over its own variables, None where it
     names none, built into ``memo`` once per evaluation."""
     if p not in memo:
         memo[p] = [StarTriple(s, pr, o) if pr.__class__ is Iri and s is not None and o is not None
                    else None for s, pr, o in zip(*_columns(
-                       p, _by_name(pattern_variables(p)), rows_over, index_map, memo))]
+                       p, _by_name(pattern_variables(p)), size, columns_over, index_map, memo))]
     return memo[p]
 
 
@@ -257,10 +270,7 @@ def oracle_eval(
         if size ** len(w) > cap:
             raise UniverseTooLarge(f"{size}**{len(w)} rows exceed oracle cap {cap}")
 
-    @functools.cache
-    def rows_over(k: int) -> list[tuple]:
-        """The rows over k variables, as term tuples in table order."""
-        return list(itertools.product(uni, repeat=k))
+    columns_over = functools.cache(functools.partial(_columns_over, uni))
 
     @functools.cache
     def index_map(w: tuple[Variable, ...], sub: tuple[Variable, ...]) -> list[int]:
@@ -277,7 +287,7 @@ def oracle_eval(
     flat = {(t.subject, t.predicate, t.object): v for t, v in g.exceptions.items()}
 
     # mappings that put a quoted triple in a predicate slot name no triple at
-    # all; such rows take the context's default, probed with a fresh key
+    # all; in a belief context such rows take its default, probed with a fresh key
     fresh_text = "urn:x-esparql:absent"
     taken = {t.text for t in universe if isinstance(t, Iri)}
     while fresh_text in taken:
@@ -303,7 +313,7 @@ def oracle_eval(
         body = contexts.setdefault(id(node.query), {})
         for ctx in own:
             slices[id(node), ctx] = out = []
-            for row in rows_over(len(holders)):
+            for row in zip(*columns_over(len(holders))) if holders else [()]:
                 binding = dict(zip(holders, row))
                 terms = tuple([binding.get(h, h) for h in atoms])
                 if any(t.__class__ is not Iri for t in terms):
@@ -323,12 +333,15 @@ def oracle_eval(
     for node in order:
         w, own = scopes[id(node)], contexts[id(node)]
         if isinstance(node, Pattern):
-            keys = list(zip(*_columns(node.pattern, w, rows_over, index_map, quoted)))
-            if _can_miss(node.pattern):
-                keys = [k if k[1].__class__ is Iri and k[0] is not None and k[2] is not None
-                        else probe for k in keys]
+            # keys are zipped again in each context and never kept; context 0
+            # reads the graph, where a key that names no triple just misses
             for ctx in own:
-                tables[id(node), ctx] = list(map(lookups[ctx], keys))
+                keys = zip(*_columns(node.pattern, w, size, columns_over, index_map, quoted))
+                if ctx and _can_miss(node.pattern):
+                    keys = (k if k[1].__class__ is Iri and k[0] is not None and k[2] is not None
+                            else probe for k in keys)
+                tables[id(node), ctx] = list(map(lookups[ctx], keys) if ctx else
+                                             map(flat.get, keys, itertools.repeat(g.default)))
         elif isinstance(node, Belief):
             cw = scopes[id(node.query)]
             unknown = [UNKNOWN] * size ** len(cw)
@@ -361,7 +374,7 @@ def oracle_eval(
             pick = {True: yes, False: no, None: no}
             for ctx in own:
                 child = tables[id(node.query), ctx]
-                out = list(map(pick.__getitem__, holds(rows_over(len(w)), child)))
+                out = list(map(pick.__getitem__, holds(columns_over(len(w)), child)))
                 tables[id(node), ctx] = out if mapping else list(
                     map(table_of(node.op).__getitem__, zip(child, out)))
     return DenseRelation(scopes[id(q)], universe, tables[id(q), 0])

@@ -2,9 +2,12 @@
 of relations, formula evaluation at one mapping, the inverse of a belief
 vocabulary, the bundled fixtures, a plain reference writer for results and
 graphs, seeded mutants of the fixtures for fuzzing, and seeded generators
-of semiring graphs and of plain and join-free queries."""
+of semiring graphs and of plain and join-free queries, and a check that a
+block leaves nothing for the cyclic collector."""
 
+import contextlib
 import csv
+import gc
 import io
 import json
 import random
@@ -70,6 +73,26 @@ def same_function(r: Relation, other: Relation) -> bool:
 
 def eval_formula(f, m: Mapping, r: Relation) -> ThreeValued:
     return _formula_value(f, m.get, r.value_at(m))
+
+
+@contextlib.contextmanager
+def no_cyclic_garbage():
+    """Fails unless everything built in the block is freed by reference
+    counting: every collection while it runs, and one after it, must find
+    nothing unreachable.  The collector's settings are left as they are."""
+    found = []
+
+    def count(phase, info):
+        if phase == "stop":
+            found.append(info["collected"] + info["uncollectable"])
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        yield
+        gc.collect()
+    finally:
+        gc.callbacks.remove(count)
+    assert not any(found), found
 
 
 def fixture_path(name: str):

@@ -1,7 +1,6 @@
 """Algebra: mappings, relations, scoping rules and the four-valued engine."""
 
 import copy
-import gc
 import importlib.util
 import random
 from pathlib import Path
@@ -73,7 +72,7 @@ from conftest import (
     data,
     example_graph,
 )
-from helpers import all_rows, eval_formula, random_plain_query, same_function
+from helpers import all_rows, eval_formula, no_cyclic_garbage, random_plain_query, same_function
 
 F, T, U, C = (FourValue.FALSE, FourValue.TRUE,
               FourValue.UNKNOWN, FourValue.CONFLICTED)
@@ -1355,13 +1354,8 @@ def test_a_belief_of_a_belief_builds_no_graph_per_outer_key(monkeypatch):
     # g's index once, and that of each outer base's fresh extraction
     assert len(indexes) == len(set(indexes)) == 1 + 2
     # and nothing is left for the cyclic collector
-    gc.collect()
-    gc.disable()
-    try:
+    with no_cyclic_garbage():
         evaluate(q, g, mode=EvalMode.OPEN)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
 
 
 def _belief_of_a_belief():

@@ -2,7 +2,7 @@
 
 import ast
 import collections
-import gc
+import itertools
 import random
 
 import pytest
@@ -68,7 +68,7 @@ from conftest import (
     VOCAB,
     example_graph,
 )
-from helpers import all_rows, random_plain_query
+from helpers import all_rows, no_cyclic_garbage, random_plain_query
 
 F, T, U, C = (FourValue.FALSE, FourValue.TRUE,
               FourValue.UNKNOWN, FourValue.CONFLICTED)
@@ -107,6 +107,17 @@ def test_dense_relation_keeps_values_in_product_order():
     assert dense.values == values
     assert list(dense.rows) == [Mapping.of({X: x, Y: y}) for x, y in order]
     assert dense.value_at(Mapping.of({X: POPE, Y: ARIUS})) == U
+
+
+def test_the_rows_over_k_variables_are_the_columns_of_the_product():
+    terms = [Iri(f"urn:col:{i}") for i in range(4)]
+    for n in range(5):
+        for k in range(4):
+            columns = esparql.oracle._columns_over(terms[:n], k)
+            assert len(columns) == k and all(len(c) == n ** k for c in columns), (n, k)
+            # no variable: no column, and one row, the empty one
+            rows = list(zip(*columns)) if k else [()]
+            assert rows == list(itertools.product(terms[:n], repeat=k)), (n, k)
 
 
 def test_dense_relation_rejects_keys_off_the_table():
@@ -336,6 +347,35 @@ def test_oracle_substitution_edge_cases(q, default, expected):
     assert_agrees(q, g)
 
 
+def test_zero_variable_nodes_have_one_row_in_every_context():
+    # a ground pattern, and filters and state maps over it whose formulas
+    # read variables it does not bind (the holder's too): such a node has
+    # one row and no column, in the graph's context and in belief contexts
+    h = Variable("h")
+    formulas = [Bound(X), Not(Bound(X)), Eq(X, Y), Eq(X, POPE), Eq(h, X),
+                Or(Eq(X, POPE), StateIs(T)), And(Bound(Y), StateIs(F))]
+    checked = 0
+    for seed in range(10):
+        rng = random.Random(seed)
+        g = randgen.random_graph(rng)
+        if not g.exceptions:
+            continue
+        t = rng.choice(sorted(g.exceptions, key=repr))
+        holder, claim = (t.subject, t.object) if isinstance(t.object, StarTriple) else (POPE, t)
+        ground = Pattern(term_to_pattern(claim))
+        bodies = [ground] + [Filter(rng.choice(list(FourOperator)), ground, f) for f in formulas] \
+            + [MapState(ground, f, rng.choice(STATES), rng.choice(STATES)) for f in formulas]
+        for body in bodies:
+            for q, vars in ((body, set()), (Belief(AtomicBelief(holder, T, F), body), set()),
+                            (Belief(all_states_shorthand(h, OPLUS), body), {h})):
+                dense = oracle_eval(q, g)
+                assert dense.vars == vars
+                assert len(dense.values) == len(dense.universe) ** len(vars)
+                assert diff(evaluate(q, g), dense) == [], (seed, q)
+                checked += 1
+    assert checked == 360
+
+
 def _nodes(q):
     children = ((q.left, q.right) if isinstance(q, (Join, Union))
                 else () if isinstance(q, Pattern) else (q.query,))
@@ -440,16 +480,13 @@ def test_random_cases_agree():
 
 
 def test_evaluations_leave_nothing_for_the_cyclic_collector():
-    # the collector is off only so that it counts: everything evaluate and
-    # oracle_eval build, refusals included, must be freed by reference
-    # counting when they return; the cases are drawn before, because the
-    # generator is not what is measured
+    # everything evaluate and oracle_eval build, refusals included, must be
+    # freed by reference counting when they return; the cases are drawn
+    # before, because the generator is not what is measured
     rng = random.Random(0)
     cases = [(randgen.random_graph(rng), randgen.random_query(rng)) for _ in range(200)]
     refused = 0
-    gc.collect()
-    gc.disable()
-    try:
+    with no_cyclic_garbage():
         for g, q in cases:
             for run in (lambda: evaluate(q, g), lambda: evaluate(q, g, mode=EvalMode.OPEN),
                         lambda: oracle_eval(q, g)):
@@ -457,26 +494,16 @@ def test_evaluations_leave_nothing_for_the_cyclic_collector():
                     run()
                 except (NonFinitelySupported, UniverseTooLarge):
                     refused += 1
-        left = gc.collect()
-    finally:
-        gc.enable()
     assert refused == 47
-    assert left == 0
 
 
 def test_generated_queries_leave_nothing_for_the_cyclic_collector():
     rng = random.Random(0)
-    gc.collect()
-    gc.disable()
-    try:
+    with no_cyclic_garbage():
         for _ in range(200):
             randgen.random_graph(rng)
             randgen.random_query(rng)
             random_plain_query(rng)
-        left = gc.collect()
-    finally:
-        gc.enable()
-    assert left == 0
 
 
 # ---------------------------------------------------------------------------
