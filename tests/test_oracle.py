@@ -366,11 +366,11 @@ def test_zero_variable_nodes_have_one_row_in_every_context():
         bodies = [ground] + [Filter(rng.choice(list(FourOperator)), ground, f) for f in formulas] \
             + [MapState(ground, f, rng.choice(STATES), rng.choice(STATES)) for f in formulas]
         for body in bodies:
-            for q, vars in ((body, set()), (Belief(AtomicBelief(holder, T, F), body), set()),
-                            (Belief(all_states_shorthand(h, OPLUS), body), {h})):
+            for q, scope in ((body, set()), (Belief(AtomicBelief(holder, T, F), body), set()),
+                             (Belief(all_states_shorthand(h, OPLUS), body), {h})):
                 dense = oracle_eval(q, g)
-                assert dense.vars == vars
-                assert len(dense.values) == len(dense.universe) ** len(vars)
+                assert dense.vars == scope
+                assert len(dense.values) == len(dense.universe) ** len(scope)
                 assert diff(evaluate(q, g), dense) == [], (seed, q)
                 checked += 1
     assert checked == 360
